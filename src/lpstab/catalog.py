@@ -5,8 +5,9 @@ matrix callable and a small dict of exact constants, so tests and demos can
 compare every numerical route against ground truth.  Look systems up by
 name through get(), which also handles factory parameters such as the
 rotating-frame coupling; example1 and example2 are stable short aliases for
-the two headline systems.  CATALOG maps every accepted name to a
-zero-argument factory for easy iteration.
+the two headline systems.  Everything is read from one table, _ENTRIES;
+CATALOG maps each canonical name to a zero-argument factory for easy
+iteration.
 """
 
 from __future__ import annotations
@@ -123,28 +124,31 @@ def scalar_unstable() -> CatalogSystem:
                          transition, {"drift_mean": 0.3})
 
 
-# name -> (factory, parameter names the factory accepts)
-_ENTRIES: dict[str, tuple[Callable[..., CatalogSystem], frozenset[str]]] = {
-    "rotating_frame": (rotating_frame, frozenset({"beta"})),
-    "example1": (rotating_frame, frozenset({"beta"})),
-    "strong_coupling": (strong_coupling, frozenset()),
-    "example2": (strong_coupling, frozenset()),
-    "lti_diag": (lti_diag, frozenset({"a", "b"})),
-    "lti_jordan_marginal": (lti_jordan_marginal, frozenset()),
-    "scalar_unstable": (scalar_unstable, frozenset()),
+# canonical name -> (factory, parameter names the factory accepts, aliases)
+_ENTRIES: dict[str, tuple[Callable[..., CatalogSystem], frozenset[str], tuple[str, ...]]] = {
+    "rotating_frame": (rotating_frame, frozenset({"beta"}), ("example1",)),
+    "rotating_frame_marginal": (lambda: rotating_frame(1.0), frozenset(), ()),
+    "strong_coupling": (strong_coupling, frozenset(), ("example2",)),
+    "lti_diag": (lti_diag, frozenset({"a", "b"}), ()),
+    "lti_jordan_marginal": (lti_jordan_marginal, frozenset(), ()),
+    "scalar_unstable": (scalar_unstable, frozenset(), ()),
 }
+
+_BY_NAME = {alias: entry for name, entry in _ENTRIES.items() for alias in (name, *entry[2])}
+
+CATALOG: dict[str, Callable[[], CatalogSystem]] = {name: e[0] for name, e in _ENTRIES.items()}
 
 
 def get(name: str, params: Mapping[str, float] | None = None) -> CatalogSystem:
-    """Look up a catalog system by name, passing factory parameters through.
+    """Look up a catalog system by name or alias, passing factory parameters through.
 
     Raises InputError for an unknown name or a parameter the chosen factory
     does not accept, listing what would have been valid.
     """
-    if name not in _ENTRIES:
+    if name not in _BY_NAME:
         raise InputError(f"unknown catalog system {name!r}; "
-                         f"available: {', '.join(sorted(_ENTRIES))}")
-    factory, allowed = _ENTRIES[name]
+                         f"available: {', '.join(sorted(_BY_NAME))}")
+    factory, allowed, _ = _BY_NAME[name]
     kwargs = dict(params or {})
     unknown = sorted(set(kwargs) - allowed)
     if unknown:
@@ -152,13 +156,3 @@ def get(name: str, params: Mapping[str, float] | None = None) -> CatalogSystem:
         raise InputError(f"{name} does not accept parameter(s) {', '.join(unknown)}; "
                          f"accepted: {accepted}")
     return factory(**kwargs)
-
-
-CATALOG: dict[str, Callable[[], CatalogSystem]] = {
-    "rotating_frame": rotating_frame,
-    "rotating_frame_marginal": lambda: rotating_frame(1.0),
-    "strong_coupling": strong_coupling,
-    "lti_diag": lti_diag,
-    "lti_jordan_marginal": lti_jordan_marginal,
-    "scalar_unstable": scalar_unstable,
-}

@@ -137,6 +137,15 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise InputError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
+def _write_trajectory(fh, traj: perturb.Trajectory, kind: NormKind) -> None:
+    """CSV t,x1,...,xn,norm with one row per trajectory sample."""
+    cols = ",".join(f"x{i + 1}" for i in range(traj.states.shape[1]))
+    fh.write(f"t,{cols},norm\n")
+    for t, x in zip(traj.times, traj.states):
+        vals = [float(t), *(float(v) for v in x), vec_norm(x, kind)]
+        fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+
+
 def _rates_doc(rates: periodic.RateSummary) -> dict:
     return {
         "lambda_plus": rates.lambda_plus,
@@ -319,12 +328,7 @@ def series(file, system_name, params, norm, t_end, samples, trajectory, out):
             raise InputError(f"--trajectory must have {sysd.n} entries")
         traj = perturb.simulate_perturbed(sysd, perturb.Disturbance.zero(sysd.n), start,
                                           t_end, samples=samples, cross_check=False)
-        cols = ",".join(f"x{i + 1}" for i in range(sysd.n))
-        fh.write(f"t,{cols},norm\n")
-        for i, t in enumerate(traj.times):
-            vals = [float(t)] + [float(v) for v in traj.states[i]]
-            vals.append(vec_norm(traj.states[i], kind))
-            fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+        _write_trajectory(fh, traj, kind)
 
 
 @root.command("perturb")
@@ -372,12 +376,7 @@ def perturb_cmd(file, system_name, params, norm, dist, x0, t_end, samples, out, 
                and not traj.overflowed)
     if out is not None:
         with click.open_file(out, "w") as fh:
-            cols = ",".join(f"x{i + 1}" for i in range(sysd.n))
-            fh.write(f"t,{cols},norm\n")
-            for i, t in enumerate(traj.times):
-                vals = [float(t)] + [float(v) for v in traj.states[i]]
-                vals.append(vec_norm(traj.states[i], kind))
-                fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+            _write_trajectory(fh, traj, kind)
     if json_out:
         _emit_json({
             "version": __version__,

@@ -33,9 +33,7 @@ class Tolerances:
 
     # dense kernels
     sym_tol: float = 1e-12          # symmetry acceptance, relative
-    jacobi_sweeps: int = 60
-    qr_iter_budget: int = 64        # Francis iterations allowed per eigenvalue
-    singular_floor: float = 1e-13   # pivot threshold, relative to matrix scale
+    singular_floor: float = 1e-13   # smallest singular value threshold, relative to the largest
     lyapunov_residual: float = 1e-8
     multiplier_floor: float = 1e-14
 

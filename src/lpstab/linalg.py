@@ -1,17 +1,4 @@
-"""Dense kernels for small real matrices (n <= 64).
-
-The named algorithms are implemented here directly on numpy arrays: cyclic
-Jacobi for symmetric eigenvalues, Hessenberg reduction followed by Francis
-double-shift QR for general spectra, Cholesky factorization, and Gaussian
-elimination with partial pivoting (shared by linear_solve, inverse,
-determinant and the Kronecker-product Lyapunov solve).  numpy.linalg is not
-used on the shipped path; the test suite calls it as an independent check.
-
-Matrices are float64 ndarrays.  Shape or symmetry violations raise
-ValueError; numerical failure raises subclasses of NumericError.
-"""
-
-from __future__ import annotations
+"""Dense kernels for small real matrices (n <= 64): checked wrappers over LAPACK via numpy.linalg."""
 
 import math
 from dataclasses import dataclass
@@ -19,25 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .errors import (
-    ConvergenceError,
-    NotPositiveDefiniteError,
-    NumericError,
-    SingularMatrixError,
-)
-
-_EPS = 2.0 ** -52
+from .errors import ConvergenceError, NotPositiveDefiniteError, NumericError, SingularMatrixError
 
 
 @dataclass(frozen=True, eq=False)
 class NormKind:
-    """Vector norm selector.
-
-    tag is one of "one", "two", "inf", "weighted".  A weighted kind carries a
-    nonsingular transform P; the norm is |Px|_2, equivalently the inner
-    product norm of H = P^T P.  Instances compare by identity so they can key
-    caches even when P is an array.
-    """
+    """Vector norm "one", "two", "inf" or "weighted" (|Px|_2 for a nonsingular
+    transform P).  Instances compare by identity, so they can key caches."""
 
     tag: str
     transform: np.ndarray | None = None
@@ -70,13 +45,10 @@ def _as_vector(v, name="vector"):
 
 def _as_symmetric(M, name="matrix"):
     A = _as_square(M, name)
-    scale = float(np.abs(A).max())
-    if float(np.abs(A - A.T).max()) > TOL.sym_tol * (1.0 + scale):
+    if float(np.abs(A - A.T).max()) > TOL.sym_tol * (1.0 + float(np.abs(A).max())):
         raise ValueError(f"{name} is not symmetric within {TOL.sym_tol:g}")
     return 0.5 * (A + A.T)
 
-
-# ------------------------------------------------------------------- norms
 
 def _two_norm(x) -> float:
     # scaled so that components near the overflow cap stay finite
@@ -84,327 +56,95 @@ def _two_norm(x) -> float:
     if top == 0.0 or not math.isfinite(top):
         return top
     y = x / top
-    return top * float(math.sqrt(float(y @ y)))
+    return top * math.sqrt(float(y @ y))
 
 
 def vec_norm(v, kind: NormKind) -> float:
     x = _as_vector(v)
     if kind.tag == "one":
         return float(np.abs(x).sum())
-    if kind.tag == "two":
-        return _two_norm(x)
     if kind.tag == "inf":
         return float(np.abs(x).max())
-    if kind.tag == "weighted":
-        P = kind.transform
-        if P.shape[0] != x.size:
-            raise ValueError(f"weighted norm transform is {P.shape[0]}-dimensional, vector is {x.size}")
-        return _two_norm(P @ x)
-    raise ValueError(f"unknown norm tag {kind.tag!r}")
+    if kind.tag not in ("two", "weighted"):
+        raise ValueError(f"unknown norm tag {kind.tag!r}")
+    return _two_norm(kind.transform @ x if kind.tag == "weighted" else x)
 
 
 def mat_norm(M, kind: NormKind) -> float:
     """Induced operator norm of M for the given vector norm."""
     A = _as_square(M)
-    if kind.tag == "one":
-        return float(np.abs(A).sum(axis=0).max())
-    if kind.tag == "inf":
-        return float(np.abs(A).sum(axis=1).max())
-    if kind.tag == "two":
-        w = sym_eigs(A.T @ A)
-        return math.sqrt(max(float(w[-1]), 0.0))
-    if kind.tag == "weighted":
-        return mat_norm(similarity_transform(kind.transform, A), NormKind("two"))
-    raise ValueError(f"unknown norm tag {kind.tag!r}")
+    if kind.tag in ("one", "inf"):
+        return float(np.abs(A).sum(axis=0 if kind.tag == "one" else 1).max())
+    if kind.tag not in ("two", "weighted"):
+        raise ValueError(f"unknown norm tag {kind.tag!r}")
+    B = similarity_transform(kind.transform, A) if kind.tag == "weighted" else A
+    return math.sqrt(max(float(sym_eigs(B.T @ B)[-1]), 0.0))
 
 
 def similarity_transform(P, A):
     """P A P^{-1} without forming the inverse explicitly."""
-    P = _as_square(P, "P")
-    A = _as_square(A, "A")
-    if P.shape != A.shape:
-        raise ValueError(f"shape mismatch: P is {P.shape}, A is {A.shape}")
-    X = P @ A
-    return solve_columns(P.T, X.T).T
+    P = check_nonsingular(P, "P")
+    return np.linalg.solve(P.T, (P @ _as_square(A, "A")).T).T
 
 
-# ------------------------------------------------- symmetric eigenproblem
-
-def _jacobi_rotate(A, V, p, q):
-    apq = A[p, q]
-    theta = 0.5 * (A[q, q] - A[p, p]) / apq
-    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    cp, cq = A[:, p].copy(), A[:, q].copy()
-    A[:, p] = c * cp - s * cq
-    A[:, q] = s * cp + c * cq
-    rp, rq = A[p, :].copy(), A[q, :].copy()
-    A[p, :] = c * rp - s * rq
-    A[q, :] = s * rp + c * rq
-    A[p, q] = A[q, p] = 0.0
-    vp, vq = V[:, p].copy(), V[:, q].copy()
-    V[:, p] = c * vp - s * vq
-    V[:, q] = s * vp + c * vq
+def _lapack(error, routine, *args):
+    try:
+        return routine(*args)
+    except np.linalg.LinAlgError as exc:
+        raise error(f"{routine.__name__} failed: {exc}") from exc
 
 
 def sym_eigs(S, vectors: bool = False):
-    """Eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi.
-
-    With vectors=True also returns the orthogonal V with S V = V diag(w).
-    """
-    A = _as_symmetric(S, "S").copy()
-    n = A.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        w = A[np.diag_indices(1)]
-        return (w, V) if vectors else w
-    fro = math.sqrt(float((A * A).sum()))
-    if fro > 0.0:
-        if n == 2:
-            # a single rotation diagonalizes the 2x2 case exactly
-            if A[0, 1] != 0.0:
-                _jacobi_rotate(A, V, 0, 1)
-        else:
-            skip = 1e-18 * max(1.0, fro)
-            for _ in range(TOL.jacobi_sweeps):
-                off = math.sqrt(2.0 * float((np.triu(A, 1) ** 2).sum()))
-                if off <= 1e-14 * max(1.0, fro):
-                    break
-                for p in range(n - 1):
-                    for q in range(p + 1, n):
-                        if abs(A[p, q]) > skip:
-                            _jacobi_rotate(A, V, p, q)
-            else:
-                raise ConvergenceError(f"Jacobi did not converge in {TOL.jacobi_sweeps} sweeps")
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    if vectors:
-        return w[order], V[:, order]
-    return w[order]
-
-
-# --------------------------------------------------- general eigenproblem
-
-def _householder(a):
-    norm_a = math.sqrt(float(a @ a))
-    if norm_a == 0.0:
-        return None
-    v = np.array(a, dtype=float)
-    v[0] += norm_a if v[0] >= 0.0 else -norm_a
-    nv = math.sqrt(float(v @ v))
-    if nv == 0.0:
-        return None
-    return v / nv
-
-
-def _hessenberg(A):
-    H = np.array(A, dtype=float)
-    n = H.shape[0]
-    for k in range(n - 2):
-        v = _householder(H[k + 1:, k].copy())
-        if v is None:
-            continue
-        H[k + 1:, k:] -= 2.0 * np.outer(v, v @ H[k + 1:, k:])
-        H[:, k + 1:] -= 2.0 * np.outer(H[:, k + 1:] @ v, v)
-        H[k + 2:, k] = 0.0
-    return H
-
-
-def _eig2(a, b, c, d):
-    half_tr = 0.5 * (a + d)
-    det = a * d - b * c
-    disc = half_tr * half_tr - det
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        return [complex(half_tr - s), complex(half_tr + s)]
-    s = math.sqrt(-disc)
-    # constructed as an exact conjugate pair
-    return [complex(half_tr, -s), complex(half_tr, s)]
+    """Ascending eigenvalues w of symmetric S, and with vectors=True V with S V = V diag(w)."""
+    routine = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    return _lapack(ConvergenceError, routine, _as_symmetric(S, "S"))
 
 
 def gen_eigs(M) -> list[complex]:
-    """All eigenvalues of a real matrix, sorted by (real, imag).
-
-    Hessenberg reduction followed by Francis double-shift QR iteration with
-    deflation; 1x1 and 2x2 trailing blocks are solved directly, so complex
-    eigenvalues come out in exactly conjugate pairs.
-    """
-    A = _as_square(M)
-    n = A.shape[0]
-    if n == 1:
-        return [complex(A[0, 0])]
-    if n == 2:
-        return sorted(_eig2(A[0, 0], A[0, 1], A[1, 0], A[1, 1]), key=lambda z: (z.real, z.imag))
-    H = _hessenberg(A)
-    eigs: list[complex] = []
-    hi = n - 1
-    iters = 0
-    total = 0
-    budget = TOL.qr_iter_budget * n
-    while hi >= 0:
-        for i in range(1, hi + 1):
-            thr = _EPS * (abs(H[i - 1, i - 1]) + abs(H[i, i]))
-            if thr == 0.0:
-                thr = _EPS
-            if abs(H[i, i - 1]) <= thr:
-                H[i, i - 1] = 0.0
-        lo = hi
-        while lo > 0 and H[lo, lo - 1] != 0.0:
-            lo -= 1
-        if lo == hi:
-            eigs.append(complex(H[hi, hi]))
-            hi -= 1
-            iters = 0
-            continue
-        if lo == hi - 1:
-            eigs.extend(_eig2(H[lo, lo], H[lo, hi], H[hi, lo], H[hi, hi]))
-            hi -= 2
-            iters = 0
-            continue
-        iters += 1
-        total += 1
-        if total > budget:
-            raise ConvergenceError(f"QR iteration exceeded {budget} steps")
-        if iters % 11 == 0:
-            # exceptional shift to break symmetry-induced cycles
-            ss = abs(H[hi, hi - 1]) + abs(H[hi - 1, hi - 2])
-            h11 = 0.75 * ss + H[hi, hi]
-            s = h11 + h11
-            tprod = h11 * h11 + 0.4375 * ss * ss
-        else:
-            s = H[hi - 1, hi - 1] + H[hi, hi]
-            tprod = H[hi - 1, hi - 1] * H[hi, hi] - H[hi - 1, hi] * H[hi, hi - 1]
-        x = H[lo, lo] * H[lo, lo] + H[lo, lo + 1] * H[lo + 1, lo] - s * H[lo, lo] + tprod
-        y = H[lo + 1, lo] * (H[lo, lo] + H[lo + 1, lo + 1] - s)
-        z = H[lo + 2, lo + 1] * H[lo + 1, lo]
-        first = np.array([x, y, z])
-        for k in range(lo, hi):
-            m = min(3, hi + 1 - k)
-            col = first[:m] if k == lo else H[k:k + m, k - 1].copy()
-            v = _householder(col)
-            if v is None:
-                continue
-            H[k:k + m, :] -= 2.0 * np.outer(v, v @ H[k:k + m, :])
-            H[:, k:k + m] -= 2.0 * np.outer(H[:, k:k + m] @ v, v)
-            if k > lo:
-                H[k + 1:k + m, k - 1] = 0.0
-    eigs.sort(key=lambda zv: (zv.real, zv.imag))
-    return eigs
+    """All eigenvalues, sorted by (real, imag); complex ones in exact conjugate pairs."""
+    z = map(complex, _lapack(ConvergenceError, np.linalg.eigvals, _as_square(M)))
+    return sorted(z, key=lambda v: (v.real, v.imag))
 
 
-# ------------------------------------------------------------ factorizations
+def check_nonsingular(M, name="matrix"):
+    """Validated M; singular when sigma_min <= TOL.singular_floor * sigma_max."""
+    A = _as_square(M, name)
+    s = np.linalg.svd(A, compute_uv=False)
+    if s[-1] <= TOL.singular_floor * s[0]:
+        raise SingularMatrixError(f"{name} is singular: singular values {s[0]:.6e} .. {s[-1]:.6e}")
+    return A
+
 
 def cholesky(S):
     """Lower-triangular L with L L^T = S; S must be positive definite."""
-    A = _as_symmetric(S, "S")
-    n = A.shape[0]
-    L = np.zeros_like(A)
-    for j in range(n):
-        d = A[j, j] - float(L[j, :j] @ L[j, :j])
-        if d <= 0.0:
-            raise NotPositiveDefiniteError(f"non-positive pivot {d:.6e} at index {j}")
-        L[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def _lu_factor(M):
-    A = _as_square(M).copy()
-    n = A.shape[0]
-    piv = np.arange(n)
-    sign = 1.0
-    scale = float(np.abs(A).max())
-    if scale == 0.0:
-        raise SingularMatrixError("matrix is zero")
-    floor = TOL.singular_floor * scale
-    for k in range(n):
-        r = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[r, k]) <= floor:
-            raise SingularMatrixError(f"pivot {A[r, k]:.6e} below threshold in column {k}")
-        if r != k:
-            A[[k, r]] = A[[r, k]]
-            piv[[k, r]] = piv[[r, k]]
-            sign = -sign
-        A[k + 1:, k] /= A[k, k]
-        if k + 1 < n:
-            A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:])
-    return A, piv, sign
-
-
-def _lu_solve(lu, piv, B):
-    X = B[piv].astype(float, copy=True)
-    n = lu.shape[0]
-    for k in range(n):
-        X[k + 1:] -= np.outer(lu[k + 1:, k], X[k])
-    for k in range(n - 1, -1, -1):
-        X[k] /= lu[k, k]
-        X[:k] -= np.outer(lu[:k, k], X[k])
-    return X
+    return _lapack(NotPositiveDefiniteError, np.linalg.cholesky, _as_symmetric(S, "S"))
 
 
 def linear_solve(M, b):
-    """Solve M x = b by Gaussian elimination with partial pivoting."""
-    A = _as_square(M)
-    x = _as_vector(b, "b")
-    if x.size != A.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {A.shape}, vector {x.size}")
-    lu, piv, _ = _lu_factor(A)
-    return _lu_solve(lu, piv, x.reshape(-1, 1))[:, 0]
-
-
-def solve_columns(M, B):
-    """Solve M X = B column-wise with one shared factorization."""
-    A = _as_square(M)
-    rhs = np.asarray(B, dtype=float)
-    if rhs.ndim != 2 or rhs.shape[0] != A.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {A.shape}, rhs {rhs.shape}")
-    lu, piv, _ = _lu_factor(A)
-    return _lu_solve(lu, piv, rhs)
+    return np.linalg.solve(check_nonsingular(M), _as_vector(b, "b"))
 
 
 def inverse(M):
-    A = _as_square(M)
-    return solve_columns(A, np.eye(A.shape[0]))
+    return np.linalg.inv(check_nonsingular(M))
 
 
 def determinant(M) -> float:
-    A = _as_square(M)
-    try:
-        lu, _, sign = _lu_factor(A)
-    except SingularMatrixError:
-        return 0.0
-    return float(sign * np.prod(np.diag(lu)))
+    return float(np.linalg.det(_as_square(M)))
 
-
-# -------------------------------------------------------- Lyapunov equation
 
 def solve_lyapunov(A):
-    """Solve A^T H + H A = -2 I for H, which is positive definite iff A is
-    Hurwitz and the solve succeeds.
-
-    Assembled as the n^2 x n^2 Kronecker system
-    (I (x) A^T + A^T (x) I) vec(H) = vec(-2 I) and handed to linear_solve.
-    The residual is verified against the configured bound and H is rejected
-    when not positive definite.
-    """
+    """H with A^T H + H A = -2 I, from the Kronecker system (I (x) A^T + A^T (x) I)
+    vec(H) = vec(-2 I); residual-checked, and positive definite iff A is Hurwitz."""
     A = _as_square(A, "A")
-    n = A.shape[0]
-    K = np.kron(np.eye(n), A.T) + np.kron(A.T, np.eye(n))
-    rhs = (-2.0 * np.eye(n)).flatten(order="F")
+    eye = np.eye(A.shape[0])
     try:
-        h = linear_solve(K, rhs)
-    except SingularMatrixError as exc:
-        raise NotPositiveDefiniteError(f"Lyapunov system singular, matrix is not Hurwitz: {exc}") from exc
-    H = h.reshape((n, n), order="F")
-    H = 0.5 * (H + H.T)
-    R = A.T @ H + H @ A + 2.0 * np.eye(n)
-    resid = math.sqrt(max(float(sym_eigs(R.T @ R)[-1]), 0.0))
-    if resid > TOL.lyapunov_residual * (1.0 + float(np.abs(H).max())):
-        raise NumericError(f"Lyapunov residual {resid:.3e} above bound")
-    try:
+        # vec(-2 I) and the symmetrized H are the same in either storage order
+        H = linear_solve(np.kron(eye, A.T) + np.kron(A.T, eye), -2.0 * eye.ravel()).reshape(eye.shape)
+        H = 0.5 * (H + H.T)
+        resid = float(np.linalg.norm(A.T @ H + H @ A + 2.0 * eye, 2))
+        if resid > TOL.lyapunov_residual * (1.0 + float(np.abs(H).max())):
+            raise NumericError(f"Lyapunov residual {resid:.3e} above bound")
         cholesky(H)
-    except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(f"Lyapunov solution not positive definite, matrix is not Hurwitz: {exc}") from exc
+    except (SingularMatrixError, NotPositiveDefiniteError) as exc:
+        raise NotPositiveDefiniteError(f"Lyapunov solve failed, matrix is not Hurwitz: {exc}") from exc
     return H

@@ -32,9 +32,7 @@ NAMED = {"one": ONE, "two": TWO, "inf": INF}
 
 def weighted(P) -> NormKind:
     """Norm kind |x| = |P x|_2 for a nonsingular transform P."""
-    P = _as_square(P, "P")
-    linalg._lu_factor(P)  # reject singular transforms up front
-    return NormKind("weighted", P)
+    return NormKind("weighted", linalg.check_nonsingular(P, "P"))
 
 
 def lyapunov_weighted(A) -> NormKind:
@@ -58,20 +56,16 @@ def mu(M, kind: NormKind) -> float:
     if kind.tag == "inf":
         off = np.abs(A).sum(axis=1) - np.abs(np.diag(A))
         return float((np.diag(A) + off).max())
-    if kind.tag == "two":
-        w = linalg.sym_eigs(0.5 * (A + A.T))
-        return float(w[-1])
     if kind.tag == "weighted":
-        B = linalg.similarity_transform(kind.transform, A)
-        w = linalg.sym_eigs(0.5 * (B + B.T))
-        return float(w[-1])
-    raise ValueError(f"unknown norm tag {kind.tag!r}")
+        A = linalg.similarity_transform(kind.transform, A)
+    elif kind.tag != "two":
+        raise ValueError(f"unknown norm tag {kind.tag!r}")
+    return float(linalg.sym_eigs(0.5 * (A + A.T))[-1])
 
 
 def mu_weighted(M, P) -> float:
     """Logarithmic norm of M under |x| = |P x|_2, as mu_2 of P M P^{-1}."""
-    B = linalg.similarity_transform(P, M)
-    return float(linalg.sym_eigs(0.5 * (B + B.T))[-1])
+    return mu(M, NormKind("weighted", P))
 
 
 def mu_limit_estimate(M, kind: NormKind, h: float = 1e-7) -> float:

@@ -8,11 +8,13 @@ import contextlib
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 import lpstab
-from lpstab import cli
+from lpstab import catalog, cli
 
 
 def run_cli(*args):
@@ -88,6 +90,23 @@ def test_analyze_zero_tol_downgrades():
                            "--zero-tol", "1.0", "--no-oracle")
     assert code == 0
     assert "verdict: US" in out
+
+
+def _readme_catalog_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## Catalog\n", 1)[1].split("\n## ", 1)[0]
+    return [name for line in table.splitlines() if line.startswith("| `")
+            for name in re.findall(r"`(\w+)`", line.split("|")[1])]
+
+
+def test_readme_catalog_names_resolve():
+    names = _readme_catalog_names()
+    assert {"example1", "example2", "rotating_frame_marginal"} <= set(names)
+    for name in names:
+        assert catalog.get(name).system.n >= 1
+        code, out, err = run_cli("analyze", "-s", name, "--norm", "one", "--no-oracle")
+        assert code == 0, (name, err)
+        assert "verdict:" in out
 
 
 def test_analyze_weighted_norm():

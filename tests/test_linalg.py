@@ -1,7 +1,11 @@
-"""Dense kernel tests against numpy.linalg as an independent oracle.
+"""Dense kernel tests.
 
-The shipped code never calls numpy.linalg; using it here keeps the check
-honest.  Random matrices are seeded so failures reproduce.
+The kernels are wrappers over numpy.linalg, so the comparisons against
+numpy.linalg below guard the wrapping (symmetrization, ordering, error
+mapping) rather than the arithmetic.  Independence rests on the residual
+and property checks: S V = V diag w, det = prod of the eigenvalues,
+L L^T = S, and the Lyapunov residual.  Random matrices are seeded so
+failures reproduce.
 """
 
 import numpy as np
@@ -19,6 +23,15 @@ def test_vec_norms():
     assert la.vec_norm(x, INF) == 4.0
     P = np.array([[2.0, 0.0], [0.0, 1.0]])
     assert la.vec_norm(x, weighted(P)) == pytest.approx(np.hypot(6.0, 4.0))
+
+
+def test_vec_norm_near_overflow():
+    # the two-norm is scaled by the largest entry, so squares never overflow
+    x = np.array([3e300, -4e300])
+    assert la.vec_norm(x, TWO) == pytest.approx(5e300, rel=1e-15)
+    P = np.array([[0.5, 0.0], [0.0, 0.25]])
+    assert la.vec_norm(x, weighted(P)) == pytest.approx(np.hypot(1.5, 1.0) * 1e300, rel=1e-15)
+    assert np.isfinite(la.vec_norm(np.array([1e300, 1e300, 1e300]), TWO))
 
 
 def test_vec_norm_axioms():
