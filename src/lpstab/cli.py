@@ -146,34 +146,9 @@ def _write_trajectory(fh, traj: perturb.Trajectory, kind: NormKind) -> None:
         fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
 
 
-def _rates_doc(rates: periodic.RateSummary) -> dict:
-    return {
-        "lambda_plus": rates.lambda_plus,
-        "lambda_minus": rates.lambda_minus,
-        "delta_upper_plus": rates.delta_upper_plus,
-        "delta_lower_plus": rates.delta_lower_plus,
-        "delta_upper_minus": rates.delta_upper_minus,
-        "delta_lower_minus": rates.delta_lower_minus,
-        "pi_plus_period": rates.pi_plus_period,
-        "pi_minus_period": rates.pi_minus_period,
-        "quadrature_error": rates.quadrature_error,
-    }
-
-
-def _frozen_doc(ft: periodic.FrozenTimeReport) -> dict:
-    return {
-        "applicable": ft.applicable,
-        "grid_points": ft.grid_points,
-        "m_bound": ft.m_bound,
-        "m_margin": ft.m_margin,
-        "worst_abscissa": ft.worst_abscissa,
-        "alpha": ft.alpha,
-        "sup_adot": ft.sup_adot,
-        "c1_satisfied": ft.c1_satisfied,
-        "c2_satisfied": ft.c2_satisfied,
-        "c2_bound": ft.c2_bound,
-        "c2_bound_alt": ft.c2_bound_alt,
-    }
+def _record_doc(record, *omit: str) -> dict:
+    """The fields of a result record as a JSON object, minus those named."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.name not in omit}
 
 
 @click.group()
@@ -199,15 +174,8 @@ def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
     failures = []
     for name, kind in kinds:
         verdict = periodic.classify(sysd, kind, zero_tol)
-        entry = {
-            "norm": name,
-            "classification": verdict.classification,
-            "K": verdict.K,
-            "alpha_tilde": verdict.alpha_tilde,
-            "strip": list(verdict.strip),
-            "message": verdict.message,
-            "rates": _rates_doc(verdict.rates),
-        }
+        entry = {"norm": name, **_record_doc(verdict, "kind"),
+                 "rates": _record_doc(verdict.rates, "kind", "t0", "period")}
         if no_oracle:
             entry["oracle"] = "skipped: oracle disabled"
         else:
@@ -219,23 +187,13 @@ def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
                 "fce_real_parts": list(fce.real_parts),
                 "monodromy_steps": fce.monodromy.steps,
                 "monodromy_error": fce.monodromy.error_estimate,
-                "strip_check": {
-                    "passed": strip_check.passed,
-                    "worst_violation": strip_check.worst_violation,
-                    "allowance": strip_check.allowance,
-                },
+                "strip_check": _record_doc(strip_check, "lower", "upper", "real_parts"),
                 "sandwich_violation": violation,
                 "sandwich_passed": sandwich_ok,
             }
             if verdict.classification == "UES":
                 decay = floquet.verify_decay(sysd, verdict)
-                oracle_doc["decay"] = {
-                    "passed": decay.passed,
-                    "worst_margin": decay.worst_margin,
-                    "allowance": decay.allowance,
-                    "pairs": decay.pairs,
-                    "state_checks": decay.state_checks,
-                }
+                oracle_doc["decay"] = _record_doc(decay)
                 if not decay.passed:
                     failures.append(f"{name}: decay envelope violated by {-decay.worst_margin:.3e}")
             else:
@@ -253,7 +211,7 @@ def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
             "system": _system_doc(sysd),
             "zero_tol": zero_tol,
             "tolerances": dataclasses.asdict(TOL),
-            "frozen_time": _frozen_doc(frozen),
+            "frozen_time": _record_doc(frozen),
             "analyses": [{k: v for k, v in e.items() if not k.startswith("_")} for e in analyses],
         }
         _emit_json(doc)

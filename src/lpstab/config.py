@@ -1,8 +1,9 @@
 """All numeric tolerances and size limits in one frozen record.
 
 Functions take an explicit override only where their contract calls for one
-(classify's zero tolerance, integrator step counts); everything else reads
-the module-level TOL instance so thresholds stay auditable in one place.
+(classify's zero tolerance, the transition integrator's accuracy target);
+everything else reads the module-level TOL instance so thresholds stay
+auditable in one place.
 """
 
 from dataclasses import dataclass

@@ -12,8 +12,9 @@ so '^' binds tighter than unary minus, which binds tighter than '*' and '/',
 which bind tighter than '+' and '-'.  '+', '-', '*', '/' associate left.
 FUNC is one of sin, cos, tan, exp, ln, sqrt, abs; the only variable is t.
 
-evaluate() is the reference tree-walking evaluator.  compile_expr() builds a
-plain Python callable with identical semantics for hot loops; equivalence is
+evaluate() is the reference tree-walking evaluator.  compile_exprs() builds
+one Python callable for a whole list of expressions, taking a float or an
+array of times, with identical semantics for hot loops; equivalence is
 property-tested.  Domain violations (ln or sqrt outside their domain,
 division by zero, 0 to a negative power, a negative base with a fractional
 exponent, overflow to a non-finite value) raise EvalError, never return nan.
@@ -23,7 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Union
+
+import numpy as np
 
 from .errors import InputError, NumericError
 
@@ -327,26 +331,45 @@ def _emit(node):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def compile_expr(expr: Expression):
-    """Compile to a fast float -> float callable.
+def compile_exprs(exprs):
+    """One callable for expressions e1..ek: a float t gives the row (e1(t), ..., ek(t)),
+    an array of times an array of shape t.shape + (k,).
 
-    Same results and same error triggers as evaluate(), but EvalError raised
-    from here carries no offending-node pointer.  1.0/0.0 raises
-    ZeroDivisionError in Python and pow(0.0, -1.0) raises ValueError, so both
-    paths reject exactly the same inputs.
+    Each time goes in as a Python float through evaluate()'s math-module calls
+    (numpy's exp and pow differ in the last bit on some inputs), so values and
+    EvalError triggers match it exactly; an array's EvalError names its first
+    failing time in row-major order, and carries no offending-node pointer.
     """
-    raw = eval("lambda t: " + _emit(expr), dict(_NAMESPACE))
+    k = len(exprs)
+    raw = eval("lambda t: (" + "".join(_emit(e) + "," for e in exprs) + ")", dict(_NAMESPACE))
 
-    def fn(t, _raw=raw):
+    def fn(t):
+        if isinstance(t, np.ndarray):
+            ts = t.astype(float).ravel().tolist()
+            try:
+                values = chain.from_iterable(map(raw, ts))  # no per-time tuples kept
+                out = np.fromiter(values, float, len(ts) * k).reshape(t.shape + (k,))
+                if np.isfinite(out).all():
+                    return out
+            except (ValueError, ZeroDivisionError, OverflowError):
+                pass
+            for s in ts:
+                fn(s)  # raises at the first failing time
         try:
-            v = _raw(t)
+            vals = raw(t)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise EvalError(str(exc), None, t) from exc
-        if not math.isfinite(v):
+        if not all(map(math.isfinite, vals)):
             raise EvalError("non-finite result", None, t)
-        return v
+        return np.array(vals, dtype=float)
 
     return fn
+
+
+def compile_expr(expr: Expression):
+    """compile_exprs of one expression: float -> float, array -> array of its shape."""
+    fn = compile_exprs((expr,))
+    return lambda t: fn(t)[..., 0] if isinstance(t, np.ndarray) else float(fn(t)[0])
 
 
 # ---------------------------------------------------------------- serializer

@@ -59,8 +59,7 @@ def _rk4_matrix(sys: SystemDef, a: float, b: float, steps: int) -> np.ndarray:
 
 
 def integrate_transition(sys: SystemDef, t_from: float, t_to: float,
-                         tol: float | None = None, start_steps: int | None = None,
-                         max_steps: int | None = None) -> TransitionMatrix:
+                         tol: float | None = None) -> TransitionMatrix:
     """Phi(t_to, t_from) by RK4 with step doubling.
 
     The step count doubles until two consecutive answers agree to tol
@@ -71,20 +70,15 @@ def integrate_transition(sys: SystemDef, t_from: float, t_to: float,
     """
     if tol is None:
         tol = TOL.ode_tol
-    if max_steps is None:
-        max_steps = TOL.ode_max_steps
     n = sys.n
     if t_to == t_from:
         eye = np.eye(n)
         eye.flags.writeable = False
         return TransitionMatrix(eye, t_from, t_to, 0, 0.0)
     span = abs(t_to - t_from)
-    if start_steps is None:
-        start_steps = max(8, min(TOL.ode_start_steps,
-                                 int(math.ceil(TOL.ode_start_steps * span / sys.period))))
-    steps = start_steps
+    steps = max(8, min(TOL.ode_start_steps, int(math.ceil(TOL.ode_start_steps * span / sys.period))))
     prev = _rk4_matrix(sys, t_from, t_to, steps)
-    while steps * 2 <= max_steps:
+    while steps * 2 <= TOL.ode_max_steps:
         steps *= 2
         cur = _rk4_matrix(sys, t_from, t_to, steps)
         diff = float(np.abs(cur - prev).max())
@@ -96,7 +90,7 @@ def integrate_transition(sys: SystemDef, t_from: float, t_to: float,
             return TransitionMatrix(cur, t_from, t_to, steps, diff / 15.0)
         prev = cur
     raise ConvergenceError(
-        f"transition matrix over [{t_from:g}, {t_to:g}] did not settle within {max_steps} steps")
+        f"transition matrix over [{t_from:g}, {t_to:g}] did not settle within {TOL.ode_max_steps} steps")
 
 
 @dataclass(frozen=True)
@@ -161,36 +155,29 @@ def verify_strip(sys: SystemDef, kind: NormKind,
     return StripCheck(worst <= allowance, lower, upper, fce.real_parts, worst, allowance)
 
 
-def verify_sandwich(sys: SystemDef, kind: NormKind, grid: int = 16,
-                    tol: float | None = None) -> float:
-    """Largest relative violation of the two-sided transition bound on grid
-    pairs t0 <= s <= t <= t0 + 2T:
+def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
+    """Largest relative violation of the two-sided transition bound on the
+    pairs t0 <= s <= t <= t0 + 2T of a grid of 16 times:
 
         |Phi(t, s)| <= exp(pi_plus(t) - pi_plus(s))
         |Phi(s, t)| <= exp(pi_minus(t) - pi_minus(s))
 
-    grid is the number of sample times.  Transitions between pairs are
-    accumulated from per-segment integrations (never by inverting an
-    ill-conditioned product), so the comparison stays sharp even for
-    strongly stable systems.  The return value is positive when some pair
-    violates a bound; for a correct implementation it is pure numerical
-    noise, orders of magnitude below 1e-6.
+    Transitions between pairs are accumulated from per-segment integrations
+    (never by inverting an ill-conditioned product), so the comparison stays
+    sharp even for strongly stable systems.  The return value is positive
+    when some pair violates a bound; for a correct implementation it is pure
+    numerical noise, orders of magnitude below 1e-6.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
-    t0 = sys.t0
-    ts = np.linspace(t0, t0 + 2.0 * sys.period, grid)
+    grid = 16
+    ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, grid)
     fsegs = []
     bsegs = []
     for j in range(1, grid):
         a, b = float(ts[j - 1]), float(ts[j])
-        fsegs.append(integrate_transition(sys, a, b, tol).value)
-        bsegs.append(integrate_transition(sys, b, a, tol).value)
-    pp = np.empty(grid)
-    pm = np.empty(grid)
-    for k in range(grid):
-        pp[k] = periodic.pi_integral(sys, kind, 1, float(ts[k]))[0]
-        pm[k] = periodic.pi_integral(sys, kind, -1, float(ts[k]))[0]
+        fsegs.append(integrate_transition(sys, a, b).value)
+        bsegs.append(integrate_transition(sys, b, a).value)
+    pp = periodic.pi_integral(sys, kind, 1, ts)[0]
+    pm = periodic.pi_integral(sys, kind, -1, ts)[0]
     worst = -math.inf
     for i in range(grid - 1):
         F = np.eye(sys.n)
@@ -213,9 +200,7 @@ class DecayCheck:
     state_checks: int
 
 
-def verify_decay(sys: SystemDef, verdict: periodic.Verdict, grid: int = 16,
-                 states: int = 8, tol: float | None = None,
-                 seed: int = 20260814) -> DecayCheck:
+def verify_decay(sys: SystemDef, verdict: periodic.Verdict, grid: int = 16) -> DecayCheck:
     """Spot-check the decay envelope promised by a stable verdict.
 
     For every ordered grid pair (s, t) with t0 <= s <= t <= t0 + 3T the
@@ -226,9 +211,9 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict, grid: int = 16,
         |x0| exp(-lambda_minus (t - t0) - delta_upper_minus)
           <= |x(t)| <= |x0| exp(lambda_plus (t - t0) + delta_upper_plus)
 
-    is checked at the grid times for a handful of seeded random initial
-    states.  worst_margin is the smallest log-scale slack seen anywhere;
-    the check passes when it stays above -allowance.
+    is checked at the grid times for eight random initial states drawn from
+    a fixed seed.  worst_margin is the smallest log-scale slack seen
+    anywhere; the check passes when it stays above -allowance.
     """
     if verdict.classification not in ("UES", "US"):
         raise ValueError(f"decay envelope only exists for stable verdicts, got {verdict.classification!r}")
@@ -243,7 +228,7 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict, grid: int = 16,
     segs = []
     rel = 0.0
     for j in range(1, grid):
-        tm = integrate_transition(sys, float(ts[j - 1]), float(ts[j]), tol)
+        tm = integrate_transition(sys, float(ts[j - 1]), float(ts[j]))
         segs.append(tm.value)
         rel += tm.error_estimate / (1.0 + float(np.abs(tm.value).max()))
     worst = math.inf
@@ -258,9 +243,9 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict, grid: int = 16,
             worst = min(worst, log_k - alpha * float(ts[j] - ts[i])
                         - math.log(linalg.mat_norm(P, kind)))
             pairs += 1
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20260814)
     state_checks = 0
-    for _ in range(states):
+    for _ in range(8):
         x0 = rng.standard_normal(sys.n)
         nx0 = linalg.vec_norm(x0, kind)
         if nx0 < 1e-6:

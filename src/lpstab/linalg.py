@@ -23,14 +23,22 @@ class NormKind:
         return f"NormKind({self.tag})"
 
 
-def _as_square(M, name="matrix"):
+def _as_squares(M, name="matrix"):
+    # a square matrix or a stack of them, shape (..., n, n)
     A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
         raise ValueError(f"{name} must be square and non-empty, got shape {A.shape}")
-    if A.shape[0] > TOL.max_dim:
+    if A.shape[-1] > TOL.max_dim:
         raise ValueError(f"{name} exceeds the dimension cap {TOL.max_dim}")
     if not np.isfinite(A).all():
         raise ValueError(f"{name} has non-finite entries")
+    return A
+
+
+def _as_square(M, name="matrix"):
+    A = _as_squares(M, name)
+    if A.ndim != 2:
+        raise ValueError(f"{name} must be square and non-empty, got shape {A.shape}")
     return A
 
 
@@ -43,20 +51,21 @@ def _as_vector(v, name="vector"):
     return x
 
 
-def _as_symmetric(M, name="matrix"):
-    A = _as_square(M, name)
-    if float(np.abs(A - A.T).max()) > TOL.sym_tol * (1.0 + float(np.abs(A).max())):
+def _symmetrized(A, name):
+    At = np.swapaxes(A, -1, -2)
+    if (np.abs(A - At).max(axis=(-2, -1)) > TOL.sym_tol * (1.0 + np.abs(A).max(axis=(-2, -1)))).any():
         raise ValueError(f"{name} is not symmetric within {TOL.sym_tol:g}")
-    return 0.5 * (A + A.T)
+    return 0.5 * (A + At)
 
 
-def _two_norm(x) -> float:
-    # scaled so that components near the overflow cap stay finite
-    top = float(np.abs(x).max())
-    if top == 0.0 or not math.isfinite(top):
-        return top
-    y = x / top
-    return top * math.sqrt(float(y @ y))
+def _two_norm(x):
+    # along the last axis, scaled so that components near the overflow cap stay finite
+    top = np.abs(x).max(axis=-1)
+    plain = (top == 0.0) | ~np.isfinite(top)
+    y = x / np.where(plain, 1.0, top)[..., None]
+    # a (1, n) @ (n, 1) product per vector is the same dot kernel as y @ y
+    dot = np.matmul(y[..., None, :], y[..., :, None])[..., 0, 0]
+    return np.where(plain, top, top * np.sqrt(dot))
 
 
 def vec_norm(v, kind: NormKind) -> float:
@@ -67,7 +76,7 @@ def vec_norm(v, kind: NormKind) -> float:
         return float(np.abs(x).max())
     if kind.tag not in ("two", "weighted"):
         raise ValueError(f"unknown norm tag {kind.tag!r}")
-    return _two_norm(kind.transform @ x if kind.tag == "weighted" else x)
+    return float(_two_norm(kind.transform @ x if kind.tag == "weighted" else x))
 
 
 def mat_norm(M, kind: NormKind) -> float:
@@ -95,9 +104,10 @@ def _lapack(error, routine, *args):
 
 
 def sym_eigs(S, vectors: bool = False):
-    """Ascending eigenvalues w of symmetric S, and with vectors=True V with S V = V diag(w)."""
+    """Ascending eigenvalues w of symmetric S, and with vectors=True V with S V = V diag(w).
+    S may be a (..., n, n) stack; w and V then carry its leading axes."""
     routine = np.linalg.eigh if vectors else np.linalg.eigvalsh
-    return _lapack(ConvergenceError, routine, _as_symmetric(S, "S"))
+    return _lapack(ConvergenceError, routine, _symmetrized(_as_squares(S, "S"), "S"))
 
 
 def gen_eigs(M) -> list[complex]:
@@ -108,7 +118,10 @@ def gen_eigs(M) -> list[complex]:
 
 def check_nonsingular(M, name="matrix"):
     """Validated M; singular when sigma_min <= TOL.singular_floor * sigma_max."""
-    A = _as_square(M, name)
+    return _nonsingular(_as_square(M, name), name)
+
+
+def _nonsingular(A, name):
     s = np.linalg.svd(A, compute_uv=False)
     if s[-1] <= TOL.singular_floor * s[0]:
         raise SingularMatrixError(f"{name} is singular: singular values {s[0]:.6e} .. {s[-1]:.6e}")
@@ -117,7 +130,7 @@ def check_nonsingular(M, name="matrix"):
 
 def cholesky(S):
     """Lower-triangular L with L L^T = S; S must be positive definite."""
-    return _lapack(NotPositiveDefiniteError, np.linalg.cholesky, _as_symmetric(S, "S"))
+    return _lapack(NotPositiveDefiniteError, np.linalg.cholesky, _symmetrized(_as_square(S, "S"), "S"))
 
 
 def linear_solve(M, b):
@@ -138,8 +151,10 @@ def solve_lyapunov(A):
     A = _as_square(A, "A")
     eye = np.eye(A.shape[0])
     try:
-        # vec(-2 I) and the symmetrized H are the same in either storage order
-        H = linear_solve(np.kron(eye, A.T) + np.kron(A.T, eye), -2.0 * eye.ravel()).reshape(eye.shape)
+        # vec(-2 I) and the symmetrized H are the same in either storage order; the
+        # n^2 x n^2 system is internal, so the user-facing TOL.max_dim does not cap it
+        K = _nonsingular(np.kron(eye, A.T) + np.kron(A.T, eye), "matrix")
+        H = np.linalg.solve(K, -2.0 * eye.ravel()).reshape(eye.shape)
         H = 0.5 * (H + H.T)
         resid = float(np.linalg.norm(A.T @ H + H @ A + 2.0 * eye, 2))
         if resid > TOL.lyapunov_residual * (1.0 + float(np.abs(H).max())):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .linalg import NormKind, _as_square
+from .linalg import NormKind, _as_square, _as_squares
 
 ONE = NormKind("one")
 TWO = NormKind("two")
@@ -47,20 +47,22 @@ def lyapunov_weighted(A) -> NormKind:
     return NormKind("weighted", linalg.cholesky(H).T)
 
 
-def mu(M, kind: NormKind) -> float:
-    """Logarithmic norm of M for the given vector norm kind."""
-    A = _as_square(M)
-    if kind.tag == "one":
-        off = np.abs(A).sum(axis=0) - np.abs(np.diag(A))
-        return float((np.diag(A) + off).max())
-    if kind.tag == "inf":
-        off = np.abs(A).sum(axis=1) - np.abs(np.diag(A))
-        return float((np.diag(A) + off).max())
-    if kind.tag == "weighted":
-        A = linalg.similarity_transform(kind.transform, A)
-    elif kind.tag != "two":
-        raise ValueError(f"unknown norm tag {kind.tag!r}")
-    return float(linalg.sym_eigs(0.5 * (A + A.T))[-1])
+def mu(M, kind: NormKind):
+    """Logarithmic norm of M for the given vector norm kind; for a (..., n, n)
+    stack, the array of each matrix's mu over the leading axes."""
+    A = _as_squares(M)
+    if kind.tag in ("one", "inf"):
+        d = np.diagonal(A, axis1=-2, axis2=-1)
+        v = (d + (np.abs(A).sum(axis=-2 if kind.tag == "one" else -1) - np.abs(d))).max(axis=-1)
+    else:
+        if kind.tag == "weighted":
+            # P A P^{-1} as in linalg.similarity_transform, for stacks
+            P = linalg.check_nonsingular(kind.transform, "P")
+            A = np.swapaxes(np.linalg.solve(P.T, np.swapaxes(P @ A, -1, -2)), -1, -2)
+        elif kind.tag != "two":
+            raise ValueError(f"unknown norm tag {kind.tag!r}")
+        v = linalg.sym_eigs(0.5 * (A + np.swapaxes(A, -1, -2)))[..., -1]
+    return float(v) if A.ndim == 2 else v
 
 
 def mu_weighted(M, P) -> float:

@@ -24,6 +24,10 @@ into a certificate:
 Quadrature is adaptive Simpson; the integrands are continuous but can have
 kinks where off-diagonal entries or symmetric-part eigenvalues cross, so
 error estimates are carried through and reported.
+
+Evaluation takes arrays of times throughout: SystemDef.matrix gives matrix
+stacks, lognorm.mu maps stacks to arrays, and integrate refines all of its
+intervals level by level, calling the integrand once per level.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 from . import linalg, lognorm
 from .config import TOL
 from .errors import InputError
-from .expr import Expression, ParseError, compile_expr, contains_time, parse, to_string
+from .expr import Expression, ParseError, compile_exprs, contains_time, parse, to_string
 from .linalg import NormKind
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -71,12 +75,11 @@ class SystemDef:
             raise InputError(f"period must be a positive finite number, got {self.period!r}")
         if not (isinstance(self.t0, float) and math.isfinite(self.t0) and self.t0 >= 0.0):
             raise InputError(f"initial time must be finite and >= 0, got {self.t0!r}")
-        flat = tuple(compile_expr(e) for row in self.entries for e in row)
-        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "_eval", compile_exprs([e for row in self.entries for e in row]))
         constant = not any(contains_time(e) for row in self.entries for e in row)
         object.__setattr__(self, "_constant", constant)
         if constant:
-            A = np.array([fn(0.0) for fn in flat], dtype=float).reshape(n, n)
+            A = self._eval(0.0).reshape(n, n)
             A.flags.writeable = False
             object.__setattr__(self, "_const_matrix", A)
 
@@ -88,15 +91,14 @@ class SystemDef:
     def is_constant(self) -> bool:
         return self._constant
 
-    def matrix(self, t: float) -> np.ndarray:
-        """Evaluate A(t).  Constant systems return a shared read-only array."""
-        if self._constant:
+    def matrix(self, t) -> np.ndarray:
+        """A(t), or the stack t.shape + (n, n) for an array of times.  Constant
+        systems return a shared read-only array for a float."""
+        if self._constant and not isinstance(t, np.ndarray):
             return self._const_matrix
         n = len(self.entries)
-        out = np.empty(n * n)
-        for idx, fn in enumerate(self._flat):
-            out[idx] = fn(t)
-        return out.reshape(n, n)
+        v = self._eval(t)
+        return v.reshape(v.shape[:-1] + (n, n))
 
     def as_strings(self) -> tuple[tuple[str, ...], ...]:
         return tuple(tuple(to_string(e) for e in row) for row in self.entries)
@@ -116,8 +118,8 @@ def system_from_strings(rows: Sequence[Sequence[str]], period: float, t0: float 
     return SystemDef(tuple(parsed), float(period), float(t0))
 
 
-def validate_periodicity(sys: SystemDef, grid: int | None = None) -> float:
-    """Compare A(t) with A(t + T) on a sample grid.
+def validate_periodicity(sys: SystemDef) -> float:
+    """Compare A(t) with A(t + T) on a sample grid of TOL.periodicity_grid times.
 
     Returns the largest entrywise deviation found; raises InputError when it
     exceeds the configured tolerance relative to the sampled magnitude.  A
@@ -126,15 +128,11 @@ def validate_periodicity(sys: SystemDef, grid: int | None = None) -> float:
     """
     if sys.is_constant:
         return 0.0
-    g = grid if grid is not None else TOL.periodicity_grid
-    worst = 0.0
-    scale = 1.0
-    for j in range(g):
-        t = sys.t0 + sys.period * j / g
-        a = sys.matrix(t)
-        b = sys.matrix(t + sys.period)
-        worst = max(worst, float(np.abs(a - b).max()))
-        scale = max(scale, float(np.abs(a).max()))
+    ts = sys.t0 + sys.period * np.arange(TOL.periodicity_grid) / TOL.periodicity_grid
+    # t_j and t_j + T interleaved, so an EvalError names the first failing time in that order
+    M = sys.matrix(np.stack((ts, ts + sys.period), axis=1))
+    worst = float(np.abs(M[:, 0] - M[:, 1]).max())
+    scale = max(1.0, float(np.abs(M[:, 0]).max()))
     if worst > TOL.periodicity_tol * scale:
         raise InputError(
             f"entries are not {sys.period:g}-periodic: deviation {worst:.3e} "
@@ -145,110 +143,105 @@ def validate_periodicity(sys: SystemDef, grid: int | None = None) -> float:
 # ---------------------------------------------------------------- quadrature
 
 def _adapt(f, a, b, fa, fm, fb, whole, tol, depth):
+    # every panel of one level at once; the children of all rejected panels form the next
     m = 0.5 * (a + b)
-    flm = f(0.5 * (a + m))
-    frm = f(0.5 * (m + b))
+    fx = f(np.concatenate((0.5 * (a + m), 0.5 * (m + b))))
+    flm, frm = fx[:a.size], fx[a.size:]
     h12 = (b - a) / 12.0
     left = h12 * (fa + 4.0 * flm + fm)
     right = h12 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, abs(delta) / 15.0
-    lv, le = _adapt(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-    rv, re = _adapt(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-    return lv + rv, le + re
+    value, err = left + right + delta / 15.0, np.abs(delta) / 15.0
+    split = ~(np.abs(delta) <= 15.0 * tol)  # NaN refines too
+    if depth > 0 and split.any():
+        k = int(split.sum())
+        cat = lambda x, y: np.concatenate((x[split], y[split]))  # noqa: E731
+        v, e = _adapt(f, cat(a, m), cat(m, b), cat(fa, fm), cat(flm, frm), cat(fm, fb),
+                      cat(left, right), 0.5 * tol, depth - 1)
+        value[split] = v[:k] + v[k:]
+        err[split] = e[:k] + e[k:]
+    return value, err
 
 
-def integrate(f: Callable[[float], float], a: float, b: float,
-              abs_tol: float | None = None, max_depth: int | None = None) -> tuple[float, float]:
-    """Adaptive Simpson quadrature of f over [a, b].
+def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
+    """Adaptive Simpson quadrature of f over [a, b], or over each interval of
+    the broadcast arrays a and b, with one call of f (a 1-d time array to its
+    values) per refinement level of all of them.
 
-    Returns (value, error_estimate).  The estimate is the accumulated
-    Richardson correction; when the depth cap is hit it simply comes out
-    larger, nothing raises.
+    Returns (value, error_estimate), floats for scalar limits.  The estimate
+    is the accumulated Richardson correction; when the depth cap is hit it
+    simply comes out larger, nothing raises.
     """
-    if abs_tol is None:
-        abs_tol = TOL.quad_abs
-    if max_depth is None:
-        max_depth = TOL.quad_max_depth
-    if not (math.isfinite(a) and math.isfinite(b)):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("integration limits must be finite")
-    if a == b:
-        return 0.0, 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    value, err = _adapt(f, a, b, fa, fm, fb, whole, abs_tol, max_depth)
-    return sign * value, err
+    value, err = np.zeros(a.shape), np.zeros(a.shape)
+    live = a != b
+    if live.any():
+        lo, hi = np.minimum(a, b)[live], np.maximum(a, b)[live]
+        fa, fm, fb = np.split(f(np.concatenate((lo, 0.5 * (lo + hi), hi))), 3)
+        whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+        v, err[live] = _adapt(f, lo, hi, fa, fm, fb, whole, TOL.quad_abs, TOL.quad_max_depth)
+        value[live] = np.where(b[live] < a[live], -v, v)
+    return (float(value), float(err)) if value.ndim == 0 else (value, err)
 
 
 # ------------------------------------------------------------ running rates
 
-def _mu_fn(sys: SystemDef, kind: NormKind, sign: int) -> Callable[[float], float]:
+def _mu_fn(sys: SystemDef, kind: NormKind, sign: int) -> Callable[[np.ndarray], np.ndarray]:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    mu = lognorm.mu
-    mat = sys.matrix
-    if sign > 0:
-        return lambda s: mu(mat(s), kind)
-    return lambda s: mu(-mat(s), kind)
+    return lambda s: lognorm.mu(sign * sys.matrix(s), kind)
 
 
 @lru_cache(maxsize=64)
 def _scan(sys: SystemDef, kind: NormKind, sign: int):
-    # cumulative one-period integral of mu[sign A] at scan grid points
-    f = _mu_fn(sys, kind, sign)
-    N = TOL.scan_points
-    ts = np.linspace(sys.t0, sys.t0 + sys.period, N + 1)
-    cum = np.empty(N + 1)
-    cum[0] = 0.0
-    total = 0.0
-    err = 0.0
-    for j in range(N):
-        v, e = integrate(f, float(ts[j]), float(ts[j + 1]), TOL.quad_abs)
-        total += v
-        err += e
-        cum[j + 1] = total
+    # cumulative one-period integral of mu[sign A] at scan grid points, summed in grid order
+    ts = np.linspace(sys.t0, sys.t0 + sys.period, TOL.scan_points + 1)
+    vals, errs = integrate(_mu_fn(sys, kind, sign), ts[:-1], ts[1:])
+    cum = np.cumsum(np.concatenate(([0.0], vals)))
+    err = float(np.cumsum(errs)[-1])
     ts.flags.writeable = False
     cum.flags.writeable = False
     return ts, cum, err
 
 
-def pi_integral(sys: SystemDef, kind: NormKind, sign: int, t: float) -> tuple[float, float]:
+def pi_integral(sys: SystemDef, kind: NormKind, sign: int, t):
     """Integral of mu[sign A(s)] over [t0, t], reduced modulo the period.
 
     Whole periods reuse one cached period integral; only the fractional tail
-    is integrated fresh.  Returns (value, error_estimate).
+    is integrated fresh.  t may be an array of times, integrated in one
+    quadrature call.  Returns (value, error_estimate), floats for a float t
+    and arrays of t's shape otherwise.
     """
-    if t < sys.t0:
-        if t < sys.t0 - 1e-12 * (1.0 + abs(sys.t0)):
-            raise ValueError(f"t={t:g} precedes the initial time {sys.t0:g}")
-        t = sys.t0
+    shape = np.shape(t)
+    t = np.asarray(t, dtype=float).ravel()
+    early = t < sys.t0 - 1e-12 * (1.0 + abs(sys.t0))
+    if early.any():
+        raise ValueError(f"t={t[early][0]:g} precedes the initial time {sys.t0:g}")
+    t = np.maximum(t, sys.t0)
     if sys.is_constant:
-        m = lognorm.mu(sign * sys.matrix(sys.t0), kind)
-        return m * (t - sys.t0), 0.0
-    T = sys.period
-    tau = t - sys.t0
-    k = int(tau // T)
-    r = tau - k * T
-    if r < 0.0:
-        k -= 1
-        r += T
-    ts, cum, scan_err = _scan(sys, kind, sign)
-    per = float(cum[-1])
-    if r == 0.0:
-        return k * per, k * scan_err
-    N = TOL.scan_points
-    j = min(int(r / T * N), N - 1)
-    target = sys.t0 + r
-    if target < float(ts[j]):
-        j -= 1
-    part, perr = integrate(_mu_fn(sys, kind, sign), float(ts[j]), target, TOL.quad_abs)
-    err = k * scan_err + (j / N) * scan_err + perr
-    return k * per + float(cum[j]) + part, err
+        value, err = lognorm.mu(sign * sys.matrix(sys.t0), kind) * (t - sys.t0), np.zeros(t.shape)
+    else:
+        T, N = sys.period, TOL.scan_points
+        k = (t - sys.t0) // T
+        r = (t - sys.t0) - k * T
+        k, r = np.where(r < 0.0, (k - 1.0, r + T), (k, r))
+        ts, cum, scan_err = _scan(sys, kind, sign)
+        per = float(cum[-1])
+        # whole periods alone: k * per keeps the sign of a zero, so t0 gives -0.0 when per < 0
+        value, err = k * per, k * scan_err
+        tail = r != 0.0
+        r, k = r[tail], k[tail]
+        j = np.minimum((r / T * N).astype(int), N - 1)
+        target = sys.t0 + r
+        j = j - (target < ts[j])
+        part, perr = integrate(_mu_fn(sys, kind, sign), ts[j], target)
+        value[tail] = k * per + cum[j] + part
+        err[tail] = k * scan_err + (j / N) * scan_err + perr
+    if shape == ():
+        return float(value[0]), float(err[0])
+    return value.reshape(shape), err.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -324,7 +317,6 @@ def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
         mp = lognorm.mu(A, kind)
         mm = lognorm.mu(-A, kind)
         return RateSummary(kind, t0, T, mp, mm, 0.0, 0.0, 0.0, 0.0, mp * T, mm * T, 0.0)
-    N = TOL.scan_points
     per_sign = {}
     err_total = 0.0
     for sign in (1, -1):
@@ -333,14 +325,9 @@ def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
         per = float(cum[-1])
         lam = per / T
         g = cum - lam * (ts - t0)
-        f = _mu_fn(sys, kind, sign)
 
-        def phi(t, _f=f, _ts=ts, _cum=cum, _lam=lam):
-            j = min(int((t - t0) / T * N), N - 1)
-            if t < float(_ts[j]):
-                j -= 1
-            v, _ = integrate(_f, float(_ts[j]), t, TOL.quad_abs)
-            return float(_cum[j]) + v - _lam * (t - t0)
+        def phi(t, _sign=sign, _lam=lam):
+            return pi_integral(sys, kind, _sign, t)[0] - _lam * (t - t0)
 
         du = _refine_extremum(phi, ts, g, int(np.argmax(g)), True)
         dl = _refine_extremum(phi, ts, g, int(np.argmin(g)), False)
@@ -502,17 +489,11 @@ def barrier_series(sys: SystemDef, kind: NormKind, t_end: float, samples: int = 
     if samples < 2:
         raise ValueError("samples must be at least 2")
     rates = rate_summary(sys, kind)
-    out = np.empty((samples, 7))
-    for idx, t in enumerate(np.linspace(sys.t0, t_end, samples)):
-        tf = float(t)
-        pp, _ = pi_integral(sys, kind, 1, tf)
-        pm, _ = pi_integral(sys, kind, -1, tf)
-        dt = tf - sys.t0
-        out[idx, 0] = tf
-        out[idx, 1] = pp
-        out[idx, 2] = pm
-        out[idx, 3] = rates.lambda_plus * dt + rates.delta_lower_plus
-        out[idx, 4] = rates.lambda_plus * dt + rates.delta_upper_plus
-        out[idx, 5] = rates.lambda_minus * dt + rates.delta_lower_minus
-        out[idx, 6] = rates.lambda_minus * dt + rates.delta_upper_minus
-    return out
+    ts = np.linspace(sys.t0, t_end, samples)
+    dt = ts - sys.t0
+    return np.column_stack((
+        ts, pi_integral(sys, kind, 1, ts)[0], pi_integral(sys, kind, -1, ts)[0],
+        rates.lambda_plus * dt + rates.delta_lower_plus,
+        rates.lambda_plus * dt + rates.delta_upper_plus,
+        rates.lambda_minus * dt + rates.delta_lower_minus,
+        rates.lambda_minus * dt + rates.delta_upper_minus))

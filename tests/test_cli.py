@@ -116,6 +116,18 @@ def test_analyze_weighted_norm():
     assert "verdict: UES" in out
 
 
+def test_analyze_weighted_beyond_kronecker_cap(tmp_path):
+    # the weight's n^2 x n^2 Lyapunov system (81 x 81) is internal and not
+    # bound by the 64 cap on user matrices
+    n = 9
+    doc = {"entries": [["-3" if i == j else "0.1*sin(t)" for j in range(n)] for i in range(n)],
+           "period": 2.0 * math.pi}
+    code, out, err = run_cli("analyze", "-f", write_system(tmp_path, doc), "--norm", "weighted",
+                             "--no-oracle")
+    assert code == 0, err
+    assert "verdict: UES" in out
+
+
 def test_analyze_weighted_rejects_non_hurwitz_start():
     code, _, err = run_cli("analyze", "-s", "scalar_unstable", "--norm", "weighted")
     assert code == 1

@@ -8,6 +8,7 @@ including which inputs raise.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lpstab.expr import (
@@ -20,6 +21,7 @@ from lpstab.expr import (
     ParseError,
     TimeVar,
     compile_expr,
+    compile_exprs,
     contains_time,
     evaluate,
     parse,
@@ -120,6 +122,36 @@ def test_roundtrip_and_compiled_agreement():
             ref = evaluate(tree, t)
             assert evaluate(back, t) == ref
             assert fn(t) == ref
+
+
+def test_compiled_array_call_matches_evaluate():
+    # the same trees as above, every one evaluated at every time in one call
+    rng = random.Random(20260814)
+    trees = [parse(to_string(_random_tree(rng, rng.randrange(1, 5)))) for _ in range(100)]
+    ts = np.array([-2.0, -0.3, 0.0, 0.7, 3.1])
+    out = compile_exprs(trees)(ts)
+    assert out.shape == (5, 100)
+    ref = np.array([[evaluate(tree, float(t)) for tree in trees] for t in ts])
+    assert out.tobytes() == ref.tobytes()
+    one = compile_expr(trees[3])
+    assert one(ts.reshape(1, 5)).tobytes() == ref[:, 3].tobytes()
+    assert type(one(0.7)) is float and one(0.7) == ref[3, 3]
+
+
+def test_array_call_names_first_failing_time():
+    fn = compile_exprs([parse("1/(t - 1)"), parse("ln(t)"), parse("exp(700)*exp(t)")])
+    assert fn(np.array([2.0, 3.0])).shape == (2, 3)
+    # ln fails at -1 before the division by zero at 1 and the overflow at 700
+    for ts in ([2.0, -1.0, 1.0, 700.0], [[2.0, -1.0], [1.0, 700.0]]):
+        with pytest.raises(EvalError) as info:
+            fn(np.array(ts))
+        assert info.value.t == -1.0
+    with pytest.raises(EvalError, match="non-finite") as info:
+        fn(np.array([2.0, 700.0, 1.0]))
+    assert info.value.t == 700.0
+    with pytest.raises(EvalError) as info:
+        fn(np.array([1.0]))
+    assert info.value.t == 1.0
 
 
 def test_compiled_raises_like_evaluate():

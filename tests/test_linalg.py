@@ -34,6 +34,17 @@ def test_vec_norm_near_overflow():
     assert np.isfinite(la.vec_norm(np.array([1e300, 1e300, 1e300]), TWO))
 
 
+def test_two_norm_of_stacked_vectors():
+    # windowed_drift takes the norms of a whole stack of running integrals at once
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 8, 17):
+        X = rng.standard_normal((5, 6, n)) * rng.uniform(1e-3, 1e3)
+        X[0, 0] = 0.0
+        X[1, 1, 0] = 1e300
+        ref = np.array([[la.vec_norm(x, TWO) for x in row] for row in X])
+        assert la._two_norm(X).tobytes() == ref.tobytes()
+
+
 def test_vec_norm_axioms():
     rng = np.random.default_rng(1)
     for kind in (ONE, TWO, INF):
@@ -97,6 +108,19 @@ def test_sym_eigs_vectors_residual():
         resid = np.linalg.norm(S @ V - V @ np.diag(w), 2)
         assert resid <= 1e-10 * (1.0 + np.linalg.norm(S, 2))
         assert np.linalg.norm(V.T @ V - np.eye(n), 2) <= 1e-10
+
+
+def test_sym_eigs_stack():
+    rng = np.random.default_rng(30)
+    for n in (1, 2, 4, 7):
+        B = rng.standard_normal((3, 4, n, n))
+        S = B + np.swapaxes(B, -1, -2)
+        w = la.sym_eigs(S)
+        assert w.shape == (3, 4, n)
+        assert w.tobytes() == np.array([[la.sym_eigs(M) for M in row] for row in S]).tobytes()
+    S[2, 1, 0, -1] += 1.0   # one asymmetric matrix spoils the stack
+    with pytest.raises(ValueError, match="symmetric"):
+        la.sym_eigs(S)
 
 
 def test_gram_eigs_nonnegative():
@@ -213,3 +237,8 @@ def test_input_validation():
         la.sym_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not symmetric
     with pytest.raises(Exception):
         la.mat_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]), ONE)
+    # only sym_eigs (and lognorm.mu) take stacks of matrices
+    with pytest.raises(ValueError, match="square"):
+        la.mat_norm(np.zeros((2, 2, 2)), ONE)
+    with pytest.raises(ValueError, match="square"):
+        la.gen_eigs(np.zeros((2, 2, 2)))

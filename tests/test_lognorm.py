@@ -98,6 +98,18 @@ def test_weighted_norm_reduces_to_two():
         assert mu(A, weighted(np.eye(n))) == pytest.approx(mu(A, TWO), abs=1e-12)
 
 
+def test_mu_stack_matches_per_matrix():
+    rng = np.random.default_rng(107)
+    for n in (1, 2, 3, 5, 9):
+        stack = rng.standard_normal((4, 3, n, n)) * rng.uniform(0.1, 10.0)
+        P = rng.standard_normal((n, n)) + n * np.eye(n)
+        for kind in (ONE, TWO, INF, weighted(P)):
+            got = mu(stack, kind)
+            assert got.shape == (4, 3)
+            ref = np.array([[mu(M, kind) for M in row] for row in stack])
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_mu_weighted_matches_kind_route():
     rng = np.random.default_rng(106)
     for _ in range(30):

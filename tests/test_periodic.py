@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from lpstab.catalog import CATALOG, get, lti_diag, rotating_frame, strong_coupling
+from lpstab.config import TOL
 from lpstab.errors import InputError
+from lpstab.expr import EvalError
 from lpstab.lognorm import INF, ONE, TWO, mu
 from lpstab.periodic import (
     SystemDef,
@@ -344,3 +346,106 @@ def test_catalog_get():
         get("strong_coupling", {"beta": 1.0})
     with pytest.raises(InputError):
         get("rotating_frame", {"gamma": 1.0})
+
+
+# ------------------------------------------- array routes against scalar references
+
+def _ref_adapt(f, a, b, fa, fm, fb, whole, tol, depth):
+    # the one-panel-at-a-time recursion that integrate() batches by level
+    m = 0.5 * (a + b)
+    flm = f(0.5 * (a + m))
+    frm = f(0.5 * (m + b))
+    h12 = (b - a) / 12.0
+    left = h12 * (fa + 4.0 * flm + fm)
+    right = h12 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if depth <= 0 or abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0, abs(delta) / 15.0
+    lv, le = _ref_adapt(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
+    rv, re = _ref_adapt(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
+    return lv + rv, le + re
+
+
+def _ref_integrate(f, a, b):
+    # scalar adaptive Simpson over [a, b], f mapping a float to a float
+    if a == b:
+        return 0.0, 0.0
+    sign = 1.0
+    if b < a:
+        a, b = b, a
+        sign = -1.0
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    value, err = _ref_adapt(f, a, b, fa, fm, fb, whole, TOL.quad_abs, TOL.quad_max_depth)
+    return sign * value, err
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+_SC = strong_coupling().system
+
+
+@pytest.mark.parametrize("f", [
+    lambda s: np.abs(s - 0.3) * (s * s - 1.0) + 2.0,     # a kink at 0.3
+    lambda s: mu(_SC.matrix(s), TWO),                     # kinks where eigenvalues cross
+    lambda s: mu(-_SC.matrix(s), ONE),
+], ids=["kinked-poly", "mu-two", "mu-one-reversed"])
+def test_integrate_matches_scalar_reference(f):
+    rng = np.random.default_rng(4242)
+    a = rng.uniform(-1.0, 2.0, 24)
+    b = a + rng.uniform(-0.4, 0.4, 24)      # about half the intervals reversed
+    b[::7] = a[::7]                          # and some of zero length
+    value, err = integrate(f, a, b)
+    scalar = lambda s: float(f(np.array([s]))[0])  # noqa: E731
+    ref = [_ref_integrate(scalar, float(x), float(y)) for x, y in zip(a, b)]
+    assert _bits(value) == _bits([v for v, _ in ref])
+    assert _bits(err) == _bits([e for _, e in ref])
+    # scalar limits give floats; a 2-d grid of limits keeps its shape
+    one = integrate(f, float(a[1]), float(b[1]))
+    assert type(one[0]) is float and _bits(one) == _bits(ref[1])
+    grid, _ = integrate(f, a.reshape(4, 6), b.reshape(4, 6))
+    assert _bits(grid) == _bits(value)
+
+
+def test_integrate_rejects_infinite_limits():
+    with pytest.raises(ValueError):
+        integrate(lambda s: s, np.array([0.0, 1.0]), np.array([1.0, math.inf]))
+
+
+@pytest.mark.parametrize("sysd", [_SC, rotating_frame(1.5).system, lti_diag().system,
+                                  system_from_strings([["sin(t)", "1", "exp(cos(t))"],
+                                                       ["0", "-t^0", "abs(sin(2*t))"],
+                                                       ["cos(t)^2", "2", "-3"]], 2 * math.pi)],
+                         ids=["strong_coupling", "rotating_frame", "constant", "3x3"])
+def test_matrix_stack_matches_scalar_calls(sysd):
+    ts = np.linspace(sysd.t0, sysd.t0 + 2.5 * sysd.period, 31)
+    stack = sysd.matrix(ts)
+    assert stack.shape == (31, sysd.n, sysd.n)
+    assert _bits(stack) == _bits([sysd.matrix(float(t)) for t in ts])
+    assert _bits(sysd.matrix(ts.reshape(31, 1))) == _bits(stack)
+
+
+def test_pi_integral_array_matches_scalar_calls():
+    T = _SC.period
+    ts = np.concatenate(([_SC.t0, _SC.t0 - 1e-14, _SC.t0 + T, _SC.t0 + 3 * T],
+                         np.linspace(_SC.t0, _SC.t0 + 4.2 * T, 57)))
+    for kind in (ONE, TWO):
+        for sign in (1, -1):
+            value, err = pi_integral(_SC, kind, sign, ts)
+            ref = [pi_integral(_SC, kind, sign, float(t)) for t in ts]
+            assert _bits(value) == _bits([v for v, _ in ref])
+            assert _bits(err) == _bits([e for _, e in ref])
+    # whole periods of a UES system keep the sign of zero at t0
+    assert math.copysign(1.0, pi_integral(_SC, ONE, 1, ts)[0][0]) == -1.0
+    with pytest.raises(ValueError, match="precedes"):
+        pi_integral(_SC, ONE, 1, np.array([_SC.t0, _SC.t0 - 0.1]))
+
+
+def test_validate_periodicity_names_first_failing_time():
+    # A(0) is finite; exp overflows first at t0 + T = 2, ahead of the grid times after it
+    sysd = system_from_strings([["exp(exp(20*sin(t)))"]], 2.0)
+    with pytest.raises(EvalError) as info:
+        validate_periodicity(sysd)
+    assert info.value.t == 2.0

@@ -11,6 +11,10 @@ import numpy as np
 import pytest
 
 from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
+from lpstab.expr import compile_expr
+from lpstab.linalg import vec_norm
+from lpstab.lognorm import TWO
+from lpstab.periodic import integrate
 from lpstab.perturb import (
     Disturbance,
     convergence_report,
@@ -29,6 +33,14 @@ def test_disturbance_parsing():
         disturbance_from_strings(["exp(-t", "0"])
     z = Disturbance.zero(3)
     assert np.array_equal(z.vector(5.0), np.zeros(3))
+
+
+def test_vector_stack_matches_scalar_calls():
+    d = disturbance_from_strings(["exp(-t)", "sin(3*t)*t", "2"])
+    ts = np.linspace(0.0, 4.0, 23)
+    V = d.vector(ts)
+    assert V.shape == (23, 3)
+    assert V.tobytes() == np.array([d.vector(float(t)) for t in ts]).tobytes()
 
 
 def test_unforced_matches_closed_transition():
@@ -152,6 +164,23 @@ def test_windowed_drift_oscillation_averages_out():
     assert s[0] > 0.05
     assert np.diff(s).max() < 0.0
     assert s[-1] < s[0] / 10.0
+
+
+def test_windowed_drift_matches_per_cell_loop():
+    # reference: one quadrature per (t, eta) cell and component, norms taken one at a time
+    d = disturbance_from_strings(["exp(-t)*sin(4*t)", "abs(cos(t)) - 0.5"])
+    ts = np.array([0.0, 0.8, 2.5])
+    rep = windowed_drift(d, ts, window=1.5, eta_samples=8)
+    edges = np.linspace(0.0, 1.5, 9)
+    fns = [compile_expr(e) for e in d.entries]
+    for i, t in enumerate(ts):
+        cum = np.zeros(2)
+        sup = 0.0
+        for j in range(1, 9):
+            for c, fn in enumerate(fns):
+                cum[c] += integrate(fn, t + edges[j - 1], t + edges[j])[0]
+            sup = max(sup, vec_norm(cum, TWO))
+        assert rep.sups[i] == sup
 
 
 def test_windowed_drift_validation():
