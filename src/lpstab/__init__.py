@@ -52,6 +52,7 @@ from .floquet import (
     StripCheck,
     TransitionMatrix,
     integrate_transition,
+    integrate_transitions,
     monodromy_fce,
     verify_decay,
     verify_sandwich,

@@ -1,14 +1,17 @@
 """Transition-matrix route: integrate the system and compare.
 
 Everything in this module is deliberately independent of the drift-integral
-certificates in periodic.py.  The state transition matrix is produced by a
-fixed-step fourth-order Runge-Kutta integrator with step doubling, the
-monodromy spectrum by the in-house QR solver, and the verify_* functions
-confront the two routes: characteristic-exponent strip membership, the
-exponential sandwich on |transition| over time, and the decay envelope
-promised by a stability verdict.  Agreement here is evidence; disagreement
-beyond the stated allowances is a bug in one of the routes and raises no
-exception, it just comes back as a failed check or a positive violation.
+certificates in periodic.py: the two routes share only the evaluation of
+A(t).  State transition matrices come from a fixed-step fourth-order
+Runge-Kutta integrator with step doubling, which advances all the segments
+of one request together as a (P, n, n) stack with A(t) evaluated in blocks
+on the stage grid.  The monodromy spectrum comes from LAPACK via
+numpy.linalg, and the verify_* functions confront the two routes:
+characteristic-exponent strip membership, the exponential sandwich on
+|transition| over time, and the decay envelope promised by a stability
+verdict.  Agreement here is evidence; disagreement beyond the stated
+allowances is a bug in one of the routes and raises no exception, it just
+comes back as a failed check or a positive violation.
 """
 
 from __future__ import annotations
@@ -36,61 +39,155 @@ class TransitionMatrix:
     error_estimate: float
 
 
-def _rk4_matrix(sys: SystemDef, a: float, b: float, steps: int) -> np.ndarray:
+# stage times per SystemDef.matrix call, fewer for large n, so peak memory stays flat
+_BLOCK = 4096
+
+
+def _block_times(n: int) -> int:
+    return min(_BLOCK, max(3, 4 * _BLOCK // (n * n)))
+
+
+def _stage_matrices(sys: SystemDef, t: np.ndarray) -> np.ndarray:
+    # A on an array of stage times, one matrix call per block of times
+    size = _block_times(sys.n)
+    flat = t.ravel()
+    if flat.size <= size:
+        return sys.matrix(t)
+    parts = [sys.matrix(flat[i:i + size]) for i in range(0, flat.size, size)]
+    return np.concatenate(parts).reshape(t.shape + (sys.n, sys.n))
+
+
+def _blowup(t: float) -> BlowupError:
+    return BlowupError(f"transition matrix exceeded {TOL.overflow:.1e} at t={t:.6g}", t_reached=t)
+
+
+def _rk4_matrix(sys: SystemDef, a, b, steps: int, t_blow: np.ndarray | None = None) -> np.ndarray:
+    """Phi(b, a) by `steps` fixed RK4 steps, for float limits or for every
+    segment of the 1-d arrays a, b at once as a (P, n, n) stack.
+
+    A(t) is read from blocks pre-evaluated on the stage grid t_k, t_k + h/2,
+    t_k + h.  A segment whose matrix leaves the overflow cap is set to zero,
+    where it stays, and comes back as NaN; the time it got to is written into
+    t_blow when that array is given, else the first such segment raises
+    BlowupError.
+    """
+    a1 = np.atleast_1d(np.asarray(a, dtype=float))
+    h = (np.atleast_1d(np.asarray(b, dtype=float)) - a1)[:, None] / steps
     n = sys.n
-    Phi = np.eye(n)
-    h = (b - a) / steps
-    mat = sys.matrix
+    Phi = np.tile(np.eye(n), (a1.size, 1, 1))
+    blow = np.full(a1.size, np.nan)
+    half, full, sixth = (0.5 * h)[..., None], h[..., None], (h / 6.0)[..., None]
     cap = TOL.overflow
-    t = a
-    for k in range(steps):
-        A1 = mat(t)
-        A2 = mat(t + 0.5 * h)  # shared by the two middle stages
-        A4 = mat(t + h)
-        K1 = A1 @ Phi
-        K2 = A2 @ (Phi + (0.5 * h) * K1)
-        K3 = A2 @ (Phi + (0.5 * h) * K2)
-        K4 = A4 @ (Phi + h * K3)
-        Phi = Phi + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-        t = a + (k + 1) * h
-        if not np.isfinite(Phi).all() or float(np.abs(Phi).max()) > cap:
-            raise BlowupError(f"transition matrix exceeded {cap:.1e} at t={t:.6g}", t_reached=t)
-    return Phi
+    per_block = max(1, _block_times(n) // (3 * a1.size))
+    for k0 in range(0, steps, per_block):
+        if not np.isnan(blow).any():
+            break
+        ks = np.arange(k0, min(steps, k0 + per_block))
+        t = a1[:, None] + ks * h
+        A = _stage_matrices(sys, np.stack((t, t + 0.5 * h, t + h), axis=-1))
+        for j, k in enumerate(ks.tolist()):
+            A2 = A[:, j, 1]  # shared by the two middle stages
+            K1 = A[:, j, 0] @ Phi
+            K2 = A2 @ (Phi + half * K1)
+            K3 = A2 @ (Phi + half * K2)
+            K4 = A[:, j, 2] @ (Phi + full * K3)
+            Phi = Phi + sixth * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+            if not np.abs(Phi).max() <= cap:  # NaN and inf fail the comparison too
+                bad = ~(np.abs(Phi).max(axis=(1, 2)) <= cap)
+                blow[bad] = a1[bad] + (k + 1) * h[bad, 0]
+                Phi[bad] = 0.0
+    Phi[~np.isnan(blow)] = np.nan
+    if t_blow is not None:
+        t_blow[...] = blow
+    elif not np.isnan(blow).all():
+        raise _blowup(float(blow[~np.isnan(blow)][0]))
+    return Phi.reshape(np.shape(a) + (n, n))
+
+
+def integrate_transitions(sys: SystemDef, t_from, t_to,
+                          tol: float | None = None) -> tuple[TransitionMatrix, ...]:
+    """Phi(t_to[i], t_from[i]) for every pair of the 1-d sequences t_from and
+    t_to, each by RK4 with step doubling.
+
+    Each segment starts from a step count proportional to its span (between
+    8 and TOL.ode_start_steps) and doubles until two consecutive answers
+    agree to tol relative to the result's magnitude; the returned
+    error_estimate is that difference divided by 15, the usual fourth-order
+    extrapolation factor.  Backward spans integrate with a negative step and
+    zero-length ones give the identity.  A positive determinant is required
+    of every result (the exact transition matrix always has one).
+
+    The segments advance together: those with the same step count form one
+    (P, n, n) stack, converged ones leave it and the rest double.  The result
+    of each segment is bit-identical to integrating it alone.  When segments
+    fail, the error raised is the first failing segment's in argument order
+    (BlowupError, ConvergenceError or NumericError).
+    """
+    if tol is None:
+        tol = TOL.ode_tol
+    a = np.asarray(t_from, dtype=float)
+    b = np.asarray(t_to, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"t_from and t_to must be 1-d of one length, got shapes {a.shape} and {b.shape}")
+    n = sys.n
+    out: list[TransitionMatrix | None] = [None] * a.size
+    fail: dict[int, NumericError] = {}
+    start = TOL.ode_start_steps
+    steps = np.maximum(8, np.minimum(start, np.ceil(start * np.abs(b - a) / sys.period))).astype(np.int64)
+    for i in np.flatnonzero(a == b):
+        eye = np.eye(n)
+        eye.flags.writeable = False
+        out[i] = TransitionMatrix(eye, float(a[i]), float(b[i]), 0, 0.0)
+    live = np.flatnonzero(a != b)
+    prev = np.empty((a.size, n, n))
+    first = True
+    while live.size:
+        if not first:
+            over = steps[live] * 2 > TOL.ode_max_steps
+            for i in live[over]:
+                fail[i] = ConvergenceError(f"transition matrix over [{a[i]:g}, {b[i]:g}] did not "
+                                           f"settle within {TOL.ode_max_steps} steps")
+            live = live[~over]
+            steps[live] *= 2
+        cur = np.empty((live.size, n, n))
+        t_blow = np.empty(live.size)
+        for s in set(steps[live].tolist()):  # (np.unique costs 1.5 MB of RSS on first use)
+            grp = np.flatnonzero(steps[live] == s)
+            blow = np.empty(grp.size)
+            cur[grp] = _rk4_matrix(sys, a[live[grp]], b[live[grp]], s, blow)
+            t_blow[grp] = blow
+        blown = ~np.isnan(t_blow)
+        for i, t in zip(live[blown], t_blow[blown].tolist()):
+            fail[i] = _blowup(t)
+        rest = ~blown
+        if not first:
+            diff = np.abs(cur - prev[live]).max(axis=(1, 2))
+            done = rest & (diff <= tol * (1.0 + np.abs(cur).max(axis=(1, 2))))
+            dets = linalg.determinant(cur[done])
+            for i, value, det, d in zip(live[done], cur[done], dets, diff[done].tolist()):
+                if det <= 0.0:
+                    fail[i] = NumericError(f"integrated transition matrix has non-positive determinant "
+                                           f"over [{a[i]:g}, {b[i]:g}]")
+                    continue
+                value.flags.writeable = False
+                out[i] = TransitionMatrix(value, float(a[i]), float(b[i]), int(steps[i]), d / 15.0)
+            rest &= ~done
+        prev[live[rest]] = cur[rest]
+        live = live[rest]
+        if fail:
+            # segments after a failed one no longer matter
+            live = live[live < min(fail)]
+        first = False
+    if fail:
+        raise fail[min(fail)]
+    return tuple(out)
 
 
 def integrate_transition(sys: SystemDef, t_from: float, t_to: float,
                          tol: float | None = None) -> TransitionMatrix:
-    """Phi(t_to, t_from) by RK4 with step doubling.
-
-    The step count doubles until two consecutive answers agree to tol
-    relative to the result's magnitude; the returned error_estimate is that
-    difference divided by 15, the usual fourth-order extrapolation factor.
-    Backward spans integrate with a negative step.  A positive determinant
-    is required of the result (the exact transition matrix always has one).
-    """
-    if tol is None:
-        tol = TOL.ode_tol
-    n = sys.n
-    if t_to == t_from:
-        eye = np.eye(n)
-        eye.flags.writeable = False
-        return TransitionMatrix(eye, t_from, t_to, 0, 0.0)
-    span = abs(t_to - t_from)
-    steps = max(8, min(TOL.ode_start_steps, int(math.ceil(TOL.ode_start_steps * span / sys.period))))
-    prev = _rk4_matrix(sys, t_from, t_to, steps)
-    while steps * 2 <= TOL.ode_max_steps:
-        steps *= 2
-        cur = _rk4_matrix(sys, t_from, t_to, steps)
-        diff = float(np.abs(cur - prev).max())
-        if diff <= tol * (1.0 + float(np.abs(cur).max())):
-            if linalg.determinant(cur) <= 0.0:
-                raise NumericError(
-                    f"integrated transition matrix has non-positive determinant over [{t_from:g}, {t_to:g}]")
-            cur.flags.writeable = False
-            return TransitionMatrix(cur, t_from, t_to, steps, diff / 15.0)
-        prev = cur
-    raise ConvergenceError(
-        f"transition matrix over [{t_from:g}, {t_to:g}] did not settle within {TOL.ode_max_steps} steps")
+    """Phi(t_to, t_from) by RK4 with step doubling: the one-segment case of
+    integrate_transitions."""
+    return integrate_transitions(sys, [t_from], [t_to], tol)[0]
 
 
 @dataclass(frozen=True)
@@ -170,25 +267,25 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
     """
     grid = 16
     ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, grid)
-    fsegs = []
-    bsegs = []
-    for j in range(1, grid):
-        a, b = float(ts[j - 1]), float(ts[j])
-        fsegs.append(integrate_transition(sys, a, b).value)
-        bsegs.append(integrate_transition(sys, b, a).value)
+    # forward and backward transition of each grid segment, interleaved
+    ends = np.stack((ts[:-1], ts[1:]), axis=1)
+    tms = integrate_transitions(sys, ends.ravel(), ends[:, ::-1].ravel())
+    fsegs, bsegs = [tm.value for tm in tms[0::2]], [tm.value for tm in tms[1::2]]
     pp = periodic.pi_integral(sys, kind, 1, ts)[0]
     pm = periodic.pi_integral(sys, kind, -1, ts)[0]
-    worst = -math.inf
+    mats = []
+    rises = []
     for i in range(grid - 1):
         F = np.eye(sys.n)
         B = np.eye(sys.n)
         for j in range(i + 1, grid):
             F = fsegs[j - 1] @ F
             B = B @ bsegs[j - 1]
-            worst = max(worst,
-                        math.expm1(math.log(linalg.mat_norm(F, kind)) - (pp[j] - pp[i])),
-                        math.expm1(math.log(linalg.mat_norm(B, kind)) - (pm[j] - pm[i])))
-    return worst
+            mats += (F, B)
+            rises += (pp[j] - pp[i], pm[j] - pm[i])
+    norms = linalg.mat_norm(np.array(mats), kind).tolist()
+    # math, not numpy: numpy's log and expm1 may differ from libm in the last bit
+    return max([-math.inf] + [math.expm1(math.log(x) - r) for x, r in zip(norms, rises)])
 
 
 @dataclass(frozen=True)
@@ -225,14 +322,13 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict, grid: int = 16) -> D
     alpha = verdict.alpha_tilde
     t0 = sys.t0
     ts = np.linspace(t0, t0 + 3.0 * sys.period, grid)
-    segs = []
+    tms = integrate_transitions(sys, ts[:-1], ts[1:])
+    segs = [tm.value for tm in tms]
     rel = 0.0
-    for j in range(1, grid):
-        tm = integrate_transition(sys, float(ts[j - 1]), float(ts[j]))
-        segs.append(tm.value)
+    for tm in tms:
         rel += tm.error_estimate / (1.0 + float(np.abs(tm.value).max()))
-    worst = math.inf
-    pairs = 0
+    mats = []
+    spans = []
     from_start = [np.eye(sys.n)]
     for i in range(grid - 1):
         P = np.eye(sys.n)
@@ -240,9 +336,11 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict, grid: int = 16) -> D
             P = segs[j - 1] @ P
             if i == 0:
                 from_start.append(P)
-            worst = min(worst, log_k - alpha * float(ts[j] - ts[i])
-                        - math.log(linalg.mat_norm(P, kind)))
-            pairs += 1
+            mats.append(P)
+            spans.append(float(ts[j] - ts[i]))
+    pairs = len(mats)
+    norms = linalg.mat_norm(np.array(mats), kind).tolist()
+    worst = min([math.inf] + [log_k - alpha * dt - math.log(x) for x, dt in zip(norms, spans)])
     rng = np.random.default_rng(20260814)
     state_checks = 0
     for _ in range(8):

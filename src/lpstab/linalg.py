@@ -1,6 +1,5 @@
 """Dense kernels for small real matrices (n <= 64): checked wrappers over LAPACK via numpy.linalg."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,21 +78,26 @@ def vec_norm(v, kind: NormKind) -> float:
     return float(_two_norm(kind.transform @ x if kind.tag == "weighted" else x))
 
 
-def mat_norm(M, kind: NormKind) -> float:
-    """Induced operator norm of M for the given vector norm."""
-    A = _as_square(M)
+def mat_norm(M, kind: NormKind):
+    """Induced operator norm of M for the given vector norm; for a (..., n, n)
+    stack, the array of each matrix's norm over the leading axes."""
+    A = _as_squares(M)
     if kind.tag in ("one", "inf"):
-        return float(np.abs(A).sum(axis=0 if kind.tag == "one" else 1).max())
-    if kind.tag not in ("two", "weighted"):
-        raise ValueError(f"unknown norm tag {kind.tag!r}")
-    B = similarity_transform(kind.transform, A) if kind.tag == "weighted" else A
-    return math.sqrt(max(float(sym_eigs(B.T @ B)[-1]), 0.0))
+        v = np.abs(A).sum(axis=-2 if kind.tag == "one" else -1).max(axis=-1)
+    else:
+        if kind.tag not in ("two", "weighted"):
+            raise ValueError(f"unknown norm tag {kind.tag!r}")
+        B = similarity_transform(kind.transform, A) if kind.tag == "weighted" else A
+        w = sym_eigs(np.swapaxes(B, -1, -2) @ B)[..., -1]
+        v = np.sqrt(np.where(0.0 > w, 0.0, w))  # Python's max(w, 0.0), which keeps a -0.0
+    return float(v) if A.ndim == 2 else v
 
 
 def similarity_transform(P, A):
-    """P A P^{-1} without forming the inverse explicitly."""
+    """P A P^{-1} without forming the inverse explicitly; A may be a (..., n, n) stack."""
     P = check_nonsingular(P, "P")
-    return np.linalg.solve(P.T, (P @ _as_square(A, "A")).T).T
+    PA = P @ _as_squares(A, "A")
+    return np.swapaxes(np.linalg.solve(P.T, np.swapaxes(PA, -1, -2)), -1, -2)
 
 
 def _lapack(error, routine, *args):
@@ -141,8 +145,10 @@ def inverse(M):
     return np.linalg.inv(check_nonsingular(M))
 
 
-def determinant(M) -> float:
-    return float(np.linalg.det(_as_square(M)))
+def determinant(M):
+    """det M; for a (..., n, n) stack, the array of determinants."""
+    A = _as_squares(M)
+    return float(np.linalg.det(A)) if A.ndim == 2 else np.linalg.det(A)
 
 
 def solve_lyapunov(A):

@@ -56,9 +56,7 @@ def mu(M, kind: NormKind):
         v = (d + (np.abs(A).sum(axis=-2 if kind.tag == "one" else -1) - np.abs(d))).max(axis=-1)
     else:
         if kind.tag == "weighted":
-            # P A P^{-1} as in linalg.similarity_transform, for stacks
-            P = linalg.check_nonsingular(kind.transform, "P")
-            A = np.swapaxes(np.linalg.solve(P.T, np.swapaxes(P @ A, -1, -2)), -1, -2)
+            A = linalg.similarity_transform(kind.transform, A)
         elif kind.tag != "two":
             raise ValueError(f"unknown norm tag {kind.tag!r}")
         v = linalg.sym_eigs(0.5 * (A + np.swapaxes(A, -1, -2)))[..., -1]

@@ -93,10 +93,13 @@ class SystemDef:
 
     def matrix(self, t) -> np.ndarray:
         """A(t), or the stack t.shape + (n, n) for an array of times.  Constant
-        systems return a shared read-only array for a float."""
-        if self._constant and not isinstance(t, np.ndarray):
-            return self._const_matrix
+        systems return a shared read-only array for a float, and a read-only
+        broadcast of it for an array."""
         n = len(self.entries)
+        if self._constant:
+            if isinstance(t, np.ndarray):
+                return np.broadcast_to(self._const_matrix, t.shape + (n, n))
+            return self._const_matrix
         v = self._eval(t)
         return v.reshape(v.shape[:-1] + (n, n))
 
@@ -271,34 +274,54 @@ class RateSummary:
     quadrature_error: float
 
 
-def _golden_max(fn, a, b, tol):
+def _golden_max(a, b, tol):
+    # golden-section search for a maximum on [a, b], as a generator: it yields the
+    # abscissas to evaluate (two at first, then one per step), is sent their values
+    # and returns the largest value seen
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = fn(c)
-    fd = fn(d)
+    fc, fd = yield (c, d)
     best = max(fc, fd)
     while b - a > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = fn(c)
+            (fc,) = yield (c,)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = fn(d)
+            (fd,) = yield (d,)
         best = max(best, fc, fd)
     return best
 
 
-def _refine_extremum(phi, ts, g, j, want_max):
-    # golden-section polish inside the bracket of grid neighbours
-    a = float(ts[max(j - 1, 0)])
-    b = float(ts[min(j + 1, len(ts) - 1)])
-    tol = TOL.refine_width * (float(ts[-1]) - float(ts[0]))
-    grid_val = float(g[j])
-    if want_max:
-        return max(grid_val, _golden_max(phi, a, b, tol))
-    return min(grid_val, -_golden_max(lambda t: -phi(t), a, b, tol))
+def _polish_extrema(sys: SystemDef, kind: NormKind, searches, tol: float) -> list[float]:
+    """Golden-section polish of the deviation phi(t) = pi(t) - lam (t - t0).
+
+    searches holds (sign, lam, want_max, grid value, a, b) per extremum, [a, b]
+    being the bracket of its grid neighbours.  All searches advance in
+    lockstep, with one pi_integral call per sign and round; each comes back as
+    the larger (smaller) of its grid value and the best maximum (minimum) seen.
+    """
+    gens = [_golden_max(a, b, tol) for *_, a, b in searches]
+    asks = {i: g.send(None) for i, g in enumerate(gens)}
+    out = [q[3] for q in searches]
+    while asks:
+        for sign in (1, -1):
+            mine = [i for i in asks if searches[i][0] == sign]
+            if not mine:
+                continue
+            t = np.array([x for i in mine for x in asks[i]])
+            values = iter((pi_integral(sys, kind, sign, t)[0] - searches[mine[0]][1] * (t - sys.t0)).tolist())
+            for i in mine:
+                # a minimum of phi is the maximum of -phi
+                flip = 1.0 if searches[i][2] else -1.0
+                try:
+                    asks[i] = gens[i].send(tuple(flip * next(values) for _ in asks[i]))
+                except StopIteration as stop:
+                    del asks[i]
+                    out[i] = max(out[i], stop.value) if flip > 0 else min(out[i], -stop.value)
+    return out
 
 
 @lru_cache(maxsize=128)
@@ -317,7 +340,7 @@ def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
         mp = lognorm.mu(A, kind)
         mm = lognorm.mu(-A, kind)
         return RateSummary(kind, t0, T, mp, mm, 0.0, 0.0, 0.0, 0.0, mp * T, mm * T, 0.0)
-    per_sign = {}
+    lams, pers, searches = [], [], []
     err_total = 0.0
     for sign in (1, -1):
         ts, cum, err = _scan(sys, kind, sign)
@@ -325,15 +348,14 @@ def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
         per = float(cum[-1])
         lam = per / T
         g = cum - lam * (ts - t0)
-
-        def phi(t, _sign=sign, _lam=lam):
-            return pi_integral(sys, kind, _sign, t)[0] - _lam * (t - t0)
-
-        du = _refine_extremum(phi, ts, g, int(np.argmax(g)), True)
-        dl = _refine_extremum(phi, ts, g, int(np.argmin(g)), False)
-        per_sign[sign] = (lam, du, dl, per)
-    lam_p, du_p, dl_p, per_p = per_sign[1]
-    lam_m, du_m, dl_m, per_m = per_sign[-1]
+        lams.append(lam)
+        pers.append(per)
+        for j, want_max in ((int(np.argmax(g)), True), (int(np.argmin(g)), False)):
+            a, b = float(ts[max(j - 1, 0)]), float(ts[min(j + 1, len(ts) - 1)])
+            searches.append((sign, lam, want_max, float(g[j]), a, b))
+    tol = TOL.refine_width * (float(ts[-1]) - float(ts[0]))
+    du_p, dl_p, du_m, dl_m = _polish_extrema(sys, kind, searches, tol)
+    (lam_p, lam_m), (per_p, per_m) = lams, pers
     return RateSummary(kind, t0, T, lam_p, lam_m, du_p, dl_p, du_m, dl_m, per_p, per_m, err_total)
 
 

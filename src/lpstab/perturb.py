@@ -7,8 +7,9 @@ recomputed through the variation-of-constants form
     x(t) = Phi(t, t0) x0 + integral of Phi(t, s) d(s) ds over [t0, t]
 
 using per-panel transition matrices and Simpson weights, a route that shares
-no code with the stepper.  A disagreement beyond the tolerance raises, since
-it means at least one of the two integrators cannot be trusted.
+no code with the stepper.  The panel transitions come from one batched
+floquet.integrate_transitions call.  A disagreement beyond the tolerance
+raises, since it means at least one of the two integrators cannot be trusted.
 
 windowed_drift summarizes a disturbance by the windowed supremum of its
 running integral, which is the quantity whose decay transfers to the
@@ -25,8 +26,8 @@ import numpy as np
 
 from .config import TOL
 from .errors import BlowupError, ConvergenceError, InputError, NumericError
-from .expr import Expression, Num, ParseError, compile_expr, compile_exprs, parse, to_string
-from .floquet import integrate_transition
+from .expr import EvalError, Expression, Num, ParseError, compile_expr, compile_exprs, parse, to_string
+from .floquet import _block_times, integrate_transitions
 from .linalg import NormKind, _two_norm, mat_norm, vec_norm
 from .lognorm import INF, TWO
 from .periodic import SystemDef, integrate
@@ -95,65 +96,75 @@ class Trajectory:
 def _rk4_pass(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
               m: int) -> tuple[np.ndarray, int | None]:
     """One fixed-substep sweep.  Returns (states, blow_index): samples from
-    blow_index on are invalid because the state left the overflow cap."""
+    blow_index on are invalid because the state left the overflow cap.
+
+    A(t) and d(t) come from blocks pre-evaluated on the stage grid of the
+    substeps.  A block with a failing stage time is evaluated one substep at
+    a time instead, so the state can still overflow before the failure."""
     states = np.empty((len(ts), sys.n))
     states[0] = x0
     x = np.array(x0, dtype=float)
-    mat = sys.matrix
-    dv = d.vector
     cap = TOL.overflow
-    for i in range(1, len(ts)):
-        a = float(ts[i - 1])
-        h = (float(ts[i]) - a) / m
-        for k in range(m):
-            t = a + k * h
-            tm = t + 0.5 * h
-            te = t + h
-            A2 = mat(tm)
-            d2 = dv(tm)
-            k1 = mat(t) @ x + dv(t)
-            k2 = A2 @ (x + (0.5 * h) * k1) + d2
-            k3 = A2 @ (x + (0.5 * h) * k2) + d2
-            k4 = mat(te) @ (x + h * k3) + dv(te)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(x).all() or float(np.abs(x).max()) > cap:
-            return states, i
-        states[i] = x
+    total = (len(ts) - 1) * m
+    per_block = _block_times(sys.n) // 3
+    for s0 in range(0, total, per_block):
+        s = np.arange(s0, min(total, s0 + per_block))
+        i = s // m
+        a = ts[i]
+        h = (ts[i + 1] - a) / m
+        t = a + (s - i * m) * h
+        stage = np.stack((t, t + 0.5 * h, t + h), axis=-1)
+        try:
+            A, D = sys.matrix(stage), d.vector(stage)
+        except EvalError:
+            A = D = None
+        for j, hj in enumerate(h.tolist()):
+            A1, A2, A4 = sys.matrix(stage[j]) if A is None else A[j]
+            d1, d2, d4 = d.vector(stage[j]) if D is None else D[j]
+            k1 = A1 @ x + d1
+            k2 = A2 @ (x + (0.5 * hj) * k1) + d2
+            k3 = A2 @ (x + (0.5 * hj) * k2) + d2
+            k4 = A4 @ (x + hj * k3) + d4
+            x = x + (hj / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            end, k = divmod(s0 + j + 1, m)
+            if k:
+                continue
+            if not np.isfinite(x).all() or float(np.abs(x).max()) > cap:
+                return states, end
+            states[end] = x
     return states, None
 
 
 def _voc_states(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
                 check_idx: Sequence[int]) -> list[np.ndarray]:
     # shared panel grid: every sample interval split so panels are finer
-    # than period/128, each panel carrying two half-span transitions
+    # than period/128, each panel carrying two half-span transitions; all
+    # transitions come from one batched call and d from one array call
     i_max = max(check_idx)
-    panels = []  # (a, mid, b, first_half, second_half)
+    pa, pb = [], []
     for i in range(i_max):
         a = float(ts[i])
         b = float(ts[i + 1])
         q = max(1, int(math.ceil(128.0 * (b - a) / sys.period)))
-        for k in range(q):
-            pa = a + (b - a) * k / q
-            pb = a + (b - a) * (k + 1) / q
-            pm = 0.5 * (pa + pb)
-            first = integrate_transition(sys, pa, pm, tol=1e-9).value
-            second = integrate_transition(sys, pm, pb, tol=1e-9).value
-            panels.append((pa, pm, pb, first, second))
-    ends = np.array([p[2] for p in panels])
+        pa += [a + (b - a) * k / q for k in range(q)]
+        pb += [a + (b - a) * (k + 1) / q for k in range(q)]
+    pa, pb = np.array(pa), np.array(pb)
+    pm = 0.5 * (pa + pb)
+    halves = np.stack((pa, pm, pb), axis=1)
+    tms = integrate_transitions(sys, halves[:, :2].ravel(), halves[:, 1:].ravel(), tol=1e-9)
+    dv = d.vector(halves)
     out = []
     for idx in check_idx:
         t_c = float(ts[idx])
-        last = int(np.searchsorted(ends, t_c - 1e-12, side="left"))
+        last = int(np.searchsorted(pb, t_c - 1e-12, side="left"))
         R = np.eye(sys.n)
         total = np.zeros(sys.n)
         for k in range(last, -1, -1):
-            pa, pm, pb, first, second = panels[k]
-            h = pb - pa
+            first, second = tms[2 * k].value, tms[2 * k + 1].value
+            h = pb[k] - pa[k]
             phi_mid = R @ second
             phi_a = phi_mid @ first
-            total += (h / 6.0) * (phi_a @ d.vector(pa)
-                                  + 4.0 * (phi_mid @ d.vector(pm))
-                                  + R @ d.vector(pb))
+            total += (h / 6.0) * (phi_a @ dv[k, 0] + 4.0 * (phi_mid @ dv[k, 1]) + R @ dv[k, 2])
             R = phi_a
         out.append(R @ x0 + total)
     return out

@@ -5,22 +5,30 @@ route; the monodromy spectra are compared against exact multipliers where
 those exist and against frozen high-accuracy values otherwise.
 """
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import lpstab.floquet as floquet
+import lpstab.lognorm as lognorm
 from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
+from lpstab.config import TOL
+from lpstab.errors import BlowupError, ConvergenceError, NumericError
 from lpstab.floquet import (
     _rk4_matrix,
     integrate_transition,
+    integrate_transitions,
     monodromy_fce,
     verify_decay,
     verify_sandwich,
     verify_strip,
 )
+from lpstab.linalg import mat_norm, vec_norm
 from lpstab.lognorm import INF, ONE, TWO
-from lpstab.periodic import classify, fce_strip
+from lpstab.periodic import classify, fce_strip, pi_integral, system_from_strings
 
 KINDS = [ONE, TWO, INF]
 
@@ -165,3 +173,193 @@ def test_decay_check_is_deterministic():
     a = verify_decay(sysd, v)
     b = verify_decay(sysd, v)
     assert a == b
+
+
+# ------------------------------------ batched RK4 kernel against the scalar reference
+
+def _ref_rk4_matrix(sys, a, b, steps):
+    # the one-segment loop that _rk4_matrix batches: three scalar A(t) calls per step
+    Phi = np.eye(sys.n)
+    h = (b - a) / steps
+    cap = floquet.TOL.overflow
+    t = a
+    for k in range(steps):
+        A1 = sys.matrix(t)
+        A2 = sys.matrix(t + 0.5 * h)
+        A4 = sys.matrix(t + h)
+        K1 = A1 @ Phi
+        K2 = A2 @ (Phi + (0.5 * h) * K1)
+        K3 = A2 @ (Phi + (0.5 * h) * K2)
+        K4 = A4 @ (Phi + h * K3)
+        Phi = Phi + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+        t = a + (k + 1) * h
+        if not np.isfinite(Phi).all() or float(np.abs(Phi).max()) > cap:
+            raise BlowupError(f"transition matrix exceeded {cap:.1e} at t={t:.6g}", t_reached=t)
+    return Phi
+
+
+def _ref_integrate_transition(sys, t_from, t_to, tol=None):
+    # one segment at a time with step doubling, as (value, steps, error_estimate)
+    tol = floquet.TOL.ode_tol if tol is None else tol
+    start, cap = floquet.TOL.ode_start_steps, floquet.TOL.ode_max_steps
+    if t_to == t_from:
+        return np.eye(sys.n), 0, 0.0
+    steps = max(8, min(start, int(math.ceil(start * abs(t_to - t_from) / sys.period))))
+    prev = _ref_rk4_matrix(sys, t_from, t_to, steps)
+    while steps * 2 <= cap:
+        steps *= 2
+        cur = _ref_rk4_matrix(sys, t_from, t_to, steps)
+        diff = float(np.abs(cur - prev).max())
+        if diff <= tol * (1.0 + float(np.abs(cur).max())):
+            if np.linalg.det(cur) <= 0.0:
+                raise NumericError(
+                    f"integrated transition matrix has non-positive determinant over [{t_from:g}, {t_to:g}]")
+            return cur, steps, diff / 15.0
+        prev = cur
+    raise ConvergenceError(f"transition matrix over [{t_from:g}, {t_to:g}] did not settle within {cap} steps")
+
+
+def _first_failure(sys, t_from, t_to):
+    # the error a segment-by-segment loop raises first
+    for a, b in zip(t_from, t_to):
+        try:
+            _ref_integrate_transition(sys, a, b)
+        except NumericError as exc:
+            return exc
+    return None
+
+
+_STIFF = system_from_strings([["-3000+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
+_SYSTEMS = [strong_coupling().system, rotating_frame(1.5).system, lti_diag().system,
+            CATALOG["scalar_unstable"]().system,
+            system_from_strings([["-1+sin(t)", "1", "0"], ["0", "-2", "cos(2*t)"],
+                                 ["0.5", "0", "-1.5+0.5*sin(t)"]], 2.0 * math.pi, t0=0.4)]
+
+
+@pytest.mark.parametrize("tol", [None, 1e-9], ids=["default-tol", "tol-1e-9"])
+@pytest.mark.parametrize("sysd", _SYSTEMS,
+                         ids=["strong_coupling", "rotating_frame", "constant", "scalar", "3x3"])
+def test_integrate_transitions_matches_scalar_reference(sysd, tol):
+    rng = np.random.default_rng(9090)
+    T = sysd.period
+    a = sysd.t0 + rng.uniform(0.0, 2.0 * T, 18)
+    # spans from 1/1000 of a period to a whole one, so start counts differ
+    b = np.maximum(a + rng.choice([-1.0, 1.0], 18) * T * rng.choice([1e-3, 0.05, 0.3, 1.0], 18), sysd.t0)
+    b[::5] = a[::5]  # zero-length segments
+    got = integrate_transitions(sysd, a, b, tol)
+    assert len(got) == 18
+    for x, y, tm in zip(a.tolist(), b.tolist(), got):
+        value, steps, err = _ref_integrate_transition(sysd, x, y, tol)
+        assert tm.value.tobytes() == value.tobytes()
+        assert (tm.steps, tm.error_estimate, tm.t_start, tm.t_end) == (steps, err, x, y)
+        assert not tm.value.flags.writeable
+    assert len({tm.steps for tm in got}) > 3
+    one = integrate_transition(sysd, float(a[1]), float(b[1]), tol)
+    assert one.value.tobytes() == got[1].value.tobytes() and one.steps == got[1].steps
+
+
+def test_rk4_stack_matches_per_segment_loop():
+    sysd = _STIFF
+    a = np.array([0.0, 0.3, 0.0, 2.0])
+    b = np.array([1e-3, 0.25, math.pi, 2.0 + 2.0 * math.pi])
+    t_blow = np.empty(4)
+    stack = _rk4_matrix(sysd, a, b, 64, t_blow)
+    for i in range(4):
+        try:
+            ref = _ref_rk4_matrix(sysd, float(a[i]), float(b[i]), 64)
+        except BlowupError as exc:
+            assert t_blow[i] == exc.t_reached and np.isnan(stack[i]).all()
+            with pytest.raises(BlowupError) as info:
+                _rk4_matrix(sysd, float(a[i]), float(b[i]), 64)
+            assert str(info.value) == str(exc) and info.value.t_reached == exc.t_reached
+        else:
+            assert np.isnan(t_blow[i]) and stack[i].tobytes() == ref.tobytes()
+            assert _rk4_matrix(sysd, float(a[i]), float(b[i]), 64).tobytes() == ref.tobytes()
+    assert np.isnan(t_blow).sum() == 2
+
+
+@pytest.mark.parametrize("segments,max_steps,kind", [
+    ([(0.0, 1e-3), (0.0, math.pi), (0.0, 2.0 * math.pi)], None, BlowupError),
+    ([(0.0, 2.0 * math.pi), (0.0, math.pi)], None, BlowupError),
+    # the second segment exhausts the step budget after the third has blown up
+    ([(0.0, 1e-3), (0.2, 0.1), (0.0, math.pi)], 256, ConvergenceError),
+], ids=["blowup-second", "blowup-first", "convergence-before-blowup"])
+def test_integrate_transitions_raises_first_failure(monkeypatch, segments, max_steps, kind):
+    if max_steps is not None:
+        monkeypatch.setattr(floquet, "TOL", dataclasses.replace(TOL, ode_max_steps=max_steps))
+    t_from, t_to = zip(*segments)
+    want = _first_failure(_STIFF, t_from, t_to)
+    assert type(want) is kind
+    with pytest.raises(kind) as info:
+        integrate_transitions(_STIFF, t_from, t_to)
+    assert str(info.value) == str(want)
+    assert getattr(info.value, "t_reached", None) == getattr(want, "t_reached", None)
+
+
+def test_stiff_transition_blowup_without_warnings():
+    # RK4 at 64 steps per period is unstable for -3000; the blow-up must stop the
+    # segment before any arithmetic overflows
+    want = _first_failure(_STIFF, [0.0], [2.0 * math.pi])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowupError) as info:
+            integrate_transition(_STIFF, 0.0, 2.0 * math.pi)
+    assert str(info.value) == str(want) == "transition matrix exceeded 1.0e+300 at t=3.53429"
+    assert info.value.t_reached == want.t_reached
+
+
+def _ref_sandwich(sys, kind):
+    # one transition call and one norm call per segment and grid pair
+    ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, 16)
+    fsegs = [integrate_transition(sys, float(ts[j - 1]), float(ts[j])).value for j in range(1, 16)]
+    bsegs = [integrate_transition(sys, float(ts[j]), float(ts[j - 1])).value for j in range(1, 16)]
+    pp, pm = pi_integral(sys, kind, 1, ts)[0], pi_integral(sys, kind, -1, ts)[0]
+    worst = -math.inf
+    for i in range(15):
+        F = B = np.eye(sys.n)
+        for j in range(i + 1, 16):
+            F = fsegs[j - 1] @ F
+            B = B @ bsegs[j - 1]
+            worst = max(worst, math.expm1(math.log(mat_norm(F, kind)) - (pp[j] - pp[i])),
+                        math.expm1(math.log(mat_norm(B, kind)) - (pm[j] - pm[i])))
+    return worst
+
+
+def _ref_decay_margin(sys, verdict):
+    # the pair and state margins of verify_decay, one norm call per pair
+    ts = np.linspace(sys.t0, sys.t0 + 3.0 * sys.period, 16)
+    segs = [integrate_transition(sys, float(ts[j - 1]), float(ts[j])).value for j in range(1, 16)]
+    worst = math.inf
+    from_start = [np.eye(sys.n)]
+    for i in range(15):
+        P = np.eye(sys.n)
+        for j in range(i + 1, 16):
+            P = segs[j - 1] @ P
+            if i == 0:
+                from_start.append(P)
+            worst = min(worst, math.log(verdict.K) - verdict.alpha_tilde * float(ts[j] - ts[i])
+                        - math.log(mat_norm(P, verdict.kind)))
+    r = verdict.rates
+    rng = np.random.default_rng(20260814)
+    for _ in range(8):
+        x0 = rng.standard_normal(sys.n)
+        nx0 = vec_norm(x0, verdict.kind)
+        if nx0 < 1e-6:
+            continue
+        for j in range(1, 16):
+            dt = float(ts[j] - sys.t0)
+            log_x = math.log(vec_norm(from_start[j] @ x0, verdict.kind))
+            worst = min(worst, math.log(nx0) + r.lambda_plus * dt + r.delta_upper_plus - log_x,
+                        log_x - (math.log(nx0) - r.lambda_minus * dt - r.delta_upper_minus))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["strong_coupling", "rotating_frame", "lti_diag"])
+def test_stacked_oracle_checks_match_per_pair_loops(name):
+    sysd = CATALOG[name]().system
+    kinds = KINDS + ([lognorm.lyapunov_weighted(sysd.matrix(sysd.t0))] if sysd.is_constant else [])
+    for kind in kinds:
+        assert verify_sandwich(sysd, kind) == _ref_sandwich(sysd, kind)
+        v = classify(sysd, kind)
+        if v.classification in ("UES", "US"):
+            assert verify_decay(sysd, v).worst_margin == _ref_decay_margin(sysd, v)

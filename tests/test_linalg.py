@@ -237,8 +237,24 @@ def test_input_validation():
         la.sym_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not symmetric
     with pytest.raises(Exception):
         la.mat_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]), ONE)
-    # only sym_eigs (and lognorm.mu) take stacks of matrices
+    # mat_norm, sym_eigs, determinant and lognorm.mu take stacks of square matrices only
     with pytest.raises(ValueError, match="square"):
-        la.mat_norm(np.zeros((2, 2, 2)), ONE)
+        la.mat_norm(np.zeros((2, 2, 3)), ONE)
     with pytest.raises(ValueError, match="square"):
         la.gen_eigs(np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_stacks_match_per_item_calls(n):
+    # mat_norm and determinant over a (4, 5, n, n) stack against one call per matrix
+    rng = np.random.default_rng(77 + n)
+    S = rng.standard_normal((4, 5, n, n)) * rng.uniform(0.01, 100.0, (4, 5, 1, 1))
+    flat = S.reshape(-1, n, n)
+    P = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+    for kind in (ONE, TWO, INF, weighted(P)):
+        got = la.mat_norm(S, kind)
+        assert got.shape == (4, 5)
+        assert got.tobytes() == np.array([la.mat_norm(A, kind) for A in flat]).tobytes()
+    assert la.determinant(S).tobytes() == np.array([la.determinant(A) for A in flat]).tobytes()
+    assert la.similarity_transform(P, S).tobytes() == np.array(
+        [la.similarity_transform(P, A) for A in flat]).tobytes()

@@ -16,8 +16,10 @@ from lpstab.config import TOL
 from lpstab.errors import InputError
 from lpstab.expr import EvalError
 from lpstab.lognorm import INF, ONE, TWO, mu
+import lpstab.periodic as periodic
 from lpstab.periodic import (
     SystemDef,
+    _scan,
     barrier_series,
     classify,
     fce_strip,
@@ -449,3 +451,61 @@ def test_validate_periodicity_names_first_failing_time():
     with pytest.raises(EvalError) as info:
         validate_periodicity(sysd)
     assert info.value.t == 2.0
+
+
+def _ref_golden_max(fn, a, b, tol):
+    # the sequential golden-section search that rate_summary runs four of in lockstep
+    c = b - periodic._INVPHI * (b - a)
+    d = a + periodic._INVPHI * (b - a)
+    fc = fn(c)
+    fd = fn(d)
+    best = max(fc, fd)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - periodic._INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + periodic._INVPHI * (b - a)
+            fd = fn(d)
+        best = max(best, fc, fd)
+    return best
+
+
+def _ref_deltas(sysd, kind):
+    # delta_upper/delta_lower per sign, each polished by its own search over scalar pi_integral calls
+    out = []
+    for sign in (1, -1):
+        ts, cum, _ = _scan(sysd, kind, sign)
+        lam = float(cum[-1]) / sysd.period
+        g = cum - lam * (ts - sysd.t0)
+        tol = TOL.refine_width * (float(ts[-1]) - float(ts[0]))
+
+        def phi(t, sign=sign, lam=lam):
+            return periodic.pi_integral(sysd, kind, sign, t)[0] - lam * (t - sysd.t0)
+
+        for j, want_max in ((int(np.argmax(g)), True), (int(np.argmin(g)), False)):
+            a, b = float(ts[max(j - 1, 0)]), float(ts[min(j + 1, len(ts) - 1)])
+            if want_max:
+                out.append(max(float(g[j]), _ref_golden_max(phi, a, b, tol)))
+            else:
+                out.append(min(float(g[j]), -_ref_golden_max(lambda t: -phi(t), a, b, tol)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CATALOG if not CATALOG[n]().system.is_constant))
+def test_lockstep_polish_matches_sequential_searches(monkeypatch, name):
+    sysd = CATALOG[name]().system
+    calls = []
+    counted = periodic.pi_integral
+    monkeypatch.setattr(periodic, "pi_integral", lambda *a: calls.append(a) or counted(*a))
+    for kind in KINDS:
+        calls.clear()
+        r = rate_summary.__wrapped__(sysd, kind)
+        polish_calls = len(calls)
+        got = (r.delta_upper_plus, r.delta_lower_plus, r.delta_upper_minus, r.delta_lower_minus)
+        calls.clear()
+        assert _bits(got) == _bits(_ref_deltas(sysd, kind)), (name, kind.tag)
+        # one call per sign and round instead of one per abscissa and search
+        assert polish_calls <= len(calls) // 2 + 2

@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 
 from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
-from lpstab.expr import compile_expr
+from lpstab.expr import EvalError, compile_expr
+from lpstab.floquet import integrate_transition
 from lpstab.linalg import vec_norm
 from lpstab.lognorm import TWO
-from lpstab.periodic import integrate
+from lpstab.periodic import integrate, system_from_strings
 from lpstab.perturb import (
     Disturbance,
+    _rk4_pass,
+    _voc_states,
     convergence_report,
     disturbance_from_strings,
     simulate_perturbed,
@@ -200,3 +203,104 @@ def test_trajectory_is_deterministic():
     b = simulate_perturbed(sysd, d, np.ones(2), 3.0, samples=64)
     assert np.array_equal(a.states, b.states)
     assert a.check_times == b.check_times
+
+
+# ------------------------- pre-evaluated stage grids against per-call references
+
+def _ref_rk4_pass(sys, d, x0, ts, m):
+    # the sweep with three A(t) and three d(t) calls per substep
+    states = np.empty((len(ts), sys.n))
+    states[0] = x0
+    x = np.array(x0, dtype=float)
+    for i in range(1, len(ts)):
+        a = float(ts[i - 1])
+        h = (float(ts[i]) - a) / m
+        for k in range(m):
+            t = a + k * h
+            tm = t + 0.5 * h
+            te = t + h
+            A2 = sys.matrix(tm)
+            d2 = d.vector(tm)
+            k1 = sys.matrix(t) @ x + d.vector(t)
+            k2 = A2 @ (x + (0.5 * h) * k1) + d2
+            k3 = A2 @ (x + (0.5 * h) * k2) + d2
+            k4 = sys.matrix(te) @ (x + h * k3) + d.vector(te)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(x).all() or float(np.abs(x).max()) > 1e300:
+            return states, i
+        states[i] = x
+    return states, None
+
+
+def _ref_voc_states(sys, d, x0, ts, check_idx):
+    # two transitions per panel and d at its nodes, one call each
+    panels = []
+    for i in range(max(check_idx)):
+        a, b = float(ts[i]), float(ts[i + 1])
+        q = max(1, int(math.ceil(128.0 * (b - a) / sys.period)))
+        for k in range(q):
+            pa = a + (b - a) * k / q
+            pb = a + (b - a) * (k + 1) / q
+            pm = 0.5 * (pa + pb)
+            panels.append((pa, pm, pb, integrate_transition(sys, pa, pm, tol=1e-9).value,
+                           integrate_transition(sys, pm, pb, tol=1e-9).value))
+    ends = np.array([p[2] for p in panels])
+    out = []
+    for idx in check_idx:
+        last = int(np.searchsorted(ends, float(ts[idx]) - 1e-12, side="left"))
+        R = np.eye(sys.n)
+        total = np.zeros(sys.n)
+        for k in range(last, -1, -1):
+            pa, pm, pb, first, second = panels[k]
+            phi_mid = R @ second
+            phi_a = phi_mid @ first
+            total += ((pb - pa) / 6.0) * (phi_a @ d.vector(pa) + 4.0 * (phi_mid @ d.vector(pm))
+                                          + R @ d.vector(pb))
+            R = phi_a
+        out.append(R @ x0 + total)
+    return out
+
+
+_ONE_D = system_from_strings([["1"]], 1.0)
+
+
+@pytest.mark.parametrize("sysd,d,t_end,m,overflows", [
+    (strong_coupling().system, ["sin(3*t)", "exp(-t)"], 2.0, 4, False),
+    (lti_diag().system, ["1", "cos(t)"], 6.0, 2, False),              # constant A
+    (rotating_frame(1.5).system, ["0", "t"], 9.0, 40, False),         # blocks end inside an interval
+    (CATALOG["scalar_unstable"]().system, ["1"], 2600.0, 3, True),
+    (_ONE_D, ["exp(t)"], 800.0, 8, True),                             # before d fails at t > 709.8
+], ids=["strong_coupling", "constant", "long-intervals", "overflow", "overflow-before-range-error"])
+def test_rk4_pass_matches_per_call_loop(sysd, d, t_end, m, overflows):
+    dist = disturbance_from_strings(d)
+    x0 = np.linspace(1.0, -0.5, sysd.n)
+    ts = np.linspace(sysd.t0, t_end, 65)
+    states, blow = _rk4_pass(sysd, dist, x0, ts, m)
+    ref, ref_blow = _ref_rk4_pass(sysd, dist, x0, ts, m)
+    assert blow == ref_blow and (blow is not None) == overflows
+    stop = len(ts) if blow is None else blow
+    assert states[:stop].tobytes() == ref[:stop].tobytes()
+
+
+def test_rk4_pass_eval_error_matches_per_call_loop():
+    # d fails beyond t = 3 on a stable system: the same substep raises
+    sysd = lti_diag().system
+    dist = disturbance_from_strings(["sqrt(3 - t)", "0"])
+    ts = np.linspace(0.0, 4.0, 17)
+    with pytest.raises(EvalError) as ref:
+        _ref_rk4_pass(sysd, dist, np.ones(2), ts, 5)
+    with pytest.raises(EvalError) as got:
+        _rk4_pass(sysd, dist, np.ones(2), ts, 5)
+    assert str(got.value) == str(ref.value) and got.value.t == ref.value.t
+
+
+@pytest.mark.parametrize("sysd", [strong_coupling().system, rotating_frame(0.5).system],
+                         ids=["strong_coupling", "rotating_frame"])
+def test_voc_states_match_per_panel_loop(sysd):
+    dist = disturbance_from_strings(["sin(3*t) + exp(-t)", "cos(t)"])
+    x0 = np.array([0.5, -1.5])
+    ts = np.linspace(sysd.t0, sysd.t0 + 1.7 * sysd.period, 12)
+    idx = [2, 7, 11]
+    got = _voc_states(sysd, dist, x0, ts, idx)
+    ref = _ref_voc_states(sysd, dist, x0, ts, idx)
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
