@@ -18,7 +18,7 @@ from .errors import (
     NumericError,
     SingularMatrixError,
 )
-from .expr import EvalError, ParseError, compile_expr, evaluate, parse, to_string
+from .expr import EvalError, ParseError, evaluate, parse, to_string
 from .linalg import NormKind, gen_eigs, mat_norm, sym_eigs, vec_norm
 from .lognorm import (
     INF,

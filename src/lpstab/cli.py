@@ -27,7 +27,8 @@ import numpy as np
 from . import catalog, floquet, lognorm, periodic, perturb
 from ._version import __version__
 from .config import TOL
-from .errors import BlowupError, InputError, NotPositiveDefiniteError, NumericError
+from .errors import InputError, NotPositiveDefiniteError, NumericError
+from .expr import EvalError
 from .linalg import NormKind, vec_norm
 from .periodic import SystemDef
 
@@ -327,10 +328,15 @@ def perturb_cmd(file, system_name, params, norm, dist, x0, t_end, samples, out, 
     if not traj.overflowed:
         report = perturb.convergence_report(traj, kind)
     # unit-window running-integral sup of the disturbance; its decay plus a
-    # stable unforced system is what licenses a decay claim for the response
-    drift = perturb.windowed_drift(d, np.linspace(sysd.t0, t_end, 65), window=1.0)
-    drift_vanishes = float(drift.sups.max()) <= 1e-12 or drift.tail_log_slope < -1e-4
-    claimed = (verdict.classification == "UES" and drift_vanishes
+    # stable unforced system is what licenses a decay claim for the response.
+    # The windows reach past t_end, where d may fail to evaluate: no drift then
+    window = 1.0
+    try:
+        drift = perturb.windowed_drift(d, np.linspace(sysd.t0, t_end, 65), window=window)
+        drift_vanishes = float(drift.sups.max()) <= 1e-12 or drift.tail_log_slope < -1e-4
+    except EvalError as exc:
+        drift, drift_vanishes, drift_error = None, None, str(exc)
+    claimed = (verdict.classification == "UES" and drift_vanishes is True
                and not traj.overflowed)
     if out is not None:
         with click.open_file(out, "w") as fh:
@@ -352,9 +358,9 @@ def perturb_cmd(file, system_name, params, norm, dist, x0, t_end, samples, out, 
             "tail_start": None if report is None else report.tail_start,
             "tail_max_norm": None if report is None else report.tail_max_norm,
             "decreasing_tail": None if report is None else report.decreasing_tail,
-            "drift_window": drift.window,
-            "drift_sups": [float(v) for v in drift.sups],
-            "drift_tail_log_slope": drift.tail_log_slope,
+            "drift_window": window,
+            "drift_sups": None if drift is None else [float(v) for v in drift.sups],
+            "drift_tail_log_slope": None if drift is None else drift.tail_log_slope,
             "drift_vanishes": drift_vanishes,
             "convergence_claimed": claimed,
             "stepper_error_estimate": traj.error_estimate,
@@ -373,15 +379,20 @@ def perturb_cmd(file, system_name, params, norm, dist, x0, t_end, samples, out, 
         click.echo(f"final norm: {vec_norm(traj.states[-1], kind):.6g}")
         click.echo(f"tail from t={report.tail_start:.6g}: max norm {report.tail_max_norm:.6g}, "
                    f"{'non-increasing' if report.decreasing_tail else 'not monotone'}")
-    click.echo(f"disturbance windowed-integral sup: first {drift.sups[0]:.6g}, "
-               f"last {drift.sups[-1]:.6g}, tail log-slope {drift.tail_log_slope:.6g}")
+    if drift is None:
+        click.echo(f"disturbance windowed-integral sup: unavailable ({drift_error})")
+    else:
+        click.echo(f"disturbance windowed-integral sup: first {drift.sups[0]:.6g}, "
+                   f"last {drift.sups[-1]:.6g}, tail log-slope {drift.tail_log_slope:.6g}")
     if claimed:
         click.echo("forced-state decay: claimed (stable unforced system, vanishing drift)")
     else:
         why = []
         if verdict.classification != "UES":
             why.append(f"unforced verdict is {verdict.classification}")
-        if not drift_vanishes:
+        if drift is None:
+            why.append("disturbance drift unavailable")
+        elif not drift_vanishes:
             why.append("disturbance drift does not vanish")
         if traj.overflowed:
             why.append("state overflowed")
@@ -398,9 +409,6 @@ def main(argv=None):
     except click.ClickException as exc:
         exc.show()
         sys.exit(1)
-    except BlowupError as exc:
-        click.echo(f"numeric failure: {exc} (state diverged before any usable sample)", err=True)
-        sys.exit(2)
     except InputError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)

@@ -12,19 +12,28 @@ so '^' binds tighter than unary minus, which binds tighter than '*' and '/',
 which bind tighter than '+' and '-'.  '+', '-', '*', '/' associate left.
 FUNC is one of sin, cos, tan, exp, ln, sqrt, abs; the only variable is t.
 
-evaluate() is the reference tree-walking evaluator.  compile_exprs() builds
-one Python callable for a whole list of expressions, taking a float or an
-array of times, with identical semantics for hot loops; equivalence is
-property-tested.  Domain violations (ln or sqrt outside their domain,
-division by zero, 0 to a negative power, a negative base with a fractional
-exponent, overflow to a non-finite value) raise EvalError, never return nan.
+evaluate() is the one evaluator.  It walks the tree once per call, and each
+node is one numpy operation over the whole array of times; a list of
+expressions gives one column per expression, which is how a system matrix
+or a disturbance vector is read.  Values follow numpy's ufuncs, which can
+differ from the math module in the last bit.  A float t is evaluated as a
+length-1 array and unwrapped to a float, never as a numpy scalar: numpy's
+scalar power takes other code paths than its array loop and differs from
+it in the last bit on some inputs (e.g. t^-1 at t = -6.4963873904055935),
+while element i of an array call equals the call at its time i alone.
+Leaves are arrays of the full length, not broadcast scalars, for the same
+reason: np.power with a scalar exponent of 2 squares instead of calling pow.
+
+Every intermediate value must be finite at every time: division by zero,
+ln or sqrt outside their domain, 0 to a negative power, a negative base
+with a fractional exponent and overflow all raise EvalError, even where a
+later operation would have hidden them (exp(-1/t) at t = 0).  No nan, inf
+or floating-point warning leaves evaluate().
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -82,7 +91,7 @@ class Call:
 Expression = Union[Num, TimeVar, Const, Neg, BinOp, Call]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
-CONSTANTS = {"pi": math.pi, "e": math.e}
+CONSTANTS = {"pi": np.pi, "e": np.e}
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -231,145 +240,93 @@ def parse(text: str) -> Expression:
 
 # ---------------------------------------------------------------- evaluation
 
-def evaluate(expr: Expression, t: float) -> float:
-    """Reference evaluator, IEEE double precision."""
-    v = _eval(expr, float(t))
-    if not math.isfinite(v):
-        raise EvalError("non-finite result", expr, t)
+_UNARY = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+          "ln": np.log, "sqrt": np.sqrt, "abs": np.abs}
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+
+def evaluate(expr, t):
+    """Values of one expression, or of a sequence of k expressions, at time t.
+
+    A float t gives a float, or an array of shape (k,) for a sequence; an
+    array of times gives an array of t's shape, or of t.shape + (k,).  Raises
+    EvalError when any intermediate value of any expression is not finite at
+    some time; it names the first such time in row-major order of t, and the
+    node and reason found by walking the trees again at that time alone.
+    """
+    many = isinstance(expr, (tuple, list))
+    exprs = tuple(expr) if many else (expr,)
+    array = isinstance(t, np.ndarray)
+    ts = np.ascontiguousarray(t, dtype=float).ravel() if array else np.array([float(t)])
+    out = np.empty(ts.shape + (len(exprs),))
+    hidden = []
+    with np.errstate(all="ignore"):
+        for j, e in enumerate(exprs):
+            out[:, j] = _walk(e, ts, hidden)
+        ok = np.isfinite(out).all(axis=-1)
+        for v in hidden:
+            ok &= np.isfinite(v)
+        if not ok.all():
+            i = int(ok.argmin())
+            for e in exprs:
+                _walk(e, ts[i:i + 1], [], float(ts[i]))
+            raise EvalError("non-finite value", None, float(ts[i]))
+    if array:
+        out = out.reshape(t.shape + (len(exprs),))
+        return out if many else out[..., 0]
+    return out[0] if many else float(out[0, 0])
+
+
+def _walk(node, t, hidden, at=None):
+    # node's values at the 1-d array of times t, one numpy operation per node.
+    # A non-finite operand gives a non-finite value through every operation
+    # but exp, '/' and '^' (exp(-inf) = 0, 1/inf = 0, 1^nan = 1), so their
+    # operands go to hidden for the caller to check with the final values.
+    # With the time `at` given, the first node whose value is not finite raises.
+    args = ()
+    if isinstance(node, BinOp):
+        args = (_walk(node.left, t, hidden, at), _walk(node.right, t, hidden, at))
+        v = _BINARY[node.op](*args)
+        if node.op in "/^":
+            hidden += args
+    elif isinstance(node, Num):
+        v = np.empty(t.shape)  # np.full costs twice as much on short arrays
+        v.fill(node.value)
+    elif isinstance(node, TimeVar):
+        v = t
+    elif isinstance(node, Call):
+        args = (_walk(node.arg, t, hidden, at),)
+        v = _UNARY[node.func](*args)
+        if node.func == "exp":
+            hidden += args
+    elif isinstance(node, Neg):
+        v = np.negative(_walk(node.operand, t, hidden, at))
+    elif isinstance(node, Const):
+        v = np.empty(t.shape)
+        v.fill(CONSTANTS[node.name])
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    if at is not None and not np.isfinite(v).all():
+        raise EvalError(_why(node, args), node, at)
     return v
 
 
-def _eval(node, t):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, TimeVar):
-        return t
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Neg):
-        return -_eval(node.operand, t)
+def _why(node, args):
+    # why node is not finite at one time, its operands (length-1 arrays) being finite
     if isinstance(node, BinOp):
-        a = _eval(node.left, t)
-        b = _eval(node.right, t)
-        op = node.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero", node, t)
-            return a / b
-        # op == "^"
-        if a < 0.0 and b != math.floor(b):
-            raise EvalError("fractional power of a negative base", node, t)
-        if a == 0.0 and b < 0.0:
-            raise EvalError("zero raised to a negative power", node, t)
-        try:
-            return math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(f"power failed: {exc}", node, t) from exc
+        a, b = float(args[0][0]), float(args[1][0])
+        if node.op == "/" and b == 0.0:
+            return "division by zero"
+        if node.op == "^" and a == 0.0 and b < 0.0:
+            return "zero raised to a negative power"
+        if node.op == "^" and a < 0.0 and not b.is_integer():
+            return "fractional power of a negative base"
+        return f"'{node.op}' overflowed to a non-finite value"
     if isinstance(node, Call):
-        x = _eval(node.arg, t)
-        f = node.func
-        try:
-            if f == "sin":
-                return math.sin(x)
-            if f == "cos":
-                return math.cos(x)
-            if f == "tan":
-                return math.tan(x)
-            if f == "exp":
-                return math.exp(x)
-            if f == "ln":
-                return math.log(x)
-            if f == "sqrt":
-                return math.sqrt(x)
-            return abs(x)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(f"{f} domain violation: {exc}", node, t) from exc
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-# ----------------------------------------------------------------- compiler
-
-_NAMESPACE = {
-    "__builtins__": {},
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "pow": math.pow,
-    "pi": math.pi,
-    "e": math.e,
-}
-
-
-def _emit(node):
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, TimeVar):
-        return "t"
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_emit(node.operand)})"
-    if isinstance(node, BinOp):
-        left, right = _emit(node.left), _emit(node.right)
-        if node.op == "^":
-            # pow() keeps error semantics; '**' would go complex on neg**frac
-            return f"pow({left},{right})"
-        return f"({left}{node.op}{right})"
-    if isinstance(node, Call):
-        name = "log" if node.func == "ln" else node.func
-        return f"{name}({_emit(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def compile_exprs(exprs):
-    """One callable for expressions e1..ek: a float t gives the row (e1(t), ..., ek(t)),
-    an array of times an array of shape t.shape + (k,).
-
-    Each time goes in as a Python float through evaluate()'s math-module calls
-    (numpy's exp and pow differ in the last bit on some inputs), so values and
-    EvalError triggers match it exactly; an array's EvalError names its first
-    failing time in row-major order, and carries no offending-node pointer.
-    """
-    k = len(exprs)
-    raw = eval("lambda t: (" + "".join(_emit(e) + "," for e in exprs) + ")", dict(_NAMESPACE))
-
-    def fn(t):
-        if isinstance(t, np.ndarray):
-            ts = t.astype(float).ravel().tolist()
-            try:
-                values = chain.from_iterable(map(raw, ts))  # no per-time tuples kept
-                out = np.fromiter(values, float, len(ts) * k).reshape(t.shape + (k,))
-                if np.isfinite(out).all():
-                    return out
-            except (ValueError, ZeroDivisionError, OverflowError):
-                pass
-            for s in ts:
-                fn(s)  # raises at the first failing time
-        try:
-            vals = raw(t)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise EvalError(str(exc), None, t) from exc
-        if not all(map(math.isfinite, vals)):
-            raise EvalError("non-finite result", None, t)
-        return np.array(vals, dtype=float)
-
-    return fn
-
-
-def compile_expr(expr: Expression):
-    """compile_exprs of one expression: float -> float, array -> array of its shape."""
-    fn = compile_exprs((expr,))
-    return lambda t: fn(t)[..., 0] if isinstance(t, np.ndarray) else float(fn(t)[0])
+        if node.func in ("ln", "sqrt"):
+            return f"{node.func} domain violation: argument {float(args[0][0])!r}"
+        return f"{node.func} overflowed to a non-finite value"
+    return "non-finite value"
 
 
 # ---------------------------------------------------------------- serializer

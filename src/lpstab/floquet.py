@@ -283,9 +283,8 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
             B = B @ bsegs[j - 1]
             mats += (F, B)
             rises += (pp[j] - pp[i], pm[j] - pm[i])
-    norms = linalg.mat_norm(np.array(mats), kind).tolist()
-    # math, not numpy: numpy's log and expm1 may differ from libm in the last bit
-    return max([-math.inf] + [math.expm1(math.log(x) - r) for x, r in zip(norms, rises)])
+    norms = linalg.mat_norm(np.array(mats), kind)
+    return float(np.expm1(np.log(norms) - np.array(rises)).max())
 
 
 @dataclass(frozen=True)
@@ -339,8 +338,8 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict, grid: int = 16) -> D
             mats.append(P)
             spans.append(float(ts[j] - ts[i]))
     pairs = len(mats)
-    norms = linalg.mat_norm(np.array(mats), kind).tolist()
-    worst = min([math.inf] + [log_k - alpha * dt - math.log(x) for x, dt in zip(norms, spans)])
+    norms = linalg.mat_norm(np.array(mats), kind)
+    worst = float((log_k - alpha * np.array(spans) - np.log(norms)).min())
     rng = np.random.default_rng(20260814)
     state_checks = 0
     for _ in range(8):

@@ -42,7 +42,7 @@ import numpy as np
 from . import linalg, lognorm
 from .config import TOL
 from .errors import InputError
-from .expr import Expression, ParseError, compile_exprs, contains_time, parse, to_string
+from .expr import Expression, ParseError, contains_time, evaluate, parse, to_string
 from .linalg import NormKind
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -75,11 +75,12 @@ class SystemDef:
             raise InputError(f"period must be a positive finite number, got {self.period!r}")
         if not (isinstance(self.t0, float) and math.isfinite(self.t0) and self.t0 >= 0.0):
             raise InputError(f"initial time must be finite and >= 0, got {self.t0!r}")
-        object.__setattr__(self, "_eval", compile_exprs([e for row in self.entries for e in row]))
-        constant = not any(contains_time(e) for row in self.entries for e in row)
+        flat = tuple(e for row in self.entries for e in row)
+        object.__setattr__(self, "_flat", flat)
+        constant = not any(contains_time(e) for e in flat)
         object.__setattr__(self, "_constant", constant)
         if constant:
-            A = self._eval(0.0).reshape(n, n)
+            A = evaluate(flat, 0.0).reshape(n, n)
             A.flags.writeable = False
             object.__setattr__(self, "_const_matrix", A)
 
@@ -100,7 +101,7 @@ class SystemDef:
             if isinstance(t, np.ndarray):
                 return np.broadcast_to(self._const_matrix, t.shape + (n, n))
             return self._const_matrix
-        v = self._eval(t)
+        v = evaluate(self._flat, t)
         return v.reshape(v.shape[:-1] + (n, n))
 
     def as_strings(self) -> tuple[tuple[str, ...], ...]:
@@ -472,17 +473,15 @@ def frozen_time_check(sys: SystemDef, grid_points: int = 64) -> FrozenTimeReport
     n = sys.n
     T = sys.period
     h = TOL.fd_step * T
-    m_bound = 0.0
-    worst = -math.inf
+    ts = sys.t0 + T * np.arange(grid_points) / grid_points
+    A = sys.matrix(ts)
+    # mat_norm gives -0.0 for a zero matrix; the bounds report it as 0.0
+    m_bound = max(0.0, float(linalg.mat_norm(A, lognorm.TWO).max()))
+    worst = max(max(z.real for z in linalg.gen_eigs(a)) for a in A)
     sup_adot = 0.0
-    for j in range(grid_points):
-        t = sys.t0 + T * j / grid_points
-        A = sys.matrix(t)
-        m_bound = max(m_bound, linalg.mat_norm(A, lognorm.TWO))
-        worst = max(worst, max(z.real for z in linalg.gen_eigs(A)))
-        if not sys.is_constant:
-            dA = (sys.matrix(t + h) - sys.matrix(t - h)) / (2.0 * h)
-            sup_adot = max(sup_adot, linalg.mat_norm(dA, lognorm.TWO))
+    if not sys.is_constant:
+        dA = (sys.matrix(ts + h) - sys.matrix(ts - h)) / (2.0 * h)
+        sup_adot = max(0.0, float(linalg.mat_norm(dA, lognorm.TWO).max()))
     m_margin = 1.05 * m_bound
     alpha = -worst
     applicable = worst < 0.0

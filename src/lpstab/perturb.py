@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .config import TOL
 from .errors import BlowupError, ConvergenceError, InputError, NumericError
-from .expr import EvalError, Expression, Num, ParseError, compile_expr, compile_exprs, parse, to_string
+from .expr import EvalError, Expression, Num, ParseError, evaluate, parse, to_string
 from .floquet import _block_times, integrate_transitions
 from .linalg import NormKind, _two_norm, mat_norm, vec_norm
 from .lognorm import INF, TWO
@@ -42,7 +43,6 @@ class Disturbance:
     def __post_init__(self):
         if len(self.entries) == 0:
             raise InputError("disturbance has no entries")
-        object.__setattr__(self, "_eval", compile_exprs(self.entries))
 
     @property
     def n(self) -> int:
@@ -54,7 +54,7 @@ class Disturbance:
 
     def vector(self, t) -> np.ndarray:
         """d(t) for a float t; for an array of times shape t.shape + (n,)."""
-        return self._eval(t)
+        return evaluate(self.entries, t)
 
     def as_strings(self) -> tuple[str, ...]:
         return tuple(to_string(e) for e in self.entries)
@@ -299,7 +299,7 @@ def windowed_drift(d: Disturbance, t_grid, window: float = 1.0,
     lo = ts[:, None] + edges[None, :-1]
     hi = ts[:, None] + edges[None, 1:]
     # one quadrature call per component over every (t, eta) cell, summed along eta
-    cells = np.stack([integrate(compile_expr(e), lo, hi)[0] for e in d.entries], axis=-1)
+    cells = np.stack([integrate(partial(evaluate, e), lo, hi)[0] for e in d.entries], axis=-1)
     cum = np.cumsum(cells, axis=1)
     if not np.isfinite(cum).all():
         raise ValueError("running disturbance integral has non-finite entries")

@@ -270,6 +270,37 @@ def test_perturb_overflow_reported():
     assert doc["convergence_claimed"] is False
 
 
+def test_perturb_drift_unavailable_past_overflow():
+    # the state overflows at t ~ 693; exp(t) cannot be evaluated on the drift
+    # windows beyond t ~ 709, which must not turn the run into a failure
+    code, out, err = run_cli("perturb", "-s", "lti_diag", "--d", "exp(t);0", "--x0", "1,1",
+                             "--t-end", "800", "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["overflowed"] is True
+    assert doc["drift_sups"] is None and doc["drift_tail_log_slope"] is None
+    assert doc["drift_vanishes"] is None
+    assert doc["convergence_claimed"] is False
+
+
+def test_perturb_drift_unavailable_past_t_end():
+    # the trajectory is fine up to t_end = 10, but the last drift window reaches 11
+    code, out, err = run_cli("perturb", "-s", "lti_diag", "--d", "sqrt(10.5-t);0", "--t-end", "10")
+    assert code == 0, err
+    assert ("disturbance windowed-integral sup: unavailable "
+            "(sqrt domain violation: argument -0.015625 (at t=10.515625))") in out
+    assert "forced-state decay: not claimed (disturbance drift unavailable)" in out
+
+
+def test_blowup_reads_like_any_numeric_failure(tmp_path):
+    # the oracle's blow-up in analyze has nothing to do with a state or a sample
+    path = write_system(tmp_path, {"entries": [["-3000+sin(t)", "1"], ["0", "-1"]],
+                                   "period": 2.0 * math.pi})
+    code, _, err = run_cli("analyze", "-f", path, "--norm", "one")
+    assert code == 2
+    assert err == "numeric failure: transition matrix exceeded 1.0e+300 at t=3.53429\n"
+
+
 def test_perturb_validation():
     code, _, _ = run_cli("perturb", "-s", "lti_diag", "--samples", "8")
     assert code == 1

@@ -1,8 +1,11 @@
 """Expression language tests.
 
-The reference semantics is the tree-walking evaluate(); compile_expr() is a
-performance twin and must agree bit-for-bit wherever both are defined,
-including which inputs raise.
+evaluate() walks the tree over numpy arrays.  Its independent reference is
+_math_evaluate below, a scalar walker on the math module (the evaluator lpstab
+used before): the two must raise at the same inputs and agree within a
+relative 1e-12 elsewhere (numpy's ufuncs and libm differ in the last bits).
+Within evaluate() itself, an array call must equal per-time float calls
+bit for bit, including which times raise.
 """
 
 import math
@@ -20,8 +23,6 @@ from lpstab.expr import (
     Num,
     ParseError,
     TimeVar,
-    compile_expr,
-    compile_exprs,
     contains_time,
     evaluate,
     parse,
@@ -111,57 +112,167 @@ def _random_tree(rng, depth):
     return Call(fn, _random_tree(rng, depth - 1))
 
 
-def test_roundtrip_and_compiled_agreement():
+def _math_evaluate(expr, t):
+    # the scalar math-module walker lpstab used before the numpy one, kept as
+    # an independent reference; it checks only the final value for finiteness
+    v = _math_eval(expr, float(t))
+    if not math.isfinite(v):
+        raise EvalError("non-finite result", expr, t)
+    return v
+
+
+def _math_eval(node, t):
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, TimeVar):
+        return t
+    if isinstance(node, Const):
+        return {"pi": math.pi, "e": math.e}[node.name]
+    if isinstance(node, Neg):
+        return -_math_eval(node.operand, t)
+    if isinstance(node, BinOp):
+        a = _math_eval(node.left, t)
+        b = _math_eval(node.right, t)
+        op = node.op
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            if b == 0.0:
+                raise EvalError("division by zero", node, t)
+            return a / b
+        if a < 0.0 and b != math.floor(b):
+            raise EvalError("fractional power of a negative base", node, t)
+        if a == 0.0 and b < 0.0:
+            raise EvalError("zero raised to a negative power", node, t)
+        try:
+            return math.pow(a, b)
+        except (ValueError, OverflowError) as exc:
+            raise EvalError(f"power failed: {exc}", node, t) from exc
+    x = _math_eval(node.arg, t)
+    f = {"sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
+         "ln": math.log, "sqrt": math.sqrt, "abs": abs}[node.func]
+    try:
+        return f(x)
+    except (ValueError, OverflowError) as exc:
+        raise EvalError(f"{node.func} domain violation: {exc}", node, t) from exc
+
+
+def test_random_trees_match_math_reference():
+    # relative 1e-12: numpy's sin/cos/exp may differ from libm in the last
+    # bit, and a few such differences compound through a depth-4 tree
     rng = random.Random(20260814)
     for _ in range(100):
         tree = _random_tree(rng, rng.randrange(1, 5))
-        text = to_string(tree)
-        back = parse(text)
-        fn = compile_expr(back)
+        back = parse(to_string(tree))
         for t in (-2.0, -0.3, 0.0, 0.7, 3.1):
-            ref = evaluate(tree, t)
-            assert evaluate(back, t) == ref
-            assert fn(t) == ref
+            try:
+                ref = _math_evaluate(tree, t)
+            except EvalError:
+                with pytest.raises(EvalError):
+                    evaluate(tree, t)
+                continue
+            got = evaluate(tree, t)
+            assert type(got) is float
+            assert evaluate(back, t) == got
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
-def test_compiled_array_call_matches_evaluate():
-    # the same trees as above, every one evaluated at every time in one call
+def test_domain_cases_match_math_reference():
+    for text, t in [("1/t", 0.0), ("ln(t)", -1.0), ("ln(t)", 0.0), ("sqrt(t)", -4.0),
+                    ("exp(exp(t))", 10.0), ("t^0.5", -1.0), ("t^(0-1)", 0.0),
+                    ("exp(700)*exp(t)", 700.0), ("(t-2)^(1/3)", 1.0),
+                    ("tan(t)", 1.0), ("ln(t)", 3.0), ("t^(1/3)", 2.0)]:
+        try:
+            ref = _math_evaluate(parse(text), t)
+        except EvalError:
+            with pytest.raises(EvalError):
+                evaluate(parse(text), t)
+        else:
+            assert abs(evaluate(parse(text), t) - ref) <= 1e-12 * abs(ref)
+
+
+def test_array_call_matches_per_time_calls():
+    # the random trees, every one evaluated at every time in one call
     rng = random.Random(20260814)
     trees = [parse(to_string(_random_tree(rng, rng.randrange(1, 5)))) for _ in range(100)]
     ts = np.array([-2.0, -0.3, 0.0, 0.7, 3.1])
-    out = compile_exprs(trees)(ts)
+    out = evaluate(trees, ts)
     assert out.shape == (5, 100)
     ref = np.array([[evaluate(tree, float(t)) for tree in trees] for t in ts])
     assert out.tobytes() == ref.tobytes()
-    one = compile_expr(trees[3])
-    assert one(ts.reshape(1, 5)).tobytes() == ref[:, 3].tobytes()
-    assert type(one(0.7)) is float and one(0.7) == ref[3, 3]
+    assert evaluate(trees, 0.7).tobytes() == ref[3].tobytes()
+    assert evaluate(tuple(trees[:2]), ts[:, None]).shape == (5, 1, 2)
+    assert evaluate(trees[3], ts.reshape(1, 5)).tobytes() == ref[:, 3].tobytes()
+    assert type(evaluate(trees[3], 0.7)) is float and evaluate(trees[3], 0.7) == ref[3, 3]
+
+
+@pytest.mark.parametrize("text, t", [("t^-1", -6.4963873904055935), ("t^2", -6.0586392356230325)],
+                         ids=["inverse", "square"])
+def test_power_float_call_matches_array_call(text, t):
+    # numpy's scalar power and its scalar-exponent fast paths round these
+    # differently from the array loop; a float call must not take them
+    e = parse(text)
+    ts = np.linspace(t - 1.0, t + 1.0, 4097)
+    ts[1234] = t
+    assert evaluate(e, t) == evaluate(e, ts)[1234]
+    assert evaluate([e, e], t).tobytes() == evaluate([e, e], ts)[1234].tobytes()
 
 
 def test_array_call_names_first_failing_time():
-    fn = compile_exprs([parse("1/(t - 1)"), parse("ln(t)"), parse("exp(700)*exp(t)")])
-    assert fn(np.array([2.0, 3.0])).shape == (2, 3)
+    exprs = [parse("1/(t - 1)"), parse("ln(t)"), parse("exp(700)*exp(t)")]
+    assert evaluate(exprs, np.array([2.0, 3.0])).shape == (2, 3)
     # ln fails at -1 before the division by zero at 1 and the overflow at 700
     for ts in ([2.0, -1.0, 1.0, 700.0], [[2.0, -1.0], [1.0, 700.0]]):
         with pytest.raises(EvalError) as info:
-            fn(np.array(ts))
+            evaluate(exprs, np.array(ts))
         assert info.value.t == -1.0
     with pytest.raises(EvalError, match="non-finite") as info:
-        fn(np.array([2.0, 700.0, 1.0]))
+        evaluate(exprs, np.array([2.0, 700.0, 1.0]))
     assert info.value.t == 700.0
     with pytest.raises(EvalError) as info:
-        fn(np.array([1.0]))
+        evaluate(exprs, np.array([1.0]))
     assert info.value.t == 1.0
 
 
-def test_compiled_raises_like_evaluate():
+def test_array_and_float_calls_raise_alike():
     for text, t in [("1/t", 0.0), ("ln(t)", -1.0), ("sqrt(t)", -4.0),
                     ("exp(exp(t))", 10.0), ("t^0.5", -1.0)]:
-        fn = compile_expr(parse(text))
-        with pytest.raises(EvalError):
-            evaluate(parse(text), t)
-        with pytest.raises(EvalError):
-            fn(t)
+        e = parse(text)
+        with pytest.raises(EvalError) as one:
+            evaluate(e, t)
+        with pytest.raises(EvalError) as arr:
+            evaluate(e, np.array([[2.0, 3.0], [t, 2.0]]))
+        assert str(arr.value) == str(one.value) and arr.value.t == one.value.t == t
+        assert arr.value.node == one.value.node
+
+
+@pytest.mark.parametrize("text, t, why, node", [
+    ("exp(-1/t)", 0.0, "division by zero", "-1/t"),
+    ("1/exp(exp(t))", 10.0, "exp overflowed", "exp(exp(t))"),
+    ("1/(t*t)", 1e200, "'\\*' overflowed", "t*t"),
+    ("1^ln(t)", -1.0, "ln domain violation", "ln(t)"),
+], ids=["exp-of-division", "division-by-exp", "division-by-product", "power-of-log"])
+def test_intermediate_non_finite_raises(text, t, why, node):
+    # plain numpy hides each failure (exp(-inf) = 0, 1/inf = 0, 1^nan = 1),
+    # so the results alone are finite
+    for call in (t, np.array([1.0, t])):
+        with pytest.raises(EvalError, match=why) as info:
+            evaluate(parse(text), call)
+        assert info.value.t == t and to_string(info.value.node) == node
+
+
+def test_non_finite_leaves_raise():
+    # a time or a literal that is not finite counts as a non-finite intermediate
+    with pytest.raises(EvalError, match="non-finite") as info:
+        evaluate(parse("exp(-t)"), np.array([1.0, np.inf]))
+    assert info.value.t == np.inf and info.value.node == TimeVar()
+    with pytest.raises(EvalError) as info:
+        evaluate(parse("1/1e999 + t"), 0.5)
+    assert info.value.node == Num(math.inf)
 
 
 def test_to_string_minimal_parens():

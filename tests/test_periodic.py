@@ -6,12 +6,16 @@ below to full double precision.  Everything else is a structural property
 that must hold for any valid system.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from lpstab import linalg
 from lpstab.catalog import CATALOG, get, lti_diag, rotating_frame, strong_coupling
+from lpstab.cli import _load_file
 from lpstab.config import TOL
 from lpstab.errors import InputError
 from lpstab.expr import EvalError
@@ -308,6 +312,54 @@ def test_frozen_time_constant_system():
     assert rep.alpha == pytest.approx(1.0, abs=1e-12)
     assert rep.sup_adot == 0.0
     assert rep.c2_satisfied  # a constant matrix moves slower than any bound
+
+
+def _ref_frozen_time_check(sys, grid_points=64):
+    # the per-point loop that frozen_time_check batches: three scalar A(t) calls per point
+    n = sys.n
+    T = sys.period
+    h = TOL.fd_step * T
+    m_bound = 0.0
+    worst = -math.inf
+    sup_adot = 0.0
+    for j in range(grid_points):
+        t = sys.t0 + T * j / grid_points
+        A = sys.matrix(t)
+        m_bound = max(m_bound, linalg.mat_norm(A, TWO))
+        worst = max(worst, max(z.real for z in linalg.gen_eigs(A)))
+        if not sys.is_constant:
+            dA = (sys.matrix(t + h) - sys.matrix(t - h)) / (2.0 * h)
+            sup_adot = max(sup_adot, linalg.mat_norm(dA, TWO))
+    m_margin = 1.05 * m_bound
+    alpha = -worst
+    applicable = worst < 0.0
+    c1 = applicable and alpha > 4.0 * m_margin
+    if applicable and m_margin > 0.0:
+        c2_bound = (2.0 / (2 * n - 1)) * alpha ** (4 * n - 2) / (2.0 * m_margin ** (4 * n - 4))
+        c2_bound_alt = (2.0 / (2 * n - 1)) * alpha ** (4 * n - 2) / ((2.0 * m_margin) ** (4 * n - 4))
+        c2 = sup_adot < c2_bound
+    else:
+        c2_bound = 0.0
+        c2_bound_alt = 0.0
+        c2 = False
+    return periodic.FrozenTimeReport(applicable, grid_points, m_bound, m_margin, worst,
+                                     alpha, sup_adot, c1, c2, c2_bound, c2_bound_alt)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG) + ["3x3-file"])
+def test_frozen_time_check_matches_per_point_loop(name, tmp_path):
+    if name == "3x3-file":
+        path = tmp_path / "sys3.json"
+        path.write_text(json.dumps({"entries": [["-1+sin(t)", "1", "0"], ["0", "-2", "cos(2*t)"],
+                                                ["0.5", "0", "-1.5+0.5*sin(t)"]],
+                                    "period": 2.0 * math.pi, "t0": 0.4}))
+        sysd = _load_file(str(path))
+    else:
+        sysd = CATALOG[name]().system
+    # repr tells -0.0 from 0.0 and round-trips every float
+    for grid in (16, 64):
+        got = dataclasses.astuple(frozen_time_check(sysd, grid))
+        assert repr(got) == repr(dataclasses.astuple(_ref_frozen_time_check(sysd, grid)))
 
 
 def test_system_validation():

@@ -6,12 +6,13 @@ against hand-integrable cases.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
-from lpstab.expr import EvalError, compile_expr
+from lpstab.expr import EvalError, evaluate
 from lpstab.floquet import integrate_transition
 from lpstab.linalg import vec_norm
 from lpstab.lognorm import TWO
@@ -175,7 +176,7 @@ def test_windowed_drift_matches_per_cell_loop():
     ts = np.array([0.0, 0.8, 2.5])
     rep = windowed_drift(d, ts, window=1.5, eta_samples=8)
     edges = np.linspace(0.0, 1.5, 9)
-    fns = [compile_expr(e) for e in d.entries]
+    fns = [partial(evaluate, e) for e in d.entries]
     for i, t in enumerate(ts):
         cum = np.zeros(2)
         sup = 0.0
