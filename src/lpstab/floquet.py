@@ -43,20 +43,6 @@ class TransitionMatrix:
 _BLOCK = 4096
 
 
-def _block_times(n: int) -> int:
-    return min(_BLOCK, max(3, 4 * _BLOCK // (n * n)))
-
-
-def _stage_matrices(sys: SystemDef, t: np.ndarray) -> np.ndarray:
-    # A on an array of stage times, one matrix call per block of times
-    size = _block_times(sys.n)
-    flat = t.ravel()
-    if flat.size <= size:
-        return sys.matrix(t)
-    parts = [sys.matrix(flat[i:i + size]) for i in range(0, flat.size, size)]
-    return np.concatenate(parts).reshape(t.shape + (sys.n, sys.n))
-
-
 def _blowup(t: float) -> BlowupError:
     return BlowupError(f"transition matrix exceeded {TOL.overflow:.1e} at t={t:.6g}", t_reached=t)
 
@@ -69,7 +55,9 @@ def _rk4_matrix(sys: SystemDef, a, b, steps: int, t_blow: np.ndarray | None = No
     t_k + h.  A segment whose matrix leaves the overflow cap is set to zero,
     where it stays, and comes back as NaN; the time it got to is written into
     t_blow when that array is given, else the first such segment raises
-    BlowupError.
+    BlowupError.  Only sys.n and sys.matrix are read: the forced stepper in
+    perturb passes the augmented field [[A(t), d(t)], [0, 0]], whose maps
+    [[M, c], [0, 1]] carry x to M x + c.
     """
     a1 = np.atleast_1d(np.asarray(a, dtype=float))
     h = (np.atleast_1d(np.asarray(b, dtype=float)) - a1)[:, None] / steps
@@ -78,13 +66,19 @@ def _rk4_matrix(sys: SystemDef, a, b, steps: int, t_blow: np.ndarray | None = No
     blow = np.full(a1.size, np.nan)
     half, full, sixth = (0.5 * h)[..., None], h[..., None], (h / 6.0)[..., None]
     cap = TOL.overflow
-    per_block = max(1, _block_times(n) // (3 * a1.size))
+    size = min(_BLOCK, max(3, 4 * _BLOCK // (n * n)))
+    per_block = max(1, size // (3 * a1.size))
     for k0 in range(0, steps, per_block):
         if not np.isnan(blow).any():
             break
         ks = np.arange(k0, min(steps, k0 + per_block))
         t = a1[:, None] + ks * h
-        A = _stage_matrices(sys, np.stack((t, t + 0.5 * h, t + h), axis=-1))
+        t = np.stack((t, t + 0.5 * h, t + h), axis=-1)
+        if t.size <= size:
+            A = sys.matrix(t)
+        else:  # one matrix call per `size` stage times
+            A = np.concatenate([sys.matrix(t.ravel()[i:i + size]) for i in range(0, t.size, size)])
+            A = A.reshape(t.shape + (n, n))
         for j, k in enumerate(ks.tolist()):
             A2 = A[:, j, 1]  # shared by the two middle stages
             K1 = A[:, j, 0] @ Phi

@@ -1,15 +1,18 @@
 """Forced trajectories x' = A(t) x + d(t) and disturbance diagnostics.
 
-The simulator is fixed-step RK4 with whole-trajectory step doubling, and by
-default it audits itself: at a few randomly chosen sample times the state is
-recomputed through the variation-of-constants form
+The simulator is fixed-step RK4 with whole-trajectory step doubling: the
+transition kernel floquet._rk4_matrix on the augmented field
+[[A(t), d(t)], [0, 0]].  By default it audits itself: at a few randomly
+chosen sample times the state is recomputed through the
+variation-of-constants form
 
     x(t) = Phi(t, t0) x0 + integral of Phi(t, s) d(s) ds over [t0, t]
 
-using per-panel transition matrices and Simpson weights, a route that shares
-no code with the stepper.  The panel transitions come from one batched
-floquet.integrate_transitions call.  A disagreement beyond the tolerance
-raises, since it means at least one of the two integrators cannot be trusted.
+by Simpson weights on panels finer than period/128.  The panel transitions
+come from one batched floquet.integrate_transitions call, so the audit
+shares the RK4 kernel with the stepper but not how d enters it.  A
+disagreement beyond the tolerance raises, since it means at least one of
+the two routes cannot be trusted.
 
 windowed_drift summarizes a disturbance by the windowed supremum of its
 running integral, which is the quantity whose decay transfers to the
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +32,7 @@ import numpy as np
 from .config import TOL
 from .errors import BlowupError, ConvergenceError, InputError, NumericError
 from .expr import EvalError, Expression, Num, ParseError, evaluate, parse, to_string
-from .floquet import _block_times, integrate_transitions
+from .floquet import _rk4_matrix, integrate_transitions
 from .linalg import NormKind, _two_norm, mat_norm, vec_norm
 from .lognorm import INF, TWO
 from .periodic import SystemDef, integrate
@@ -98,40 +102,42 @@ def _rk4_pass(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
     """One fixed-substep sweep.  Returns (states, blow_index): samples from
     blow_index on are invalid because the state left the overflow cap.
 
-    A(t) and d(t) come from blocks pre-evaluated on the stage grid of the
-    substeps.  A block with a failing stage time is evaluated one substep at
-    a time instead, so the state can still overflow before the failure."""
+    RK4 on z' = B z with z = (x, 1) and B(t) = [[A(t), d(t)], [0, 0]] is RK4
+    on x' = A x + d, so one stacked _rk4_matrix call gives every sample
+    interval's map [[M, c], [0, 1]], and x -> M x + c is applied in time
+    order.  When A or d cannot be evaluated, the intervals before the failing
+    one are still swept, so a state that overflows first is reported as an
+    overflow; otherwise the earliest failing stage time raises."""
+    def augmented(t):
+        A = sys.matrix(t)  # a broadcast for constant systems, so not one flat expression list
+        B = np.zeros(A.shape[:-2] + (sys.n + 1, sys.n + 1))
+        B[..., :-1, :-1] = A
+        B[..., :-1, -1] = d.vector(t)
+        return B
+
+    field = SimpleNamespace(n=sys.n + 1, matrix=augmented)
     states = np.empty((len(ts), sys.n))
     states[0] = x0
-    x = np.array(x0, dtype=float)
-    cap = TOL.overflow
-    total = (len(ts) - 1) * m
-    per_block = _block_times(sys.n) // 3
-    for s0 in range(0, total, per_block):
-        s = np.arange(s0, min(total, s0 + per_block))
-        i = s // m
-        a = ts[i]
-        h = (ts[i + 1] - a) / m
-        t = a + (s - i * m) * h
-        stage = np.stack((t, t + 0.5 * h, t + h), axis=-1)
-        try:
-            A, D = sys.matrix(stage), d.vector(stage)
-        except EvalError:
-            A = D = None
-        for j, hj in enumerate(h.tolist()):
-            A1, A2, A4 = sys.matrix(stage[j]) if A is None else A[j]
-            d1, d2, d4 = d.vector(stage[j]) if D is None else D[j]
-            k1 = A1 @ x + d1
-            k2 = A2 @ (x + (0.5 * hj) * k1) + d2
-            k3 = A2 @ (x + (0.5 * hj) * k2) + d2
-            k4 = A4 @ (x + hj * k3) + d4
-            x = x + (hj / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            end, k = divmod(s0 + j + 1, m)
-            if k:
-                continue
-            if not np.isfinite(x).all() or float(np.abs(x).max()) > cap:
-                return states, end
-            states[end] = x
+    stop, error, maps = len(ts) - 1, None, None
+    with np.errstate(over="ignore", invalid="ignore"):  # the cap checks below catch inf and NaN
+        while stop:
+            try:
+                maps = _rk4_matrix(field, ts[:stop], ts[1:stop + 1], m, np.empty(stop))
+                break
+            except EvalError as exc:  # blocks are step-major, so an earlier interval may fail too
+                stop, error = min(stop - 1, int(np.searchsorted(ts, exc.t, side="right")) - 1), exc
+        for i in range(stop):
+            x = maps[i, :-1, :-1] @ states[i] + maps[i, :-1, -1]
+            if not np.abs(x).max() <= TOL.overflow:  # a blown interval's map is NaN
+                return states, i + 1
+            states[i + 1] = x
+    if error is not None:
+        # the failing interval's stages in a per-substep sweep's order, A before d
+        h = (ts[stop + 1] - ts[stop]) / m
+        t = ts[stop] + np.arange(m) * h
+        entries = tuple(e for row in sys.entries for e in row) + d.entries
+        evaluate(entries, np.stack((t + 0.5 * h, t, t + h), axis=-1))
+        raise error
     return states, None
 
 

@@ -8,7 +8,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -299,6 +302,23 @@ def test_blowup_reads_like_any_numeric_failure(tmp_path):
     code, _, err = run_cli("analyze", "-f", path, "--norm", "one")
     assert code == 2
     assert err == "numeric failure: transition matrix exceeded 1.0e+300 at t=3.53429\n"
+
+
+@pytest.mark.parametrize("args,code", [
+    # the stiff system's coarse first pass overflows before the retry succeeds
+    (["-f", "{stiff}", "--t-end", "3", "--json"], 0),
+    (["-s", "lti_diag", "--d", "1e308;0", "--t-end", "2"], 2),
+], ids=["stiff-retry", "huge-disturbance"])
+def test_perturb_prints_no_runtime_warnings(tmp_path, args, code):
+    # a subprocess, so numpy's warnings reach stderr under the default filters
+    stiff = write_system(tmp_path, {"entries": [["-3000+sin(t)", "1"], ["0", "-1"]],
+                                    "period": 2.0 * math.pi})
+    src = str(Path(lpstab.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "lpstab.cli", "perturb"] + [a.format(stiff=stiff) for a in args]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == code, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_perturb_validation():

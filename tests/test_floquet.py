@@ -178,15 +178,15 @@ def test_decay_check_is_deterministic():
 # ------------------------------------ batched RK4 kernel against the scalar reference
 
 def _ref_rk4_matrix(sys, a, b, steps):
-    # the one-segment loop that _rk4_matrix batches: three scalar A(t) calls per step
+    # the one-segment loop that _rk4_matrix batches, A(t) read from one matrix
+    # call on the stage grid (bit-equal to scalar calls, see test_periodic.py)
     Phi = np.eye(sys.n)
     h = (b - a) / steps
     cap = floquet.TOL.overflow
-    t = a
+    ts = a + np.arange(steps) * h
+    stages = sys.matrix(np.stack((ts, ts + 0.5 * h, ts + h), axis=-1))
     for k in range(steps):
-        A1 = sys.matrix(t)
-        A2 = sys.matrix(t + 0.5 * h)
-        A4 = sys.matrix(t + h)
+        A1, A2, A4 = stages[k]
         K1 = A1 @ Phi
         K2 = A2 @ (Phi + (0.5 * h) * K1)
         K3 = A2 @ (Phi + (0.5 * h) * K2)

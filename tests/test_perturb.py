@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
+from lpstab.config import TOL
 from lpstab.expr import EvalError, evaluate
 from lpstab.floquet import integrate_transition
 from lpstab.linalg import vec_norm
@@ -81,6 +82,17 @@ def test_forced_constant_system_settles():
     d = disturbance_from_strings(["1", "1"])
     traj = simulate_perturbed(sysd, d, np.zeros(2), 20.0, samples=128)
     assert traj.states[-1] == pytest.approx([1.0, 1.0], abs=1e-6)
+
+
+def test_forced_system_at_dimension_cap():
+    # the augmented field is one larger than TOL.max_dim; x' = -x + 1 in every row
+    n = TOL.max_dim
+    sysd = system_from_strings([["-1" if i == j else "0" for j in range(n)] for i in range(n)], 1.0)
+    d = disturbance_from_strings(["1"] * n)
+    traj = simulate_perturbed(sysd, d, np.zeros(n), 2.0, samples=16, cross_check=False)
+    assert traj.states.shape == (16, n) and not traj.overflowed
+    exact = -np.expm1(-traj.times)
+    assert np.abs(traj.states - exact[:, None]).max() <= 1e-9
 
 
 def test_simulator_validation():
@@ -280,18 +292,26 @@ def test_rk4_pass_matches_per_call_loop(sysd, d, t_end, m, overflows):
     ref, ref_blow = _ref_rk4_pass(sysd, dist, x0, ts, m)
     assert blow == ref_blow and (blow is not None) == overflows
     stop = len(ts) if blow is None else blow
-    assert states[:stop].tobytes() == ref[:stop].tobytes()
+    # states are products of per-interval maps, so they move in the last bits
+    err = np.abs(states[:stop] - ref[:stop]).max(axis=1)
+    assert (err <= 1e-13 * np.abs(ref[:stop]).max(axis=1)).all()
 
 
-def test_rk4_pass_eval_error_matches_per_call_loop():
+@pytest.mark.parametrize("sysd,t_end,samples,m", [
+    (lti_diag().system, 4.0, 17, 5),
+    # the first block to fail is not the earliest: blocks are step-major
+    (lti_diag().system, 4.1, 65, 40),
+    # A fails later than d in the same interval, and A is evaluated first
+    (system_from_strings([["-1", "sqrt(3.1 - t)"], ["0", "-2"]], 1.0), 4.0, 17, 5),
+], ids=["one-block", "split-blocks", "matrix-fails-later"])
+def test_rk4_pass_eval_error_matches_per_call_loop(sysd, t_end, samples, m):
     # d fails beyond t = 3 on a stable system: the same substep raises
-    sysd = lti_diag().system
     dist = disturbance_from_strings(["sqrt(3 - t)", "0"])
-    ts = np.linspace(0.0, 4.0, 17)
+    ts = np.linspace(0.0, t_end, samples)
     with pytest.raises(EvalError) as ref:
-        _ref_rk4_pass(sysd, dist, np.ones(2), ts, 5)
+        _ref_rk4_pass(sysd, dist, np.ones(2), ts, m)
     with pytest.raises(EvalError) as got:
-        _rk4_pass(sysd, dist, np.ones(2), ts, 5)
+        _rk4_pass(sysd, dist, np.ones(2), ts, m)
     assert str(got.value) == str(ref.value) and got.value.t == ref.value.t
 
 
