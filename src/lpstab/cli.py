@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 
 import click
@@ -32,7 +33,7 @@ from .expr import EvalError
 from .linalg import NormKind, vec_norm
 from .periodic import SystemDef
 
-_NORM_CHOICE = click.Choice(["one", "two", "inf", "weighted"])
+_NORM_CHOICE = click.Choice([*lognorm.NAMED, "weighted"])
 
 
 def _load_file(path: str) -> SystemDef:
@@ -49,18 +50,21 @@ def _load_file(path: str) -> SystemDef:
     if (not isinstance(entries, list) or not entries
             or not all(isinstance(r, list) and all(isinstance(s, str) for s in r) for r in entries)):
         raise InputError(f"{path}: \"entries\" must be a non-empty list of lists of strings")
-    period = doc.get("period")
-    if not isinstance(period, (int, float)):
-        raise InputError(f"{path}: \"period\" must be a number")
-    t0 = doc.get("t0", 0.0)
-    if not isinstance(t0, (int, float)):
-        raise InputError(f"{path}: \"t0\" must be a number")
+    period, t0 = _number(doc, path, "period"), _number(doc, path, "t0", 0.0)
     n = doc.get("n")
-    if n is not None and n != len(entries):
+    if n is not None and (isinstance(n, bool) or n != len(entries)):
         raise InputError(f"{path}: \"n\"={n} does not match {len(entries)} rows")
-    sysd = periodic.system_from_strings(entries, float(period), float(t0))
+    sysd = periodic.system_from_strings(entries, period, t0)
     periodic.validate_periodicity(sysd)
     return sysd
+
+
+def _number(doc: dict, path: str, key: str, default=None) -> float:
+    value = doc.get(key, default)
+    # bool is an int subclass, but JSON true is not a number
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{path}: \"{key}\" must be a number")
+    return float(value)
 
 
 def _parse_params(params: tuple[str, ...]) -> dict[str, float]:
@@ -113,11 +117,11 @@ def _resolve_kinds(sysd: SystemDef, norms: str) -> list[tuple[str, NormKind]]:
     names = [p.strip() for p in norms.split(",") if p.strip() != ""]
     if not names:
         raise InputError("--norm must name at least one norm")
-    allowed = set(lognorm.NAMED) | {"weighted"}
     out = []
     for name in names:
-        if name not in allowed:
-            raise InputError(f"unknown norm {name!r}; choose from {', '.join(sorted(allowed))}")
+        if name not in _NORM_CHOICE.choices:
+            raise InputError(f"unknown norm {name!r}; "
+                             f"choose from {', '.join(sorted(_NORM_CHOICE.choices))}")
         out.append((name, _resolve_kind(sysd, name)))
     return out
 
@@ -133,9 +137,19 @@ def _emit_json(doc: dict) -> None:
 
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
-        return [float(p) for p in text.replace(";", ",").split(",") if p.strip() != ""]
+        values = [float(p) for p in text.replace(";", ",").split(",") if p.strip() != ""]
     except ValueError as exc:
         raise InputError(f"cannot parse {what} {text!r}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"{what} entries must be finite, got {text!r}")
+    return values
+
+
+def _check_t_end(t_end: float, t0: float) -> None:
+    if not math.isfinite(t_end):
+        raise InputError(f"--t-end must be finite, got {t_end!r}")
+    if t_end <= t0:
+        raise InputError(f"--t-end must exceed t0 = {t0:g}")
 
 
 def _write_trajectory(fh, traj: perturb.Trajectory, kind: NormKind) -> None:
@@ -204,7 +218,6 @@ def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
             if not sandwich_ok:
                 failures.append(f"{name}: transition bound violated by {violation:.3e}")
             entry["oracle"] = oracle_doc
-            entry["_strip_check"] = strip_check
         analyses.append(entry)
     if json_out:
         doc = {
@@ -213,7 +226,7 @@ def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
             "zero_tol": zero_tol,
             "tolerances": dataclasses.asdict(TOL),
             "frozen_time": _record_doc(frozen),
-            "analyses": [{k: v for k, v in e.items() if not k.startswith("_")} for e in analyses],
+            "analyses": analyses,
         }
         _emit_json(doc)
     else:
@@ -242,9 +255,8 @@ def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
                        f"dL- {rates['delta_lower_minus']:.6g}")
             click.echo(f"exponent strip: [{entry['strip'][0]:.6g}, {entry['strip'][1]:.6g}]")
             if not no_oracle:
-                sc = entry["_strip_check"]
                 parts = ", ".join(f"{v:.6g}" for v in fce.real_parts)
-                inside = "yes" if sc.passed else "NO"
+                inside = "yes" if entry["oracle"]["strip_check"]["passed"] else "NO"
                 label = ""
                 if entry["classification"] == "inconclusive":
                     label = " (independent route, not a drift-test certificate)"
@@ -273,8 +285,7 @@ def series(file, system_name, params, norm, t_end, samples, trajectory, out):
         t_end = sysd.t0 + 3.0 * sysd.period
     if samples < 2:
         raise InputError("--samples must be at least 2")
-    if t_end <= sysd.t0:
-        raise InputError(f"--t-end must exceed t0 = {sysd.t0:g}")
+    _check_t_end(t_end, sysd.t0)
     with click.open_file(out, "w") as fh:
         if trajectory is None:
             arr = periodic.barrier_series(sysd, kind, t_end, samples)
@@ -307,8 +318,7 @@ def perturb_cmd(file, system_name, params, norm, dist, x0, t_end, samples, out, 
     kind = _resolve_kind(sysd, norm)
     if t_end is None:
         t_end = sysd.t0 + 5.0 * sysd.period
-    if t_end <= sysd.t0:
-        raise InputError(f"--t-end must exceed t0 = {sysd.t0:g}")
+    _check_t_end(t_end, sysd.t0)
     if samples < 16:
         raise InputError("--samples must be at least 16")
     if dist is None:

@@ -33,6 +33,7 @@ or floating-point warning leaves evaluate().
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -90,62 +91,32 @@ class Call:
 
 Expression = Union[Num, TimeVar, Const, Neg, BinOp, Call]
 
-FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 CONSTANTS = {"pi": np.pi, "e": np.e}
+_UNARY = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+          "ln": np.log, "sqrt": np.sqrt, "abs": np.abs}
 
 
 # ---------------------------------------------------------------- tokenizer
 
+# One alternative per token kind, after any (Unicode) whitespace.  Digits and
+# names are ASCII; a number's exponent part counts only when digits follow
+# it, so '2*e' still reads the constant e.  'bad' takes any other character.
+_TOKEN = re.compile(r"""\s*(?:
+      (?P<num> (?:[0-9]+(?:\.[0-9]*)? | \.[0-9]+) (?:[eE][-+]?[0-9]+)? )
+    | (?P<name> [A-Za-z]+ ) | (?P<op> [-+*/^] ) | (?P<lp> \( ) | (?P<rp> \) )
+    | (?P<end> \Z ) | (?P<bad> . ))""", re.VERBOSE)
+
+
 def _tokenize(text):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            # exponent part only when followed by digits, so '2*e' still works
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            toks.append(("num", float(text[i:j]), i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            toks.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^":
-            toks.append(("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            toks.append(("lp", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            toks.append(("rp", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    toks.append(("end", "", n))
-    return toks
+    toks, pos = [], 0
+    while True:
+        m = _TOKEN.match(text, pos)
+        kind, value, pos = m.lastgroup, m[m.lastgroup], m.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", m.start(kind))
+        toks.append((kind, float(value) if kind == "num" else value, m.start(kind)))
+        if kind == "end":
+            return toks
 
 
 class _Parser:
@@ -205,7 +176,7 @@ class _Parser:
                 return TimeVar()
             if val in CONSTANTS:
                 return Const(val)
-            if val in FUNCTIONS:
+            if val in _UNARY:
                 k, _, p = self.advance()
                 if k != "lp":
                     raise ParseError(f"{val} needs a parenthesized argument", p)
@@ -240,8 +211,6 @@ def parse(text: str) -> Expression:
 
 # ---------------------------------------------------------------- evaluation
 
-_UNARY = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-          "ln": np.log, "sqrt": np.sqrt, "abs": np.abs}
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 

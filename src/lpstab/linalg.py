@@ -137,14 +137,6 @@ def cholesky(S):
     return _lapack(NotPositiveDefiniteError, np.linalg.cholesky, _symmetrized(_as_square(S, "S"), "S"))
 
 
-def linear_solve(M, b):
-    return np.linalg.solve(check_nonsingular(M), _as_vector(b, "b"))
-
-
-def inverse(M):
-    return np.linalg.inv(check_nonsingular(M))
-
-
 def determinant(M):
     """det M; for a (..., n, n) stack, the array of determinants."""
     A = _as_squares(M)

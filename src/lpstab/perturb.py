@@ -200,6 +200,8 @@ def simulate_perturbed(sys: SystemDef, d: Disturbance, x0, t_end: float,
     m = max(1, int(math.ceil(TOL.ode_start_steps * (ts[1] - ts[0]) / sys.period)))
     prev = None
     while True:
+        if m * (samples - 1) > TOL.ode_max_steps:
+            raise ConvergenceError(f"trajectory did not settle within {TOL.ode_max_steps} total steps")
         cur, blow = _rk4_pass(sys, d, x0, ts, m)
         if blow is not None:
             # RK4 itself diverges when the substep is too coarse against |A|,
@@ -223,8 +225,6 @@ def simulate_perturbed(sys: SystemDef, d: Disturbance, x0, t_end: float,
             diff = float(np.abs(cur - prev).max())
             if diff <= TOL.ode_tol * (1.0 + float(np.abs(cur).max())):
                 break
-        if 2 * m * (samples - 1) > TOL.ode_max_steps:
-            raise ConvergenceError(f"trajectory did not settle within {TOL.ode_max_steps} total steps")
         prev = cur
         m *= 2
     err = diff / 15.0

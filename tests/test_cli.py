@@ -181,6 +181,27 @@ def test_file_validation_exit_one(tmp_path):
         assert code == 1, (text, err)
 
 
+@pytest.mark.parametrize("args", [
+    ["analyze", "-f", "{superscript}"],
+    ["perturb", "-s", "lti_diag", "--d", "\u00b2;0"],
+    ["series", "-s", "lti_diag", "--t-end", "nan"],
+    ["series", "-s", "lti_diag", "--t-end", "inf"],
+    ["perturb", "-s", "lti_diag", "--t-end", "nan"],
+    ["perturb", "-s", "lti_diag", "--t-end", "inf"],
+    ["perturb", "-s", "lti_diag", "--x0", "nan,1"],
+    ["series", "-s", "lti_diag", "--trajectory", "inf,0"],
+    ["analyze", "-f", "{bool_period}"],
+], ids=["file-superscript", "d-superscript", "series-t-end-nan", "series-t-end-inf",
+        "perturb-t-end-nan", "perturb-t-end-inf", "x0-nan", "trajectory-inf", "period-true"])
+def test_input_errors_exit_one_without_traceback(tmp_path, args):
+    files = {"superscript": write_system(tmp_path, {"entries": [["-1+sin(t)^\u00b2"]],
+                                                    "period": 2.0 * math.pi}, "sup.json"),
+             "bool_period": write_system(tmp_path, {"entries": [["-1"]], "period": True}, "b.json")}
+    code, _, err = run_cli(*(a.format(**files) for a in args))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_numeric_failure_exit_two(tmp_path):
     # sqrt leaves its domain while the periodicity grid samples the entries
     path = write_system(tmp_path, {"entries": [["sqrt(t - 100)"]], "period": 1.0})

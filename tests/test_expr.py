@@ -23,6 +23,7 @@ from lpstab.expr import (
     Num,
     ParseError,
     TimeVar,
+    _tokenize,
     contains_time,
     evaluate,
     parse,
@@ -73,6 +74,85 @@ def test_time_dependent():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse(bad)
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("-1+sin(t)^\u00b2", 10), ("\u00bd*t", 0), ("\u0661", 0), ("2*\u00e9", 2), ("1\u00b2", 1),
+], ids=["superscript", "fraction", "arabic-indic", "letter", "after-digit"])
+def test_non_ascii_digits_and_letters_rejected(text, offset):
+    with pytest.raises(ParseError, match="unexpected character") as info:
+        parse(text)
+    assert info.value.position == offset
+
+
+def _ref_tokenize(text):
+    # the character-by-character scanner lpstab used before the regular
+    # expression, kept as the reference for ASCII input and Unicode whitespace
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == ".":
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    while k < n and text[k].isdigit():
+                        k += 1
+                    j = k
+            toks.append(("num", float(text[i:j]), i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and text[j].isalpha():
+                j += 1
+            toks.append(("name", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*/^":
+            toks.append(("op", ch, i))
+            i += 1
+            continue
+        if ch == "(":
+            toks.append(("lp", ch, i))
+            i += 1
+            continue
+        if ch == ")":
+            toks.append(("rp", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    toks.append(("end", "", n))
+    return toks
+
+
+def _scan(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def test_tokenize_matches_reference_scanner():
+    pieces = ["0", "1", "25", ".", "..", "3.", ".5", "e", "E", "e+", "e-", "1e3", "2E-4",
+              "+", "-", "*", "/", "^", "(", ")", "t", "pi", "sin", "ln", "abs", "x", "_",
+              "#", "$", " ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\x1c"]
+    rng = random.Random(20261018)
+    for _ in range(4000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(1, 12)))
+        assert _scan(_tokenize, text) == _scan(_ref_tokenize, text), text
 
 
 def test_eval_domain_errors():

@@ -5,14 +5,17 @@ the forced ones via superposition.  Disturbance summaries are checked
 against hand-integrable cases.
 """
 
+import dataclasses
 import math
 from functools import partial
 
 import numpy as np
 import pytest
 
+from lpstab import perturb
 from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
 from lpstab.config import TOL
+from lpstab.errors import ConvergenceError
 from lpstab.expr import EvalError, evaluate
 from lpstab.floquet import integrate_transition
 from lpstab.linalg import vec_norm
@@ -105,6 +108,17 @@ def test_simulator_validation():
         simulate_perturbed(sysd, Disturbance.zero(2), np.zeros(2), 0.0)
     with pytest.raises(ValueError):
         simulate_perturbed(sysd, Disturbance.zero(2), np.zeros(2), 1.0, samples=1)
+
+
+def test_step_budget_checked_before_the_first_pass(monkeypatch):
+    # 255 sample intervals of 2 substeps each are over a budget of 256 substeps
+    sysd = lti_diag().system
+    calls = []
+    monkeypatch.setattr(perturb, "TOL", dataclasses.replace(TOL, ode_max_steps=256))
+    monkeypatch.setattr(perturb, "_rk4_pass", lambda *a: calls.append(a) or _rk4_pass(*a))
+    with pytest.raises(ConvergenceError, match="did not settle within 256 total steps"):
+        simulate_perturbed(sysd, Disturbance.zero(2), np.ones(2), sysd.t0 + 5.0 * sysd.period)
+    assert calls == []
 
 
 def test_overflow_is_flagged_not_raised():
