@@ -78,6 +78,8 @@ def _parse_params(params: tuple[str, ...]) -> dict[str, float]:
             out[key] = float(value)
         except ValueError as exc:
             raise InputError(f"--param {key}: {value!r} is not a number") from exc
+        if not math.isfinite(out[key]):
+            raise InputError(f"--param {key} must be finite, got {value!r}")
     return out
 
 

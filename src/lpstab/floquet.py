@@ -39,7 +39,8 @@ class TransitionMatrix:
     error_estimate: float
 
 
-# stage times per SystemDef.matrix call, fewer for large n, so peak memory stays flat
+# stage times per block, one SystemDef.matrix call, fewer for large n so peak memory stays
+# flat; a block holds at least one step of every segment, so large stacks go over it
 _BLOCK = 4096
 
 
@@ -66,19 +67,14 @@ def _rk4_matrix(sys: SystemDef, a, b, steps: int, t_blow: np.ndarray | None = No
     blow = np.full(a1.size, np.nan)
     half, full, sixth = (0.5 * h)[..., None], h[..., None], (h / 6.0)[..., None]
     cap = TOL.overflow
-    size = min(_BLOCK, max(3, 4 * _BLOCK // (n * n)))
-    per_block = max(1, size // (3 * a1.size))
+    per_block = max(1, min(_BLOCK, max(3, 4 * _BLOCK // (n * n))) // (3 * a1.size))
     for k0 in range(0, steps, per_block):
         if not np.isnan(blow).any():
             break
         ks = np.arange(k0, min(steps, k0 + per_block))
         t = a1[:, None] + ks * h
         t = np.stack((t, t + 0.5 * h, t + h), axis=-1)
-        if t.size <= size:
-            A = sys.matrix(t)
-        else:  # one matrix call per `size` stage times
-            A = np.concatenate([sys.matrix(t.ravel()[i:i + size]) for i in range(0, t.size, size)])
-            A = A.reshape(t.shape + (n, n))
+        A = sys.matrix(t)
         for j, k in enumerate(ks.tolist()):
             A2 = A[:, j, 1]  # shared by the two middle stages
             K1 = A[:, j, 0] @ Phi

@@ -16,6 +16,10 @@ class NormKind:
     tag: str
     transform: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.tag not in ("one", "two", "inf", "weighted"):
+            raise ValueError(f"unknown norm tag {self.tag!r}")
+
     def __repr__(self):
         if self.tag == "weighted":
             return f"NormKind(weighted, n={self.transform.shape[0]})"
@@ -73,8 +77,6 @@ def vec_norm(v, kind: NormKind) -> float:
         return float(np.abs(x).sum())
     if kind.tag == "inf":
         return float(np.abs(x).max())
-    if kind.tag not in ("two", "weighted"):
-        raise ValueError(f"unknown norm tag {kind.tag!r}")
     return float(_two_norm(kind.transform @ x if kind.tag == "weighted" else x))
 
 
@@ -85,8 +87,6 @@ def mat_norm(M, kind: NormKind):
     if kind.tag in ("one", "inf"):
         v = np.abs(A).sum(axis=-2 if kind.tag == "one" else -1).max(axis=-1)
     else:
-        if kind.tag not in ("two", "weighted"):
-            raise ValueError(f"unknown norm tag {kind.tag!r}")
         B = similarity_transform(kind.transform, A) if kind.tag == "weighted" else A
         w = sym_eigs(np.swapaxes(B, -1, -2) @ B)[..., -1]
         v = np.sqrt(np.where(0.0 > w, 0.0, w))  # Python's max(w, 0.0), which keeps a -0.0

@@ -57,8 +57,6 @@ def mu(M, kind: NormKind):
     else:
         if kind.tag == "weighted":
             A = linalg.similarity_transform(kind.transform, A)
-        elif kind.tag != "two":
-            raise ValueError(f"unknown norm tag {kind.tag!r}")
         v = linalg.sym_eigs(0.5 * (A + np.swapaxes(A, -1, -2)))[..., -1]
     return float(v) if A.ndim == 2 else v
 

@@ -26,8 +26,9 @@ kinks where off-diagonal entries or symmetric-part eigenvalues cross, so
 error estimates are carried through and reported.
 
 Evaluation takes arrays of times throughout: SystemDef.matrix gives matrix
-stacks, lognorm.mu maps stacks to arrays, and integrate refines all of its
-intervals level by level, calling the integrand once per level.
+stacks, lognorm.mu maps stacks to arrays, integrate refines all of its
+intervals level by level with one integrand call per level, and
+rate_summary polishes its extrema with one pi_integral call per round.
 """
 
 from __future__ import annotations
@@ -130,8 +131,6 @@ def validate_periodicity(sys: SystemDef) -> float:
     declared period that divides the true one passes, which is harmless:
     every certificate below remains valid for it.
     """
-    if sys.is_constant:
-        return 0.0
     ts = sys.t0 + sys.period * np.arange(TOL.periodicity_grid) / TOL.periodicity_grid
     # t_j and t_j + T interleaved, so an EvalError names the first failing time in that order
     M = sys.matrix(np.stack((ts, ts + sys.period), axis=1))
@@ -275,54 +274,24 @@ class RateSummary:
     quadrature_error: float
 
 
-def _golden_max(a, b, tol):
-    # golden-section search for a maximum on [a, b], as a generator: it yields the
-    # abscissas to evaluate (two at first, then one per step), is sent their values
-    # and returns the largest value seen
+def _golden_max(f, a, b, tol):
+    # golden-section search for a maximum on every bracket [a_i, b_i] at once, with one call
+    # of f (abscissas, one per bracket on the last axis, to values) per round; a bracket with
+    # b - a <= tol is frozen: it narrows on, but its values no longer count toward its best
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = yield (c, d)
-    best = max(fc, fd)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            (fc,) = yield (c,)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            (fd,) = yield (d,)
-        best = max(best, fc, fd)
+    fc, fd = f(np.stack((c, d)))
+    best = np.maximum(fc, fd)
+    live = b - a > tol
+    while live.any():
+        left = fc >= fd  # keep [a, d], else [c, b]; a NaN goes right
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = f(x)
+        c, fc, d, fd = np.where(left, (x, fx, c, fc), (d, fd, x, fx))
+        best = np.where(live, np.maximum(best, np.maximum(fc, fd)), best)
+        live &= b - a > tol
     return best
-
-
-def _polish_extrema(sys: SystemDef, kind: NormKind, searches, tol: float) -> list[float]:
-    """Golden-section polish of the deviation phi(t) = pi(t) - lam (t - t0).
-
-    searches holds (sign, lam, want_max, grid value, a, b) per extremum, [a, b]
-    being the bracket of its grid neighbours.  All searches advance in
-    lockstep, with one pi_integral call per sign and round; each comes back as
-    the larger (smaller) of its grid value and the best maximum (minimum) seen.
-    """
-    gens = [_golden_max(a, b, tol) for *_, a, b in searches]
-    asks = {i: g.send(None) for i, g in enumerate(gens)}
-    out = [q[3] for q in searches]
-    while asks:
-        for sign in (1, -1):
-            mine = [i for i in asks if searches[i][0] == sign]
-            if not mine:
-                continue
-            t = np.array([x for i in mine for x in asks[i]])
-            values = iter((pi_integral(sys, kind, sign, t)[0] - searches[mine[0]][1] * (t - sys.t0)).tolist())
-            for i in mine:
-                # a minimum of phi is the maximum of -phi
-                flip = 1.0 if searches[i][2] else -1.0
-                try:
-                    asks[i] = gens[i].send(tuple(flip * next(values) for _ in asks[i]))
-                except StopIteration as stop:
-                    del asks[i]
-                    out[i] = max(out[i], stop.value) if flip > 0 else min(out[i], -stop.value)
-    return out
 
 
 @lru_cache(maxsize=128)
@@ -330,8 +299,8 @@ def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
     """Compute the RateSummary for a system and norm (cached).
 
     The deviation pi(t) - lambda (t - t0) is scanned on a uniform grid of
-    per-segment adaptive integrals, then each candidate extremum is polished
-    by golden-section search on the continuous deviation.  Constant systems
+    per-segment adaptive integrals, then its grid argmax and argmin are
+    polished together by one array golden-section search.  Constant systems
     short-circuit: pi is exactly linear and every delta is zero.
     """
     T = sys.period
@@ -341,8 +310,9 @@ def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
         mp = lognorm.mu(A, kind)
         mm = lognorm.mu(-A, kind)
         return RateSummary(kind, t0, T, mp, mm, 0.0, 0.0, 0.0, 0.0, mp * T, mm * T, 0.0)
-    lams, pers, searches = [], [], []
+    lams, pers, deltas = [], [], []
     err_total = 0.0
+    flip = np.array([1.0, -1.0])  # a minimum of phi is the maximum of -phi
     for sign in (1, -1):
         ts, cum, err = _scan(sys, kind, sign)
         err_total += err
@@ -351,11 +321,13 @@ def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
         g = cum - lam * (ts - t0)
         lams.append(lam)
         pers.append(per)
-        for j, want_max in ((int(np.argmax(g)), True), (int(np.argmin(g)), False)):
-            a, b = float(ts[max(j - 1, 0)]), float(ts[min(j + 1, len(ts) - 1)])
-            searches.append((sign, lam, want_max, float(g[j]), a, b))
-    tol = TOL.refine_width * (float(ts[-1]) - float(ts[0]))
-    du_p, dl_p, du_m, dl_m = _polish_extrema(sys, kind, searches, tol)
+        # brackets of the grid argmax and argmin between their grid neighbours
+        j = np.array([np.argmax(g), np.argmin(g)])
+        a, b = ts[np.maximum(j - 1, 0)], ts[np.minimum(j + 1, ts.size - 1)]
+        tol = TOL.refine_width * (float(ts[-1]) - float(ts[0]))
+        best = _golden_max(lambda t: flip * (pi_integral(sys, kind, sign, t)[0] - lam * (t - t0)), a, b, tol)
+        deltas += (max(float(g[j[0]]), float(best[0])), min(float(g[j[1]]), -float(best[1])))
+    du_p, dl_p, du_m, dl_m = deltas
     (lam_p, lam_m), (per_p, per_m) = lams, pers
     return RateSummary(kind, t0, T, lam_p, lam_m, du_p, dl_p, du_m, dl_m, per_p, per_m, err_total)
 
@@ -478,10 +450,8 @@ def frozen_time_check(sys: SystemDef, grid_points: int = 64) -> FrozenTimeReport
     # mat_norm gives -0.0 for a zero matrix; the bounds report it as 0.0
     m_bound = max(0.0, float(linalg.mat_norm(A, lognorm.TWO).max()))
     worst = max(max(z.real for z in linalg.gen_eigs(a)) for a in A)
-    sup_adot = 0.0
-    if not sys.is_constant:
-        dA = (sys.matrix(ts + h) - sys.matrix(ts - h)) / (2.0 * h)
-        sup_adot = max(0.0, float(linalg.mat_norm(dA, lognorm.TWO).max()))
+    dA = (sys.matrix(ts + h) - sys.matrix(ts - h)) / (2.0 * h)
+    sup_adot = max(0.0, float(linalg.mat_norm(dA, lognorm.TWO).max()))
     m_margin = 1.05 * m_bound
     alpha = -worst
     applicable = worst < 0.0

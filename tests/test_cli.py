@@ -191,8 +191,12 @@ def test_file_validation_exit_one(tmp_path):
     ["perturb", "-s", "lti_diag", "--x0", "nan,1"],
     ["series", "-s", "lti_diag", "--trajectory", "inf,0"],
     ["analyze", "-f", "{bool_period}"],
+    ["analyze", "-s", "example1", "--param", "beta=nan"],
+    ["analyze", "-s", "example1", "--param", "beta=inf"],
+    ["series", "-s", "example1", "--param", "beta=-1e400"],
 ], ids=["file-superscript", "d-superscript", "series-t-end-nan", "series-t-end-inf",
-        "perturb-t-end-nan", "perturb-t-end-inf", "x0-nan", "trajectory-inf", "period-true"])
+        "perturb-t-end-nan", "perturb-t-end-inf", "x0-nan", "trajectory-inf", "period-true",
+        "param-nan", "param-inf", "param-overflow"])
 def test_input_errors_exit_one_without_traceback(tmp_path, args):
     files = {"superscript": write_system(tmp_path, {"entries": [["-1+sin(t)^\u00b2"]],
                                                     "period": 2.0 * math.pi}, "sup.json"),
@@ -200,6 +204,8 @@ def test_input_errors_exit_one_without_traceback(tmp_path, args):
     code, _, err = run_cli(*(a.format(**files) for a in args))
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if "--param" in args:
+        assert err.startswith("error: --param beta "), err
 
 
 def test_numeric_failure_exit_two(tmp_path):

@@ -278,6 +278,32 @@ def test_rk4_stack_matches_per_segment_loop():
     assert np.isnan(t_blow).sum() == 2
 
 
+class _CountingField:
+    # A(t) = A0 + t A1, free of transcendental calls; records the shape of each matrix call
+    def __init__(self, n):
+        rng = np.random.default_rng(4040)
+        self.n = n
+        self.A0 = rng.standard_normal((n, n)) / n - np.eye(n)
+        self.A1 = rng.standard_normal((n, n)) / n
+        self.calls = []
+
+    def matrix(self, t):
+        self.calls.append(np.shape(t))
+        return self.A0 + np.asarray(t)[..., None, None] * self.A1
+
+
+def test_rk4_one_field_call_per_block():
+    # at n = 40 a block holds 10 stage times, fewer than the 300 of one step of 100 segments:
+    # each step is then one block, read from one matrix call on all of its stage times
+    field = _CountingField(40)
+    a = np.linspace(0.0, 1.0, 100)
+    b = a + 0.5
+    stack = _rk4_matrix(field, a, b, 4)
+    assert field.calls == [(100, 1, 3)] * 4
+    for i in range(a.size):
+        assert _rk4_matrix(field, float(a[i]), float(b[i]), 4).tobytes() == stack[i].tobytes()
+
+
 @pytest.mark.parametrize("segments,max_steps,kind", [
     ([(0.0, 1e-3), (0.0, math.pi), (0.0, 2.0 * math.pi)], None, BlowupError),
     ([(0.0, 2.0 * math.pi), (0.0, math.pi)], None, BlowupError),

@@ -237,6 +237,12 @@ def test_input_validation():
         la.gen_eigs(np.zeros((2, 2, 2)))
 
 
+def test_norm_kind_rejects_unknown_tag():
+    # checked once on construction, so the norm routines need no fallback branch
+    with pytest.raises(ValueError, match="unknown norm tag 'bogus'"):
+        la.NormKind("bogus")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
 def test_stacks_match_per_item_calls(n):
     # mat_norm and determinant over a (4, 5, n, n) stack against one call per matrix
