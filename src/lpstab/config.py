@@ -24,7 +24,7 @@ class Tolerances:
     # classification and rate extraction
     zero_band: float = 1e-8         # |per-period integral| below this counts as zero
     scan_points: int = 2048         # uniform scan for barrier offset extrema
-    refine_width: float = 1e-10     # golden-section bracket width, relative to the period
+    refine_width: float = 1e-10     # bisection bracket width, relative to the period
     fd_step: float = 1e-6           # central-difference step, relative to the period
 
     # system validation

@@ -28,7 +28,8 @@ error estimates are carried through and reported.
 Evaluation takes arrays of times throughout: SystemDef.matrix gives matrix
 stacks, lognorm.mu maps stacks to arrays, integrate refines all of its
 intervals level by level with one integrand call per level, and
-rate_summary polishes its extrema with one pi_integral call per round.
+rate_summary polishes its extrema by bisection on mu - lambda, one mu call
+per round, and one pi_integral call per direction at the end.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ from .config import TOL
 from .errors import InputError
 from .expr import Expression, ParseError, contains_time, evaluate, parse, to_string
 from .linalg import NormKind
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -274,34 +273,17 @@ class RateSummary:
     quadrature_error: float
 
 
-def _golden_max(f, a, b, tol):
-    # golden-section search for a maximum on every bracket [a_i, b_i] at once, with one call
-    # of f (abscissas, one per bracket on the last axis, to values) per round; a bracket with
-    # b - a <= tol is frozen: it narrows on, but its values no longer count toward its best
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(np.stack((c, d)))
-    best = np.maximum(fc, fd)
-    live = b - a > tol
-    while live.any():
-        left = fc >= fd  # keep [a, d], else [c, b]; a NaN goes right
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        fx = f(x)
-        c, fc, d, fd = np.where(left, (x, fx, c, fc), (d, fd, x, fx))
-        best = np.where(live, np.maximum(best, np.maximum(fc, fd)), best)
-        live &= b - a > tol
-    return best
-
-
 @lru_cache(maxsize=128)
 def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
     """Compute the RateSummary for a system and norm (cached).
 
-    The deviation pi(t) - lambda (t - t0) is scanned on a uniform grid of
-    per-segment adaptive integrals, then its grid argmax and argmin are
-    polished together by one array golden-section search.  Constant systems
-    short-circuit: pi is exactly linear and every delta is zero.
+    The deviation phi(t) = pi(t) - lambda (t - t0) is scanned on a uniform
+    grid of per-segment adaptive integrals.  Every grid local maximum and
+    minimum within one grid step's change of the grid extreme is then
+    polished: phi' = mu - lambda is known pointwise, so each bracket is
+    bisected on its sign, all brackets at once, and phi is read at the
+    converged abscissas by one pi_integral call per direction.  Constant
+    systems short-circuit: pi is exactly linear and every delta is zero.
     """
     T = sys.period
     t0 = sys.t0
@@ -312,7 +294,6 @@ def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
         return RateSummary(kind, t0, T, mp, mm, 0.0, 0.0, 0.0, 0.0, mp * T, mm * T, 0.0)
     lams, pers, deltas = [], [], []
     err_total = 0.0
-    flip = np.array([1.0, -1.0])  # a minimum of phi is the maximum of -phi
     for sign in (1, -1):
         ts, cum, err = _scan(sys, kind, sign)
         err_total += err
@@ -321,12 +302,28 @@ def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
         g = cum - lam * (ts - t0)
         lams.append(lam)
         pers.append(per)
-        # brackets of the grid argmax and argmin between their grid neighbours
-        j = np.array([np.argmax(g), np.argmin(g)])
+        # grid peaks of g (flip = 1) and of -g (flip = -1) near the extreme; strict on the left,
+        # so a plateau counts once
+        step = float(np.abs(np.diff(g)).max())
+        peaks = []
+        for s in (1.0, -1.0):
+            h = np.concatenate(([-np.inf], s * g, [-np.inf]))
+            mid = h[1:-1]
+            peaks.append(np.flatnonzero((mid > h[:-2]) & (mid >= h[2:]) & (mid >= mid.max() - step)))
+        j = np.concatenate(peaks)
+        flip = np.repeat([1.0, -1.0], [p.size for p in peaks])
         a, b = ts[np.maximum(j - 1, 0)], ts[np.minimum(j + 1, ts.size - 1)]
+        # a fixed count of halvings, since a bracket cannot narrow below the spacing of floats near t
         tol = TOL.refine_width * (float(ts[-1]) - float(ts[0]))
-        best = _golden_max(lambda t: flip * (pi_integral(sys, kind, sign, t)[0] - lam * (t - t0)), a, b, tol)
-        deltas += (max(float(g[j[0]]), float(best[0])), min(float(g[j[1]]), -float(best[1])))
+        mu = _mu_fn(sys, kind, sign)
+        for _ in range(math.ceil(math.log2(max(float((b - a).max()) / tol, 1.0)))):
+            m = 0.5 * (a + b)
+            rising = flip * (mu(m) - lam) > 0.0
+            a, b = np.where(rising, m, a), np.where(rising, b, m)
+        x = 0.5 * (a + b)
+        phi = flip * (pi_integral(sys, kind, sign, x)[0] - lam * (x - t0))
+        deltas += (max(float(g.max()), float(phi[flip > 0].max())),
+                   min(float(g.min()), -float(phi[flip < 0].max())))
     du_p, dl_p, du_m, dl_m = deltas
     (lam_p, lam_m), (per_p, per_m) = lams, pers
     return RateSummary(kind, t0, T, lam_p, lam_m, du_p, dl_p, du_m, dl_m, per_p, per_m, err_total)

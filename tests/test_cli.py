@@ -348,6 +348,18 @@ def test_perturb_prints_no_runtime_warnings(tmp_path, args, code):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_analyze_terminates_at_large_initial_time(tmp_path):
+    # near t0 = 6e6 floats are 9.3e-10 apart, wider than the polish's bracket width of 6.3e-10
+    path = write_system(tmp_path, {"entries": [["-1 + sin(t)"]], "period": 2.0 * math.pi, "t0": 6e6})
+    src = str(Path(lpstab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "lpstab.cli", "analyze", "-f", path, "--norm", "one"],
+                          capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: UES" in proc.stdout
+    assert "overshoot K: 7.38906" in proc.stdout
+    assert "inside strip: yes" in proc.stdout
+
+
 def test_perturb_validation():
     code, _, _ = run_cli("perturb", "-s", "lti_diag", "--samples", "8")
     assert code == 1

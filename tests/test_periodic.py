@@ -505,21 +505,24 @@ def test_validate_periodicity_names_first_failing_time():
     assert info.value.t == 2.0
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def _ref_golden_max(fn, a, b, tol):
-    # the sequential golden-section search that rate_summary runs four of in lockstep
-    c = b - periodic._INVPHI * (b - a)
-    d = a + periodic._INVPHI * (b - a)
+    # a derivative-free golden-section search over scalar calls, the reference for the bisection
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
     fc = fn(c)
     fd = fn(d)
     best = max(fc, fd)
     while b - a > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
-            c = b - periodic._INVPHI * (b - a)
+            c = b - _INVPHI * (b - a)
             fc = fn(c)
         else:
             a, c, fc = c, d, fd
-            d = a + periodic._INVPHI * (b - a)
+            d = a + _INVPHI * (b - a)
             fd = fn(d)
         best = max(best, fc, fd)
     return best
@@ -546,8 +549,11 @@ def _ref_deltas(sysd, kind):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(n for n in CATALOG if not CATALOG[n]().system.is_constant))
-def test_lockstep_polish_matches_sequential_searches(monkeypatch, name):
+_VARYING = sorted(n for n in CATALOG if not CATALOG[n]().system.is_constant)
+
+
+@pytest.mark.parametrize("name", _VARYING)
+def test_bisection_polish_matches_golden_section_reference(monkeypatch, name):
     sysd = CATALOG[name]().system
     calls = []
     counted = periodic.pi_integral
@@ -555,9 +561,30 @@ def test_lockstep_polish_matches_sequential_searches(monkeypatch, name):
     for kind in KINDS:
         calls.clear()
         r = rate_summary.__wrapped__(sysd, kind)
-        polish_calls = len(calls)
+        # one call per sign, at every converged abscissa of that sign at once
+        assert [c[2] for c in calls] == [1, -1]
         got = (r.delta_upper_plus, r.delta_lower_plus, r.delta_upper_minus, r.delta_lower_minus)
-        calls.clear()
-        assert _bits(got) == _bits(_ref_deltas(sysd, kind)), (name, kind.tag)
-        # one call per sign and round instead of one per abscissa and search
-        assert polish_calls <= len(calls) // 2 + 2
+        # the two searches stop at different points of the same extremum: last-bit differences
+        assert np.abs(np.subtract(got, _ref_deltas(sysd, kind))).max() <= 1e-13, (name, kind.tag)
+
+
+@pytest.mark.parametrize("name", _VARYING)
+def test_offsets_bound_dense_samples(name):
+    # independent of any search: phi at 8 points per scan cell stays inside [delta_lower, delta_upper]
+    sysd = CATALOG[name]().system
+    ts = sysd.t0 + sysd.period * np.arange(8 * TOL.scan_points + 1) / (8 * TOL.scan_points)
+    for kind in KINDS:
+        r = rate_summary(sysd, kind)
+        for sign, lam, upper, lower in ((1, r.lambda_plus, r.delta_upper_plus, r.delta_lower_plus),
+                                        (-1, r.lambda_minus, r.delta_upper_minus, r.delta_lower_minus)):
+            phi = pi_integral(sysd, kind, sign, ts)[0] - lam * (ts - sysd.t0)
+            assert upper >= phi.max() - 1e-12, (name, kind.tag, sign)
+            assert lower <= phi.min() + 1e-12, (name, kind.tag, sign)
+
+
+def test_polish_finds_the_higher_of_two_close_peaks():
+    # phi = 2 (1 - cos 20t) + 2e-4 (cos t - 1): ten peaks near 4, the highest at pi/20 and
+    # 2 pi - pi/20; the grid's highest sample is on a lower one
+    sysd = system_from_strings([["-1 + 40*sin(20*t) - 0.0002*sin(t)"]], 2.0 * math.pi)
+    r = rate_summary(sysd, ONE)
+    assert r.delta_upper_plus == pytest.approx(4.0 + 2e-4 * (math.cos(math.pi / 20.0) - 1.0), abs=1e-9)
