@@ -158,8 +158,8 @@ def _write_trajectory(fh, traj: perturb.Trajectory, kind: NormKind) -> None:
     """CSV t,x1,...,xn,norm with one row per trajectory sample."""
     cols = ",".join(f"x{i + 1}" for i in range(traj.states.shape[1]))
     fh.write(f"t,{cols},norm\n")
-    for t, x in zip(traj.times, traj.states):
-        vals = [float(t), *(float(v) for v in x), vec_norm(x, kind)]
+    for t, x, norm in zip(traj.times, traj.states, vec_norm(traj.states, kind).tolist()):
+        vals = [float(t), *(float(v) for v in x), norm]
         fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
 
 

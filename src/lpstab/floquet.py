@@ -207,6 +207,23 @@ def monodromy_fce(sys: SystemDef, tol: float | None = None) -> FceEstimate:
 
 # ------------------------------------------------------------- cross-checks
 
+def _pair_products(segs: np.ndarray, forward: bool):
+    """Products of the (m, n, n) stack of consecutive segment transitions over
+    every grid pair i < j, as a stack ordered by j - i and then by i, with the
+    index arrays i and j.  Forward products multiply on the left, segs[j-1]
+    ... segs[i], backward ones on the right; each starts from the identity and
+    takes one stacked matmul per distance j - i, so it is bit-identical to
+    accumulating it one pair at a time."""
+    m = len(segs)
+    P = np.broadcast_to(np.eye(segs.shape[-1]), segs.shape)
+    out = []
+    for d in range(1, m + 1):
+        P = segs[d - 1:] @ P[:m - d + 1] if forward else P[:m - d + 1] @ segs[d - 1:]
+        out.append(P)
+    i = np.concatenate([np.arange(m - d + 1) for d in range(1, m + 1)])
+    return np.concatenate(out), i, i + np.repeat(np.arange(1, m + 1), np.arange(m, 0, -1))
+
+
 @dataclass(frozen=True)
 class StripCheck:
     passed: bool
@@ -236,9 +253,7 @@ def verify_strip(sys: SystemDef, kind: NormKind,
     min_mod = min(abs(z) for z in fce.multipliers)
     eps_mult = sys.n * fce.monodromy.error_estimate / max(min_mod, TOL.multiplier_floor)
     allowance = TOL.strip_slack + rates.quadrature_error / sys.period + math.log1p(eps_mult) / sys.period
-    worst = -math.inf
-    for rp in fce.real_parts:
-        worst = max(worst, lower - rp, rp - upper)
+    worst = max(max(lower - rp, rp - upper) for rp in fce.real_parts)
     return StripCheck(worst <= allowance, lower, upper, fce.real_parts, worst, allowance)
 
 
@@ -249,32 +264,21 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
         |Phi(t, s)| <= exp(pi_plus(t) - pi_plus(s))
         |Phi(s, t)| <= exp(pi_minus(t) - pi_minus(s))
 
-    Transitions between pairs are accumulated from per-segment integrations
-    (never by inverting an ill-conditioned product), so the comparison stays
+    Transitions between pairs are products of per-segment integrations
+    (never inverses of an ill-conditioned product), so the comparison stays
     sharp even for strongly stable systems.  The return value is positive
     when some pair violates a bound; for a correct implementation it is pure
     numerical noise, orders of magnitude below 1e-6.
     """
-    grid = 16
-    ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, grid)
+    ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, 16)
     # forward and backward transition of each grid segment, interleaved
     ends = np.stack((ts[:-1], ts[1:]), axis=1)
-    tms = integrate_transitions(sys, ends.ravel(), ends[:, ::-1].ravel())
-    fsegs, bsegs = [tm.value for tm in tms[0::2]], [tm.value for tm in tms[1::2]]
-    pp = periodic.pi_integral(sys, kind, 1, ts)[0]
-    pm = periodic.pi_integral(sys, kind, -1, ts)[0]
-    mats = []
-    rises = []
-    for i in range(grid - 1):
-        F = np.eye(sys.n)
-        B = np.eye(sys.n)
-        for j in range(i + 1, grid):
-            F = fsegs[j - 1] @ F
-            B = B @ bsegs[j - 1]
-            mats += (F, B)
-            rises += (pp[j] - pp[i], pm[j] - pm[i])
-    norms = linalg.mat_norm(np.array(mats), kind)
-    return float(np.expm1(np.log(norms) - np.array(rises)).max())
+    segs = np.array([tm.value for tm in integrate_transitions(sys, ends.ravel(), ends[:, ::-1].ravel())])
+    F, i, j = _pair_products(segs[0::2], forward=True)
+    B = _pair_products(segs[1::2], forward=False)[0]
+    pp, pm = (periodic.pi_integral(sys, kind, sign, ts)[0] for sign in (1, -1))
+    norms = linalg.mat_norm(np.concatenate((F, B)), kind)
+    return float(np.expm1(np.log(norms) - np.concatenate((pp[j] - pp[i], pm[j] - pm[i]))).max())
 
 
 @dataclass(frozen=True)
@@ -305,44 +309,21 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict, grid: int = 16) -> D
         raise ValueError(f"decay envelope only exists for stable verdicts, got {verdict.classification!r}")
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    kind = verdict.kind
-    rates = verdict.rates
-    log_k = math.log(verdict.K)
-    alpha = verdict.alpha_tilde
-    t0 = sys.t0
+    kind, rates, t0, log_k = verdict.kind, verdict.rates, sys.t0, math.log(verdict.K)
     ts = np.linspace(t0, t0 + 3.0 * sys.period, grid)
     tms = integrate_transitions(sys, ts[:-1], ts[1:])
-    segs = [tm.value for tm in tms]
     rel = 0.0
     for tm in tms:
         rel += tm.error_estimate / (1.0 + float(np.abs(tm.value).max()))
-    mats = []
-    spans = []
-    from_start = [np.eye(sys.n)]
-    for i in range(grid - 1):
-        P = np.eye(sys.n)
-        for j in range(i + 1, grid):
-            P = segs[j - 1] @ P
-            if i == 0:
-                from_start.append(P)
-            mats.append(P)
-            spans.append(float(ts[j] - ts[i]))
-    pairs = len(mats)
-    norms = linalg.mat_norm(np.array(mats), kind)
-    worst = float((log_k - alpha * np.array(spans) - np.log(norms)).min())
-    rng = np.random.default_rng(20260814)
-    state_checks = 0
-    for _ in range(8):
-        x0 = rng.standard_normal(sys.n)
-        nx0 = linalg.vec_norm(x0, kind)
-        if nx0 < 1e-6:
-            continue
-        for j in range(1, grid):
-            dt = float(ts[j] - t0)
-            log_x = math.log(linalg.vec_norm(from_start[j] @ x0, kind))
-            up = math.log(nx0) + rates.lambda_plus * dt + rates.delta_upper_plus
-            lo = math.log(nx0) - rates.lambda_minus * dt - rates.delta_upper_minus
-            worst = min(worst, up - log_x, log_x - lo)
-            state_checks += 1
+    P, i, j = _pair_products(np.array([tm.value for tm in tms]), forward=True)
+    worst = float((log_k - verdict.alpha_tilde * (ts[j] - ts[i]) - np.log(linalg.mat_norm(P, kind))).min())
+    # |Phi(t_j, t0) x0| at every grid time, Phi(t0, t0) = I included, for eight seeded x0
+    x0 = np.random.default_rng(20260814).standard_normal((8, 1, sys.n, 1))
+    from_start = np.concatenate((np.eye(sys.n)[None], P[i == 0]))
+    norms = linalg.vec_norm((from_start @ x0)[..., 0], kind)
+    log_x = np.log(norms[norms[:, 0] >= 1e-6])
+    up = log_x[:, :1] + rates.lambda_plus * (ts - t0) + rates.delta_upper_plus
+    lo = log_x[:, :1] - rates.lambda_minus * (ts - t0) - rates.delta_upper_minus
+    worst = float(np.minimum(up - log_x, log_x - lo)[:, 1:].min(initial=worst))
     allowance = TOL.decay_slack + math.log1p(rel) + rel
-    return DecayCheck(worst >= -allowance, worst, allowance, pairs, state_checks)
+    return DecayCheck(worst >= -allowance, worst, allowance, len(P), log_x[:, 1:].size)

@@ -45,10 +45,10 @@ def _as_square(M, name="matrix"):
     return A
 
 
-def _as_vector(v, name="vector"):
+def _as_vectors(v, name="vector"):
     x = np.asarray(v, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-d array, got shape {x.shape}")
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise ValueError(f"{name} must be non-empty along its last axis, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"{name} has non-finite entries")
     return x
@@ -71,15 +71,20 @@ def _two_norm(x):
     return np.where(plain, top, top * np.sqrt(dot))
 
 
-def vec_norm(v, kind: NormKind) -> float:
-    x = _as_vector(v)
+def vec_norm(v, kind: NormKind):
+    """Norm of the vector v for the given kind; for a (..., n) stack, the array
+    of each vector's norm over the leading axes."""
+    x = _as_vectors(v)
     if kind.tag == "one":
-        return float(np.abs(x).sum())
-    if kind.tag == "inf":
-        return float(np.abs(x).max())
-    return float(_two_norm(kind.transform @ x if kind.tag == "weighted" else x))
+        r = np.abs(x).sum(axis=-1)
+    elif kind.tag == "inf":
+        r = np.abs(x).max(axis=-1)
+    else:
+        r = _two_norm((kind.transform @ x[..., None])[..., 0] if kind.tag == "weighted" else x)
+    return float(r) if x.ndim == 1 else r
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow gives inf, or raises NumericError
 def mat_norm(M, kind: NormKind):
     """Induced operator norm of M for the given vector norm; for a (..., n, n)
     stack, the array of each matrix's norm over the leading axes."""
@@ -88,7 +93,7 @@ def mat_norm(M, kind: NormKind):
         v = np.abs(A).sum(axis=-2 if kind.tag == "one" else -1).max(axis=-1)
     else:
         B = similarity_transform(kind.transform, A) if kind.tag == "weighted" else A
-        w = sym_eigs(np.swapaxes(B, -1, -2) @ B)[..., -1]
+        w = _top_sym_eig(np.swapaxes(B, -1, -2) @ B, "Gram product")  # by syrk, exactly symmetric
         v = np.sqrt(np.where(0.0 > w, 0.0, w))  # Python's max(w, 0.0), which keeps a -0.0
     return float(v) if A.ndim == 2 else v
 
@@ -112,6 +117,13 @@ def sym_eigs(S, vectors: bool = False):
     S may be a (..., n, n) stack; w and V then carry its leading axes."""
     routine = np.linalg.eigh if vectors else np.linalg.eigvalsh
     return _lapack(ConvergenceError, routine, _symmetrized(_as_squares(S, "S"), "S"))
+
+
+def _top_sym_eig(S, what):
+    # top eigenvalue of each matrix of an exactly symmetric stack computed from finite arguments
+    if not np.isfinite(S).all():
+        raise NumericError(f"{what} overflowed to a non-finite value")
+    return _lapack(ConvergenceError, np.linalg.eigvalsh, S)[..., -1]
 
 
 def gen_eigs(M) -> list[complex]:

@@ -47,6 +47,7 @@ def lyapunov_weighted(A) -> NormKind:
     return NormKind("weighted", linalg.cholesky(H).T)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow gives inf, or raises NumericError
 def mu(M, kind: NormKind):
     """Logarithmic norm of M for the given vector norm kind; for a (..., n, n)
     stack, the array of each matrix's mu over the leading axes."""
@@ -57,7 +58,8 @@ def mu(M, kind: NormKind):
     else:
         if kind.tag == "weighted":
             A = linalg.similarity_transform(kind.transform, A)
-        v = linalg.sym_eigs(0.5 * (A + np.swapaxes(A, -1, -2)))[..., -1]
+        # exactly symmetric, as addition commutes, so it needs no second symmetrization
+        v = linalg._top_sym_eig(0.5 * (A + np.swapaxes(A, -1, -2)), "symmetric part")
     return float(v) if A.ndim == 2 else v
 
 

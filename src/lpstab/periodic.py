@@ -43,7 +43,7 @@ import numpy as np
 
 from . import linalg, lognorm
 from .config import TOL
-from .errors import InputError
+from .errors import InputError, NumericError
 from .expr import Expression, ParseError, contains_time, evaluate, parse, to_string
 from .linalg import NormKind
 
@@ -154,7 +154,10 @@ def _adapt(f, a, b, fa, fm, fb, whole, tol, depth):
     right = h12 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
     value, err = left + right + delta / 15.0, np.abs(delta) / 15.0
-    split = ~(np.abs(delta) <= 15.0 * tol)  # NaN refines too
+    bad = ~np.isfinite(value)  # also where any integrand value is; refining cannot mend it
+    if bad.any():
+        raise NumericError(f"integrand or its Simpson estimate is not finite from t={a[bad].min():.6g}")
+    split = np.abs(delta) > 15.0 * tol
     if depth > 0 and split.any():
         k = int(split.sum())
         cat = lambda x, y: np.concatenate((x[split], y[split]))  # noqa: E731
@@ -172,7 +175,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
 
     Returns (value, error_estimate), floats for scalar limits.  The estimate
     is the accumulated Richardson correction; when the depth cap is hit it
-    simply comes out larger, nothing raises.
+    simply comes out larger.  A panel whose integrand values or estimate are
+    not finite raises NumericError, naming the earliest such panel of its level.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -273,9 +277,8 @@ class RateSummary:
     quadrature_error: float
 
 
-@lru_cache(maxsize=128)
 def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
-    """Compute the RateSummary for a system and norm (cached).
+    """Compute the RateSummary for a system and norm.
 
     The deviation phi(t) = pi(t) - lambda (t - t0) is scanned on a uniform
     grid of per-segment adaptive integrals.  Every grid local maximum and

@@ -262,7 +262,7 @@ def convergence_report(traj: Trajectory, kind: NormKind = TWO) -> ConvergenceRep
     monotonicity check: block maxima over the last half must not increase."""
     if len(traj.times) < 16:
         raise ValueError("convergence report needs at least 16 trajectory samples")
-    ns = np.array([vec_norm(traj.states[i], kind) for i in range(len(traj.times))])
+    ns = vec_norm(traj.states, kind)
     q = len(ns) // 4
     tail = ns[-q:] if q > 0 else ns
     half = ns[len(ns) // 2:]

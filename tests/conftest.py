@@ -4,16 +4,44 @@ Tests marked @pytest.mark.criterion(num, title) feed an acceptance table
 that is printed after the run, one pass/fail line per criterion; a
 criterion spanning several tests passes only if all of them do.  Criterion
 10 additionally caps the wall time of the whole session.
+
+The run_limited fixture runs Python in a subprocess under an address-space
+limit and a timeout, so a test of a memory blow-up fails instead of
+exhausting the machine.
 """
 
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import lpstab
 
 _RESULTS: dict[int, list] = {}
 _T0 = time.perf_counter()
 
 SUITE_BUDGET_SECONDS = 60.0
+
+
+def _run_limited(args, mem_bytes=2 << 30, timeout=60):
+    # `python *args` with this lpstab on the path; one BLAS thread keeps the
+    # address space that numpy reserves on start-up small
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (mem_bytes, mem_bytes))
+
+    src = str(Path(lpstab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=limit, env=env)
+
+
+@pytest.fixture
+def run_limited():
+    return _run_limited
 
 
 def pytest_configure(config):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import lpstab.linalg as la
-from lpstab.errors import NotPositiveDefiniteError, SingularMatrixError
-from lpstab.lognorm import INF, ONE, TWO, weighted
+from lpstab.errors import NotPositiveDefiniteError, NumericError, SingularMatrixError
+from lpstab.lognorm import INF, ONE, TWO, mu, weighted
 
 
 def test_vec_norms():
@@ -235,6 +235,25 @@ def test_input_validation():
         la.mat_norm(np.zeros((2, 2, 3)), ONE)
     with pytest.raises(ValueError, match="square"):
         la.gen_eigs(np.zeros((2, 2, 2)))
+    # vec_norm takes (..., n) stacks with n >= 1
+    with pytest.raises(ValueError, match="non-empty"):
+        la.vec_norm(np.float64(1.0), ONE)
+    with pytest.raises(ValueError, match="non-empty"):
+        la.vec_norm(np.zeros((3, 0)), TWO)
+
+
+def test_overflow_inside_is_a_numeric_error():
+    # finite arguments whose Gram product or symmetric part overflows
+    A = np.array([[1e308, 1e308], [1e308, -1e308]])
+    with pytest.raises(NumericError, match="Gram product overflowed"):
+        la.mat_norm(A, TWO)
+    with pytest.raises(NumericError, match="symmetric part overflowed"):
+        mu(A, TWO)
+    # non-finite arguments stay input errors
+    with pytest.raises(ValueError, match="non-finite"):
+        la.mat_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]), TWO)
+    with pytest.raises(ValueError, match="non-finite"):
+        mu(np.array([[np.inf, 0.0], [0.0, 1.0]]), TWO)
 
 
 def test_norm_kind_rejects_unknown_tag():
@@ -245,7 +264,7 @@ def test_norm_kind_rejects_unknown_tag():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
 def test_stacks_match_per_item_calls(n):
-    # mat_norm and determinant over a (4, 5, n, n) stack against one call per matrix
+    # mat_norm, determinant and vec_norm over (4, 5) stacks against one call per item
     rng = np.random.default_rng(77 + n)
     S = rng.standard_normal((4, 5, n, n)) * rng.uniform(0.01, 100.0, (4, 5, 1, 1))
     flat = S.reshape(-1, n, n)
@@ -255,5 +274,12 @@ def test_stacks_match_per_item_calls(n):
         assert got.shape == (4, 5)
         assert got.tobytes() == np.array([la.mat_norm(A, kind) for A in flat]).tobytes()
     assert la.determinant(S).tobytes() == np.array([la.determinant(A) for A in flat]).tobytes()
+    # vec_norm over the (4, 5, n) stack of first columns, one entry near the overflow cap
+    X = S[..., 0].copy()
+    X[1, 2, 0] = 1e300
+    for kind in (ONE, TWO, INF, weighted(P)):
+        got = la.vec_norm(X, kind)
+        assert got.shape == (4, 5)
+        assert got.tobytes() == np.array([la.vec_norm(x, kind) for x in X.reshape(-1, n)]).tobytes()
     assert la.similarity_transform(P, S).tobytes() == np.array(
         [la.similarity_transform(P, A) for A in flat]).tobytes()

@@ -273,11 +273,6 @@ def test_classify_zero_tol_override():
         classify(sysd, ONE, zero_tol=math.inf)
 
 
-def test_rate_summary_is_cached():
-    sysd = strong_coupling().system
-    assert rate_summary(sysd, ONE) is rate_summary(sysd, ONE)
-
-
 def test_frozen_time_grid_validation():
     sysd = lti_diag().system
     with pytest.raises(InputError):
@@ -463,6 +458,26 @@ def test_integrate_matches_scalar_reference(f):
     assert _bits(grid) == _bits(value)
 
 
+def test_integrate_stops_on_non_finite_values(run_limited):
+    # refining a NaN panel used to split it down to the depth cap, doubling the
+    # panel arrays per level; in a subprocess, so a regression hits its memory limit
+    script = """
+from lpstab import lognorm, periodic
+from lpstab.errors import NumericError
+big = periodic.system_from_strings([["1e308*cos(t)", "1e308"], ["1e308", "1e308*sin(t)"]], 6.283185307179586)
+for call in (lambda: periodic.rate_summary(big, lognorm.ONE),
+             lambda: periodic.integrate(lambda t: 0.0 * t + 1e308, 0.5, 1.0)):
+    try:
+        call()
+    except NumericError as exc:
+        print(exc)
+"""
+    proc = run_limited(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("integrand or its Simpson estimate is not finite from t=0\n"
+                           "integrand or its Simpson estimate is not finite from t=0.5\n")
+
+
 def test_integrate_rejects_infinite_limits():
     with pytest.raises(ValueError):
         integrate(lambda s: s, np.array([0.0, 1.0]), np.array([1.0, math.inf]))
@@ -560,7 +575,7 @@ def test_bisection_polish_matches_golden_section_reference(monkeypatch, name):
     monkeypatch.setattr(periodic, "pi_integral", lambda *a: calls.append(a) or counted(*a))
     for kind in KINDS:
         calls.clear()
-        r = rate_summary.__wrapped__(sysd, kind)
+        r = rate_summary(sysd, kind)
         # one call per sign, at every converged abscissa of that sign at once
         assert [c[2] for c in calls] == [1, -1]
         got = (r.delta_upper_plus, r.delta_lower_plus, r.delta_upper_minus, r.delta_lower_minus)
