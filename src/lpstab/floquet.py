@@ -4,8 +4,11 @@ Everything in this module is deliberately independent of the drift-integral
 certificates in periodic.py: the two routes share only the evaluation of
 A(t).  State transition matrices come from a fixed-step fourth-order
 Runge-Kutta integrator with step doubling, which advances all the segments
-of one request together as a (P, n, n) stack with A(t) evaluated in blocks
-on the stage grid.  The monodromy spectrum comes from LAPACK via
+of one request together as a (P, n, n) stack.  On a linear field an RK4
+step is a matrix, so the kernel evaluates A(t) in blocks on the stage grid,
+builds each block's step matrices as one stack and composes them by
+log-depth prefix products (an associative scan, Blelloch 1990) instead of
+stepping in a Python loop.  The monodromy spectrum comes from LAPACK via
 numpy.linalg, and the verify_* functions confront the two routes:
 characteristic-exponent strip membership, the exponential sandwich on
 |transition| over time, and the decay envelope promised by a stability
@@ -39,53 +42,112 @@ class TransitionMatrix:
     error_estimate: float
 
 
-# stage times per block, one SystemDef.matrix call, fewer for large n so peak memory stays
-# flat; a block holds at least one step of every segment, so large stacks go over it
-_BLOCK = 4096
+# a block's working set in bytes: its stage stack of A(t) and the temporaries that build,
+# compose and check its step matrices, about _PER_STEP n x n matrices per step.  Large n
+# needs large blocks, since each sys.matrix call walks n^2 expression trees; at small n
+# a block stops at _BLOCK_STEPS steps, past which it saves no time and only adds memory.
+# A block holds at least one chunk, so at n = 64 it may go over.
+_BLOCK_BYTES = 4 << 20
+_BLOCK_STEPS = 1024
+_PER_STEP = 9
+
+
+def _chunk(n: int) -> int:
+    """Steps per chunk of the prefix-product scan, a power of two that depends
+    on n alone: fewer at large n, where every extra matmul round costs n^3."""
+    return max(2, 64 >> max(0, n.bit_length() - 1))
 
 
 def _blowup(t: float) -> BlowupError:
     return BlowupError(f"transition matrix exceeded {TOL.overflow:.1e} at t={t:.6g}", t_reached=t)
 
 
+def _step_matrices(A: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The RK4 step map I + h/6 (S1 + 2 S2 + 2 S3 + S4) of each stage triple
+    A(t), A(t + h/2), A(t + h) in the (m, 3, n, n) stack A, for its step h."""
+    eye = np.eye(A.shape[-1])
+    half, full, sixth = (0.5 * h)[:, None, None], h[:, None, None], (h / 6.0)[:, None, None]
+    S1, A2, A4 = A[:, 0], A[:, 1], A[:, 2]  # A2 is shared by the two middle stages
+    S2 = A2 @ (eye + half * S1)
+    S3 = A2 @ (eye + half * S2)
+    S4 = A4 @ (eye + full * S3)
+    return eye + sixth * (S1 + 2.0 * S2 + 2.0 * S3 + S4)
+
+
+def _prefix_products(Q: np.ndarray) -> None:
+    """Replace each step matrix of the (pairs, C, n, n) stack Q by the product
+    of its chunk's matrices up to it, later steps on the left, in
+    ceil(log2 C) stacked matmul rounds (Hillis-Steele).  Entry k reads only
+    entries 0..k, by a tree fixed by k."""
+    d = 1
+    while d < Q.shape[1]:
+        Q[:, d:] = Q[:, d:] @ Q[:, :-d]
+        d *= 2
+
+
 def _rk4_matrix(sys: SystemDef, a, b, steps: int, t_blow: np.ndarray | None = None) -> np.ndarray:
     """Phi(b, a) by `steps` fixed RK4 steps, for float limits or for every
     segment of the 1-d arrays a, b at once as a (P, n, n) stack.
 
-    A(t) is read from blocks pre-evaluated on the stage grid t_k, t_k + h/2,
-    t_k + h.  A segment whose matrix leaves the overflow cap is set to zero,
-    where it stays, and comes back as NaN; the time it got to is written into
-    t_blow when that array is given, else the first such segment raises
-    BlowupError.  Only sys.n and sys.matrix are read: the forced stepper in
-    perturb passes the augmented field [[A(t), d(t)], [0, 0]], whose maps
-    [[M, c], [0, 1]] carry x to M x + c.
+    On a linear field one RK4 step is a matrix M_k, so no loop runs over the
+    steps.  Each segment's steps are cut into chunks of C = _chunk(n), and
+    the (segment, chunk) pairs, chunk-major, into blocks sized by
+    _BLOCK_BYTES and _BLOCK_STEPS.  A block reads A(t) on its stage grid
+    t_k, t_k + h/2, t_k + h with one sys.matrix call and builds all its M_k
+    as one stack.  Inside each chunk the prefix products
+    Q_k = M_k ... M_first come from _prefix_products; Phi is carried from
+    chunk to chunk in order, and one stacked matmul gives every step's
+    Phi_k = Q_k Phi_start for the overflow check.  The product tree depends
+    only on the step count and n, so a segment comes out bit-identical
+    whatever stack or block layout it is integrated in.
+
+    A segment whose matrix leaves the overflow cap at some step (inf and NaN
+    included) integrates no further and comes back as NaN; the time it got
+    to is written into t_blow when that array is given, else the first such
+    segment raises BlowupError.  Only sys.n and sys.matrix are read: the
+    forced stepper in perturb passes the augmented field
+    [[A(t), d(t)], [0, 0]], whose maps [[M, c], [0, 1]] carry x to M x + c.
     """
     a1 = np.atleast_1d(np.asarray(a, dtype=float))
-    h = (np.atleast_1d(np.asarray(b, dtype=float)) - a1)[:, None] / steps
-    n = sys.n
-    Phi = np.tile(np.eye(n), (a1.size, 1, 1))
-    blow = np.full(a1.size, np.nan)
-    half, full, sixth = (0.5 * h)[..., None], h[..., None], (h / 6.0)[..., None]
-    cap = TOL.overflow
-    per_block = max(1, min(_BLOCK, max(3, 4 * _BLOCK // (n * n))) // (3 * a1.size))
-    for k0 in range(0, steps, per_block):
-        if not np.isnan(blow).any():
-            break
-        ks = np.arange(k0, min(steps, k0 + per_block))
-        t = a1[:, None] + ks * h
-        t = np.stack((t, t + 0.5 * h, t + h), axis=-1)
-        A = sys.matrix(t)
-        for j, k in enumerate(ks.tolist()):
-            A2 = A[:, j, 1]  # shared by the two middle stages
-            K1 = A[:, j, 0] @ Phi
-            K2 = A2 @ (Phi + half * K1)
-            K3 = A2 @ (Phi + half * K2)
-            K4 = A[:, j, 2] @ (Phi + full * K3)
-            Phi = Phi + sixth * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-            if not np.abs(Phi).max() <= cap:  # NaN and inf fail the comparison too
-                bad = ~(np.abs(Phi).max(axis=(1, 2)) <= cap)
-                blow[bad] = a1[bad] + (k + 1) * h[bad, 0]
-                Phi[bad] = 0.0
+    h = (np.atleast_1d(np.asarray(b, dtype=float)) - a1) / steps
+    n, segs = sys.n, a1.size
+    width = min(_chunk(n), steps)
+    pairs = segs * -(-steps // width)
+    per_block = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (_PER_STEP * n * n * 8)) // width)
+    Phi = np.tile(np.eye(n), (segs, 1, 1))
+    blow = np.full(segs, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):  # the cap check catches inf and NaN
+        for p0 in range(0, pairs, per_block):
+            chunk, seg = np.divmod(np.arange(p0, min(pairs, p0 + per_block)), segs)
+            live = np.isnan(blow[seg])  # a blown segment integrates no further
+            if not live.any():
+                continue
+            chunk, seg = chunk[live], seg[live]
+            k = chunk[:, None] * width + np.arange(width)
+            valid = k < steps  # the last chunk may be short
+            hk = np.broadcast_to(h[seg, None], k.shape)[valid]
+            t = (a1[seg, None] + k * h[seg, None])[valid]
+            M = _step_matrices(sys.matrix(np.stack((t, t + 0.5 * hk, t + hk), axis=-1)), hk)
+            if valid.all():
+                Q = M.reshape(k.shape + (n, n))
+            else:
+                Q = np.tile(np.eye(n), k.shape + (1, 1))
+                Q[valid] = M
+            _prefix_products(Q)
+            ends = Q[np.arange(seg.size), valid.sum(axis=1) - 1]
+            start = np.empty((seg.size, n, n))
+            cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), seg.size]
+            for lo, hi in zip(cuts, cuts[1:]):  # one run of segments per chunk index
+                start[lo:hi] = Phi[seg[lo:hi]]
+                Phi[seg[lo:hi]] = ends[lo:hi] @ start[lo:hi]
+            later = np.searchsorted(chunk, 1)  # on a segment's first chunk Phi_k is Q_k itself
+            Phi_k = np.concatenate((Q[:later], Q[later:] @ start[later:, None]))
+            if np.abs(Phi_k).max() <= TOL.overflow:  # NaN and inf fail the comparison too
+                continue
+            bad = ~(np.abs(Phi_k).max(axis=(-2, -1)) <= TOL.overflow) & valid
+            for r in np.flatnonzero(bad.any(axis=1)).tolist():  # in step order for each segment
+                if np.isnan(blow[seg[r]]):
+                    blow[seg[r]] = a1[seg[r]] + (k[r, bad[r].argmax()] + 1) * h[seg[r]]
     Phi[~np.isnan(blow)] = np.nan
     if t_blow is not None:
         t_blow[...] = blow

@@ -160,10 +160,14 @@ def solve_lyapunov(A):
     vec(H) = vec(-2 I); residual-checked, and positive definite iff A is Hurwitz."""
     A = _as_square(A, "A")
     eye = np.eye(A.shape[0])
+    with np.errstate(over="ignore"):
+        K = np.kron(eye, A.T) + np.kron(A.T, eye)
+    if not np.isfinite(K).all():
+        raise NumericError("Lyapunov system overflowed to a non-finite value")
     try:
         # vec(-2 I) and the symmetrized H are the same in either storage order; the
         # n^2 x n^2 system is internal, so the user-facing TOL.max_dim does not cap it
-        K = _nonsingular(np.kron(eye, A.T) + np.kron(A.T, eye), "matrix")
+        K = _nonsingular(K, "matrix")
         H = np.linalg.solve(K, -2.0 * eye.ravel()).reshape(eye.shape)
         H = 0.5 * (H + H.T)
         resid = float(np.linalg.norm(A.T @ H + H @ A + 2.0 * eye, 2))

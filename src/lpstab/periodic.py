@@ -77,12 +77,17 @@ class SystemDef:
             raise InputError(f"initial time must be finite and >= 0, got {self.t0!r}")
         flat = tuple(e for row in self.entries for e in row)
         object.__setattr__(self, "_flat", flat)
+        # every lru_cache lookup hashes the system, so walk the n^2 trees once
+        object.__setattr__(self, "_hash", hash((self.entries, self.period, self.t0)))
         constant = not any(contains_time(e) for e in flat)
         object.__setattr__(self, "_constant", constant)
         if constant:
             A = evaluate(flat, 0.0).reshape(n, n)
             A.flags.writeable = False
             object.__setattr__(self, "_const_matrix", A)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def n(self) -> int:

@@ -124,7 +124,7 @@ def _rk4_pass(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
             try:
                 maps = _rk4_matrix(field, ts[:stop], ts[1:stop + 1], m, np.empty(stop))
                 break
-            except EvalError as exc:  # blocks are step-major, so an earlier interval may fail too
+            except EvalError as exc:  # blocks are chunk-major, so an earlier interval may fail too
                 stop, error = min(stop - 1, int(np.searchsorted(ts, exc.t, side="right")) - 1), exc
         for i in range(stop):
             x = maps[i, :-1, :-1] @ states[i] + maps[i, :-1, -1]

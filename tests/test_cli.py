@@ -360,14 +360,16 @@ def test_analyze_terminates_at_large_initial_time(tmp_path):
     assert "inside strip: yes" in proc.stdout
 
 
-@pytest.mark.parametrize("norm", ["one", "two"])
+@pytest.mark.parametrize("norm", ["one", "two", "weighted"])
 def test_overflow_inside_lpstab_is_a_numeric_failure(tmp_path, run_limited, norm):
-    # finite entries whose Gram product overflows in the frozen-time route
+    # finite entries whose Gram product overflows in the frozen-time route, and whose
+    # Kronecker system for the Lyapunov weight overflows before any solve
     path = write_system(tmp_path, {"entries": [["1e308*cos(t)", "1e308"], ["1e308", "1e308*sin(t)"]],
                                    "period": 2.0 * math.pi})
     proc = run_limited(["-m", "lpstab.cli", "analyze", "-f", path, "--norm", norm, "--no-oracle"])
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == "numeric failure: Gram product overflowed to a non-finite value\n"
+    what = "Lyapunov system" if norm == "weighted" else "Gram product"
+    assert proc.stderr == f"numeric failure: {what} overflowed to a non-finite value\n"
 
 
 def test_perturb_validation():

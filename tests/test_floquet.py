@@ -177,9 +177,16 @@ def test_decay_check_is_deterministic():
 
 # ------------------------------------ batched RK4 kernel against the scalar reference
 
+# _rk4_matrix composes step matrices by prefix products, so its values differ from the
+# per-step loop below in the last bits; they are compared at this bound relative to the
+# loop's largest entry, while step counts, times, blow-ups and batched-against-single
+# results stay exact
+_VALUE_BOUND = 1e-13
+
+
 def _ref_rk4_matrix(sys, a, b, steps):
-    # the one-segment loop that _rk4_matrix batches, A(t) read from one matrix
-    # call on the stage grid (bit-equal to scalar calls, see test_periodic.py)
+    # the sequential one-segment loop, A(t) read from one matrix call on the
+    # stage grid (bit-equal to scalar calls, see test_periodic.py)
     Phi = np.eye(sys.n)
     h = (b - a) / steps
     cap = floquet.TOL.overflow
@@ -250,8 +257,10 @@ def test_integrate_transitions_matches_scalar_reference(sysd, tol):
     assert len(got) == 18
     for x, y, tm in zip(a.tolist(), b.tolist(), got):
         value, steps, err = _ref_integrate_transition(sysd, x, y, tol)
-        assert tm.value.tobytes() == value.tobytes()
-        assert (tm.steps, tm.error_estimate, tm.t_start, tm.t_end) == (steps, err, x, y)
+        scale = float(np.abs(value).max())
+        assert np.abs(tm.value - value).max() <= _VALUE_BOUND * scale
+        assert abs(tm.error_estimate - err) <= 2.0 * _VALUE_BOUND * scale
+        assert (tm.steps, tm.t_start, tm.t_end) == (steps, x, y)
         assert not tm.value.flags.writeable
     assert len({tm.steps for tm in got}) > 3
     one = integrate_transition(sysd, float(a[1]), float(b[1]), tol)
@@ -273,8 +282,8 @@ def test_rk4_stack_matches_per_segment_loop():
                 _rk4_matrix(sysd, float(a[i]), float(b[i]), 64)
             assert str(info.value) == str(exc) and info.value.t_reached == exc.t_reached
         else:
-            assert np.isnan(t_blow[i]) and stack[i].tobytes() == ref.tobytes()
-            assert _rk4_matrix(sysd, float(a[i]), float(b[i]), 64).tobytes() == ref.tobytes()
+            assert np.isnan(t_blow[i]) and np.abs(stack[i] - ref).max() <= _VALUE_BOUND * np.abs(ref).max()
+            assert _rk4_matrix(sysd, float(a[i]), float(b[i]), 64).tobytes() == stack[i].tobytes()
     assert np.isnan(t_blow).sum() == 2
 
 
@@ -292,16 +301,69 @@ class _CountingField:
         return self.A0 + np.asarray(t)[..., None, None] * self.A1
 
 
-def test_rk4_one_field_call_per_block():
-    # at n = 40 a block holds 10 stage times, fewer than the 300 of one step of 100 segments:
-    # each step is then one block, read from one matrix call on all of its stage times
+def test_rk4_one_field_call_per_block(monkeypatch):
+    # at n = 40 a chunk is 2 steps; with room for 4 (segment, chunk) pairs per block, the
+    # 3 chunks of each of 7 segments (2 + 2 + 1 steps) take 6 blocks, some spanning two
+    # chunk indices, and each block reads all of its stage times in one matrix call
     field = _CountingField(40)
-    a = np.linspace(0.0, 1.0, 100)
+    width = floquet._chunk(40)
+    assert width == 2
+    a = np.linspace(0.0, 1.0, 7)
     b = a + 0.5
-    stack = _rk4_matrix(field, a, b, 4)
-    assert field.calls == [(100, 1, 3)] * 4
+    monkeypatch.setattr(floquet, "_BLOCK_BYTES", 4 * floquet._PER_STEP * width * 40 * 40 * 8)
+    stack = _rk4_matrix(field, a, b, 5)
+    assert field.calls == [(8, 3), (8, 3), (8, 3), (6, 3), (4, 3), (1, 3)]
     for i in range(a.size):
-        assert _rk4_matrix(field, float(a[i]), float(b[i]), 4).tobytes() == stack[i].tobytes()
+        assert _rk4_matrix(field, float(a[i]), float(b[i]), 5).tobytes() == stack[i].tobytes()
+    monkeypatch.undo()
+    assert _rk4_matrix(field, a, b, 5).tobytes() == stack.tobytes()
+
+
+_KERNEL_SYSTEMS = {1: CATALOG["scalar_unstable"]().system, 3: _SYSTEMS[-1], 40: _CountingField(40)}
+
+
+@pytest.mark.parametrize("n", sorted(_KERNEL_SYSTEMS))
+@pytest.mark.parametrize("count", ["1", "2", "3", "C-1", "C", "C+1", "2C+1"])
+def test_rk4_kernel_at_chunk_boundaries(monkeypatch, n, count):
+    # step counts around the chunk length, forward, backward and zero-length spans,
+    # integrated in one stack, in blocks of one pair, and one segment at a time
+    sysd = _KERNEL_SYSTEMS[n]
+    C = floquet._chunk(n)
+    steps = {"C-1": C - 1, "C": C, "C+1": C + 1, "2C+1": 2 * C + 1}.get(count) or int(count)
+    rng = np.random.default_rng(steps)
+    a = rng.uniform(0.0, 3.0, 12)
+    b = a + rng.uniform(-1.5, 1.5, 12)
+    b[::4] = a[::4]
+    stack = _rk4_matrix(sysd, a, b, steps)
+    monkeypatch.setattr(floquet, "_BLOCK_BYTES", 1)
+    assert _rk4_matrix(sysd, a, b, steps).tobytes() == stack.tobytes()
+    monkeypatch.undo()
+    for i in range(a.size):
+        ref = _ref_rk4_matrix(sysd, float(a[i]), float(b[i]), steps)
+        assert np.abs(stack[i] - ref).max() <= _VALUE_BOUND * np.abs(ref).max()
+        assert _rk4_matrix(sysd, float(a[i]), float(b[i]), steps).tobytes() == stack[i].tobytes()
+    assert (stack[::4] == np.eye(sysd.n)).all()
+
+
+@pytest.mark.parametrize("span,steps,place", [(1.06, 96, 0), (1.1, 96, -1), (2.0 * math.pi, 64, 3)],
+                         ids=["chunk-start", "chunk-end", "mid-chunk"])
+def test_rk4_blowup_step_matches_loop(span, steps, place):
+    # the first step over the cap, on a chunk boundary too, is the sequential loop's
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the reference loop overflows
+        with pytest.raises(BlowupError) as info:
+            _ref_rk4_matrix(_STIFF, 0.0, span, steps)
+    want = info.value.t_reached
+    assert (round(want / (span / steps)) - 1) % floquet._chunk(2) == place % floquet._chunk(2)
+    a = np.array([0.0, 0.0, 0.5])
+    b = np.array([1e-3, span, 0.5])
+    t_blow = np.empty(3)
+    stack = _rk4_matrix(_STIFF, a, b, steps, t_blow)
+    assert t_blow[1] == want and np.isnan(stack[1]).all()
+    assert np.isnan(t_blow[[0, 2]]).all() and np.isfinite(stack[[0, 2]]).all()
+    with pytest.raises(BlowupError) as info:
+        _rk4_matrix(_STIFF, 0.0, span, steps)
+    assert info.value.t_reached == want
 
 
 @pytest.mark.parametrize("segments,max_steps,kind", [
@@ -346,8 +408,8 @@ def _ref_sandwich(sys, kind):
         for j in range(i + 1, 16):
             F = fsegs[j - 1] @ F
             B = B @ bsegs[j - 1]
-            worst = max(worst, math.expm1(math.log(mat_norm(F, kind)) - (pp[j] - pp[i])),
-                        math.expm1(math.log(mat_norm(B, kind)) - (pm[j] - pm[i])))
+            worst = max(worst, float(np.expm1(np.log(mat_norm(F, kind)) - (pp[j] - pp[i]))),
+                        float(np.expm1(np.log(mat_norm(B, kind)) - (pm[j] - pm[i]))))
     return worst
 
 
@@ -364,7 +426,7 @@ def _ref_decay_margin(sys, verdict):
             if i == 0:
                 from_start.append(P)
             worst = min(worst, math.log(verdict.K) - verdict.alpha_tilde * float(ts[j] - ts[i])
-                        - math.log(mat_norm(P, verdict.kind)))
+                        - float(np.log(mat_norm(P, verdict.kind))))
     r = verdict.rates
     rng = np.random.default_rng(20260814)
     for _ in range(8):
@@ -374,9 +436,10 @@ def _ref_decay_margin(sys, verdict):
             continue
         for j in range(1, 16):
             dt = float(ts[j] - sys.t0)
-            log_x = math.log(vec_norm(from_start[j] @ x0, verdict.kind))
-            worst = min(worst, math.log(nx0) + r.lambda_plus * dt + r.delta_upper_plus - log_x,
-                        log_x - (math.log(nx0) - r.lambda_minus * dt - r.delta_upper_minus))
+            log_x = float(np.log(vec_norm(from_start[j] @ x0, verdict.kind)))
+            log_x0 = float(np.log(nx0))
+            worst = min(worst, log_x0 + r.lambda_plus * dt + r.delta_upper_plus - log_x,
+                        log_x - (log_x0 - r.lambda_minus * dt - r.delta_upper_minus))
     return worst
 
 

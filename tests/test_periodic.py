@@ -375,6 +375,22 @@ def test_system_validation():
         system_from_strings([["0"] * n for _ in range(n)], 1.0)
 
 
+def test_system_hash_is_cached(monkeypatch):
+    # lru_cache lookups hash the system; the n^2 expression trees are walked once, at construction
+    import lpstab.expr as expr
+    rows = [["-1+sin(t)", "2*cos(t)"], ["0.5", "-3+t/10"]]
+    a = system_from_strings(rows, 2.0 * math.pi)
+    b = system_from_strings(rows, 2.0 * math.pi)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) != hash(system_from_strings(rows, math.pi))
+    calls = []
+    for cls in (expr.Num, expr.TimeVar, expr.Const, expr.Neg, expr.BinOp, expr.Call):
+        monkeypatch.setattr(cls, "__hash__", lambda self, f=cls.__hash__: calls.append(self) or f(self))
+    assert hash(a) == hash(b)
+    assert calls == []
+    assert hash(system_from_strings(rows, 2.0 * math.pi)) == hash(a) and calls
+
+
 def test_barrier_series_validation():
     sysd = lti_diag().system
     with pytest.raises(ValueError):
