@@ -17,6 +17,26 @@ Systems come from a JSON file ({"entries": [[expr, ...], ...],
 
 from __future__ import annotations
 
+import os
+
+# lpstab's matrices are at most TOL.max_dim = 64 wide, too small for BLAS threads to
+# pay off, yet OpenBLAS starts a helper thread pool when numpy loads, and the helpers
+# spin for about a tenth of a CPU second in every process.  So the command line runs
+# on one BLAS thread unless the user chose a thread count; this has to happen before
+# numpy is imported, which is why `import lpstab` leaves numpy out.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+# lpstab's modules (and numpy) load before click and json: the other order leaves a
+# larger peak RSS
+from . import catalog, floquet, lognorm, periodic, perturb
+from ._version import __version__
+from .config import TOL
+from .errors import BlowupError, InputError, NotPositiveDefiniteError, NumericError
+from .expr import EvalError
+from .linalg import NormKind, vec_norm
+from .periodic import SystemDef
+
 import dataclasses
 import json
 import math
@@ -24,14 +44,6 @@ import sys
 
 import click
 import numpy as np
-
-from . import catalog, floquet, lognorm, periodic, perturb
-from ._version import __version__
-from .config import TOL
-from .errors import InputError, NotPositiveDefiniteError, NumericError
-from .expr import EvalError
-from .linalg import NormKind, vec_norm
-from .periodic import SystemDef
 
 _NORM_CHOICE = click.Choice([*lognorm.NAMED, "weighted"])
 
@@ -197,8 +209,17 @@ def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
             entry["oracle"] = "skipped: oracle disabled"
         else:
             strip_check = floquet.verify_strip(sysd, kind, verdict.rates, fce)
-            violation = floquet.verify_sandwich(sysd, kind)
-            sandwich_ok = violation <= TOL.sandwich_slack
+            unresolved = []
+            if fce.unresolved:
+                unresolved.append(f"{fce.unresolved} multiplier(s) below the round-off floor {fce.floor:.3e}, "
+                                  f"exponent(s) given as upper bounds")
+            try:
+                violation = floquet.verify_sandwich(sysd, kind)
+                sandwich_ok = violation <= TOL.sandwich_slack
+            except BlowupError as exc:
+                # a transition past the overflow cap, where the drift bound allows it
+                violation = sandwich_ok = None
+                unresolved.append(f"transition bound not checked: {exc}")
             oracle_doc = {
                 "multipliers": [[z.real, z.imag] for z in fce.multipliers],
                 "fce_real_parts": list(fce.real_parts),
@@ -208,6 +229,11 @@ def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
                 "sandwich_violation": violation,
                 "sandwich_passed": sandwich_ok,
             }
+            if fce.unresolved:
+                oracle_doc["unresolved_exponents"] = fce.unresolved
+                oracle_doc["multiplier_floor"] = fce.floor
+            if unresolved:
+                oracle_doc["partially_resolved"] = unresolved
             if verdict.classification == "UES":
                 decay = floquet.verify_decay(sysd, verdict)
                 oracle_doc["decay"] = _record_doc(decay)
@@ -217,7 +243,7 @@ def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
                 oracle_doc["decay"] = "skipped: verdict not UES"
             if not strip_check.passed:
                 failures.append(f"{name}: exponent strip violated by {strip_check.worst_violation:.3e}")
-            if not sandwich_ok:
+            if sandwich_ok is False:
                 failures.append(f"{name}: transition bound violated by {violation:.3e}")
             entry["oracle"] = oracle_doc
         analyses.append(entry)
@@ -257,15 +283,19 @@ def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
                        f"dL- {rates['delta_lower_minus']:.6g}")
             click.echo(f"exponent strip: [{entry['strip'][0]:.6g}, {entry['strip'][1]:.6g}]")
             if not no_oracle:
-                parts = ", ".join(f"{v:.6g}" for v in fce.real_parts)
-                inside = "yes" if entry["oracle"]["strip_check"]["passed"] else "NO"
+                oracle = entry["oracle"]
+                parts = ", ".join(("<=" if k < fce.unresolved else "") + f"{v:.6g}"
+                                  for k, v in enumerate(fce.real_parts))
+                inside = "yes" if oracle["strip_check"]["passed"] else "NO"
                 label = ""
                 if entry["classification"] == "inconclusive":
                     label = " (independent route, not a drift-test certificate)"
                 click.echo(f"monodromy exponent real parts: {parts} "
                            f"(inside strip: {inside}){label}")
-                click.echo(f"transition bound worst violation: "
-                           f"{entry['oracle']['sandwich_violation']:.3e}")
+                if oracle["sandwich_violation"] is not None:
+                    click.echo(f"transition bound worst violation: {oracle['sandwich_violation']:.3e}")
+                if "partially_resolved" in oracle:
+                    click.echo(f"oracle: partially resolved: {'; '.join(oracle['partially_resolved'])}")
             click.echo(entry["message"])
     if failures:
         raise NumericError("cross-checks failed: " + "; ".join(failures))

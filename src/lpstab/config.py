@@ -36,7 +36,7 @@ class Tolerances:
     sym_tol: float = 1e-12          # symmetry acceptance, relative
     singular_floor: float = 1e-13   # smallest singular value threshold, relative to the largest
     lyapunov_residual: float = 1e-8
-    multiplier_floor: float = 1e-14
+    multiplier_floor: float = 1e-14  # relative to max|M|: smaller multipliers are eigvals round-off
 
     # verification slacks
     strip_slack: float = 1e-6

@@ -58,8 +58,20 @@ def _chunk(n: int) -> int:
     return max(2, 64 >> max(0, n.bit_length() - 1))
 
 
+_INF = NormKind("inf")
+
+
 def _blowup(t: float) -> BlowupError:
     return BlowupError(f"transition matrix exceeded {TOL.overflow:.1e} at t={t:.6g}", t_reached=t)
+
+
+def _too_coarse(sys: SystemDef, h, t) -> np.ndarray:
+    """Whether RK4 steps of length |h| are too coarse for A at the times t,
+    elementwise: |h| |A(t)|_inf >= 0.5.  RK4 diverges on its own far from
+    its stability interval (about 2.8 on the negative real axis, Hairer and
+    Wanner, Solving ODEs II), so an overflow after such a step is taken as
+    a step to refine, not as the system's growth."""
+    return np.abs(h) * linalg.mat_norm(sys.matrix(t), _INF) >= 0.5
 
 
 def _step_matrices(A: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -96,10 +108,12 @@ def _rk4_matrix(sys: SystemDef, a, b, steps: int, t_blow: np.ndarray | None = No
     t_k, t_k + h/2, t_k + h with one sys.matrix call and builds all its M_k
     as one stack.  Inside each chunk the prefix products
     Q_k = M_k ... M_first come from _prefix_products; Phi is carried from
-    chunk to chunk in order, and one stacked matmul gives every step's
-    Phi_k = Q_k Phi_start for the overflow check.  The product tree depends
-    only on the step count and n, so a segment comes out bit-identical
-    whatever stack or block layout it is integrated in.
+    chunk to chunk in order.  The overflow check needs every step's
+    Phi_k = Q_k Phi_start; a block forms them, in one stacked matmul, only
+    when the bound n max|Q_k| max|Phi_start| does not already keep them
+    under the cap.  The product tree depends only on the step count and n,
+    so a segment comes out bit-identical whatever stack or block layout it
+    is integrated in.
 
     A segment whose matrix leaves the overflow cap at some step (inf and NaN
     included) integrates no further and comes back as NaN; the time it got
@@ -116,6 +130,9 @@ def _rk4_matrix(sys: SystemDef, a, b, steps: int, t_blow: np.ndarray | None = No
     per_block = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (_PER_STEP * n * n * 8)) // width)
     Phi = np.tile(np.eye(n), (segs, 1, 1))
     blow = np.full(segs, np.nan)
+    # every entry of Q_k Phi_start is at most n max|Q_k| max|Phi_start|; the margin covers
+    # the rounding of the product and of that bound (Higham 2002, ch. 3)
+    cap = TOL.overflow / (n * (1.0 + 4.0 * n * np.finfo(float).eps))
     with np.errstate(over="ignore", invalid="ignore"):  # the cap check catches inf and NaN
         for p0 in range(0, pairs, per_block):
             chunk, seg = np.divmod(np.arange(p0, min(pairs, p0 + per_block)), segs)
@@ -140,6 +157,8 @@ def _rk4_matrix(sys: SystemDef, a, b, steps: int, t_blow: np.ndarray | None = No
             for lo, hi in zip(cuts, cuts[1:]):  # one run of segments per chunk index
                 start[lo:hi] = Phi[seg[lo:hi]]
                 Phi[seg[lo:hi]] = ends[lo:hi] @ start[lo:hi]
+            if np.abs(Q).max() * np.abs(start).max() <= cap:
+                continue  # no step of the block can reach the cap; NaN and inf fail here too
             later = np.searchsorted(chunk, 1)  # on a segment's first chunk Phi_k is Q_k itself
             Phi_k = np.concatenate((Q[:later], Q[later:] @ start[later:, None]))
             if np.abs(Phi_k).max() <= TOL.overflow:  # NaN and inf fail the comparison too
@@ -156,6 +175,21 @@ def _rk4_matrix(sys: SystemDef, a, b, steps: int, t_blow: np.ndarray | None = No
     return Phi.reshape(np.shape(a) + (n, n))
 
 
+def _non_positive_det(M: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the (m, n, n) stack M has a determinant that is
+    non-positive beyond round-off.  LU resolves det only to about n eps times
+    Hadamard's bound prod_i |row_i|_2, so a smaller one, zero included, has
+    no sign to read: a strongly contracting transition matrix has one."""
+    bad = ~(linalg.determinant(M) > 0.0)
+    if bad.any():
+        sign, logdet = np.linalg.slogdet(M[bad])
+        rows = np.hypot.reduce(M[bad], axis=-1)  # row 2-norms without overflow
+        with np.errstate(divide="ignore"):  # a zero row, whose det is exactly 0, gives -inf
+            noise = math.log(M.shape[-1] * np.finfo(float).eps) + np.log(rows).sum(axis=-1)
+        bad[bad] = (sign <= 0.0) & (logdet >= noise)
+    return bad
+
+
 def integrate_transitions(sys: SystemDef, t_from, t_to,
                           tol: float | None = None) -> tuple[TransitionMatrix, ...]:
     """Phi(t_to[i], t_from[i]) for every pair of the 1-d sequences t_from and
@@ -163,11 +197,15 @@ def integrate_transitions(sys: SystemDef, t_from, t_to,
 
     Each segment starts from a step count proportional to its span (between
     8 and TOL.ode_start_steps) and doubles until two consecutive answers
-    agree to tol relative to the result's magnitude; the returned
+    agree to tol relative to the result's magnitude; a pass that overflows
+    after too coarse a step (see _too_coarse) doubles too, and only an
+    overflow at a step that resolves A is a BlowupError; the returned
     error_estimate is that difference divided by 15, the usual fourth-order
     extrapolation factor.  Backward spans integrate with a negative step and
-    zero-length ones give the identity.  A positive determinant is required
-    of every result (the exact transition matrix always has one).
+    zero-length ones give the identity.  A result whose determinant is
+    non-positive beyond round-off is rejected (the exact transition matrix
+    always has a positive one, but a strongly contracting one may have a
+    determinant below what LU resolves; see _non_positive_det).
 
     The segments advance together: those with the same step count form one
     (P, n, n) stack, converged ones leave it and the rest double.  The result
@@ -209,15 +247,22 @@ def integrate_transitions(sys: SystemDef, t_from, t_to,
             cur[grp] = _rk4_matrix(sys, a[live[grp]], b[live[grp]], s, blow)
             t_blow[grp] = blow
         blown = ~np.isnan(t_blow)
-        for i, t in zip(live[blown], t_blow[blown].tolist()):
+        # a blow-up after too coarse a step doubles as usual, from no previous answer (its
+        # NaN matrix agrees with nothing); one with room for no further doubling is final
+        retry = np.zeros_like(blown)
+        if blown.any():
+            seg = live[blown]
+            retry[blown] = _too_coarse(sys, (b[seg] - a[seg]) / steps[seg], t_blow[blown])
+            retry &= steps[live] * 2 <= TOL.ode_max_steps
+        for i, t in zip(live[blown & ~retry], t_blow[blown & ~retry].tolist()):
             fail[i] = _blowup(t)
-        rest = ~blown
+        rest = ~blown | retry
         if not first:
             diff = np.abs(cur - prev[live]).max(axis=(1, 2))
             done = rest & (diff <= tol * (1.0 + np.abs(cur).max(axis=(1, 2))))
-            dets = linalg.determinant(cur[done])
-            for i, value, det, d in zip(live[done], cur[done], dets, diff[done].tolist()):
-                if det <= 0.0:
+            flipped = _non_positive_det(cur[done])
+            for i, value, bad, d in zip(live[done], cur[done], flipped, diff[done].tolist()):
+                if bad:
                     fail[i] = NumericError(f"integrated transition matrix has non-positive determinant "
                                            f"over [{a[i]:g}, {b[i]:g}]")
                     continue
@@ -245,26 +290,28 @@ def integrate_transition(sys: SystemDef, t_from: float, t_to: float,
 @dataclass(frozen=True)
 class FceEstimate:
     """Monodromy spectrum: multipliers rho and characteristic exponent real
-    parts log|rho| / T, ascending."""
+    parts log|rho| / T, ascending.
+
+    A multiplier below floor = TOL.multiplier_floor * max|M| is round-off
+    of the eigensolver, not a resolved value.  Each such one gives the
+    upper bound log(floor) / T in place of its exponent; these are the
+    first `unresolved` entries of real_parts."""
 
     multipliers: tuple[complex, ...]
     real_parts: tuple[float, ...]
     monodromy: TransitionMatrix
+    floor: float
+    unresolved: int
 
 
 def monodromy_fce(sys: SystemDef, tol: float | None = None) -> FceEstimate:
     """Characteristic multipliers and exponent real parts over one period."""
     tm = integrate_transition(sys, sys.t0, sys.t0 + sys.period, tol)
     mult = linalg.gen_eigs(tm.value)
-    parts = []
-    for z in mult:
-        m = abs(z)
-        if m < TOL.multiplier_floor:
-            raise NumericError(
-                f"characteristic multiplier {z:.3e} is numerically zero; exponents are meaningless")
-        parts.append(math.log(m) / sys.period)
-    parts.sort()
-    return FceEstimate(tuple(mult), tuple(parts), tm)
+    floor = TOL.multiplier_floor * float(np.abs(tm.value).max())
+    mods = [abs(z) for z in mult]
+    parts = sorted(math.log(max(m, floor)) / sys.period for m in mods)
+    return FceEstimate(tuple(mult), tuple(parts), tm, floor, sum(m < floor for m in mods))
 
 
 # ------------------------------------------------------------- cross-checks
@@ -300,7 +347,8 @@ def verify_strip(sys: SystemDef, kind: NormKind,
                  rates: periodic.RateSummary | None = None,
                  fce: FceEstimate | None = None) -> StripCheck:
     """Check that every characteristic exponent real part lies in the strip
-    [-lambda_minus, lambda_plus] predicted by the drift integrals.
+    [-lambda_minus, lambda_plus] predicted by the drift integrals; an
+    unresolved one (see FceEstimate) is checked against -lambda_minus alone.
 
     worst_violation is the largest excursion outside the strip (negative
     when everything is strictly inside); the allowance combines the
@@ -312,10 +360,13 @@ def verify_strip(sys: SystemDef, kind: NormKind,
         fce = monodromy_fce(sys)
     lower = -rates.lambda_minus
     upper = rates.lambda_plus
-    min_mod = min(abs(z) for z in fce.multipliers)
-    eps_mult = sys.n * fce.monodromy.error_estimate / max(min_mod, TOL.multiplier_floor)
+    min_mod = min((m for m in map(abs, fce.multipliers) if m >= fce.floor), default=fce.floor)
+    eps_mult = sys.n * fce.monodromy.error_estimate / min_mod
     allowance = TOL.strip_slack + rates.quadrature_error / sys.period + math.log1p(eps_mult) / sys.period
-    worst = max(max(lower - rp, rp - upper) for rp in fce.real_parts)
+    # an unresolved exponent is only an upper bound: below the strip it puts the true
+    # exponent below it too, above the strip it says nothing
+    worst = max(lower - rp if k < fce.unresolved else max(lower - rp, rp - upper)
+                for k, rp in enumerate(fce.real_parts))
     return StripCheck(worst <= allowance, lower, upper, fce.real_parts, worst, allowance)
 
 
@@ -331,16 +382,40 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
     sharp even for strongly stable systems.  The return value is positive
     when some pair violates a bound; for a correct implementation it is pure
     numerical noise, orders of magnitude below 1e-6.
+
+    The backward flow of a stiff system grows fast.  A pair whose product
+    exceeds sqrt(TOL.overflow), where the two-norm's Gram product could
+    overflow, is checked by the sum of its segments' log norms instead:
+    norms are submultiplicative, so that sum bounds the pair's log norm, and
+    it meets the pair's bound whenever every segment meets its own.  A
+    segment whose transition passes the overflow cap cannot be checked in
+    floating point: that BlowupError propagates when some segment's bound
+    allows such growth, and the result is inf (a violation) when none does.
     """
     ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, 16)
+    pp, pm = (periodic.pi_integral(sys, kind, sign, ts)[0] for sign in (1, -1))
     # forward and backward transition of each grid segment, interleaved
     ends = np.stack((ts[:-1], ts[1:]), axis=1)
-    segs = np.array([tm.value for tm in integrate_transitions(sys, ends.ravel(), ends[:, ::-1].ravel())])
-    F, i, j = _pair_products(segs[0::2], forward=True)
-    B = _pair_products(segs[1::2], forward=False)[0]
-    pp, pm = (periodic.pi_integral(sys, kind, sign, ts)[0] for sign in (1, -1))
-    norms = linalg.mat_norm(np.concatenate((F, B)), kind)
-    return float(np.expm1(np.log(norms) - np.concatenate((pp[j] - pp[i], pm[j] - pm[i]))).max())
+    try:
+        tms = integrate_transitions(sys, ends.ravel(), ends[:, ::-1].ravel())
+    except BlowupError:
+        if max(np.diff(pp).max(), np.diff(pm).max()) < math.log(TOL.overflow):
+            return math.inf
+        raise
+    segs = np.array([tm.value for tm in tms])
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the largest float is not finite
+        F, i, j = _pair_products(segs[0::2], forward=True)
+        B = _pair_products(segs[1::2], forward=False)[0]
+    P = np.concatenate((F, B))
+    exact = np.abs(P).max(axis=(-2, -1)) <= math.sqrt(TOL.overflow)  # NaN fails too
+    if exact.all():
+        logs = np.log(linalg.mat_norm(P, kind))
+    else:
+        seg_logs = np.log(linalg.mat_norm(segs, kind)).reshape(15, 2)
+        cum = np.concatenate((np.zeros((1, 2)), np.cumsum(seg_logs, axis=0)))
+        logs = np.concatenate((cum[j, 0] - cum[i, 0], cum[j, 1] - cum[i, 1]))
+        logs[exact] = np.log(linalg.mat_norm(P[exact], kind))
+    return float(np.expm1(logs - np.concatenate((pp[j] - pp[i], pm[j] - pm[i]))).max())
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,9 @@ import numpy as np
 from .config import TOL
 from .errors import BlowupError, ConvergenceError, InputError, NumericError
 from .expr import EvalError, Expression, Num, ParseError, evaluate, parse, to_string
-from .floquet import _rk4_matrix, integrate_transitions
-from .linalg import NormKind, _two_norm, mat_norm, vec_norm
-from .lognorm import INF, TWO
+from .floquet import _rk4_matrix, _too_coarse, integrate_transitions
+from .linalg import NormKind, _two_norm, vec_norm
+from .lognorm import TWO
 from .periodic import SystemDef, integrate
 
 
@@ -204,11 +204,9 @@ def simulate_perturbed(sys: SystemDef, d: Disturbance, x0, t_end: float,
             raise ConvergenceError(f"trajectory did not settle within {TOL.ode_max_steps} total steps")
         cur, blow = _rk4_pass(sys, d, x0, ts, m)
         if blow is not None:
-            # RK4 itself diverges when the substep is too coarse against |A|,
-            # so only believe an overflow once the step resolves the system
+            # only believe an overflow once the substep resolves the system
             h = (float(ts[blow]) - float(ts[blow - 1])) / m
-            coarse = h * mat_norm(sys.matrix(float(ts[blow])), INF) >= 0.5
-            if coarse and 2 * m * (samples - 1) <= TOL.ode_max_steps:
+            if _too_coarse(sys, h, float(ts[blow])) and 2 * m * (samples - 1) <= TOL.ode_max_steps:
                 m *= 2
                 prev = None
                 continue

@@ -68,6 +68,7 @@ def test_analyze_json_document():
         assert entry["oracle"]["strip_check"]["passed"] is True
         assert entry["oracle"]["sandwich_passed"] is True
         assert entry["oracle"]["decay"]["passed"] is True
+        assert not {"partially_resolved", "unresolved_exponents", "multiplier_floor"} & set(entry["oracle"])
         assert not any(k.startswith("_") for k in entry)
     one = doc["analyses"][0]["rates"]
     assert one["lambda_plus"] == pytest.approx(15.0 / math.pi - 5.5, abs=1e-9)
@@ -323,12 +324,44 @@ def test_perturb_drift_unavailable_past_t_end():
 
 
 def test_blowup_reads_like_any_numeric_failure(tmp_path):
-    # the oracle's blow-up in analyze has nothing to do with a state or a sample
-    path = write_system(tmp_path, {"entries": [["-3000+sin(t)", "1"], ["0", "-1"]],
+    # the oracle's blow-up in analyze has nothing to do with a state or a sample; the
+    # system grows like exp(250 t), past the cap near t = log(1e300) / 250 = 2.763
+    path = write_system(tmp_path, {"entries": [["250+sin(t)", "1"], ["0", "-1"]],
                                    "period": 2.0 * math.pi})
     code, _, err = run_cli("analyze", "-f", path, "--norm", "one")
     assert code == 2
-    assert err == "numeric failure: transition matrix exceeded 1.0e+300 at t=3.53429\n"
+    assert err == "numeric failure: transition matrix exceeded 1.0e+300 at t=2.75656\n"
+
+
+@pytest.mark.parametrize("rate", ["-3000", "-100"])
+def test_stiff_systems_are_partially_resolved(tmp_path, rate):
+    # RK4 at the start step is unstable for -3000, and for both systems the fast
+    # multiplier exp(rate T) is far below eigvals' round-off: the oracle reports an
+    # upper bound for its exponent instead of failing.  The backward flow of -3000
+    # passes the overflow cap within one sandwich segment, where its bound allows it
+    period = 2.0 * math.pi
+    path = write_system(tmp_path, {"entries": [[f"{rate}+sin(t)", "1"], ["0", "-1"]], "period": period})
+    code, out, err = run_cli("analyze", "-f", path, "--norm", "one,two", "--json")
+    assert code == 0, err
+    for entry in json.loads(out)["analyses"]:
+        oracle = entry["oracle"]
+        assert oracle["unresolved_exponents"] == 1
+        low, slow = oracle["fce_real_parts"]
+        assert low == math.log(oracle["multiplier_floor"]) / period
+        assert slow == pytest.approx(-1.0, abs=1e-9)
+        assert oracle["strip_check"]["passed"] is True
+        assert entry["classification"] == {"one": "US", "two": "UES"}[entry["norm"]]
+        assert oracle["decay"] == "skipped: verdict not UES" if entry["norm"] == "one" else oracle["decay"]["passed"]
+        notes = oracle["partially_resolved"]
+        if rate == "-100":
+            assert oracle["sandwich_passed"] is True and len(notes) == 1
+        else:
+            assert oracle["sandwich_passed"] is None and oracle["sandwich_violation"] is None
+            assert notes[1].startswith("transition bound not checked: transition matrix exceeded 1.0e+300")
+    code, out, err = run_cli("analyze", "-f", path, "--norm", "one")
+    assert code == 0, err
+    assert f"monodromy exponent real parts: <={low:.6g}, -1 (inside strip: yes)" in out
+    assert "oracle: partially resolved: 1 multiplier(s) below the round-off floor" in out
 
 
 @pytest.mark.parametrize("args,code", [

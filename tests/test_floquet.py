@@ -119,6 +119,21 @@ def test_monodromy_strong_coupling_frozen():
     assert sum(est.real_parts) == pytest.approx(-26.0, abs=1e-8)
 
 
+def test_strip_reads_an_unresolved_exponent_as_an_upper_bound():
+    # exp(-100 T) is far below eigvals' round-off on a monodromy of size exp(-T)
+    sysd = system_from_strings([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
+    fce = monodromy_fce(sysd)
+    assert fce.unresolved == 1 and fce.floor == TOL.multiplier_floor * np.abs(fce.monodromy.value).max()
+    assert fce.real_parts[0] == math.log(fce.floor) / sysd.period
+    assert fce.real_parts[1] == pytest.approx(-1.0, abs=1e-9)
+    assert verify_strip(sysd, ONE, fce=fce).passed
+    # above the strip a bound says nothing; below it, it puts the exponent there too
+    above = dataclasses.replace(fce, real_parts=(5.0, fce.real_parts[1]))
+    assert verify_strip(sysd, ONE, fce=above).passed
+    below = verify_strip(sysd, ONE, fce=dataclasses.replace(fce, real_parts=(-200.0, fce.real_parts[1])))
+    assert not below.passed and below.worst_violation == pytest.approx(100.0, abs=1e-6)
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_strip_contains_exponents(name):
     # the drift strip must bracket the monodromy exponents in every norm
@@ -131,6 +146,38 @@ def test_strip_contains_exponents(name):
         assert (chk.lower, chk.upper) == (lo, hi)
         for r in chk.real_parts:
             assert lo - chk.allowance <= r <= hi + chk.allowance
+
+
+@pytest.mark.parametrize("kind", [ONE, TWO], ids=lambda k: k.tag)  # inf sums rows as one sums columns
+def test_sandwich_bounds_products_past_the_float_range(kind):
+    # the backward flow of -100 grows like exp(100 (t - s)), past the largest float over
+    # 2T; pairs past sqrt(TOL.overflow) are checked by the sum of their segments' log
+    # norms, an upper bound on the log norm that power-of-two scaled products give here
+    sysd = system_from_strings([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
+    got = verify_sandwich(sysd, kind)
+    ts = np.linspace(sysd.t0, sysd.t0 + 2.0 * sysd.period, 16)
+    bsegs = [tm.value for tm in integrate_transitions(sysd, ts[1:], ts[:-1])]
+    pm = pi_integral(sysd, kind, -1, ts)[0]
+    worst, top = -math.inf, 0.0
+    for i in range(15):
+        B, log_scale = np.eye(2), 0.0
+        for j in range(i + 1, 16):
+            B = B @ bsegs[j - 1]
+            e = math.frexp(float(np.abs(B).max()))[1]
+            B, log_scale = B * 2.0 ** -e, log_scale + e * math.log(2.0)
+            top = max(top, log_scale)
+            worst = max(worst, math.log(mat_norm(B, kind)) + log_scale - (pm[j] - pm[i]))
+    assert top > math.log(TOL.overflow)
+    assert math.expm1(worst) <= got + 1e-12 and got <= TOL.sandwich_slack
+
+
+def test_sandwich_blowup_is_unchecked_only_where_the_bound_allows_it(monkeypatch):
+    # the backward flow of -3000 passes the cap within a grid segment, as its drift
+    # bound allows; against zero drift the same blow-up is a violation
+    with pytest.raises(BlowupError):
+        verify_sandwich(_STIFF, ONE)
+    monkeypatch.setattr(floquet.periodic, "pi_integral", lambda sys, kind, sign, ts: (np.zeros(len(ts)), 0.0))
+    assert verify_sandwich(_STIFF, ONE) == math.inf
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -205,6 +252,18 @@ def _ref_rk4_matrix(sys, a, b, steps):
     return Phi
 
 
+def _ref_pass(sys, t_from, t_to, steps):
+    # one pass, or None for a blow-up after a step too coarse for A (|h| |A|_inf >= 1/2)
+    # while the step count may still double
+    try:
+        return _ref_rk4_matrix(sys, t_from, t_to, steps)
+    except BlowupError as exc:
+        h = (t_to - t_from) / steps
+        if abs(h) * mat_norm(sys.matrix(exc.t_reached), INF) < 0.5 or steps * 2 > floquet.TOL.ode_max_steps:
+            raise
+        return None
+
+
 def _ref_integrate_transition(sys, t_from, t_to, tol=None):
     # one segment at a time with step doubling, as (value, steps, error_estimate)
     tol = floquet.TOL.ode_tol if tol is None else tol
@@ -212,13 +271,18 @@ def _ref_integrate_transition(sys, t_from, t_to, tol=None):
     if t_to == t_from:
         return np.eye(sys.n), 0, 0.0
     steps = max(8, min(start, int(math.ceil(start * abs(t_to - t_from) / sys.period))))
-    prev = _ref_rk4_matrix(sys, t_from, t_to, steps)
+    prev = _ref_pass(sys, t_from, t_to, steps)
     while steps * 2 <= cap:
         steps *= 2
-        cur = _ref_rk4_matrix(sys, t_from, t_to, steps)
+        cur = _ref_pass(sys, t_from, t_to, steps)
+        if prev is None or cur is None:
+            prev = cur
+            continue
         diff = float(np.abs(cur - prev).max())
         if diff <= tol * (1.0 + float(np.abs(cur).max())):
-            if np.linalg.det(cur) <= 0.0:
+            # a sign below LU's round-off, about n eps times Hadamard's bound, is no sign
+            det = np.linalg.det(cur)
+            if det <= 0.0 and -det >= sys.n * np.finfo(float).eps * np.prod(np.linalg.norm(cur, axis=1)):
                 raise NumericError(
                     f"integrated transition matrix has non-positive determinant over [{t_from:g}, {t_to:g}]")
             return cur, steps, diff / 15.0
@@ -237,6 +301,8 @@ def _first_failure(sys, t_from, t_to):
 
 
 _STIFF = system_from_strings([["-3000+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
+# grows like exp(250 t), past the overflow cap after t = 2.77 however fine the step
+_GROWING = system_from_strings([["250+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
 _SYSTEMS = [strong_coupling().system, rotating_frame(1.5).system, lti_diag().system,
             CATALOG["scalar_unstable"]().system,
             system_from_strings([["-1+sin(t)", "1", "0"], ["0", "-2", "cos(2*t)"],
@@ -366,34 +432,62 @@ def test_rk4_blowup_step_matches_loop(span, steps, place):
     assert info.value.t_reached == want
 
 
-@pytest.mark.parametrize("segments,max_steps,kind", [
-    ([(0.0, 1e-3), (0.0, math.pi), (0.0, 2.0 * math.pi)], None, BlowupError),
-    ([(0.0, 2.0 * math.pi), (0.0, math.pi)], None, BlowupError),
-    # the second segment exhausts the step budget after the third has blown up
-    ([(0.0, 1e-3), (0.2, 0.1), (0.0, math.pi)], 256, ConvergenceError),
+@pytest.mark.parametrize("count", ["C", "C+1", "2C"])
+def test_rk4_overflow_bound_falls_back_at_the_cap(monkeypatch, count):
+    # x' = 2x grows monotonically, so the last step holds the largest entry.  With the
+    # cap at that entry the bound cannot rule the cap out, and the exact check passes;
+    # one ulp lower the last step, a chunk's end or the first step of a chunk, blows up
+    sysd = system_from_strings([["2"]], 1.0)
+    C = floquet._chunk(1)
+    steps = {"C": C, "C+1": C + 1, "2C": 2 * C}[count]
+    a, b = np.array([0.0, 0.5]), np.array([1.0, 1.0])
+    free = _rk4_matrix(sysd, a, b, steps)
+    top = float(free[0, 0, 0])
+    for cap, blown in ((top, False), (float(np.nextafter(top, 0.0)), True)):
+        monkeypatch.setattr(floquet, "TOL", dataclasses.replace(TOL, overflow=cap))
+        t_blow = np.empty(2)
+        got = _rk4_matrix(sysd, a, b, steps, t_blow)
+        assert got[1].tobytes() == free[1].tobytes() and np.isnan(t_blow[1])
+        if blown:
+            assert t_blow[0] == 0.0 + steps * (1.0 / steps) and np.isnan(got[0]).all()
+        else:
+            assert got[0].tobytes() == free[0].tobytes() and np.isnan(t_blow[0])
+
+
+@pytest.mark.parametrize("sysd,segments,max_steps,kind", [
+    (_GROWING, [(0.0, 1e-3), (0.0, math.pi), (0.0, 2.0 * math.pi)], None, BlowupError),
+    (_GROWING, [(0.0, 2.0 * math.pi), (0.0, math.pi)], None, BlowupError),
+    # the second segment exhausts the step budget after the third has blown up at a
+    # step too coarse to refine within that budget
+    (_STIFF, [(0.0, 1e-3), (0.2, 0.1), (0.0, math.pi)], 256, ConvergenceError),
 ], ids=["blowup-second", "blowup-first", "convergence-before-blowup"])
-def test_integrate_transitions_raises_first_failure(monkeypatch, segments, max_steps, kind):
+def test_integrate_transitions_raises_first_failure(monkeypatch, sysd, segments, max_steps, kind):
     if max_steps is not None:
         monkeypatch.setattr(floquet, "TOL", dataclasses.replace(TOL, ode_max_steps=max_steps))
     t_from, t_to = zip(*segments)
-    want = _first_failure(_STIFF, t_from, t_to)
+    want = _first_failure(sysd, t_from, t_to)
     assert type(want) is kind
     with pytest.raises(kind) as info:
-        integrate_transitions(_STIFF, t_from, t_to)
+        integrate_transitions(sysd, t_from, t_to)
     assert str(info.value) == str(want)
     assert getattr(info.value, "t_reached", None) == getattr(want, "t_reached", None)
 
 
 def test_stiff_transition_blowup_without_warnings():
-    # RK4 at 64 steps per period is unstable for -3000; the blow-up must stop the
-    # segment before any arithmetic overflows
-    want = _first_failure(_STIFF, [0.0], [2.0 * math.pi])
+    # RK4 at 64 steps per period is unstable for -3000: each such pass blows up before
+    # any arithmetic overflows, and the step count doubles until it resolves the system
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BlowupError) as info:
-            integrate_transition(_STIFF, 0.0, 2.0 * math.pi)
-    assert str(info.value) == str(want) == "transition matrix exceeded 1.0e+300 at t=3.53429"
-    assert info.value.t_reached == want.t_reached
+            _rk4_matrix(_STIFF, 0.0, 2.0 * math.pi, 64)
+        assert str(info.value) == "transition matrix exceeded 1.0e+300 at t=3.53429"
+        tm = integrate_transition(_STIFF, 0.0, 2.0 * math.pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the reference loop overflows
+        value, steps, err = _ref_integrate_transition(_STIFF, 0.0, 2.0 * math.pi)
+    assert tm.steps == steps == 16384
+    assert np.abs(tm.value - value).max() <= _VALUE_BOUND * np.abs(value).max()
+    assert abs(tm.error_estimate - err) <= 2.0 * _VALUE_BOUND * np.abs(value).max()
 
 
 def _ref_sandwich(sys, kind):
