@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, periodic
+from . import linalg, lognorm, periodic
 from .config import TOL
 from .errors import BlowupError, ConvergenceError, NumericError
 from .linalg import NormKind
@@ -33,13 +33,15 @@ from .periodic import SystemDef
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """State transition matrix Phi(t_end, t_start) with integration metadata."""
+    """State transition matrix Phi(t_end, t_start) with integration metadata:
+    floats and an int for one segment (integrate_transition), read-only
+    stacks over the segments for many (integrate_transitions)."""
 
     value: np.ndarray
-    t_start: float
-    t_end: float
-    steps: int
-    error_estimate: float
+    t_start: float | np.ndarray
+    t_end: float | np.ndarray
+    steps: int | np.ndarray
+    error_estimate: float | np.ndarray
 
 
 # a block's working set in bytes: its stage stack of A(t) and the temporaries that build,
@@ -58,20 +60,13 @@ def _chunk(n: int) -> int:
     return max(2, 64 >> max(0, n.bit_length() - 1))
 
 
-_INF = NormKind("inf")
-
-
-def _blowup(t: float) -> BlowupError:
-    return BlowupError(f"transition matrix exceeded {TOL.overflow:.1e} at t={t:.6g}", t_reached=t)
-
-
 def _too_coarse(sys: SystemDef, h, t) -> np.ndarray:
     """Whether RK4 steps of length |h| are too coarse for A at the times t,
     elementwise: |h| |A(t)|_inf >= 0.5.  RK4 diverges on its own far from
     its stability interval (about 2.8 on the negative real axis, Hairer and
     Wanner, Solving ODEs II), so an overflow after such a step is taken as
     a step to refine, not as the system's growth."""
-    return np.abs(h) * linalg.mat_norm(sys.matrix(t), _INF) >= 0.5
+    return np.abs(h) * linalg.mat_norm(sys.matrix(t), lognorm.INF) >= 0.5
 
 
 def _step_matrices(A: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -97,9 +92,10 @@ def _prefix_products(Q: np.ndarray) -> None:
         d *= 2
 
 
-def _rk4_matrix(sys: SystemDef, a, b, steps: int, t_blow: np.ndarray | None = None) -> np.ndarray:
-    """Phi(b, a) by `steps` fixed RK4 steps, for float limits or for every
-    segment of the 1-d arrays a, b at once as a (P, n, n) stack.
+def _rk4_matrix(sys: SystemDef, a: np.ndarray, b: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phi(b[i], a[i]) by `steps` fixed RK4 steps for every segment of the
+    1-d arrays a, b at once, as a (P, n, n) stack, with the (P,) array
+    t_blow.
 
     On a linear field one RK4 step is a matrix M_k, so no loop runs over the
     steps.  Each segment's steps are cut into chunks of C = _chunk(n), and
@@ -108,31 +104,25 @@ def _rk4_matrix(sys: SystemDef, a, b, steps: int, t_blow: np.ndarray | None = No
     t_k, t_k + h/2, t_k + h with one sys.matrix call and builds all its M_k
     as one stack.  Inside each chunk the prefix products
     Q_k = M_k ... M_first come from _prefix_products; Phi is carried from
-    chunk to chunk in order.  The overflow check needs every step's
-    Phi_k = Q_k Phi_start; a block forms them, in one stacked matmul, only
-    when the bound n max|Q_k| max|Phi_start| does not already keep them
-    under the cap.  The product tree depends only on the step count and n,
-    so a segment comes out bit-identical whatever stack or block layout it
-    is integrated in.
+    chunk to chunk in order, and every step's Phi_k = Q_k Phi_start, formed
+    in one stacked matmul, is checked against TOL.overflow.  The product
+    tree depends only on the step count and n, so a segment comes out
+    bit-identical whatever stack or block layout it is integrated in.
 
     A segment whose matrix leaves the overflow cap at some step (inf and NaN
-    included) integrates no further and comes back as NaN; the time it got
-    to is written into t_blow when that array is given, else the first such
-    segment raises BlowupError.  Only sys.n and sys.matrix are read: the
-    forced stepper in perturb passes the augmented field
-    [[A(t), d(t)], [0, 0]], whose maps [[M, c], [0, 1]] carry x to M x + c.
+    included) integrates no further and comes back as NaN, with the time it
+    got to in t_blow; t_blow is NaN for the others.  Only sys.n and
+    sys.matrix are read: the forced stepper in perturb passes the augmented
+    field [[A(t), d(t)], [0, 0]], whose maps [[M, c], [0, 1]] carry x to
+    M x + c.
     """
-    a1 = np.atleast_1d(np.asarray(a, dtype=float))
-    h = (np.atleast_1d(np.asarray(b, dtype=float)) - a1) / steps
-    n, segs = sys.n, a1.size
+    h = (b - a) / steps
+    n, segs = sys.n, a.size
     width = min(_chunk(n), steps)
     pairs = segs * -(-steps // width)
     per_block = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (_PER_STEP * n * n * 8)) // width)
     Phi = np.tile(np.eye(n), (segs, 1, 1))
     blow = np.full(segs, np.nan)
-    # every entry of Q_k Phi_start is at most n max|Q_k| max|Phi_start|; the margin covers
-    # the rounding of the product and of that bound (Higham 2002, ch. 3)
-    cap = TOL.overflow / (n * (1.0 + 4.0 * n * np.finfo(float).eps))
     with np.errstate(over="ignore", invalid="ignore"):  # the cap check catches inf and NaN
         for p0 in range(0, pairs, per_block):
             chunk, seg = np.divmod(np.arange(p0, min(pairs, p0 + per_block)), segs)
@@ -143,7 +133,7 @@ def _rk4_matrix(sys: SystemDef, a, b, steps: int, t_blow: np.ndarray | None = No
             k = chunk[:, None] * width + np.arange(width)
             valid = k < steps  # the last chunk may be short
             hk = np.broadcast_to(h[seg, None], k.shape)[valid]
-            t = (a1[seg, None] + k * h[seg, None])[valid]
+            t = (a[seg, None] + k * h[seg, None])[valid]
             M = _step_matrices(sys.matrix(np.stack((t, t + 0.5 * hk, t + hk), axis=-1)), hk)
             if valid.all():
                 Q = M.reshape(k.shape + (n, n))
@@ -157,22 +147,13 @@ def _rk4_matrix(sys: SystemDef, a, b, steps: int, t_blow: np.ndarray | None = No
             for lo, hi in zip(cuts, cuts[1:]):  # one run of segments per chunk index
                 start[lo:hi] = Phi[seg[lo:hi]]
                 Phi[seg[lo:hi]] = ends[lo:hi] @ start[lo:hi]
-            if np.abs(Q).max() * np.abs(start).max() <= cap:
-                continue  # no step of the block can reach the cap; NaN and inf fail here too
-            later = np.searchsorted(chunk, 1)  # on a segment's first chunk Phi_k is Q_k itself
-            Phi_k = np.concatenate((Q[:later], Q[later:] @ start[later:, None]))
-            if np.abs(Phi_k).max() <= TOL.overflow:  # NaN and inf fail the comparison too
-                continue
-            bad = ~(np.abs(Phi_k).max(axis=(-2, -1)) <= TOL.overflow) & valid
+            # NaN and inf fail the comparison too
+            bad = ~(np.abs(Q @ start[:, None]).max(axis=(-2, -1)) <= TOL.overflow) & valid
             for r in np.flatnonzero(bad.any(axis=1)).tolist():  # in step order for each segment
                 if np.isnan(blow[seg[r]]):
-                    blow[seg[r]] = a1[seg[r]] + (k[r, bad[r].argmax()] + 1) * h[seg[r]]
+                    blow[seg[r]] = a[seg[r]] + (k[r, bad[r].argmax()] + 1) * h[seg[r]]
     Phi[~np.isnan(blow)] = np.nan
-    if t_blow is not None:
-        t_blow[...] = blow
-    elif not np.isnan(blow).all():
-        raise _blowup(float(blow[~np.isnan(blow)][0]))
-    return Phi.reshape(np.shape(a) + (n, n))
+    return Phi, blow
 
 
 def _non_positive_det(M: np.ndarray) -> np.ndarray:
@@ -190,10 +171,11 @@ def _non_positive_det(M: np.ndarray) -> np.ndarray:
     return bad
 
 
-def integrate_transitions(sys: SystemDef, t_from, t_to,
-                          tol: float | None = None) -> tuple[TransitionMatrix, ...]:
+def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None) -> TransitionMatrix:
     """Phi(t_to[i], t_from[i]) for every pair of the 1-d sequences t_from and
-    t_to, each by RK4 with step doubling.
+    t_to, each by RK4 with step doubling, as one TransitionMatrix whose
+    fields are read-only stacks over the segments: value (P, n, n) and
+    t_start, t_end, steps, error_estimate (P,).
 
     Each segment starts from a step count proportional to its span (between
     8 and TOL.ode_start_steps) and doubles until two consecutive answers
@@ -215,21 +197,19 @@ def integrate_transitions(sys: SystemDef, t_from, t_to,
     """
     if tol is None:
         tol = TOL.ode_tol
-    a = np.asarray(t_from, dtype=float)
-    b = np.asarray(t_to, dtype=float)
+    a = np.array(t_from, dtype=float)
+    b = np.array(t_to, dtype=float)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"t_from and t_to must be 1-d of one length, got shapes {a.shape} and {b.shape}")
     n = sys.n
-    out: list[TransitionMatrix | None] = [None] * a.size
+    # zero-length segments keep the identity, live ones hold their last pass
+    value = np.tile(np.eye(n), (a.size, 1, 1))
+    err = np.zeros(a.size)
     fail: dict[int, NumericError] = {}
     start = TOL.ode_start_steps
     steps = np.maximum(8, np.minimum(start, np.ceil(start * np.abs(b - a) / sys.period))).astype(np.int64)
-    for i in np.flatnonzero(a == b):
-        eye = np.eye(n)
-        eye.flags.writeable = False
-        out[i] = TransitionMatrix(eye, float(a[i]), float(b[i]), 0, 0.0)
+    steps[a == b] = 0
     live = np.flatnonzero(a != b)
-    prev = np.empty((a.size, n, n))
     first = True
     while live.size:
         if not first:
@@ -243,9 +223,7 @@ def integrate_transitions(sys: SystemDef, t_from, t_to,
         t_blow = np.empty(live.size)
         for s in set(steps[live].tolist()):  # (np.unique costs 1.5 MB of RSS on first use)
             grp = np.flatnonzero(steps[live] == s)
-            blow = np.empty(grp.size)
-            cur[grp] = _rk4_matrix(sys, a[live[grp]], b[live[grp]], s, blow)
-            t_blow[grp] = blow
+            cur[grp], t_blow[grp] = _rk4_matrix(sys, a[live[grp]], b[live[grp]], s)
         blown = ~np.isnan(t_blow)
         # a blow-up after too coarse a step doubles as usual, from no previous answer (its
         # NaN matrix agrees with nothing); one with room for no further doubling is final
@@ -255,21 +233,18 @@ def integrate_transitions(sys: SystemDef, t_from, t_to,
             retry[blown] = _too_coarse(sys, (b[seg] - a[seg]) / steps[seg], t_blow[blown])
             retry &= steps[live] * 2 <= TOL.ode_max_steps
         for i, t in zip(live[blown & ~retry], t_blow[blown & ~retry].tolist()):
-            fail[i] = _blowup(t)
+            fail[i] = BlowupError(f"transition matrix exceeded {TOL.overflow:.1e} at t={t:.6g}", t_reached=t)
         rest = ~blown | retry
         if not first:
-            diff = np.abs(cur - prev[live]).max(axis=(1, 2))
+            diff = np.abs(cur - value[live]).max(axis=(1, 2))
             done = rest & (diff <= tol * (1.0 + np.abs(cur).max(axis=(1, 2))))
             flipped = _non_positive_det(cur[done])
-            for i, value, bad, d in zip(live[done], cur[done], flipped, diff[done].tolist()):
-                if bad:
-                    fail[i] = NumericError(f"integrated transition matrix has non-positive determinant "
-                                           f"over [{a[i]:g}, {b[i]:g}]")
-                    continue
-                value.flags.writeable = False
-                out[i] = TransitionMatrix(value, float(a[i]), float(b[i]), int(steps[i]), d / 15.0)
+            for i in live[done][flipped]:
+                fail[i] = NumericError(f"integrated transition matrix has non-positive determinant "
+                                       f"over [{a[i]:g}, {b[i]:g}]")
+            err[live[done]] = diff[done] / 15.0
             rest &= ~done
-        prev[live[rest]] = cur[rest]
+        value[live] = cur
         live = live[rest]
         if fail:
             # segments after a failed one no longer matter
@@ -277,14 +252,18 @@ def integrate_transitions(sys: SystemDef, t_from, t_to,
         first = False
     if fail:
         raise fail[min(fail)]
-    return tuple(out)
+    for field in (value, a, b, steps, err):
+        field.flags.writeable = False
+    return TransitionMatrix(value, a, b, steps, err)
 
 
 def integrate_transition(sys: SystemDef, t_from: float, t_to: float,
                          tol: float | None = None) -> TransitionMatrix:
     """Phi(t_to, t_from) by RK4 with step doubling: the one-segment case of
-    integrate_transitions."""
-    return integrate_transitions(sys, [t_from], [t_to], tol)[0]
+    integrate_transitions, with float and int fields."""
+    tm = integrate_transitions(sys, [t_from], [t_to], tol)
+    return TransitionMatrix(tm.value[0], float(tm.t_start[0]), float(tm.t_end[0]), int(tm.steps[0]),
+                            float(tm.error_estimate[0]))
 
 
 @dataclass(frozen=True)
@@ -397,12 +376,11 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
     # forward and backward transition of each grid segment, interleaved
     ends = np.stack((ts[:-1], ts[1:]), axis=1)
     try:
-        tms = integrate_transitions(sys, ends.ravel(), ends[:, ::-1].ravel())
+        segs = integrate_transitions(sys, ends.ravel(), ends[:, ::-1].ravel()).value
     except BlowupError:
         if max(np.diff(pp).max(), np.diff(pm).max()) < math.log(TOL.overflow):
             return math.inf
         raise
-    segs = np.array([tm.value for tm in tms])
     with np.errstate(over="ignore", invalid="ignore"):  # a product past the largest float is not finite
         F, i, j = _pair_products(segs[0::2], forward=True)
         B = _pair_products(segs[1::2], forward=False)[0]
@@ -449,10 +427,9 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict, grid: int = 16) -> D
     kind, rates, t0, log_k = verdict.kind, verdict.rates, sys.t0, math.log(verdict.K)
     ts = np.linspace(t0, t0 + 3.0 * sys.period, grid)
     tms = integrate_transitions(sys, ts[:-1], ts[1:])
-    rel = 0.0
-    for tm in tms:
-        rel += tm.error_estimate / (1.0 + float(np.abs(tm.value).max()))
-    P, i, j = _pair_products(np.array([tm.value for tm in tms]), forward=True)
+    # a running sum in segment order; np.sum pairs terms, which moves the printed allowance
+    rel = float(np.cumsum(tms.error_estimate / (1.0 + np.abs(tms.value).max(axis=(1, 2))))[-1])
+    P, i, j = _pair_products(tms.value, forward=True)
     worst = float((log_k - verdict.alpha_tilde * (ts[j] - ts[i]) - np.log(linalg.mat_norm(P, kind))).min())
     # |Phi(t_j, t0) x0| at every grid time, Phi(t0, t0) = I included, for eight seeded x0
     x0 = np.random.default_rng(20260814).standard_normal((8, 1, sys.n, 1))

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import linalg, lognorm
 from .config import TOL
-from .errors import InputError, NumericError
+from .errors import ConvergenceError, InputError, NumericError
 from .expr import Expression, ParseError, contains_time, evaluate, parse, to_string
 from .linalg import NormKind
 
@@ -79,12 +79,7 @@ class SystemDef:
         object.__setattr__(self, "_flat", flat)
         # every lru_cache lookup hashes the system, so walk the n^2 trees once
         object.__setattr__(self, "_hash", hash((self.entries, self.period, self.t0)))
-        constant = not any(contains_time(e) for e in flat)
-        object.__setattr__(self, "_constant", constant)
-        if constant:
-            A = evaluate(flat, 0.0).reshape(n, n)
-            A.flags.writeable = False
-            object.__setattr__(self, "_const_matrix", A)
+        object.__setattr__(self, "_constant", not any(contains_time(e) for e in flat))
 
     def __hash__(self):
         return self._hash
@@ -98,14 +93,8 @@ class SystemDef:
         return self._constant
 
     def matrix(self, t) -> np.ndarray:
-        """A(t), or the stack t.shape + (n, n) for an array of times.  Constant
-        systems return a shared read-only array for a float, and a read-only
-        broadcast of it for an array."""
+        """A(t), or the stack t.shape + (n, n) for an array of times."""
         n = len(self.entries)
-        if self._constant:
-            if isinstance(t, np.ndarray):
-                return np.broadcast_to(self._const_matrix, t.shape + (n, n))
-            return self._const_matrix
         v = evaluate(self._flat, t)
         return v.reshape(v.shape[:-1] + (n, n))
 
@@ -454,7 +443,7 @@ def frozen_time_check(sys: SystemDef, grid_points: int = 64) -> FrozenTimeReport
     A = sys.matrix(ts)
     # mat_norm gives -0.0 for a zero matrix; the bounds report it as 0.0
     m_bound = max(0.0, float(linalg.mat_norm(A, lognorm.TWO).max()))
-    worst = max(max(z.real for z in linalg.gen_eigs(a)) for a in A)
+    worst = float(linalg._lapack(ConvergenceError, np.linalg.eigvals, A).real.max())
     dA = (sys.matrix(ts + h) - sys.matrix(ts - h)) / (2.0 * h)
     sup_adot = max(0.0, float(linalg.mat_norm(dA, lognorm.TWO).max()))
     m_margin = 1.05 * m_bound

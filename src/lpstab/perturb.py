@@ -8,11 +8,12 @@ variation-of-constants form
 
     x(t) = Phi(t, t0) x0 + integral of Phi(t, s) d(s) ds over [t0, t]
 
-by Simpson weights on panels finer than period/128.  The panel transitions
-come from one batched floquet.integrate_transitions call, so the audit
-shares the RK4 kernel with the stepper but not how d enters it.  A
-disagreement beyond the tolerance raises, since it means at least one of
-the two routes cannot be trusted.
+by Simpson weights on panels finer than period/128 and than
+1 / (8 max |A(t)|_inf).  The panel transitions come from one batched
+floquet.integrate_transitions call, so the audit shares the RK4 kernel
+with the stepper but not how d enters it.  A disagreement beyond the
+tolerance raises, since it means at least one of the two routes cannot be
+trusted.
 
 windowed_drift summarizes a disturbance by the windowed supremum of its
 running integral, which is the quantity whose decay transfers to the
@@ -33,8 +34,8 @@ from .config import TOL
 from .errors import BlowupError, ConvergenceError, InputError, NumericError
 from .expr import EvalError, Expression, Num, ParseError, evaluate, parse, to_string
 from .floquet import _rk4_matrix, _too_coarse, integrate_transitions
-from .linalg import NormKind, _two_norm, vec_norm
-from .lognorm import TWO
+from .linalg import NormKind, _two_norm, mat_norm, vec_norm
+from .lognorm import INF, TWO
 from .periodic import SystemDef, integrate
 
 
@@ -109,7 +110,7 @@ def _rk4_pass(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
     one are still swept, so a state that overflows first is reported as an
     overflow; otherwise the earliest failing stage time raises."""
     def augmented(t):
-        A = sys.matrix(t)  # a broadcast for constant systems, so not one flat expression list
+        A = sys.matrix(t)
         B = np.zeros(A.shape[:-2] + (sys.n + 1, sys.n + 1))
         B[..., :-1, :-1] = A
         B[..., :-1, -1] = d.vector(t)
@@ -122,7 +123,7 @@ def _rk4_pass(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):  # the cap checks below catch inf and NaN
         while stop:
             try:
-                maps = _rk4_matrix(field, ts[:stop], ts[1:stop + 1], m, np.empty(stop))
+                maps = _rk4_matrix(field, ts[:stop], ts[1:stop + 1], m)[0]
                 break
             except EvalError as exc:  # blocks are chunk-major, so an earlier interval may fail too
                 stop, error = min(stop - 1, int(np.searchsorted(ts, exc.t, side="right")) - 1), exc
@@ -143,21 +144,21 @@ def _rk4_pass(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
 
 def _voc_states(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
                 check_idx: Sequence[int]) -> list[np.ndarray]:
-    # shared panel grid: every sample interval split so panels are finer
-    # than period/128, each panel carrying two half-span transitions; all
-    # transitions come from one batched call and d from one array call
+    # shared panel grid: every sample interval split into panels finer than
+    # period/128 and, for stiff systems, than 1/8 over the largest |A(t)|_inf
+    # on the audited samples, since Simpson needs Phi(t, s) smooth across a
+    # panel; each panel carries two half-span transitions, all from one
+    # batched call, and d comes from one array call
     i_max = max(check_idx)
-    pa, pb = [], []
-    for i in range(i_max):
-        a = float(ts[i])
-        b = float(ts[i + 1])
-        q = max(1, int(math.ceil(128.0 * (b - a) / sys.period)))
-        pa += [a + (b - a) * k / q for k in range(q)]
-        pb += [a + (b - a) * (k + 1) / q for k in range(q)]
-    pa, pb = np.array(pa), np.array(pb)
+    a, b = ts[:i_max], ts[1:i_max + 1]
+    rate = float(mat_norm(sys.matrix(ts[:i_max + 1]), INF).max())
+    q = np.maximum(1, np.ceil(np.maximum(128.0 * (b - a) / sys.period, 8.0 * (b - a) * rate))).astype(int)
+    pos = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)  # each panel's index in its interval
+    a, span, q = np.repeat(a, q), np.repeat(b - a, q), np.repeat(q, q)
+    pa, pb = a + span * pos / q, a + span * (pos + 1) / q
     pm = 0.5 * (pa + pb)
     halves = np.stack((pa, pm, pb), axis=1)
-    tms = integrate_transitions(sys, halves[:, :2].ravel(), halves[:, 1:].ravel(), tol=1e-9)
+    V = integrate_transitions(sys, halves[:, :2].ravel(), halves[:, 1:].ravel(), tol=1e-9).value
     dv = d.vector(halves)
     out = []
     for idx in check_idx:
@@ -166,7 +167,7 @@ def _voc_states(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
         R = np.eye(sys.n)
         total = np.zeros(sys.n)
         for k in range(last, -1, -1):
-            first, second = tms[2 * k].value, tms[2 * k + 1].value
+            first, second = V[2 * k], V[2 * k + 1]
             h = pb[k] - pa[k]
             phi_mid = R @ second
             phi_a = phi_mid @ first

@@ -301,6 +301,14 @@ def test_perturb_overflow_reported():
     assert doc["convergence_claimed"] is False
 
 
+def test_perturb_first_interval_overflow_exits_2(tmp_path):
+    # a truncated trajectory needs two samples; x' = 800 x passes the cap before the second
+    path = write_system(tmp_path, {"entries": [["800"]], "period": 1.0})
+    code, out, err = run_cli("perturb", "-f", path, "--t-end", "14", "--samples", "16")
+    assert (code, out) == (2, "")
+    assert err == "numeric failure: state exceeded 1.0e+300 on the first sample interval\n"
+
+
 def test_perturb_drift_unavailable_past_overflow():
     # the state overflows at t ~ 693; exp(t) cannot be evaluated on the drift
     # windows beyond t ~ 709, which must not turn the run into a failure

@@ -84,7 +84,7 @@ def test_rk4_is_fourth_order():
     ref = entry.transition(1.0, 0.0)
     errs = []
     for steps in (32, 64, 128):
-        got = _rk4_matrix(entry.system, 0.0, 1.0, steps)
+        got, _ = _rk4_one(entry.system, 0.0, 1.0, steps)
         errs.append(float(np.abs(got - ref).max()))
     for coarse, fine in zip(errs, errs[1:]):
         assert 12.0 <= coarse / fine <= 20.0
@@ -156,7 +156,7 @@ def test_sandwich_bounds_products_past_the_float_range(kind):
     sysd = system_from_strings([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
     got = verify_sandwich(sysd, kind)
     ts = np.linspace(sysd.t0, sysd.t0 + 2.0 * sysd.period, 16)
-    bsegs = [tm.value for tm in integrate_transitions(sysd, ts[1:], ts[:-1])]
+    bsegs = integrate_transitions(sysd, ts[1:], ts[:-1]).value
     pm = pi_integral(sysd, kind, -1, ts)[0]
     worst, top = -math.inf, 0.0
     for i in range(15):
@@ -229,6 +229,12 @@ def test_decay_check_is_deterministic():
 # loop's largest entry, while step counts, times, blow-ups and batched-against-single
 # results stay exact
 _VALUE_BOUND = 1e-13
+
+
+def _rk4_one(sys, a, b, steps):
+    # the kernel on one segment, as (Phi, t_blow)
+    Phi, t_blow = _rk4_matrix(sys, np.array([a]), np.array([b]), steps)
+    return Phi[0], float(t_blow[0])
 
 
 def _ref_rk4_matrix(sys, a, b, steps):
@@ -320,36 +326,41 @@ def test_integrate_transitions_matches_scalar_reference(sysd, tol):
     b = np.maximum(a + rng.choice([-1.0, 1.0], 18) * T * rng.choice([1e-3, 0.05, 0.3, 1.0], 18), sysd.t0)
     b[::5] = a[::5]  # zero-length segments
     got = integrate_transitions(sysd, a, b, tol)
-    assert len(got) == 18
-    for x, y, tm in zip(a.tolist(), b.tolist(), got):
+    assert got.value.shape == (18, sysd.n, sysd.n)
+    for field in dataclasses.fields(got):
+        stack = getattr(got, field.name)
+        assert len(stack) == 18 and not stack.flags.writeable
+    for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
         value, steps, err = _ref_integrate_transition(sysd, x, y, tol)
         scale = float(np.abs(value).max())
-        assert np.abs(tm.value - value).max() <= _VALUE_BOUND * scale
-        assert abs(tm.error_estimate - err) <= 2.0 * _VALUE_BOUND * scale
-        assert (tm.steps, tm.t_start, tm.t_end) == (steps, x, y)
-        assert not tm.value.flags.writeable
-    assert len({tm.steps for tm in got}) > 3
+        assert np.abs(got.value[i] - value).max() <= _VALUE_BOUND * scale
+        assert abs(got.error_estimate[i] - err) <= 2.0 * _VALUE_BOUND * scale
+        assert (got.steps[i], got.t_start[i], got.t_end[i]) == (steps, x, y)
+    assert len(set(got.steps.tolist())) > 3
+    # the caller's times are copied, not frozen
+    assert a.flags.writeable and b.flags.writeable
     one = integrate_transition(sysd, float(a[1]), float(b[1]), tol)
-    assert one.value.tobytes() == got[1].value.tobytes() and one.steps == got[1].steps
+    assert one.value.tobytes() == got.value[1].tobytes() and not one.value.flags.writeable
+    assert (one.t_start, one.t_end, one.steps, one.error_estimate) == (
+        float(a[1]), float(b[1]), int(got.steps[1]), float(got.error_estimate[1]))
+    assert [type(getattr(one, f.name)) for f in dataclasses.fields(one)[1:]] == [float, float, int, float]
 
 
 def test_rk4_stack_matches_per_segment_loop():
     sysd = _STIFF
     a = np.array([0.0, 0.3, 0.0, 2.0])
     b = np.array([1e-3, 0.25, math.pi, 2.0 + 2.0 * math.pi])
-    t_blow = np.empty(4)
-    stack = _rk4_matrix(sysd, a, b, 64, t_blow)
+    stack, t_blow = _rk4_matrix(sysd, a, b, 64)
     for i in range(4):
+        one, blow = _rk4_one(sysd, float(a[i]), float(b[i]), 64)
         try:
             ref = _ref_rk4_matrix(sysd, float(a[i]), float(b[i]), 64)
         except BlowupError as exc:
             assert t_blow[i] == exc.t_reached and np.isnan(stack[i]).all()
-            with pytest.raises(BlowupError) as info:
-                _rk4_matrix(sysd, float(a[i]), float(b[i]), 64)
-            assert str(info.value) == str(exc) and info.value.t_reached == exc.t_reached
+            assert blow == exc.t_reached and np.isnan(one).all()
         else:
             assert np.isnan(t_blow[i]) and np.abs(stack[i] - ref).max() <= _VALUE_BOUND * np.abs(ref).max()
-            assert _rk4_matrix(sysd, float(a[i]), float(b[i]), 64).tobytes() == stack[i].tobytes()
+            assert math.isnan(blow) and one.tobytes() == stack[i].tobytes()
     assert np.isnan(t_blow).sum() == 2
 
 
@@ -377,12 +388,12 @@ def test_rk4_one_field_call_per_block(monkeypatch):
     a = np.linspace(0.0, 1.0, 7)
     b = a + 0.5
     monkeypatch.setattr(floquet, "_BLOCK_BYTES", 4 * floquet._PER_STEP * width * 40 * 40 * 8)
-    stack = _rk4_matrix(field, a, b, 5)
+    stack = _rk4_matrix(field, a, b, 5)[0]
     assert field.calls == [(8, 3), (8, 3), (8, 3), (6, 3), (4, 3), (1, 3)]
     for i in range(a.size):
-        assert _rk4_matrix(field, float(a[i]), float(b[i]), 5).tobytes() == stack[i].tobytes()
+        assert _rk4_one(field, float(a[i]), float(b[i]), 5)[0].tobytes() == stack[i].tobytes()
     monkeypatch.undo()
-    assert _rk4_matrix(field, a, b, 5).tobytes() == stack.tobytes()
+    assert _rk4_matrix(field, a, b, 5)[0].tobytes() == stack.tobytes()
 
 
 _KERNEL_SYSTEMS = {1: CATALOG["scalar_unstable"]().system, 3: _SYSTEMS[-1], 40: _CountingField(40)}
@@ -400,14 +411,15 @@ def test_rk4_kernel_at_chunk_boundaries(monkeypatch, n, count):
     a = rng.uniform(0.0, 3.0, 12)
     b = a + rng.uniform(-1.5, 1.5, 12)
     b[::4] = a[::4]
-    stack = _rk4_matrix(sysd, a, b, steps)
+    stack, t_blow = _rk4_matrix(sysd, a, b, steps)
+    assert np.isnan(t_blow).all()
     monkeypatch.setattr(floquet, "_BLOCK_BYTES", 1)
-    assert _rk4_matrix(sysd, a, b, steps).tobytes() == stack.tobytes()
+    assert _rk4_matrix(sysd, a, b, steps)[0].tobytes() == stack.tobytes()
     monkeypatch.undo()
     for i in range(a.size):
         ref = _ref_rk4_matrix(sysd, float(a[i]), float(b[i]), steps)
         assert np.abs(stack[i] - ref).max() <= _VALUE_BOUND * np.abs(ref).max()
-        assert _rk4_matrix(sysd, float(a[i]), float(b[i]), steps).tobytes() == stack[i].tobytes()
+        assert _rk4_one(sysd, float(a[i]), float(b[i]), steps)[0].tobytes() == stack[i].tobytes()
     assert (stack[::4] == np.eye(sysd.n)).all()
 
 
@@ -423,30 +435,26 @@ def test_rk4_blowup_step_matches_loop(span, steps, place):
     assert (round(want / (span / steps)) - 1) % floquet._chunk(2) == place % floquet._chunk(2)
     a = np.array([0.0, 0.0, 0.5])
     b = np.array([1e-3, span, 0.5])
-    t_blow = np.empty(3)
-    stack = _rk4_matrix(_STIFF, a, b, steps, t_blow)
+    stack, t_blow = _rk4_matrix(_STIFF, a, b, steps)
     assert t_blow[1] == want and np.isnan(stack[1]).all()
     assert np.isnan(t_blow[[0, 2]]).all() and np.isfinite(stack[[0, 2]]).all()
-    with pytest.raises(BlowupError) as info:
-        _rk4_matrix(_STIFF, 0.0, span, steps)
-    assert info.value.t_reached == want
+    assert _rk4_one(_STIFF, 0.0, span, steps)[1] == want
 
 
 @pytest.mark.parametrize("count", ["C", "C+1", "2C"])
-def test_rk4_overflow_bound_falls_back_at_the_cap(monkeypatch, count):
+def test_rk4_overflow_check_at_the_cap(monkeypatch, count):
     # x' = 2x grows monotonically, so the last step holds the largest entry.  With the
-    # cap at that entry the bound cannot rule the cap out, and the exact check passes;
-    # one ulp lower the last step, a chunk's end or the first step of a chunk, blows up
+    # cap at that entry the check passes; one ulp lower the last step, a chunk's end or
+    # the first step of a chunk, blows up
     sysd = system_from_strings([["2"]], 1.0)
     C = floquet._chunk(1)
     steps = {"C": C, "C+1": C + 1, "2C": 2 * C}[count]
     a, b = np.array([0.0, 0.5]), np.array([1.0, 1.0])
-    free = _rk4_matrix(sysd, a, b, steps)
+    free = _rk4_matrix(sysd, a, b, steps)[0]
     top = float(free[0, 0, 0])
     for cap, blown in ((top, False), (float(np.nextafter(top, 0.0)), True)):
         monkeypatch.setattr(floquet, "TOL", dataclasses.replace(TOL, overflow=cap))
-        t_blow = np.empty(2)
-        got = _rk4_matrix(sysd, a, b, steps, t_blow)
+        got, t_blow = _rk4_matrix(sysd, a, b, steps)
         assert got[1].tobytes() == free[1].tobytes() and np.isnan(t_blow[1])
         if blown:
             assert t_blow[0] == 0.0 + steps * (1.0 / steps) and np.isnan(got[0]).all()
@@ -473,14 +481,19 @@ def test_integrate_transitions_raises_first_failure(monkeypatch, sysd, segments,
     assert getattr(info.value, "t_reached", None) == getattr(want, "t_reached", None)
 
 
-def test_stiff_transition_blowup_without_warnings():
+def test_stiff_transition_blowup_without_warnings(monkeypatch):
     # RK4 at 64 steps per period is unstable for -3000: each such pass blows up before
-    # any arithmetic overflows, and the step count doubles until it resolves the system
+    # any arithmetic overflows, and the step count doubles until it resolves the system;
+    # with no room to double, the 64-step blow-up is final
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(BlowupError) as info:
-            _rk4_matrix(_STIFF, 0.0, 2.0 * math.pi, 64)
+        t_blow = _rk4_one(_STIFF, 0.0, 2.0 * math.pi, 64)[1]
+        with monkeypatch.context() as m:
+            m.setattr(floquet, "TOL", dataclasses.replace(TOL, ode_max_steps=64))
+            with pytest.raises(BlowupError) as info:
+                integrate_transition(_STIFF, 0.0, 2.0 * math.pi)
         assert str(info.value) == "transition matrix exceeded 1.0e+300 at t=3.53429"
+        assert info.value.t_reached == t_blow
         tm = integrate_transition(_STIFF, 0.0, 2.0 * math.pi)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the reference loop overflows

@@ -89,6 +89,16 @@ print(json.dumps({{"listed": listed, "same": same, "modules": modules}}))
     assert set(names) | set(got["modules"]) <= set(got["listed"])
 
 
+def test_no_submodule_imports_scipy():
+    # scipy computes the benchmark's references (perfbench/reference.py) and stays out of lpstab
+    got = run_python("import importlib, json, pkgutil, sys, lpstab; "
+                     "names = [m.name for m in pkgutil.iter_modules(lpstab.__path__, 'lpstab.')]; "
+                     "[importlib.import_module(name) for name in names]; "
+                     "print(json.dumps([names, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    assert {"lpstab.cli", "lpstab.floquet", "lpstab.perturb"} <= set(got[0])
+    assert got[1] == []
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         lpstab.no_such_name  # noqa: B018

@@ -15,11 +15,11 @@ import pytest
 from lpstab import perturb
 from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
 from lpstab.config import TOL
-from lpstab.errors import ConvergenceError
+from lpstab.errors import BlowupError, ConvergenceError
 from lpstab.expr import EvalError, evaluate
 from lpstab.floquet import integrate_transition
-from lpstab.linalg import vec_norm
-from lpstab.lognorm import TWO
+from lpstab.linalg import mat_norm, vec_norm
+from lpstab.lognorm import INF, TWO
 from lpstab.periodic import integrate, system_from_strings
 from lpstab.perturb import (
     Disturbance,
@@ -261,10 +261,11 @@ def _ref_rk4_pass(sys, d, x0, ts, m):
 
 def _ref_voc_states(sys, d, x0, ts, check_idx):
     # two transitions per panel and d at its nodes, one call each
+    rate = max(mat_norm(sys.matrix(float(t)), INF) for t in ts[:max(check_idx) + 1])
     panels = []
     for i in range(max(check_idx)):
         a, b = float(ts[i]), float(ts[i + 1])
-        q = max(1, int(math.ceil(128.0 * (b - a) / sys.period)))
+        q = max(1, math.ceil(128.0 * (b - a) / sys.period), math.ceil(8.0 * (b - a) * rate))
         for k in range(q):
             pa = a + (b - a) * k / q
             pb = a + (b - a) * (k + 1) / q
@@ -289,6 +290,8 @@ def _ref_voc_states(sys, d, x0, ts, check_idx):
 
 
 _ONE_D = system_from_strings([["1"]], 1.0)
+_STIFF_100 = system_from_strings([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
+_STIFF_3000 = system_from_strings([["-3000+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
 
 
 @pytest.mark.parametrize("sysd,d,t_end,m,overflows", [
@@ -329,13 +332,59 @@ def test_rk4_pass_eval_error_matches_per_call_loop(sysd, t_end, samples, m):
     assert str(got.value) == str(ref.value) and got.value.t == ref.value.t
 
 
-@pytest.mark.parametrize("sysd", [strong_coupling().system, rotating_frame(0.5).system],
-                         ids=["strong_coupling", "rotating_frame"])
-def test_voc_states_match_per_panel_loop(sysd):
+@pytest.mark.parametrize("sysd,periods", [(strong_coupling().system, 1.7), (rotating_frame(0.5).system, 1.7),
+                                          (_STIFF_100, 0.08)],
+                         ids=["strong_coupling", "rotating_frame", "stiff"])
+def test_voc_states_match_per_panel_loop(sysd, periods):
+    # on the stiff system |A|_inf, not the period, sets the panel count
     dist = disturbance_from_strings(["sin(3*t) + exp(-t)", "cos(t)"])
     x0 = np.array([0.5, -1.5])
-    ts = np.linspace(sysd.t0, sysd.t0 + 1.7 * sysd.period, 12)
+    ts = np.linspace(sysd.t0, sysd.t0 + periods * sysd.period, 12)
     idx = [2, 7, 11]
     got = _voc_states(sysd, dist, x0, ts, idx)
     ref = _ref_voc_states(sysd, dist, x0, ts, idx)
     assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+def test_audit_resolves_stiff_systems():
+    # panels of period/128 leave exp(-100 (t - s)) unresolved for Simpson: the audit
+    # was off by 1.9e-5 here, against 1.3e-14 for the stepper (Radau reference)
+    traj = simulate_perturbed(_STIFF_100, disturbance_from_strings(["exp(-t)", "1"]), np.ones(2), 5.0)
+    assert traj.check_error < 1e-9
+
+
+def _recording_passes(monkeypatch):
+    # (substeps, blow index) of every pass simulate_perturbed makes
+    passes = []
+
+    def record(sys, d, x0, ts, m):
+        states, blow = _rk4_pass(sys, d, x0, ts, m)
+        passes.append((m, blow))
+        return states, blow
+
+    monkeypatch.setattr(perturb, "_rk4_pass", record)
+    return passes
+
+
+def test_coarse_step_overflow_is_refined(monkeypatch):
+    # RK4 at one substep per interval is unstable for -3000: five passes blow up after
+    # too coarse a step and double without a previous answer; the two after them settle
+    passes = _recording_passes(monkeypatch)
+    d = disturbance_from_strings(["exp(-t)", "1"])
+    traj = simulate_perturbed(_STIFF_3000, d, np.ones(2), 5.0, cross_check=False)
+    assert [m for m, _ in passes] == [1, 2, 4, 8, 16, 32, 64]
+    assert all(blow is not None for _, blow in passes[:5]) and passes[5:] == [(32, None), (64, None)]
+    assert not traj.overflowed and traj.steps_per_interval == 64
+    assert traj.states.tobytes() == _rk4_pass(_STIFF_3000, d, np.ones(2), traj.times, 64)[0].tobytes()
+
+
+def test_first_interval_overflow_raises(monkeypatch):
+    # x' = 800 x passes the cap inside the first sample interval once the substep
+    # resolves it; coarser passes blow up too, and are refined first
+    passes = _recording_passes(monkeypatch)
+    with pytest.raises(BlowupError) as info:
+        simulate_perturbed(system_from_strings([["800"]], 1.0), Disturbance.zero(1), np.ones(1), 14.0,
+                           samples=16)
+    assert str(info.value) == "state exceeded 1.0e+300 on the first sample interval"
+    assert info.value.t_reached == 14.0 / 15.0
+    assert passes == [(60, 2), (120, 2), (240, 1), (480, 1), (960, 1), (1920, 1)]
