@@ -28,8 +28,11 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 # lpstab's modules (and numpy) load before click and json: the other order leaves a
-# larger peak RSS
-from . import catalog, floquet, lognorm, periodic, perturb
+# larger peak RSS.  floquet stays here although only analyze runs it, since importing it
+# after click costs every analyze process 0.6 MB more.  perturb, needed only by the
+# perturb command and series --trajectory, is imported where they run: with no bytecode
+# cache every process compiles what it imports
+from . import catalog, floquet, lognorm, periodic
 from ._version import __version__
 from .config import TOL
 from .errors import BlowupError, InputError, NotPositiveDefiniteError, NumericError
@@ -41,9 +44,13 @@ import dataclasses
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
+
+if TYPE_CHECKING:
+    from . import perturb
 
 _NORM_CHOICE = click.Choice([*lognorm.NAMED, "weighted"])
 
@@ -328,6 +335,7 @@ def series(file, system_name, params, norm, t_end, samples, trajectory, out):
         start = np.array(_parse_floats(trajectory, "--trajectory"))
         if start.shape != (sysd.n,):
             raise InputError(f"--trajectory must have {sysd.n} entries")
+        from . import perturb
         traj = perturb.simulate_perturbed(sysd, perturb.Disturbance.zero(sysd.n), start,
                                           t_end, samples=samples, cross_check=False)
         _write_trajectory(fh, traj, kind)
@@ -346,6 +354,7 @@ def series(file, system_name, params, norm, t_end, samples, trajectory, out):
 @click.option("--json", "json_out", is_flag=True, help="machine-readable output")
 def perturb_cmd(file, system_name, params, norm, dist, x0, t_end, samples, out, json_out):
     """Simulate x' = A(t) x + d(t) and summarize decay of the response."""
+    from . import perturb
     sysd = _load_system(file, system_name, params)
     kind = _resolve_kind(sysd, norm)
     if t_end is None:

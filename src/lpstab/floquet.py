@@ -20,12 +20,14 @@ comes back as a failed check or a positive violation.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import linalg, lognorm, periodic
-from .config import TOL
+from .config import TOL, Tolerances
 from .errors import BlowupError, ConvergenceError, NumericError
 from .linalg import NormKind
 from .periodic import SystemDef
@@ -295,6 +297,28 @@ def monodromy_fce(sys: SystemDef, tol: float | None = None) -> FceEstimate:
 
 # ------------------------------------------------------------- cross-checks
 
+@lru_cache(maxsize=16)
+def _grid_transitions(sys: SystemDef, t_from: tuple[float, ...], t_to: tuple[float, ...],
+                      tol: Tolerances) -> TransitionMatrix | BlowupError:
+    # the checks below ask for the same grid once per norm, and transitions do not depend
+    # on the norm; a blow-up is kept too, without the frames that hold the pass's stacks.
+    # tol is the module's TOL, read by integrate_transitions: a key, so that a changed TOL
+    # never gets stale transitions
+    try:
+        return integrate_transitions(sys, t_from, t_to)
+    except BlowupError as exc:
+        return exc.with_traceback(None)
+
+
+def _transitions_once(sys: SystemDef, t_from: np.ndarray, t_to: np.ndarray) -> TransitionMatrix:
+    """integrate_transitions(sys, t_from, t_to), integrated once per system,
+    grid and TOL."""
+    got = _grid_transitions(sys, tuple(t_from.tolist()), tuple(t_to.tolist()), TOL)
+    if isinstance(got, BlowupError):
+        raise got
+    return got
+
+
 def _pair_products(segs: np.ndarray, forward: bool):
     """Products of the (m, n, n) stack of consecutive segment transitions over
     every grid pair i < j, as a stack ordered by j - i and then by i, with the
@@ -376,7 +400,7 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
     # forward and backward transition of each grid segment, interleaved
     ends = np.stack((ts[:-1], ts[1:]), axis=1)
     try:
-        segs = integrate_transitions(sys, ends.ravel(), ends[:, ::-1].ravel()).value
+        segs = _transitions_once(sys, ends.ravel(), ends[:, ::-1].ravel()).value
     except BlowupError:
         if max(np.diff(pp).max(), np.diff(pm).max()) < math.log(TOL.overflow):
             return math.inf
@@ -426,13 +450,14 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict, grid: int = 16) -> D
         raise ValueError("grid must be at least 2")
     kind, rates, t0, log_k = verdict.kind, verdict.rates, sys.t0, math.log(verdict.K)
     ts = np.linspace(t0, t0 + 3.0 * sys.period, grid)
-    tms = integrate_transitions(sys, ts[:-1], ts[1:])
+    tms = _transitions_once(sys, ts[:-1], ts[1:])
     # a running sum in segment order; np.sum pairs terms, which moves the printed allowance
     rel = float(np.cumsum(tms.error_estimate / (1.0 + np.abs(tms.value).max(axis=(1, 2))))[-1])
     P, i, j = _pair_products(tms.value, forward=True)
     worst = float((log_k - verdict.alpha_tilde * (ts[j] - ts[i]) - np.log(linalg.mat_norm(P, kind))).min())
     # |Phi(t_j, t0) x0| at every grid time, Phi(t0, t0) = I included, for eight seeded x0
-    x0 = np.random.default_rng(20260814).standard_normal((8, 1, sys.n, 1))
+    rng = random.Random(20260814)
+    x0 = np.array([[rng.gauss(0.0, 1.0) for _ in range(sys.n)] for _ in range(8)])[:, None, :, None]
     from_start = np.concatenate((np.eye(sys.n)[None], P[i == 0]))
     norms = linalg.vec_norm((from_start @ x0)[..., 0], kind)
     log_x = np.log(norms[norms[:, 0] >= 1e-6])

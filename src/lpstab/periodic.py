@@ -224,7 +224,11 @@ def pi_integral(sys: SystemDef, kind: NormKind, sign: int, t):
         value, err = lognorm.mu(sign * sys.matrix(sys.t0), kind) * (t - sys.t0), np.zeros(t.shape)
     else:
         T, N = sys.period, TOL.scan_points
-        k = (t - sys.t0) // T
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = (t - sys.t0) // T
+        if not np.isfinite(k).all():
+            raise NumericError(f"t={t[~np.isfinite(k)][0]:g} is more periods past t0 = {sys.t0:g} "
+                               f"than a float can count (period {T:g})")
         r = (t - sys.t0) - k * T
         k, r = np.where(r < 0.0, (k - 1.0, r + T), (k, r))
         ts, cum, scan_err = _scan(sys, kind, sign)

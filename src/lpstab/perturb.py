@@ -23,6 +23,7 @@ perturbed state when the unforced system is uniformly exponentially stable.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
@@ -198,7 +199,8 @@ def simulate_perturbed(sys: SystemDef, d: Disturbance, x0, t_end: float,
     if samples < 2:
         raise ValueError("samples must be at least 2")
     ts = np.linspace(sys.t0, t_end, samples)
-    m = max(1, int(math.ceil(TOL.ode_start_steps * (ts[1] - ts[0]) / sys.period)))
+    # capped where the step budget below is exceeded anyway: a huge span gives inf
+    m = max(1, math.ceil(min(TOL.ode_start_steps * float(ts[1] - ts[0]) / sys.period, TOL.ode_max_steps + 1)))
     prev = None
     while True:
         if m * (samples - 1) > TOL.ode_max_steps:
@@ -230,9 +232,7 @@ def simulate_perturbed(sys: SystemDef, d: Disturbance, x0, t_end: float,
     check_times: tuple[float, ...] = ()
     check_error = None
     if cross_check:
-        rng = np.random.default_rng(1729)
-        idx = sorted(int(i) for i in rng.choice(np.arange(1, samples), size=min(3, samples - 1),
-                                                replace=False))
+        idx = sorted(random.Random(1729).sample(range(1, samples), min(3, samples - 1)))
         voc = _voc_states(sys, d, x0, ts, idx)
         check_error = 0.0
         for i, xv in zip(idx, voc):

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import lpstab
-from lpstab import catalog, cli
+from lpstab import catalog, cli, floquet
 
 
 def run_cli(*args):
@@ -207,6 +207,19 @@ def test_input_errors_exit_one_without_traceback(tmp_path, args):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if "--param" in args:
         assert err.startswith("error: --param beta "), err
+
+
+@pytest.mark.parametrize("args", [
+    ["series", "-s", "example2", "--samples", "2", "--t-end", "1e308"],
+    ["series", "-s", "example2", "--samples", "16", "--t-end", "1e308", "--trajectory", "1,1"],
+    ["perturb", "-s", "example2", "--samples", "16", "--t-end", "1e200"],
+    ["perturb", "-s", "example2", "--samples", "16", "--t-end", "1e308"],
+], ids=["series-t-end-1e308", "trajectory-t-end-1e308", "perturb-t-end-1e200", "perturb-t-end-1e308"])
+def test_huge_t_end_exits_two_without_traceback(args):
+    # finite, but past 1e308 / period the period count overflows, and so does the step count
+    code, _, err = run_cli(*args)
+    assert code == 2
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1, err
 
 
 def test_numeric_failure_exit_two(tmp_path):
@@ -421,6 +434,21 @@ def test_perturb_validation():
     assert "--d" in err
     code, _, err = run_cli("perturb", "-s", "lti_diag", "--x0", "1,2,3")
     assert code == 1
+
+
+def test_oracle_integrates_each_grid_once(monkeypatch):
+    # transitions do not depend on the norm, so three norms share the monodromy, the
+    # sandwich grid (15 segments each way) and the decay grid (15 segments)
+    calls = []
+    integrate = floquet.integrate_transitions
+    monkeypatch.setattr(floquet, "integrate_transitions",
+                        lambda sys, a, b, tol=None: calls.append((tuple(a), tuple(b))) or integrate(sys, a, b, tol))
+    floquet._grid_transitions.cache_clear()
+    code, out, err = run_cli("analyze", "-s", "example2", "--norm", "one,two,inf", "--json")
+    assert code == 0, err
+    assert [e["classification"] for e in json.loads(out)["analyses"]] == ["UES"] * 3
+    assert sorted(len(a) for a, _ in calls) == [1, 15, 30]
+    assert len(set(calls)) == 3
 
 
 def test_output_is_deterministic():

@@ -1,4 +1,5 @@
-"""The package namespace and the command line's BLAS thread default.
+"""The package namespace, the command line's BLAS thread default and the
+modules a command line run loads.
 
 `import lpstab` must not import numpy, so that lpstab.cli can set
 OPENBLAS_NUM_THREADS before numpy starts OpenBLAS.  Each check runs in a
@@ -71,6 +72,18 @@ def test_cli_keeps_a_thread_count_the_user_set(var):
     got = run_python("import json, os, lpstab.cli; "
                      "print(json.dumps([os.environ.get(v) for v in %r]))" % (THREAD_VARS,), **{var: "2"})
     assert got == ["2" if v == var else None for v in THREAD_VARS]
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["analyze", "-s", "example2", "--norm", "one,two", "--json"], []),
+    (["perturb", "-s", "example2", "--json"], ["lpstab.perturb"]),
+], ids=["analyze", "perturb"])
+def test_cli_runs_leave_numpy_random_unloaded(argv, loaded):
+    # numpy.random brings hashlib and OpenSSL with it; perturb is imported only where it runs
+    got = run_python("import contextlib, io, json, sys; from lpstab.cli import main\n"
+                     f"with contextlib.redirect_stdout(io.StringIO()): main({argv!r})\n"
+                     "print(json.dumps([m for m in ('numpy.random', 'lpstab.perturb') if m in sys.modules]))")
+    assert got == loaded
 
 
 def test_old_names_resolve_to_their_submodule_objects():
