@@ -35,7 +35,7 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
 from . import catalog, floquet, lognorm, periodic
 from ._version import __version__
 from .config import TOL
-from .errors import BlowupError, InputError, NotPositiveDefiniteError, NumericError
+from .errors import BlowupError, InputError, NotPositiveDefiniteError, NumericError, SingularMatrixError
 from .expr import EvalError
 from .linalg import NormKind, vec_norm
 from .periodic import SystemDef
@@ -132,6 +132,8 @@ def _resolve_kind(sysd: SystemDef, norm: str) -> NormKind:
         return lognorm.lyapunov_weighted(sysd.matrix(sysd.t0))
     except NotPositiveDefiniteError as exc:
         raise InputError(f"cannot build the weighted norm: A(t0) is not Hurwitz ({exc})") from exc
+    except SingularMatrixError as exc:
+        raise NumericError(f"cannot build the weighted norm: {exc}") from exc
 
 
 def _resolve_kinds(sysd: SystemDef, norms: str) -> list[tuple[str, NormKind]]:

@@ -7,6 +7,8 @@ import numpy as np
 from .config import TOL
 from .errors import ConvergenceError, NotPositiveDefiniteError, NumericError, SingularMatrixError
 
+_SIGN_STEPS, _SIGN_STOP = 100, 1e-12  # sign iteration: step cap; change of S, relative to max|S|, that ends it
+
 
 @dataclass(frozen=True, eq=False)
 class NormKind:
@@ -134,10 +136,7 @@ def gen_eigs(M) -> list[complex]:
 
 def check_nonsingular(M, name="matrix"):
     """Validated M; singular when sigma_min <= TOL.singular_floor * sigma_max."""
-    return _nonsingular(_as_square(M, name), name)
-
-
-def _nonsingular(A, name):
+    A = _as_square(M, name)
     s = np.linalg.svd(A, compute_uv=False)
     if s[-1] <= TOL.singular_floor * s[0]:
         raise SingularMatrixError(f"{name} is singular: singular values {s[0]:.6e} .. {s[-1]:.6e}")
@@ -155,25 +154,26 @@ def determinant(M):
     return float(np.linalg.det(A)) if A.ndim == 2 else np.linalg.det(A)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericError
 def solve_lyapunov(A):
-    """H with A^T H + H A = -2 I, from the Kronecker system (I (x) A^T + A^T (x) I)
-    vec(H) = vec(-2 I); residual-checked, and positive definite iff A is Hurwitz."""
+    """H with A^T H + H A = -2 I in O(n^3) by the scaled Newton sign iteration (Roberts 1980, Byers 1987):
+    S = A settles at sign(A), of trace 2 k - n for k eigenvalues right of the imaginary axis, if none is on it."""
     A = _as_square(A, "A")
-    eye = np.eye(A.shape[0])
-    with np.errstate(over="ignore"):
-        K = np.kron(eye, A.T) + np.kron(A.T, eye)
-    if not np.isfinite(K).all():
+    n, S, Q = A.shape[0], A, 2.0 * np.eye(A.shape[0])
+    finite = np.isfinite(A + A.T).all()  # A + A^T is the Lyapunov operator at H = I
+    for _ in range(_SIGN_STEPS if finite else 0):
+        c, Si = np.exp(-np.linalg.slogdet(S)[1] / n), _lapack(NotPositiveDefiniteError, np.linalg.inv, S)
+        S, prev, Q = 0.5 * (c * S + Si / c), S, 0.5 * (c * Q + Si.T @ Q @ Si / c)
+        finite, settled = np.isfinite(S).all(), np.abs(S - prev).max() <= _SIGN_STOP * np.abs(S).max()
+        if settled or not finite:  # S alone decides: Q may overflow while S settles
+            break
+    if finite and not (settled and np.trace(S) < 1.0 - n):
+        raise NotPositiveDefiniteError("matrix is not Hurwitz: the sign iteration does not tend to -I")
+    H = 0.25 * (Q + Q.T)  # Q tends to 2 H
+    R = A.T @ H + H @ A + 2.0 * np.eye(n)
+    if not np.isfinite(R).all():  # as when A + A^T, S, Q or H is not finite
         raise NumericError("Lyapunov system overflowed to a non-finite value")
-    try:
-        # vec(-2 I) and the symmetrized H are the same in either storage order; the
-        # n^2 x n^2 system is internal, so the user-facing TOL.max_dim does not cap it
-        K = _nonsingular(K, "matrix")
-        H = np.linalg.solve(K, -2.0 * eye.ravel()).reshape(eye.shape)
-        H = 0.5 * (H + H.T)
-        resid = float(np.linalg.norm(A.T @ H + H @ A + 2.0 * eye, 2))
-        if resid > TOL.lyapunov_residual * (1.0 + float(np.abs(H).max())):
-            raise NumericError(f"Lyapunov residual {resid:.3e} above bound")
-        cholesky(H)
-    except (SingularMatrixError, NotPositiveDefiniteError) as exc:
-        raise NotPositiveDefiniteError(f"Lyapunov solve failed, matrix is not Hurwitz: {exc}") from exc
+    if (resid := float(np.linalg.norm(R, 2))) > TOL.lyapunov_residual * (1.0 + float(np.abs(H).max())):
+        raise NumericError(f"Lyapunov residual {resid:.3e} above bound")
+    _lapack(NumericError, np.linalg.cholesky, H)  # A is Hurwitz, but H is not numerically positive definite
     return H

@@ -40,11 +40,11 @@ def lyapunov_weighted(A) -> NormKind:
 
     Solves A^T H + H A = -2 I and returns the kind with transform L^T where
     H = L L^T, so that |x|^2 = x^T H x.  In this norm mu[A] <= -1 / |H|_2,
-    which is strictly negative; raises NotPositiveDefiniteError when A is
-    not Hurwitz.
+    which is strictly negative.  Raises NotPositiveDefiniteError when A is
+    not Hurwitz, and SingularMatrixError when L^T is too ill-conditioned to
+    serve as a transform.
     """
-    H = linalg.solve_lyapunov(A)
-    return NormKind("weighted", linalg.cholesky(H).T)
+    return weighted(linalg.cholesky(linalg.solve_lyapunov(A)).T)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow gives inf, or raises NumericError

@@ -75,6 +75,10 @@ class SystemDef:
             raise InputError(f"period must be a positive finite number, got {self.period!r}")
         if not (isinstance(self.t0, float) and math.isfinite(self.t0) and self.t0 >= 0.0):
             raise InputError(f"initial time must be finite and >= 0, got {self.t0!r}")
+        step, spacing = self.period / TOL.scan_points, math.ulp(self.t0 + self.period)
+        if spacing > step:
+            raise InputError(f"initial time {self.t0:g} is too large for period {self.period:g}: floats near "
+                             f"t0 + T are {spacing:.3g} apart, wider than the scan step {step:.3g}")
         flat = tuple(e for row in self.entries for e in row)
         object.__setattr__(self, "_flat", flat)
         # every lru_cache lookup hashes the system, so walk the n^2 trees once

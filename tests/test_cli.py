@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import lpstab
-from lpstab import catalog, cli, floquet
+from lpstab import catalog, cli, floquet, periodic
 
 
 def run_cli(*args):
@@ -120,9 +120,8 @@ def test_analyze_weighted_norm():
     assert "verdict: UES" in out
 
 
-def test_analyze_weighted_beyond_kronecker_cap(tmp_path):
-    # the weight's n^2 x n^2 Lyapunov system (81 x 81) is internal and not
-    # bound by the 64 cap on user matrices
+def test_analyze_weighted_nine_dimensional(tmp_path):
+    # the weight is built from the 9 x 9 A(t0) by the sign iteration, in O(n^3)
     n = 9
     doc = {"entries": [["-3" if i == j else "0.1*sin(t)" for j in range(n)] for i in range(n)],
            "period": 2.0 * math.pi}
@@ -136,6 +135,31 @@ def test_analyze_weighted_rejects_non_hurwitz_start():
     code, _, err = run_cli("analyze", "-s", "scalar_unstable", "--norm", "weighted")
     assert code == 1
     assert "not Hurwitz" in err
+
+
+@pytest.mark.parametrize("entries", [[["-1e-14", "0"], ["0", "-1"]], [["-1", "1e6"], ["0", "-1"]]],
+                         ids=["diag-1e-14", "jordan-1e6"])
+def test_analyze_weighted_accepts_ill_conditioned_hurwitz_start(tmp_path, entries):
+    path = write_system(tmp_path, {"entries": entries, "period": 1.0})
+    code, out, err = run_cli("analyze", "-f", path, "--norm", "weighted")
+    assert code == 0, err
+    assert "verdict: US" in out
+    assert "inside strip: yes" in out
+
+
+def test_analyze_weighted_fails_in_one_line_before_any_drift_scan(tmp_path, monkeypatch):
+    scans = []
+    monkeypatch.setattr(periodic, "rate_summary", lambda *args: scans.append(args))
+    # Hurwitz, but H = diag(1e30, 1) gives a transform whose singular values span 1e15
+    path = write_system(tmp_path, {"entries": [["-1e-30", "0"], ["0", "-1"]], "period": 1.0})
+    assert run_cli("analyze", "-f", path, "--norm", "one,weighted", "--no-oracle") == (
+        2, "", "numeric failure: cannot build the weighted norm: P is singular: "
+               "singular values 1.000000e+15 .. 1.000000e+00\n")
+    # Hurwitz, but Q overflows on the way to H = diag(1e300, 1)
+    path = write_system(tmp_path, {"entries": [["-1e-300", "0"], ["0", "-1"]], "period": 1.0})
+    assert run_cli("analyze", "-f", path, "--norm", "one,weighted", "--no-oracle") == (
+        2, "", "numeric failure: Lyapunov system overflowed to a non-finite value\n")
+    assert scans == []
 
 
 def test_source_usage_errors(tmp_path):
@@ -414,10 +438,22 @@ def test_analyze_terminates_at_large_initial_time(tmp_path):
     assert "inside strip: yes" in proc.stdout
 
 
+@pytest.mark.parametrize("doc", [
+    {"entries": [["0.3 + sin(t)"]], "period": 2.0 * math.pi, "t0": 1e17},
+    {"entries": [["-1"]], "period": 1.0, "t0": 1e20},
+], ids=["periodic-t0-1e17", "constant-t0-1e20"])
+def test_initial_time_too_large_for_the_period_is_an_input_error(tmp_path, doc):
+    # t0 + T rounds to t0 in both, so one period would span no time at all
+    code, out, err = run_cli("analyze", "-f", write_system(tmp_path, doc))
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: initial time 1e\+(17|20) is too large for period \S+: floats near "
+                        r"t0 \+ T are \S+ apart, wider than the scan step \S+\n", err), err
+
+
 @pytest.mark.parametrize("norm", ["one", "two", "weighted"])
 def test_overflow_inside_lpstab_is_a_numeric_failure(tmp_path, run_limited, norm):
     # finite entries whose Gram product overflows in the frozen-time route, and whose
-    # Kronecker system for the Lyapunov weight overflows before any solve
+    # A(t0) + A(t0)^T, the Lyapunov operator at H = I, overflows before the weight's sign iteration
     path = write_system(tmp_path, {"entries": [["1e308*cos(t)", "1e308"], ["1e308", "1e308*sin(t)"]],
                                    "period": 2.0 * math.pi})
     proc = run_limited(["-m", "lpstab.cli", "analyze", "-f", path, "--norm", norm, "--no-oracle"])

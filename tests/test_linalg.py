@@ -8,6 +8,8 @@ L L^T = S, and the Lyapunov residual.  Random matrices are seeded so
 failures reproduce.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -218,9 +220,47 @@ def test_solve_lyapunov():
         assert np.linalg.eigvalsh(H).min() > 0.0
 
 
+def _lyapunov_residual_ok(A, H):
+    resid = A.T @ H + H @ A + 2.0 * np.eye(A.shape[0])
+    return np.abs(resid).max() <= 1e-8 * (1.0 + np.abs(H).max())
+
+
+@pytest.mark.parametrize("A", [[[-1e-14, 0.0], [0.0, -1.0]], [[-1.0, 1e6], [0.0, -1.0]]],
+                         ids=["diag-1e-14", "jordan-1e6"])
+def test_solve_lyapunov_accepts_ill_conditioned_hurwitz(A):
+    # an eigenvalue 1e-14 left of the imaginary axis, and a strongly non-normal A
+    A = np.array(A)
+    H = la.solve_lyapunov(A)
+    assert _lyapunov_residual_ok(A, H)
+    assert np.linalg.eigvalsh(H).min() > 0.0
+
+
 def test_solve_lyapunov_rejects_non_hurwitz():
-    with pytest.raises(NotPositiveDefiniteError):
-        la.solve_lyapunov(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    v = np.full(8, 8.0 ** -0.5)
+    oscillator = np.diag([0.0, 0.0, -8.1, -5.2])
+    oscillator[0, 1], oscillator[1, 0] = 8.05, -8.05
+    for A in ([[1.0, 0.0], [0.0, -1.0]],
+              [[0.5, 1.0], [0.0, -1.0]],    # Q still tends to a positive definite matrix
+              [[0.0, 1.0], [-1.0, 0.0]],    # eigenvalues on the imaginary axis: S turns singular
+              [[0.0, 0.0], [0.0, -1.0]],    # singular from the start
+              [[0.0, -0.019], [4.05, 0.0]],  # S stays on the axis, and Q overflows, every step
+              oscillator,  # S never settles: it cycles with period 2, its trace below 1 - n every other step
+              -np.eye(8) + 1.5 * np.outer(v, v)):  # sign(A) = -I + 2 v v^T, within 1/4 of -I entrywise
+        with pytest.raises(NotPositiveDefiniteError):
+            la.solve_lyapunov(np.array(A))
+
+
+def test_solve_lyapunov_at_the_dimension_cap_is_small():
+    rng = np.random.default_rng(64)
+    A = _random_hurwitz(rng, 64)
+    tracemalloc.start()
+    try:
+        H = la.solve_lyapunov(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _lyapunov_residual_ok(A, H)
+    assert peak < 4 << 20  # a few 64 x 64 arrays
 
 
 def test_input_validation():
