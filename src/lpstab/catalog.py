@@ -10,11 +10,8 @@ CATALOG maps each canonical name to a zero-argument factory for easy
 iteration.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -22,14 +19,13 @@ from .errors import InputError
 from .periodic import SystemDef, system_from_strings
 
 
-@dataclass(frozen=True)
-class CatalogSystem:
+class CatalogSystem(NamedTuple):
     name: str
     description: str
     system: SystemDef
     # exact Phi(t, s), or None when no closed form is known
-    transition: Callable[[float, float], np.ndarray] | None = None
-    notes: dict = field(default_factory=dict)
+    transition: Callable[[float, float], np.ndarray] | None
+    notes: dict
 
 
 def rotating_frame(beta: float = 1.5) -> CatalogSystem:

@@ -40,7 +40,6 @@ from .expr import EvalError
 from .linalg import NormKind, vec_norm
 from .periodic import SystemDef
 
-import dataclasses
 import json
 import math
 import sys
@@ -186,7 +185,7 @@ def _write_trajectory(fh, traj: perturb.Trajectory, kind: NormKind) -> None:
 
 def _record_doc(record, *omit: str) -> dict:
     """The fields of a result record as a JSON object, minus those named."""
-    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.name not in omit}
+    return {k: v for k, v in record._asdict().items() if k not in omit}
 
 
 @click.group()
@@ -261,7 +260,7 @@ def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
             "version": __version__,
             "system": _system_doc(sysd),
             "zero_tol": zero_tol,
-            "tolerances": dataclasses.asdict(TOL),
+            "tolerances": TOL._asdict(),
             "frozen_time": _record_doc(frozen),
             "analyses": analyses,
         }

@@ -1,16 +1,16 @@
-"""All numeric tolerances and size limits in one frozen record.
+"""All numeric tolerances and size limits in one immutable record.
 
 Functions take an explicit override only where their contract calls for one
 (classify's zero tolerance, the transition integrator's accuracy target);
 everything else reads the module-level TOL instance so thresholds stay
-auditable in one place.
+auditable in one place.  Tolerances is a named tuple: TOL._replace(...)
+gives a modified copy and TOL._asdict() the fields by name.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     # quadrature
     quad_abs: float = 1e-9          # adaptive Simpson budget, absolute, per period
     quad_max_depth: int = 48

@@ -31,11 +31,8 @@ later operation would have hidden them (exp(-1/t) at t = 0).  No nan, inf
 or floating-point warning leaves evaluate().
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -56,40 +53,39 @@ class EvalError(NumericError):
         self.t = t
 
 
-@dataclass(frozen=True)
-class Num:
+# Tree nodes are named tuples: immutable, hashable, compared by value and cheap to build
+# at import.  evaluate tells a node from a sequence of nodes by its type.  Child nodes
+# are annotated tuple, which every node is; a string annotation such as "Expression"
+# would be compiled each time its class is built.
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class TimeVar:
+class TimeVar(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expression"
+class Neg(NamedTuple):
+    operand: tuple
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
-    left: "Expression"
-    right: "Expression"
+    left: tuple
+    right: tuple
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
-    arg: "Expression"
+    arg: tuple
 
 
 Expression = Union[Num, TimeVar, Const, Neg, BinOp, Call]
+_NODES = (Num, TimeVar, Const, Neg, BinOp, Call)
 
 CONSTANTS = {"pi": np.pi, "e": np.e}
 _UNARY = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
@@ -223,7 +219,7 @@ def evaluate(expr, t):
     some time; it names the first such time in row-major order of t, and the
     node and reason found by walking the trees again at that time alone.
     """
-    many = isinstance(expr, (tuple, list))
+    many = not isinstance(expr, _NODES)  # nodes are tuples too
     exprs = tuple(expr) if many else (expr,)
     array = isinstance(t, np.ndarray)
     ts = np.ascontiguousarray(t, dtype=float).ravel() if array else np.array([float(t)])
@@ -232,10 +228,11 @@ def evaluate(expr, t):
     with np.errstate(all="ignore"):
         for j, e in enumerate(exprs):
             out[:, j] = _walk(e, ts, hidden)
-        ok = np.isfinite(out).all(axis=-1)
-        for v in hidden:
-            ok &= np.isfinite(v)
-        if not ok.all():
+        # one pass over everything first: a per-time reduction costs as much as the walk
+        if not (np.isfinite(out).all() and all(np.isfinite(v).all() for v in hidden)):
+            ok = np.isfinite(out).all(axis=-1)
+            for v in hidden:
+                ok &= np.isfinite(v)
             i = int(ok.argmin())
             for e in exprs:
                 _walk(e, ts[i:i + 1], [], float(ts[i]))

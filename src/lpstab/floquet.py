@@ -17,12 +17,10 @@ allowances is a bug in one of the routes and raises no exception, it just
 comes back as a failed check or a positive violation.
 """
 
-from __future__ import annotations
-
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +31,7 @@ from .linalg import NormKind
 from .periodic import SystemDef
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple):
     """State transition matrix Phi(t_end, t_start) with integration metadata:
     floats and an int for one segment (integrate_transition), read-only
     stacks over the segments for many (integrate_transitions)."""
@@ -173,14 +170,16 @@ def _non_positive_det(M: np.ndarray) -> np.ndarray:
     return bad
 
 
-def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None) -> TransitionMatrix:
+def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None,
+                          start_steps=None) -> TransitionMatrix:
     """Phi(t_to[i], t_from[i]) for every pair of the 1-d sequences t_from and
     t_to, each by RK4 with step doubling, as one TransitionMatrix whose
     fields are read-only stacks over the segments: value (P, n, n) and
     t_start, t_end, steps, error_estimate (P,).
 
-    Each segment starts from a step count proportional to its span (between
-    8 and TOL.ode_start_steps) and doubles until two consecutive answers
+    Each segment starts from start_steps, an int or a (P,) array, or by
+    default from a step count proportional to its span (between 8 and
+    TOL.ode_start_steps), and doubles until two consecutive answers
     agree to tol relative to the result's magnitude; a pass that overflows
     after too coarse a step (see _too_coarse) doubles too, and only an
     overflow at a step that resolves A is a BlowupError; the returned
@@ -208,8 +207,10 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
     value = np.tile(np.eye(n), (a.size, 1, 1))
     err = np.zeros(a.size)
     fail: dict[int, NumericError] = {}
-    start = TOL.ode_start_steps
-    steps = np.maximum(8, np.minimum(start, np.ceil(start * np.abs(b - a) / sys.period))).astype(np.int64)
+    if start_steps is None:
+        start = TOL.ode_start_steps
+        start_steps = np.maximum(8, np.minimum(start, np.ceil(start * np.abs(b - a) / sys.period)))
+    steps = np.broadcast_to(start_steps, a.shape).astype(np.int64)
     steps[a == b] = 0
     live = np.flatnonzero(a != b)
     first = True
@@ -268,8 +269,7 @@ def integrate_transition(sys: SystemDef, t_from: float, t_to: float,
                             float(tm.error_estimate[0]))
 
 
-@dataclass(frozen=True)
-class FceEstimate:
+class FceEstimate(NamedTuple):
     """Monodromy spectrum: multipliers rho and characteristic exponent real
     parts log|rho| / T, ascending.
 
@@ -336,8 +336,7 @@ def _pair_products(segs: np.ndarray, forward: bool):
     return np.concatenate(out), i, i + np.repeat(np.arange(1, m + 1), np.arange(m, 0, -1))
 
 
-@dataclass(frozen=True)
-class StripCheck:
+class StripCheck(NamedTuple):
     passed: bool
     lower: float
     upper: float
@@ -420,8 +419,7 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
     return float(np.expm1(logs - np.concatenate((pp[j] - pp[i], pm[j] - pm[i]))).max())
 
 
-@dataclass(frozen=True)
-class DecayCheck:
+class DecayCheck(NamedTuple):
     passed: bool
     worst_margin: float
     allowance: float

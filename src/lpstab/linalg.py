@@ -1,7 +1,5 @@
 """Dense kernels for small real matrices (n <= 64): checked wrappers over LAPACK via numpy.linalg."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import TOL
@@ -10,17 +8,26 @@ from .errors import ConvergenceError, NotPositiveDefiniteError, NumericError, Si
 _SIGN_STEPS, _SIGN_STOP = 100, 1e-12  # sign iteration: step cap; change of S, relative to max|S|, that ends it
 
 
-@dataclass(frozen=True, eq=False)
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class NormKind:
     """Vector norm "one", "two", "inf" or "weighted" (|Px|_2 for a nonsingular
-    transform P).  Instances compare by identity, so they can key caches."""
+    transform P).  Instances are immutable and compare by identity, so they
+    can key caches."""
 
-    tag: str
-    transform: np.ndarray | None = None
+    __slots__ = ("tag", "transform")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if self.tag not in ("one", "two", "inf", "weighted"):
-            raise ValueError(f"unknown norm tag {self.tag!r}")
+    def __init__(self, tag: str, transform: np.ndarray | None = None):
+        if tag not in ("one", "two", "inf", "weighted"):
+            raise ValueError(f"unknown norm tag {tag!r}")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "transform", transform)
+
+    def __reduce__(self):
+        return NormKind, (self.tag, self.transform)
 
     def __repr__(self):
         if self.tag == "weighted":

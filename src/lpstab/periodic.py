@@ -32,12 +32,9 @@ rate_summary polishes its extrema by bisection on mu - lambda, one mu call
 per round, and one pi_integral call per direction at the end.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,10 +42,9 @@ from . import linalg, lognorm
 from .config import TOL
 from .errors import ConvergenceError, InputError, NumericError
 from .expr import Expression, ParseError, contains_time, evaluate, parse, to_string
-from .linalg import NormKind
+from .linalg import NormKind, _immutable
 
 
-@dataclass(frozen=True)
 class SystemDef:
     """A square matrix of time expressions with a declared period.
 
@@ -58,35 +54,45 @@ class SystemDef:
     system_from_strings for the common construction from text.
     """
 
-    entries: tuple[tuple[Expression, ...], ...]
-    period: float
-    t0: float = 0.0
+    __slots__ = ("entries", "period", "t0", "_flat", "_hash", "_constant")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        n = len(self.entries)
+    def __init__(self, entries: tuple[tuple[Expression, ...], ...], period: float, t0: float = 0.0):
+        n = len(entries)
         if n == 0:
             raise InputError("system has no rows")
         if n > TOL.max_dim:
             raise InputError(f"system dimension {n} exceeds the cap {TOL.max_dim}")
-        for row in self.entries:
+        for row in entries:
             if len(row) != n:
                 raise InputError(f"matrix is not square: {n} rows but a row of length {len(row)}")
-        if not (isinstance(self.period, float) and math.isfinite(self.period) and self.period > 0.0):
-            raise InputError(f"period must be a positive finite number, got {self.period!r}")
-        if not (isinstance(self.t0, float) and math.isfinite(self.t0) and self.t0 >= 0.0):
-            raise InputError(f"initial time must be finite and >= 0, got {self.t0!r}")
-        step, spacing = self.period / TOL.scan_points, math.ulp(self.t0 + self.period)
+        if not (isinstance(period, float) and math.isfinite(period) and period > 0.0):
+            raise InputError(f"period must be a positive finite number, got {period!r}")
+        if not (isinstance(t0, float) and math.isfinite(t0) and t0 >= 0.0):
+            raise InputError(f"initial time must be finite and >= 0, got {t0!r}")
+        step, spacing = period / TOL.scan_points, math.ulp(t0 + period)
         if spacing > step:
-            raise InputError(f"initial time {self.t0:g} is too large for period {self.period:g}: floats near "
+            raise InputError(f"initial time {t0:g} is too large for period {period:g}: floats near "
                              f"t0 + T are {spacing:.3g} apart, wider than the scan step {step:.3g}")
-        flat = tuple(e for row in self.entries for e in row)
-        object.__setattr__(self, "_flat", flat)
+        flat = tuple(e for row in entries for e in row)
         # every lru_cache lookup hashes the system, so walk the n^2 trees once
-        object.__setattr__(self, "_hash", hash((self.entries, self.period, self.t0)))
-        object.__setattr__(self, "_constant", not any(contains_time(e) for e in flat))
+        values = (entries, period, t0, flat, hash((entries, period, t0)), not any(map(contains_time, flat)))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not SystemDef:
+            return NotImplemented
+        return (self.entries, self.period, self.t0) == (other.entries, other.period, other.t0)
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"SystemDef(entries={self.entries!r}, period={self.period!r}, t0={self.t0!r})"
+
+    def __reduce__(self):
+        return SystemDef, (self.entries, self.period, self.t0)
 
     @property
     def n(self) -> int:
@@ -252,8 +258,7 @@ def pi_integral(sys: SystemDef, kind: NormKind, sign: int, t):
     return value.reshape(shape), err.reshape(shape)
 
 
-@dataclass(frozen=True)
-class RateSummary:
+class RateSummary(NamedTuple):
     """Per-period rates and envelope offsets for both field directions.
 
     lambda_* are the period averages pi_*(T)/T; delta_upper_*/delta_lower_*
@@ -336,8 +341,7 @@ def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
 
 # ------------------------------------------------------------ certification
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of the one-period drift test in a fixed norm.
 
     classification is one of "UES", "US", "unstable", "inconclusive".  For
@@ -409,8 +413,7 @@ def fce_strip(sys: SystemDef, kind: NormKind) -> tuple[float, float]:
 
 # ------------------------------------------------------- frozen-time route
 
-@dataclass(frozen=True)
-class FrozenTimeReport:
+class FrozenTimeReport(NamedTuple):
     """Slowly-varying sufficient conditions evaluated on a frozen-time grid.
 
     applicable requires every sampled frozen matrix to be Hurwitz; alpha is

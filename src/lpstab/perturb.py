@@ -8,47 +8,50 @@ variation-of-constants form
 
     x(t) = Phi(t, t0) x0 + integral of Phi(t, s) d(s) ds over [t0, t]
 
-by Simpson weights on panels finer than period/128 and than
-1 / (8 max |A(t)|_inf).  The panel transitions come from one batched
-floquet.integrate_transitions call, so the audit shares the RK4 kernel
-with the stepper but not how d enters it.  A disagreement beyond the
-tolerance raises, since it means at least one of the two routes cannot be
-trusted.
+by Simpson weights on panels finer than period/128 and than 1/8 over the
+largest |A(t)|_inf on their nodes.  The panel transitions come from
+floquet.integrate_transitions, started from the panel's h |A|, so the
+audit shares the RK4 kernel with the stepper but not how d enters it.
+Panels go in blocks of bounded bytes, each composed as affine maps by
+stacked prefix products, so the audit's memory does not grow with the
+span.  A disagreement beyond the tolerance raises, since it means at
+least one of the two routes cannot be trusted.
 
 windowed_drift summarizes a disturbance by the windowed supremum of its
 running integral, which is the quantity whose decay transfers to the
 perturbed state when the unforced system is uniformly exponentially stable.
 """
 
-from __future__ import annotations
-
 import math
 import random
-from dataclasses import dataclass
 from functools import partial
 from types import SimpleNamespace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .config import TOL
 from .errors import BlowupError, ConvergenceError, InputError, NumericError
 from .expr import EvalError, Expression, Num, ParseError, evaluate, parse, to_string
-from .floquet import _rk4_matrix, _too_coarse, integrate_transitions
+from .floquet import _BLOCK_BYTES, _BLOCK_STEPS, _prefix_products, _rk4_matrix, _too_coarse, integrate_transitions
 from .linalg import NormKind, _two_norm, mat_norm, vec_norm
 from .lognorm import INF, TWO
 from .periodic import SystemDef, integrate
 
 
-@dataclass(frozen=True)
-class Disturbance:
-    """A vector of time expressions added to the right-hand side."""
-
+class _Entries(NamedTuple):
     entries: tuple[Expression, ...]
 
-    def __post_init__(self):
-        if len(self.entries) == 0:
+
+class Disturbance(_Entries):
+    """A vector of time expressions added to the right-hand side."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[Expression, ...]):
+        if len(entries) == 0:
             raise InputError("disturbance has no entries")
+        return super().__new__(cls, entries)
 
     @property
     def n(self) -> int:
@@ -76,8 +79,7 @@ def disturbance_from_strings(items: Sequence[str]) -> Disturbance:
     return Disturbance(tuple(parsed))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled forced trajectory with integration and audit metadata.
 
     error_estimate is the largest sample difference between the last two
@@ -143,39 +145,91 @@ def _rk4_pass(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
     return states, None
 
 
+# a panel of the audit holds about _PANEL_MATRICES n x n matrices: its two transitions with
+# integrate_transitions' working copies of them, its affine map and the prefix scan's
+_PANEL_MATRICES = 24
+
+
+def _panels_per_block(n: int) -> int:
+    """Panels in a block of the audit, under floquet's bounds for a block of
+    RK4 steps: _BLOCK_BYTES, and _BLOCK_STEPS at small n."""
+    return max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (_PANEL_MATRICES * n * n * 8)))
+
+
+def _panel_counts(sys: SystemDef, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Panels for each sample interval [a[i], b[i]], and the rate they were
+    sized by: finer than period/128 and than 1/8 over the largest
+    |A(t)|_inf on the interval's Simpson nodes, the ends and midpoints of
+    its panels.  A count grows until the nodes of its own panels confirm
+    it, so a stiff stretch inside an interval with mild ends is seen once a
+    node of the period/256 grid lands in it.  The nodes go through
+    sys.matrix in blocks of bounded bytes."""
+    span = b - a
+    q = np.maximum(1, np.ceil(128.0 * span / sys.period)).astype(np.int64)
+    rate = np.zeros(a.size)
+    todo = np.arange(a.size)
+    per_block = _panels_per_block(sys.n)
+    while todo.size:
+        nodes = 2 * q[todo] + 1
+        ends = np.cumsum(nodes)
+        for k0 in range(0, int(ends[-1]), per_block):
+            k = np.arange(k0, min(k0 + per_block, int(ends[-1])))
+            j = np.searchsorted(ends, k, side="right")
+            i = todo[j]
+            norms = mat_norm(sys.matrix(a[i] + span[i] * (k - ends[j] + nodes[j]) / (2 * q[i])), INF)
+            first = np.flatnonzero(np.diff(j, prepend=-1))  # each interval's run in the block
+            rate[i[first]] = np.maximum(rate[i[first]], np.maximum.reduceat(norms, first))
+        grown = np.maximum(q, np.ceil(8.0 * span * rate)).astype(np.int64)
+        todo = np.flatnonzero(grown > q)
+        q = grown
+    return q, rate
+
+
 def _voc_states(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
                 check_idx: Sequence[int]) -> list[np.ndarray]:
-    # shared panel grid: every sample interval split into panels finer than
-    # period/128 and, for stiff systems, than 1/8 over the largest |A(t)|_inf
-    # on the audited samples, since Simpson needs Phi(t, s) smooth across a
-    # panel; each panel carries two half-span transitions, all from one
-    # batched call, and d comes from one array call
+    """x(ts[i]) for each i in check_idx by the variation-of-constants form,
+    with Simpson weights on panels.
+
+    Each sample interval is split into panels by _panel_counts, since
+    Simpson needs Phi(t, s) smooth across a panel.  Each panel carries the
+    transitions over its two halves from integrate_transitions, to 1e-9
+    and from a start count set by the panel's h |A|.  Panels go in blocks of
+    bounded bytes, in time order.  A panel is the affine map
+    x(pa) -> Phi(pb, pa) x(pa) + its Simpson term carried to pb; a block
+    composes its maps, as (n + 1) x (n + 1) matrices, by
+    floquet._prefix_products, whose partial products give x at every panel
+    end: the audited samples read it off, and the block's last carries it
+    on."""
+    n = sys.n
     i_max = max(check_idx)
     a, b = ts[:i_max], ts[1:i_max + 1]
-    rate = float(mat_norm(sys.matrix(ts[:i_max + 1]), INF).max())
-    q = np.maximum(1, np.ceil(np.maximum(128.0 * (b - a) / sys.period, 8.0 * (b - a) * rate))).astype(int)
-    pos = np.arange(q.sum()) - np.repeat(np.cumsum(q) - q, q)  # each panel's index in its interval
-    a, span, q = np.repeat(a, q), np.repeat(b - a, q), np.repeat(q, q)
-    pa, pb = a + span * pos / q, a + span * (pos + 1) / q
-    pm = 0.5 * (pa + pb)
-    halves = np.stack((pa, pm, pb), axis=1)
-    V = integrate_transitions(sys, halves[:, :2].ravel(), halves[:, 1:].ravel(), tol=1e-9).value
-    dv = d.vector(halves)
-    out = []
-    for idx in check_idx:
-        t_c = float(ts[idx])
-        last = int(np.searchsorted(pb, t_c - 1e-12, side="left"))
-        R = np.eye(sys.n)
-        total = np.zeros(sys.n)
-        for k in range(last, -1, -1):
-            first, second = V[2 * k], V[2 * k + 1]
-            h = pb[k] - pa[k]
-            phi_mid = R @ second
-            phi_a = phi_mid @ first
-            total += (h / 6.0) * (phi_a @ dv[k, 0] + 4.0 * (phi_mid @ dv[k, 1]) + R @ dv[k, 2])
-            R = phi_a
-        out.append(R @ x0 + total)
-    return out
+    q, rate = _panel_counts(sys, a, b)
+    # a panel has h |A| <= 1/8, so a half starts at 1 or 2 steps of at most 1/32: one step
+    # of 1/16 misses the 1e-9 agreement on a mode that decays at the rate |A|
+    start = np.maximum(1, np.ceil(16.0 * (b - a) / q * rate)).astype(np.int64)
+    ends = np.cumsum(q)  # the panel index that ends each interval
+    per_block = _panels_per_block(n)
+    reads = np.array([ends[i - 1] - 1 for i in check_idx])  # the last panel before each audited sample
+    x, found = np.append(np.asarray(x0, dtype=float), 1.0), np.empty((len(check_idx), n))
+    for p0 in range(0, int(ends[-1]), per_block):
+        k = np.arange(p0, min(p0 + per_block, int(ends[-1])))
+        i = np.searchsorted(ends, k, side="right")  # each panel's interval
+        pos, span = k - (ends[i] - q[i]), b[i] - a[i]
+        pa, pb = a[i] + span * pos / q[i], a[i] + span * (pos + 1) / q[i]
+        pm = 0.5 * (pa + pb)
+        halves = integrate_transitions(sys, np.stack((pa, pm), axis=1).ravel(), np.stack((pm, pb), axis=1).ravel(),
+                                       tol=1e-9, start_steps=np.repeat(start[i], 2)).value.reshape(-1, 2, n, n)
+        second = halves[:, 1]
+        dv = d.vector(np.stack((pa, pm, pb), axis=1))[..., None]
+        G = np.zeros((1, k.size, n + 1, n + 1))
+        G[0, :, :n, :n] = M = second @ halves[:, 0]
+        G[0, :, :n, n] = ((pb - pa) / 6.0)[:, None] * (M @ dv[:, 0] + 4.0 * (second @ dv[:, 1]) + dv[:, 2])[..., 0]
+        G[0, :, n, n] = 1.0
+        _prefix_products(G)
+        hit = (reads >= p0) & (reads < p0 + k.size)
+        found[hit] = G[0, reads[hit] - p0, :n] @ x
+        x = G[0, -1] @ x
+    return list(found)
 
 
 def simulate_perturbed(sys: SystemDef, d: Disturbance, x0, t_end: float,
@@ -247,8 +301,7 @@ def simulate_perturbed(sys: SystemDef, d: Disturbance, x0, t_end: float,
     return Trajectory(ts, cur, m, err, check_times, check_error)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Tail behaviour of a trajectory in a chosen norm."""
 
     tail_start: float
@@ -271,8 +324,7 @@ def convergence_report(traj: Trajectory, kind: NormKind = TWO) -> ConvergenceRep
     return ConvergenceReport(float(traj.times[len(ns) - len(tail)]), float(tail.max()), decreasing)
 
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(NamedTuple):
     """Windowed suprema of the running disturbance integral and the log
     slope of their tail."""
 
@@ -311,5 +363,7 @@ def windowed_drift(d: Disturbance, t_grid, window: float = 1.0,
     sups = _two_norm(cum).max(axis=1)
     third = max(2, ts.size // 3)
     logs = np.log(np.maximum(sups[-third:], 1e-300))
-    slope = float(np.polyfit(ts[-third:], logs, 1)[0])
+    # the least squares slope in closed form; np.polyfit would load LAPACK's solver for it
+    dt = ts[-third:] - ts[-third:].mean()
+    slope = float(dt @ (logs - logs.mean()) / (dt @ dt))
     return DriftReport(ts, sups, window, slope)

@@ -155,6 +155,17 @@ def test_tokenize_matches_reference_scanner():
         assert _scan(_tokenize, text) == _scan(_ref_tokenize, text), text
 
 
+@pytest.mark.parametrize("node", [Num(2.5), TimeVar(), Const("pi"), Neg(TimeVar()),
+                                  BinOp("*", Num(2.0), TimeVar()), Call("cos", TimeVar())],
+                         ids=["Num", "TimeVar", "Const", "Neg", "BinOp", "Call"])
+def test_each_node_alone_is_one_expression(node):
+    # nodes are named tuples, so a node is told from a sequence of nodes by its type
+    assert type(evaluate(node, 0.5)) is float
+    t = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    assert evaluate(node, t).shape == (2, 3)
+    assert evaluate([node, node], t).shape == (2, 3, 2)
+
+
 def test_eval_domain_errors():
     with pytest.raises(EvalError):
         evaluate(parse("1/0"), 0.0)

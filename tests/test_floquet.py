@@ -5,7 +5,6 @@ route; the monodromy spectra are compared against exact multipliers where
 those exist and against frozen high-accuracy values otherwise.
 """
 
-import dataclasses
 import math
 import random
 import warnings
@@ -129,9 +128,9 @@ def test_strip_reads_an_unresolved_exponent_as_an_upper_bound():
     assert fce.real_parts[1] == pytest.approx(-1.0, abs=1e-9)
     assert verify_strip(sysd, ONE, fce=fce).passed
     # above the strip a bound says nothing; below it, it puts the exponent there too
-    above = dataclasses.replace(fce, real_parts=(5.0, fce.real_parts[1]))
+    above = fce._replace(real_parts=(5.0, fce.real_parts[1]))
     assert verify_strip(sysd, ONE, fce=above).passed
-    below = verify_strip(sysd, ONE, fce=dataclasses.replace(fce, real_parts=(-200.0, fce.real_parts[1])))
+    below = verify_strip(sysd, ONE, fce=fce._replace(real_parts=(-200.0, fce.real_parts[1])))
     assert not below.passed and below.worst_violation == pytest.approx(100.0, abs=1e-6)
 
 
@@ -271,13 +270,13 @@ def _ref_pass(sys, t_from, t_to, steps):
         return None
 
 
-def _ref_integrate_transition(sys, t_from, t_to, tol=None):
+def _ref_integrate_transition(sys, t_from, t_to, tol=None, start_steps=None):
     # one segment at a time with step doubling, as (value, steps, error_estimate)
     tol = floquet.TOL.ode_tol if tol is None else tol
     start, cap = floquet.TOL.ode_start_steps, floquet.TOL.ode_max_steps
     if t_to == t_from:
         return np.eye(sys.n), 0, 0.0
-    steps = max(8, min(start, int(math.ceil(start * abs(t_to - t_from) / sys.period))))
+    steps = start_steps or max(8, min(start, int(math.ceil(start * abs(t_to - t_from) / sys.period))))
     prev = _ref_pass(sys, t_from, t_to, steps)
     while steps * 2 <= cap:
         steps *= 2
@@ -328,8 +327,7 @@ def test_integrate_transitions_matches_scalar_reference(sysd, tol):
     b[::5] = a[::5]  # zero-length segments
     got = integrate_transitions(sysd, a, b, tol)
     assert got.value.shape == (18, sysd.n, sysd.n)
-    for field in dataclasses.fields(got):
-        stack = getattr(got, field.name)
+    for stack in got:
         assert len(stack) == 18 and not stack.flags.writeable
     for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
         value, steps, err = _ref_integrate_transition(sysd, x, y, tol)
@@ -344,7 +342,25 @@ def test_integrate_transitions_matches_scalar_reference(sysd, tol):
     assert one.value.tobytes() == got.value[1].tobytes() and not one.value.flags.writeable
     assert (one.t_start, one.t_end, one.steps, one.error_estimate) == (
         float(a[1]), float(b[1]), int(got.steps[1]), float(got.error_estimate[1]))
-    assert [type(getattr(one, f.name)) for f in dataclasses.fields(one)[1:]] == [float, float, int, float]
+    assert [type(v) for v in one[1:]] == [float, float, int, float]
+
+
+@pytest.mark.parametrize("sysd", _SYSTEMS,
+                         ids=["strong_coupling", "rotating_frame", "constant", "scalar", "3x3"])
+def test_integrate_transitions_from_given_start_steps(sysd):
+    # short segments started below the default floor of 8 steps, each from its own count
+    rng = np.random.default_rng(4242)
+    a = sysd.t0 + rng.uniform(0.0, sysd.period, 12)
+    b = a + sysd.period * rng.choice([1e-3, 0.01, 0.05], 12)
+    start = rng.choice([1, 2, 3], 12)
+    got = integrate_transitions(sysd, a, b, 1e-9, start_steps=start)
+    for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        value, steps, err = _ref_integrate_transition(sysd, x, y, 1e-9, start_steps=int(start[i]))
+        scale = float(np.abs(value).max())
+        assert np.abs(got.value[i] - value).max() <= _VALUE_BOUND * scale
+        assert abs(got.error_estimate[i] - err) <= 2.0 * _VALUE_BOUND * scale
+        assert got.steps[i] == steps
+    assert (got.steps < 8).any()
 
 
 def test_rk4_stack_matches_per_segment_loop():
@@ -454,7 +470,7 @@ def test_rk4_overflow_check_at_the_cap(monkeypatch, count):
     free = _rk4_matrix(sysd, a, b, steps)[0]
     top = float(free[0, 0, 0])
     for cap, blown in ((top, False), (float(np.nextafter(top, 0.0)), True)):
-        monkeypatch.setattr(floquet, "TOL", dataclasses.replace(TOL, overflow=cap))
+        monkeypatch.setattr(floquet, "TOL", TOL._replace(overflow=cap))
         got, t_blow = _rk4_matrix(sysd, a, b, steps)
         assert got[1].tobytes() == free[1].tobytes() and np.isnan(t_blow[1])
         if blown:
@@ -472,7 +488,7 @@ def test_rk4_overflow_check_at_the_cap(monkeypatch, count):
 ], ids=["blowup-second", "blowup-first", "convergence-before-blowup"])
 def test_integrate_transitions_raises_first_failure(monkeypatch, sysd, segments, max_steps, kind):
     if max_steps is not None:
-        monkeypatch.setattr(floquet, "TOL", dataclasses.replace(TOL, ode_max_steps=max_steps))
+        monkeypatch.setattr(floquet, "TOL", TOL._replace(ode_max_steps=max_steps))
     t_from, t_to = zip(*segments)
     want = _first_failure(sysd, t_from, t_to)
     assert type(want) is kind
@@ -490,7 +506,7 @@ def test_stiff_transition_blowup_without_warnings(monkeypatch):
         warnings.simplefilter("error")
         t_blow = _rk4_one(_STIFF, 0.0, 2.0 * math.pi, 64)[1]
         with monkeypatch.context() as m:
-            m.setattr(floquet, "TOL", dataclasses.replace(TOL, ode_max_steps=64))
+            m.setattr(floquet, "TOL", TOL._replace(ode_max_steps=64))
             with pytest.raises(BlowupError) as info:
                 integrate_transition(_STIFF, 0.0, 2.0 * math.pi)
         assert str(info.value) == "transition matrix exceeded 1.0e+300 at t=3.53429"

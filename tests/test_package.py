@@ -112,6 +112,17 @@ def test_no_submodule_imports_scipy():
     assert got[1] == []
 
 
+def test_no_submodule_imports_dataclasses():
+    # records are named tuples and slots classes: a frozen dataclass generates and
+    # compiles its methods at import, about 1 ms each
+    got = run_python("import importlib, json, pkgutil, sys, lpstab; "
+                     "names = [m.name for m in pkgutil.iter_modules(lpstab.__path__, 'lpstab.')]; "
+                     "[importlib.import_module(name) for name in names]; "
+                     "print(json.dumps([names, 'dataclasses' in sys.modules]))")
+    assert {"lpstab.cli", "lpstab.floquet", "lpstab.perturb"} <= set(got[0])
+    assert got[1] is False
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         lpstab.no_such_name  # noqa: B018

@@ -6,9 +6,10 @@ below to full double precision.  Everything else is a structural property
 that must hold for any valid system.
 """
 
-import dataclasses
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -353,8 +354,8 @@ def test_frozen_time_check_matches_per_point_loop(name, tmp_path):
         sysd = CATALOG[name]().system
     # repr tells -0.0 from 0.0 and round-trips every float
     for grid in (16, 64):
-        got = dataclasses.astuple(frozen_time_check(sysd, grid))
-        assert repr(got) == repr(dataclasses.astuple(_ref_frozen_time_check(sysd, grid)))
+        got = tuple(frozen_time_check(sysd, grid))
+        assert repr(got) == repr(tuple(_ref_frozen_time_check(sysd, grid)))
 
 
 def test_system_validation():
@@ -389,6 +390,19 @@ def test_system_hash_is_cached(monkeypatch):
     assert hash(a) == hash(b)
     assert calls == []
     assert hash(system_from_strings(rows, 2.0 * math.pi)) == hash(a) and calls
+
+
+def test_system_and_norm_kind_are_immutable_and_copyable():
+    sysd = strong_coupling().system
+    for obj, attr in ((sysd, "period"), (ONE, "tag")):
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(obj, attr, None)
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(obj, attr)
+    again = pickle.loads(pickle.dumps(sysd))
+    assert again == sysd and hash(again) == hash(sysd) and again.is_constant == sysd.is_constant
+    twin = copy.copy(TWO)
+    assert twin.tag == "two" and twin != TWO  # norm kinds compare by identity
 
 
 def test_barrier_series_validation():

@@ -5,8 +5,9 @@ the forced ones via superposition.  Disturbance summaries are checked
 against hand-integrable cases.
 """
 
-import dataclasses
 import math
+import random
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -17,7 +18,6 @@ from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
 from lpstab.config import TOL
 from lpstab.errors import BlowupError, ConvergenceError
 from lpstab.expr import EvalError, evaluate
-from lpstab.floquet import integrate_transition
 from lpstab.linalg import mat_norm, vec_norm
 from lpstab.lognorm import INF, TWO
 from lpstab.periodic import integrate, system_from_strings
@@ -114,7 +114,7 @@ def test_step_budget_checked_before_the_first_pass(monkeypatch):
     # 255 sample intervals of 2 substeps each are over a budget of 256 substeps
     sysd = lti_diag().system
     calls = []
-    monkeypatch.setattr(perturb, "TOL", dataclasses.replace(TOL, ode_max_steps=256))
+    monkeypatch.setattr(perturb, "TOL", TOL._replace(ode_max_steps=256))
     monkeypatch.setattr(perturb, "_rk4_pass", lambda *a: calls.append(a) or _rk4_pass(*a))
     with pytest.raises(ConvergenceError, match="did not settle within 256 total steps"):
         simulate_perturbed(sysd, Disturbance.zero(2), np.ones(2), sysd.t0 + 5.0 * sysd.period)
@@ -213,6 +213,23 @@ def test_windowed_drift_matches_per_cell_loop():
         assert rep.sups[i] == sup
 
 
+@pytest.mark.parametrize("entries", [["exp(-t)*sin(4*t)", "cos(t)"], ["exp(-0.5*t)", "0"],
+                                     ["sin(t)", "2"], ["1", "0"]],
+                         ids=["oscillating", "decaying", "persistent", "constant"])
+def test_windowed_drift_tail_slope_is_the_least_squares_slope(entries):
+    ts = np.linspace(0.0, 9.0, 40)
+    rep = windowed_drift(disturbance_from_strings(entries), ts)
+    tail = slice(-(40 // 3), None)
+    want = np.polyfit(ts[tail], np.log(rep.sups[tail]), 1)[0]
+    assert abs(rep.tail_log_slope - want) <= 1e-12 * abs(want)
+
+
+def test_windowed_drift_constant_sups_have_zero_slope():
+    # exactly constant sups give a slope of exactly 0 (np.polyfit gives 6.9e-14 here)
+    rep = windowed_drift(Disturbance.zero(2), np.linspace(0.0, 9.0, 40))
+    assert rep.tail_log_slope == 0.0
+
+
 def test_windowed_drift_validation():
     d = Disturbance.zero(1)
     with pytest.raises(ValueError):
@@ -259,19 +276,58 @@ def _ref_rk4_pass(sys, d, x0, ts, m):
     return states, None
 
 
+def _ref_audit_rk4(sys, a, b, steps):
+    # Phi(b, a) by `steps` RK4 steps in a loop, A(t) read from one matrix call on the stage grid
+    h = (b - a) / steps
+    ts = a + np.arange(steps) * h
+    Phi = np.eye(sys.n)
+    for A1, A2, A4 in sys.matrix(np.stack((ts, ts + 0.5 * h, ts + h), axis=-1)):
+        K1 = A1 @ Phi
+        K2 = A2 @ (Phi + (0.5 * h) * K1)
+        K3 = A2 @ (Phi + (0.5 * h) * K2)
+        K4 = A4 @ (Phi + h * K3)
+        Phi = Phi + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    return Phi
+
+
+def _ref_audit_transition(sys, a, b, steps):
+    # step doubling from `steps` until two passes agree to 1e-9 of the result's magnitude
+    prev = _ref_audit_rk4(sys, a, b, steps)
+    while True:
+        steps *= 2
+        cur = _ref_audit_rk4(sys, a, b, steps)
+        if np.abs(cur - prev).max() <= 1e-9 * (1.0 + np.abs(cur).max()):
+            return cur
+        prev = cur
+
+
+def _ref_panel_count(sys, a, b):
+    # panels of [a, b] finer than period/128 and than 1/8 over |A|_inf at every end and
+    # midpoint of its panels, read one node at a time, raised until the count holds
+    q, rate = max(1, math.ceil(128.0 * (b - a) / sys.period)), 0.0
+    while True:
+        for j in range(2 * q + 1):
+            rate = max(rate, mat_norm(sys.matrix(a + (b - a) * j / (2 * q)), INF))
+        if math.ceil(8.0 * (b - a) * rate) <= q:
+            return q, rate
+        q = math.ceil(8.0 * (b - a) * rate)
+
+
 def _ref_voc_states(sys, d, x0, ts, check_idx):
-    # two transitions per panel and d at its nodes, one call each
-    rate = max(mat_norm(sys.matrix(float(t)), INF) for t in ts[:max(check_idx) + 1])
+    # one panel at a time: each sample interval in panels by _ref_panel_count, two
+    # half-panel transitions each; then, for every audited sample t, the
+    # variation-of-constants sum walked back from t with Phi(t, s) carried node by node
     panels = []
     for i in range(max(check_idx)):
         a, b = float(ts[i]), float(ts[i + 1])
-        q = max(1, math.ceil(128.0 * (b - a) / sys.period), math.ceil(8.0 * (b - a) * rate))
+        q, rate = _ref_panel_count(sys, a, b)
+        steps = max(1, math.ceil(16.0 * (b - a) / q * rate))
         for k in range(q):
             pa = a + (b - a) * k / q
             pb = a + (b - a) * (k + 1) / q
             pm = 0.5 * (pa + pb)
-            panels.append((pa, pm, pb, integrate_transition(sys, pa, pm, tol=1e-9).value,
-                           integrate_transition(sys, pm, pb, tol=1e-9).value))
+            panels.append((pa, pm, pb, _ref_audit_transition(sys, pa, pm, steps),
+                           _ref_audit_transition(sys, pm, pb, steps)))
     ends = np.array([p[2] for p in panels])
     out = []
     for idx in check_idx:
@@ -332,18 +388,72 @@ def test_rk4_pass_eval_error_matches_per_call_loop(sysd, t_end, samples, m):
     assert str(got.value) == str(ref.value) and got.value.t == ref.value.t
 
 
-@pytest.mark.parametrize("sysd,periods", [(strong_coupling().system, 1.7), (rotating_frame(0.5).system, 1.7),
-                                          (_STIFF_100, 0.08)],
-                         ids=["strong_coupling", "rotating_frame", "stiff"])
-def test_voc_states_match_per_panel_loop(sysd, periods):
-    # on the stiff system |A|_inf, not the period, sets the panel count
-    dist = disturbance_from_strings(["sin(3*t) + exp(-t)", "cos(t)"])
-    x0 = np.array([0.5, -1.5])
+_THREE = system_from_strings([["-1+sin(t)", "1", "0"], ["0", "-2", "cos(2*t)"],
+                              ["0.5", "0", "-1.5+0.5*sin(t)"]], 2.0 * math.pi, t0=0.4)
+# a coefficient far faster than the period: its half panels double past their start count
+_FAST = system_from_strings([["-1 + 0.01*cos(400*t)", "1"], ["0", "-0.5"]], 2.0 * math.pi)
+# a coefficient that peaks at pi/2, inside a sample interval whose ends see |A| below 1/20
+# of the peak's
+_PEAKED = system_from_strings([["-1-300*sin(t)^200", "1"], ["0", "-1"]], 2.0 * math.pi)
+# the stacked audit composes its RK4 steps, panel maps and Simpson sums in other orders
+# than the per-panel loop.  Relative to the loop's largest entry the gaps measured on the
+# systems below were 4 to 7 ulps, 56 on the fast one, and 146 and 240 (2.2e-14 and 4.2e-14)
+# on the peaked and stiff ones, with the most panels; the bound leaves a factor of 10
+_VOC_BOUND = 4e-13
+
+
+@pytest.mark.parametrize("sysd,periods,d", [
+    (strong_coupling().system, 1.7, ["sin(3*t) + exp(-t)", "cos(t)"]),
+    (rotating_frame(0.5).system, 1.7, ["sin(3*t) + exp(-t)", "cos(t)"]),
+    (_THREE, 1.3, ["exp(-t)", "sin(2*t)", "1"]),
+    (_STIFF_100, 0.08, ["sin(3*t) + exp(-t)", "cos(t)"]),
+    (_FAST, 0.2 / (2.0 * math.pi), ["sin(3*t) + exp(-t)", "cos(t)"]),
+    (_PEAKED, 11.0 / 18.0, ["sin(3*t) + exp(-t)", "cos(t)"]),  # the peak midway in [ts[4], ts[5]]
+], ids=["strong_coupling", "rotating_frame", "3x3", "stiff", "fast-coefficient", "peaked-coefficient"])
+def test_voc_states_match_per_panel_loop(sysd, periods, d):
+    # on the stiff and peaked systems |A|_inf, not the period, sets the panel count
+    dist = disturbance_from_strings(d)
+    x0 = np.linspace(0.5, -1.5, sysd.n)
     ts = np.linspace(sysd.t0, sysd.t0 + periods * sysd.period, 12)
     idx = [2, 7, 11]
-    got = _voc_states(sysd, dist, x0, ts, idx)
-    ref = _ref_voc_states(sysd, dist, x0, ts, idx)
-    assert np.array(got).tobytes() == np.array(ref).tobytes()
+    got = np.array(_voc_states(sysd, dist, x0, ts, idx))
+    ref = np.array(_ref_voc_states(sysd, dist, x0, ts, idx))
+    assert np.abs(got - ref).max() <= _VOC_BOUND * np.abs(ref).max()
+
+
+def test_audit_sees_a_stiff_stretch_between_samples():
+    # |A|_inf is 3001 at pi/2 but below 5 at the ends of the sample interval around it:
+    # panels sized from those ends left Simpson off by 9e-5 here
+    sysd = system_from_strings([["-1-3000*sin(t)^200", "1"], ["0", "-1"]], 2.0 * math.pi)
+    dist = disturbance_from_strings(["1", "cos(t)"])
+    ts = np.array([0.0, 0.5 * math.pi - 0.4, 0.5 * math.pi + 0.3])
+    assert mat_norm(sysd.matrix(ts), INF).max() < 5.0
+    traj = simulate_perturbed(sysd, dist, np.array([1.0, -0.5]), ts[-1], samples=2000, cross_check=False)
+    got = _voc_states(sysd, dist, np.array([1.0, -0.5]), ts, [1, 2])[1]
+    assert np.abs(got - traj.states[-1]).max() <= 1e-8 * (1.0 + np.abs(traj.states[-1]).max())
+
+
+def test_voc_states_step_budget(monkeypatch):
+    # the fast system's half panels need 16 steps, past a budget of 8
+    monkeypatch.setattr("lpstab.floquet.TOL", TOL._replace(ode_max_steps=8))
+    dist = disturbance_from_strings(["1", "0"])
+    with pytest.raises(ConvergenceError, match="did not settle within 8 steps"):
+        _voc_states(_FAST, dist, np.ones(2), np.linspace(0.0, 0.2, 12), [2, 7, 11])
+
+
+def test_voc_states_memory_does_not_grow_with_the_span():
+    # panels stream in blocks of bounded bytes: a span four times as long, with four
+    # times the panels, peaks within a fixed budget of the shorter one
+    dist = disturbance_from_strings(["exp(-t)", "1"])
+    idx = sorted(random.Random(1729).sample(range(1, 256), 3))
+    peaks = []
+    for t_end in (5.0, 20.0):
+        ts = np.linspace(0.0, t_end, 256)
+        tracemalloc.start()
+        _voc_states(_STIFF_100, dist, np.ones(2), ts, idx)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + (256 << 10)
 
 
 def test_audit_resolves_stiff_systems():
