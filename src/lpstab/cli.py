@@ -467,6 +467,9 @@ def main(argv=None):
     except NumericError as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         sys.exit(2)
+    except MemoryError as exc:  # numpy's message names the array's size and shape
+        click.echo(f"out of memory: {str(exc) or 'allocation failed'}", err=True)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

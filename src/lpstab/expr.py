@@ -1,6 +1,6 @@
 """Expression language for time-dependent matrix entries.
 
-Grammar (recursive descent, no implicit multiplication):
+Grammar (no implicit multiplication):
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
@@ -11,6 +11,10 @@ Grammar (recursive descent, no implicit multiplication):
 so '^' binds tighter than unary minus, which binds tighter than '*' and '/',
 which bind tighter than '+' and '-'.  '+', '-', '*', '/' associate left.
 FUNC is one of sin, cos, tan, exp, ln, sqrt, abs; the only variable is t.
+The parser is a binding-power (Pratt) loop rather than one function per
+rule: the operator table _BINARY gives each binary operator its binding
+power (1 for '+' '-', 2 for '*' '/', 4 for '^'; unary minus is 3) and its
+ufunc, and parse, to_string and evaluate all read it.
 
 evaluate() is the one evaluator.  It walks the tree once per call, and each
 node is one numpy operation over the whole array of times; a list of
@@ -91,6 +95,13 @@ CONSTANTS = {"pi": np.pi, "e": np.e}
 _UNARY = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
           "ln": np.log, "sqrt": np.sqrt, "abs": np.abs}
 
+# The one operator table: each binary operator's binding power and ufunc, read by parse,
+# to_string and evaluate.  Unary minus binds at _NEG, between '*' and '^'; every node
+# that is not a BinOp or a Neg is an atom and binds at _ATOM, tighter than any operator.
+_BINARY = {"+": (1, np.add), "-": (1, np.subtract), "*": (2, np.multiply), "/": (2, np.divide),
+           "^": (4, np.power)}
+_NEG, _ATOM = 3, 5
+
 
 # ---------------------------------------------------------------- tokenizer
 
@@ -115,100 +126,70 @@ def _tokenize(text):
             return toks
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.pos = 0
+def _parse(toks, i, floor):
+    # the expression at toks[i] whose binary operators bind tighter than floor, and the
+    # index of the token after it.  A '-' where an operand starts is unary minus, whose
+    # operand takes only '^'; a binary operator's right operand takes those that bind
+    # tighter than it, or as tight for the right associative '^'.  So the base of '^'
+    # is always an atom: anything else read before a '^' has already taken it.
+    kind, val, _ = toks[i]
+    if kind == "op" and val == "-":
+        operand, i = _parse(toks, i + 1, _NEG)
+        node = Neg(operand)
+    else:
+        node, i = _atom(toks, i)
+    while True:
+        kind, op, _ = toks[i]
+        if kind != "op" or _BINARY[op][0] <= floor:
+            return node, i
+        right, i = _parse(toks, i + 1, _BINARY[op][0] - (op == "^"))
+        node = BinOp(op, node, right)
 
-    def peek(self):
-        return self.toks[self.pos]
 
-    def advance(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+def _atom(toks, i):
+    kind, val, pos = toks[i]
+    if kind == "num":
+        return Num(val), i + 1
+    if kind == "name":
+        if val == "t":
+            return TimeVar(), i + 1
+        if val in CONSTANTS:
+            return Const(val), i + 1
+        if val in _UNARY:
+            if toks[i + 1][0] != "lp":
+                raise ParseError(f"{val} needs a parenthesized argument", toks[i + 1][2])
+            arg, i = _group(toks, i + 2)
+            return Call(val, arg), i
+        raise ParseError(f"unknown name {val!r}", pos)
+    if kind == "lp":
+        return _group(toks, i + 1)
+    if kind == "end":
+        raise ParseError("unexpected end of input", pos)
+    raise ParseError(f"expected a value, got {val!r}", pos)
 
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = BinOp(val, node, self.term())
-            else:
-                return node
 
-    def term(self):
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = BinOp(val, node, self.factor())
-            else:
-                return node
-
-    def factor(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            return BinOp("^", base, self.factor())
-        return base
-
-    def atom(self):
-        kind, val, pos = self.advance()
-        if kind == "num":
-            return Num(val)
-        if kind == "name":
-            if val == "t":
-                return TimeVar()
-            if val in CONSTANTS:
-                return Const(val)
-            if val in _UNARY:
-                k, _, p = self.advance()
-                if k != "lp":
-                    raise ParseError(f"{val} needs a parenthesized argument", p)
-                arg = self.expr()
-                k, _, p = self.advance()
-                if k != "rp":
-                    raise ParseError("missing ')'", p)
-                return Call(val, arg)
-            raise ParseError(f"unknown name {val!r}", pos)
-        if kind == "lp":
-            node = self.expr()
-            k, _, p = self.advance()
-            if k != "rp":
-                raise ParseError("missing ')'", p)
-            return node
-        if kind == "end":
-            raise ParseError("unexpected end of input", pos)
-        raise ParseError(f"expected a value, got {val!r}", pos)
+def _group(toks, i):
+    # a whole expression at toks[i] and the ')' that closes it
+    node, i = _parse(toks, i, 0)
+    kind, _, pos = toks[i]
+    if kind != "rp":
+        raise ParseError("missing ')'", pos)
+    return node, i + 1
 
 
 def parse(text: str) -> Expression:
     """Parse source text into an expression tree."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(_tokenize(text))
-    node = parser.expr()
-    kind, val, pos = parser.peek()
+    toks = _tokenize(text)
+    node, i = _parse(toks, 0, 0)
+    kind, val, pos = toks[i]
     if kind != "end":
         raise ParseError(f"unexpected trailing input {val!r}", pos)
     return node
 
 
 # ---------------------------------------------------------------- evaluation
-
-_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
-
 
 def evaluate(expr, t):
     """Values of one expression, or of a sequence of k expressions, at time t.
@@ -252,7 +233,7 @@ def _walk(node, t, hidden, at=None):
     args = ()
     if isinstance(node, BinOp):
         args = (_walk(node.left, t, hidden, at), _walk(node.right, t, hidden, at))
-        v = _BINARY[node.op](*args)
+        v = _BINARY[node.op][1](*args)
         if node.op in "/^":
             hidden += args
     elif isinstance(node, Num):
@@ -297,15 +278,16 @@ def _why(node, args):
 
 # ---------------------------------------------------------------- serializer
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
-
-def _prec(node):
+def _bp(node):
     if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return 3
-    return 9
+        return _BINARY[node.op][0]
+    return _NEG if isinstance(node, Neg) else _ATOM
+
+
+def _bracket(node, least):
+    # node's text, in parentheses unless it binds at least as tight as least
+    text = to_string(node)
+    return text if _bp(node) >= least else f"({text})"
 
 
 def to_string(expr: Expression) -> str:
@@ -328,36 +310,16 @@ def to_string(expr: Expression) -> str:
     if isinstance(expr, Call):
         return f"{expr.func}({to_string(expr.arg)})"
     if isinstance(expr, Neg):
-        inner = to_string(expr.operand)
-        if _prec(expr.operand) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
+        return f"-{_bracket(expr.operand, _NEG)}"
     if isinstance(expr, BinOp):
-        p = _PREC[expr.op]
-        left, right = to_string(expr.left), to_string(expr.right)
-        if expr.op == "^":
-            # base slot is atom-only; exponent slot accepts any factor
-            if _prec(expr.left) < 9:
-                left = f"({left})"
-            if _prec(expr.right) < 3:
-                right = f"({right})"
-        else:
-            if _prec(expr.left) < p:
-                left = f"({left})"
-            if _prec(expr.right) <= p:
-                right = f"({right})"
-        return f"{left}{expr.op}{right}"
+        p = _BINARY[expr.op][0]
+        # the base of '^' is an atom and its exponent starts an operand, as unary minus's
+        # does; a left associative operator's right operand must bind tighter than it
+        least = (_ATOM, _NEG) if expr.op == "^" else (p, p + 1)
+        return f"{_bracket(expr.left, least[0])}{expr.op}{_bracket(expr.right, least[1])}"
     raise TypeError(f"not an expression node: {expr!r}")
 
 
 def contains_time(expr: Expression) -> bool:
     """True when the tree references the variable t."""
-    if isinstance(expr, TimeVar):
-        return True
-    if isinstance(expr, Neg):
-        return contains_time(expr.operand)
-    if isinstance(expr, BinOp):
-        return contains_time(expr.left) or contains_time(expr.right)
-    if isinstance(expr, Call):
-        return contains_time(expr.arg)
-    return False
+    return isinstance(expr, TimeVar) or any(isinstance(c, _NODES) and contains_time(c) for c in expr)

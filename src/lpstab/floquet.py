@@ -59,13 +59,17 @@ def _chunk(n: int) -> int:
     return max(2, 64 >> max(0, n.bit_length() - 1))
 
 
+# |h| |A(t)|_inf at and above which an RK4 step of length h is too coarse for A(t)
+_COARSE = 0.5
+
+
 def _too_coarse(sys: SystemDef, h, t) -> np.ndarray:
     """Whether RK4 steps of length |h| are too coarse for A at the times t,
-    elementwise: |h| |A(t)|_inf >= 0.5.  RK4 diverges on its own far from
-    its stability interval (about 2.8 on the negative real axis, Hairer and
-    Wanner, Solving ODEs II), so an overflow after such a step is taken as
-    a step to refine, not as the system's growth."""
-    return np.abs(h) * linalg.mat_norm(sys.matrix(t), lognorm.INF) >= 0.5
+    elementwise: |h| |A(t)|_inf >= _COARSE.  RK4 diverges on its own far
+    from its stability interval (about 2.8 on the negative real axis, Hairer
+    and Wanner, Solving ODEs II), so an overflow after such a step is taken
+    as a step to refine, not as the system's growth."""
+    return np.abs(h) * linalg.mat_norm(sys.matrix(t), lognorm.INF) >= _COARSE
 
 
 def _step_matrices(A: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from .config import TOL
 from .errors import BlowupError, ConvergenceError, InputError, NumericError
 from .expr import EvalError, Expression, Num, ParseError, evaluate, parse, to_string
-from .floquet import _BLOCK_BYTES, _BLOCK_STEPS, _prefix_products, _rk4_matrix, _too_coarse, integrate_transitions
+from .floquet import _BLOCK_BYTES, _BLOCK_STEPS, _COARSE, _prefix_products, _rk4_matrix, integrate_transitions
 from .linalg import NormKind, _two_norm, mat_norm, vec_norm
 from .lognorm import INF, TWO
 from .periodic import SystemDef, integrate
@@ -156,29 +156,37 @@ def _panels_per_block(n: int) -> int:
     return max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (_PANEL_MATRICES * n * n * 8)))
 
 
+def _node_rates(sys: SystemDef, a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The largest |A(t)|_inf on the 2 q[i] + 1 evenly spaced nodes of each
+    interval [a[i], b[i]]: the ends and midpoints of q[i] equal panels, or
+    the stage grid of q[i] RK4 substeps.  The nodes go through sys.matrix in
+    blocks of bounded bytes."""
+    rate = np.zeros(a.size)
+    nodes = 2 * q + 1
+    ends = np.cumsum(nodes)
+    per_block = _panels_per_block(sys.n)
+    for k0 in range(0, int(ends[-1]), per_block):
+        k = np.arange(k0, min(k0 + per_block, int(ends[-1])))
+        i = np.searchsorted(ends, k, side="right")
+        norms = mat_norm(sys.matrix(a[i] + (b[i] - a[i]) * (k - ends[i] + nodes[i]) / (2 * q[i])), INF)
+        first = np.flatnonzero(np.diff(i, prepend=-1))  # each interval's run in the block
+        rate[i[first]] = np.maximum(rate[i[first]], np.maximum.reduceat(norms, first))
+    return rate
+
+
 def _panel_counts(sys: SystemDef, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Panels for each sample interval [a[i], b[i]], and the rate they were
     sized by: finer than period/128 and than 1/8 over the largest
     |A(t)|_inf on the interval's Simpson nodes, the ends and midpoints of
     its panels.  A count grows until the nodes of its own panels confirm
     it, so a stiff stretch inside an interval with mild ends is seen once a
-    node of the period/256 grid lands in it.  The nodes go through
-    sys.matrix in blocks of bounded bytes."""
+    node of the period/256 grid lands in it."""
     span = b - a
     q = np.maximum(1, np.ceil(128.0 * span / sys.period)).astype(np.int64)
     rate = np.zeros(a.size)
     todo = np.arange(a.size)
-    per_block = _panels_per_block(sys.n)
     while todo.size:
-        nodes = 2 * q[todo] + 1
-        ends = np.cumsum(nodes)
-        for k0 in range(0, int(ends[-1]), per_block):
-            k = np.arange(k0, min(k0 + per_block, int(ends[-1])))
-            j = np.searchsorted(ends, k, side="right")
-            i = todo[j]
-            norms = mat_norm(sys.matrix(a[i] + span[i] * (k - ends[j] + nodes[j]) / (2 * q[i])), INF)
-            first = np.flatnonzero(np.diff(j, prepend=-1))  # each interval's run in the block
-            rate[i[first]] = np.maximum(rate[i[first]], np.maximum.reduceat(norms, first))
+        rate[todo] = np.maximum(rate[todo], _node_rates(sys, a[todo], b[todo], q[todo]))
         grown = np.maximum(q, np.ceil(8.0 * span * rate)).astype(np.int64)
         todo = np.flatnonzero(grown > q)
         q = grown
@@ -241,7 +249,10 @@ def simulate_perturbed(sys: SystemDef, d: Disturbance, x0, t_end: float,
     times drawn from a fixed seed are then audited against the
     variation-of-constants form, and a relative disagreement above 1e-5
     raises NumericError.  Genuine unbounded
-    growth comes back as a truncated trajectory with overflowed=True.
+    growth comes back as a truncated trajectory with overflowed=True; a pass
+    whose state leaves the overflow cap counts as growth only once its
+    substeps resolve A (see floquet._too_coarse) on the stage grid of every
+    substep up to that point, and doubles its substeps otherwise.
     """
     if d.n != sys.n:
         raise ValueError(f"disturbance dimension {d.n} does not match system dimension {sys.n}")
@@ -252,18 +263,24 @@ def simulate_perturbed(sys: SystemDef, d: Disturbance, x0, t_end: float,
         raise ValueError(f"t_end must exceed the initial time {sys.t0:g}")
     if samples < 2:
         raise ValueError("samples must be at least 2")
+    over_budget = f"trajectory did not settle within {TOL.ode_max_steps} total steps"
+    if samples - 1 > TOL.ode_max_steps:  # one substep a sample is over it: fail before the grid is allocated
+        raise ConvergenceError(over_budget)
     ts = np.linspace(sys.t0, t_end, samples)
     # capped where the step budget below is exceeded anyway: a huge span gives inf
     m = max(1, math.ceil(min(TOL.ode_start_steps * float(ts[1] - ts[0]) / sys.period, TOL.ode_max_steps + 1)))
     prev = None
     while True:
         if m * (samples - 1) > TOL.ode_max_steps:
-            raise ConvergenceError(f"trajectory did not settle within {TOL.ode_max_steps} total steps")
+            raise ConvergenceError(over_budget)
         cur, blow = _rk4_pass(sys, d, x0, ts, m)
         if blow is not None:
-            # only believe an overflow once the substep resolves the system
-            h = (float(ts[blow]) - float(ts[blow - 1])) / m
-            if _too_coarse(sys, h, float(ts[blow])) and 2 * m * (samples - 1) <= TOL.ode_max_steps:
+            # only believe an overflow once the substeps resolve the system on every stage
+            # up to it: a stiff stretch may lie inside a sample interval, and RK4 may have
+            # been driven off by one before the interval where the state passed the cap
+            a, b = ts[:blow], ts[1:blow + 1]
+            coarse = ((b - a) / m * _node_rates(sys, a, b, np.full(blow, m))).max() >= _COARSE
+            if coarse and 2 * m * (samples - 1) <= TOL.ode_max_steps:
                 m *= 2
                 prev = None
                 continue

@@ -426,6 +426,43 @@ def test_perturb_prints_no_runtime_warnings(tmp_path, args, code):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_perturb_no_false_overflow_between_samples(tmp_path):
+    # a stiff stretch inside sample intervals: at 4 substeps a sample RK4 blows up in
+    # it, which is a step to refine, not the stable system's growth
+    path = write_system(tmp_path, {"entries": [["-1-3000*sin(t)^200", "1"], ["0", "-1"]],
+                                   "period": 2.0 * math.pi})
+    code, out, err = run_cli("perturb", "-f", path, "--d", "exp(-t);1", "--t-end", "10",
+                             "--samples", "32", "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["overflowed"] is False and doc["cross_check_error"] < 1e-5
+
+
+@pytest.mark.parametrize("args, err", [
+    (["perturb", "-s", "example2", "--samples", "10000000000", "--json"],
+     r"numeric failure: trajectory did not settle within 1048576 total steps\n"),
+    (["series", "-s", "example2", "--samples", "10000000000", "--trajectory", "1,1"],
+     r"numeric failure: trajectory did not settle within 1048576 total steps\n"),
+    (["series", "-s", "example2", "--samples", "10000000000"],
+     r"out of memory: Unable to allocate [^\n]* shape \(10000000000,\)[^\n]*\n"),
+], ids=["perturb", "series-trajectory", "series"])
+def test_huge_sample_count_fails_in_one_line(run_limited, args, err):
+    # a trajectory on more samples than the step budget can never settle; any other
+    # allocation that fails is out of memory.  Under the cap the allocation fails at once
+    proc = run_limited(["-m", "lpstab.cli", *args])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(err, proc.stderr), proc.stderr
+
+
+def test_memory_error_without_a_message_is_one_line(monkeypatch):
+    # the interpreter's own MemoryError carries no message
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(periodic, "barrier_series", exhausted)
+    assert run_cli("series", "-s", "example2") == (2, "", "out of memory: allocation failed\n")
+
+
 def test_analyze_terminates_at_large_initial_time(tmp_path):
     # near t0 = 6e6 floats are 9.3e-10 apart, wider than the polish's bracket width of 6.3e-10
     path = write_system(tmp_path, {"entries": [["-1 + sin(t)"]], "period": 2.0 * math.pi, "t0": 6e6})

@@ -1,5 +1,11 @@
 """Expression language tests.
 
+parse() is a binding-power loop over one operator table.  Its reference is
+_RefParser below, the recursive-descent parser lpstab used before, with one
+method per grammar rule, and _ref_to_string, the serializer that went with
+it: on generated token strings the two must give the same trees, the same
+serialized strings and the same ParseError messages and offsets.
+
 evaluate() walks the tree over numpy arrays.  Its independent reference is
 _math_evaluate below, a scalar walker on the math module (the evaluator lpstab
 used before): the two must raise at the same inputs and agree within a
@@ -24,6 +30,7 @@ from lpstab.expr import (
     ParseError,
     TimeVar,
     _tokenize,
+    _NODES,
     contains_time,
     evaluate,
     parse,
@@ -153,6 +160,190 @@ def test_tokenize_matches_reference_scanner():
     for _ in range(4000):
         text = "".join(rng.choice(pieces) for _ in range(rng.randrange(1, 12)))
         assert _scan(_tokenize, text) == _scan(_ref_tokenize, text), text
+
+
+class _RefParser:
+    # the recursive-descent parser lpstab used before the binding-power loop
+    def __init__(self, tokens):
+        self.toks = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def advance(self):
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def expr(self):
+        node = self.term()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.advance()
+                node = BinOp(val, node, self.term())
+            else:
+                return node
+
+    def term(self):
+        node = self.factor()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "*/":
+                self.advance()
+                node = BinOp(val, node, self.factor())
+            else:
+                return node
+
+    def factor(self):
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "-":
+            self.advance()
+            return Neg(self.factor())
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.advance()
+            return BinOp("^", base, self.factor())
+        return base
+
+    def atom(self):
+        kind, val, pos = self.advance()
+        if kind == "num":
+            return Num(val)
+        if kind == "name":
+            if val == "t":
+                return TimeVar()
+            if val in ("pi", "e"):
+                return Const(val)
+            if val in ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs"):
+                k, _, p = self.advance()
+                if k != "lp":
+                    raise ParseError(f"{val} needs a parenthesized argument", p)
+                arg = self.expr()
+                k, _, p = self.advance()
+                if k != "rp":
+                    raise ParseError("missing ')'", p)
+                return Call(val, arg)
+            raise ParseError(f"unknown name {val!r}", pos)
+        if kind == "lp":
+            node = self.expr()
+            k, _, p = self.advance()
+            if k != "rp":
+                raise ParseError("missing ')'", p)
+            return node
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        raise ParseError(f"expected a value, got {val!r}", pos)
+
+
+def _ref_parse(text):
+    if not text.strip():
+        raise ParseError("empty expression", 0)
+    parser = _RefParser(_ref_tokenize(text))
+    node = parser.expr()
+    kind, val, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {val!r}", pos)
+    return node
+
+
+_REF_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+
+
+def _ref_prec(node):
+    if isinstance(node, BinOp):
+        return _REF_PREC[node.op]
+    if isinstance(node, Neg):
+        return 3
+    return 9
+
+
+def _ref_to_string(expr):
+    # the serializer that went with _RefParser, with its own precedence table
+    if isinstance(expr, Num):
+        v = expr.value
+        return str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
+    if isinstance(expr, TimeVar):
+        return "t"
+    if isinstance(expr, Const):
+        return expr.name
+    if isinstance(expr, Call):
+        return f"{expr.func}({_ref_to_string(expr.arg)})"
+    if isinstance(expr, Neg):
+        inner = _ref_to_string(expr.operand)
+        return f"-({inner})" if _ref_prec(expr.operand) < 3 else f"-{inner}"
+    p = _REF_PREC[expr.op]
+    left, right = _ref_to_string(expr.left), _ref_to_string(expr.right)
+    if expr.op == "^":
+        # base slot is atom-only; exponent slot accepts any factor
+        left_paren, right_paren = _ref_prec(expr.left) < 9, _ref_prec(expr.right) < 3
+    else:
+        left_paren, right_paren = _ref_prec(expr.left) < p, _ref_prec(expr.right) <= p
+    left = f"({left})" if left_paren else left
+    right = f"({right})" if right_paren else right
+    return f"{left}{expr.op}{right}"
+
+
+def _serialized(serializer, tree):
+    # a number literal past the float range reads as inf, which neither serializer takes
+    try:
+        return serializer(tree)
+    except OverflowError as exc:
+        return repr(exc)
+
+
+def _parsed(parser, text):
+    try:
+        tree = parser(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+    return repr(tree), _serialized(to_string, tree), _serialized(_ref_to_string, tree)
+
+
+_PIECES = ["1", "2.5", "0", "3e2", ".5", "t", "pi", "e", "+", "-", "*", "/", "^", "(", ")",
+           "sin", "exp", "ln", "abs", "x", "#", ""]
+
+
+def _random_pieces(rng, depth):
+    # the pieces of a well-formed expression, written without added parentheses
+    kind = rng.randrange(6) if depth else 0
+    if kind == 0:
+        return [rng.choice(_PIECES[:8])]
+    if kind == 1:
+        return ["-"] + _random_pieces(rng, depth - 1)
+    if kind == 2:
+        return [rng.choice(["sin", "exp", "ln", "abs"]), "("] + _random_pieces(rng, depth - 1) + [")"]
+    if kind == 3:
+        return ["("] + _random_pieces(rng, depth - 1) + [")"]
+    return _random_pieces(rng, depth - 1) + [rng.choice("+-*/^")] + _random_pieces(rng, depth - 1)
+
+
+def test_parse_matches_reference_parser():
+    # well-formed token strings, half of them then broken by a few random edits, so that
+    # errors come at every kind of position; repr compares node types as well as values
+    rng = random.Random(20261019)
+    parsed = failed = 0
+    for _ in range(4000):
+        pieces = _random_pieces(rng, rng.randrange(1, 6))
+        for _ in range(rng.choice([0, 0, 0, 1, 2, 3])):
+            i = rng.randrange(len(pieces) + 1)
+            pieces[i:i + rng.randrange(2)] = [rng.choice(_PIECES)]
+        text = "".join(piece + rng.choice(["", "", " "]) for piece in pieces)
+        got = _parsed(parse, text)
+        assert got == _parsed(_ref_parse, text), text
+        if len(got) == 3:
+            parsed += 1
+            assert got[1] == got[2], text
+            if not got[1].startswith("OverflowError"):
+                assert parse(got[1]) == parse(text), text
+        else:
+            failed += 1
+    assert parsed > 1000 and failed > 1000
 
 
 @pytest.mark.parametrize("node", [Num(2.5), TimeVar(), Const("pi"), Neg(TimeVar()),
@@ -378,3 +569,16 @@ def test_contains_time():
     assert contains_time(parse("sin(2*t)"))
     assert not contains_time(parse("sin(2*pi)"))
     assert not contains_time(parse("3 + e"))
+    # t found at any depth under every node type, and no node without it reports it
+    leaves = [Num(2.0), Const("pi"), Const("e")]
+    wraps = [Neg, lambda x: Call("exp", x)] + [
+        (lambda op: lambda x: BinOp(op, x, Num(1.0)))(op) for op in "+-*/^"] + [
+        (lambda op: lambda x: BinOp(op, Const("e"), x))(op) for op in "+-*/^"]
+    assert {type(wrap(Num(1.0))) for wrap in wraps} == set(_NODES) - {Num, TimeVar, Const}
+    rng = random.Random(7)
+    for _ in range(200):
+        path = [rng.choice(wraps) for _ in range(rng.randrange(1, 6))]
+        with_t, without_t = TimeVar(), rng.choice(leaves)
+        for wrap in path:
+            with_t, without_t = wrap(with_t), wrap(without_t)
+        assert contains_time(with_t) and not contains_time(without_t)

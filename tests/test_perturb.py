@@ -143,6 +143,19 @@ def test_no_false_overflow_on_stiff_stable_system():
     assert np.abs(traj.states[-1]).max() <= 1e-10
 
 
+@pytest.mark.parametrize("t_end", [80.0, 100.0])
+def test_no_false_overflow_from_a_stiff_stretch_between_samples(t_end):
+    # |A|_inf is 3001 near t = pi/2 + k pi and about 1 elsewhere.  At 4 substeps a sample
+    # RK4 blows up inside a peak, and the state passes the cap in a later interval whose
+    # end sees |A| near 1; the retry must still be taken from the substeps that were too
+    # coarse for the peak, not read as the system's growth
+    sysd = system_from_strings([["-1-3000*sin(t)^200", "1"], ["0", "-1"]], 2.0 * math.pi)
+    d = disturbance_from_strings(["exp(-t)", "1"])
+    traj = simulate_perturbed(sysd, d, np.ones(2), t_end, cross_check=False)
+    assert not traj.overflowed and traj.times[-1] == t_end
+    assert np.abs(traj.states).max() < 10.0
+
+
 def test_convergence_report():
     sysd = strong_coupling().system
     d = disturbance_from_strings(["exp(-t)", "0"])
