@@ -27,9 +27,8 @@ import os
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-# lpstab's modules (and numpy) load before click and json: the other order leaves a
-# larger peak RSS.  floquet stays here although only analyze runs it, since importing it
-# after click costs every analyze process 0.6 MB more.  perturb, needed only by the
+# lpstab's modules (and numpy) load before json and the other standard modules: the
+# other order leaves every process about 0.2 MB larger.  perturb, needed only by the
 # perturb command and series --trajectory, is imported where they run: with no bytecode
 # cache every process compiles what it imports
 from . import catalog, floquet, lognorm, periodic
@@ -40,18 +39,20 @@ from .expr import EvalError
 from .linalg import NormKind, vec_norm
 from .periodic import SystemDef
 
+import contextlib
 import json
 import math
 import sys
+import textwrap
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-import click
 import numpy as np
 
 if TYPE_CHECKING:
     from . import perturb
 
-_NORM_CHOICE = click.Choice([*lognorm.NAMED, "weighted"])
+_NORMS = (*lognorm.NAMED, "weighted")
 
 
 def _load_file(path: str) -> SystemDef:
@@ -85,7 +86,7 @@ def _number(doc: dict, path: str, key: str, default=None) -> float:
     return float(value)
 
 
-def _parse_params(params: tuple[str, ...]) -> dict[str, float]:
+def _parse_params(params: list[str] | tuple[str, ...]) -> dict[str, float]:
     out: dict[str, float] = {}
     for item in params:
         key, sep, value = item.partition("=")
@@ -101,26 +102,15 @@ def _parse_params(params: tuple[str, ...]) -> dict[str, float]:
     return out
 
 
-def _load_system(file: str | None, system_name: str | None,
-                 params: tuple[str, ...]) -> SystemDef:
-    if (file is None) == (system_name is None):
-        raise click.UsageError("provide exactly one of --file or --system")
-    kwargs = _parse_params(params)
-    if system_name is not None:
-        return catalog.get(system_name, kwargs).system
+def _load_system(opt: SimpleNamespace) -> SystemDef:
+    if (opt.file is None) == (opt.system is None):
+        raise UsageError("provide exactly one of --file or --system")
+    kwargs = _parse_params(opt.param)
+    if opt.system is not None:
+        return catalog.get(opt.system, kwargs).system
     if kwargs:
         raise InputError("--param only applies to --system catalog entries")
-    return _load_file(file)
-
-
-def _source_options(cmd):
-    cmd = click.option("--param", "params", multiple=True,
-                       help="catalog factory parameter key=value (repeatable)")(cmd)
-    cmd = click.option("--system", "-s", "system_name", default=None,
-                       help="built-in catalog system name")(cmd)
-    cmd = click.option("--file", "-f", type=click.Path(), default=None,
-                       help="system JSON file")(cmd)
-    return cmd
+    return _load_file(opt.file)
 
 
 def _resolve_kind(sysd: SystemDef, norm: str) -> NormKind:
@@ -141,9 +131,8 @@ def _resolve_kinds(sysd: SystemDef, norms: str) -> list[tuple[str, NormKind]]:
         raise InputError("--norm must name at least one norm")
     out = []
     for name in names:
-        if name not in _NORM_CHOICE.choices:
-            raise InputError(f"unknown norm {name!r}; "
-                             f"choose from {', '.join(sorted(_NORM_CHOICE.choices))}")
+        if name not in _NORMS:
+            raise InputError(f"unknown norm {name!r}; choose from {', '.join(sorted(_NORMS))}")
         out.append((name, _resolve_kind(sysd, name)))
     return out
 
@@ -154,7 +143,12 @@ def _system_doc(sysd: SystemDef) -> dict:
 
 
 def _emit_json(doc: dict) -> None:
-    click.echo(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _open_out(path: str | None):
+    """The file to write at path, or stdout, left open, for None or -."""
+    return contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -188,23 +182,11 @@ def _record_doc(record, *omit: str) -> dict:
     return {k: v for k, v in record._asdict().items() if k not in omit}
 
 
-@click.group()
-def root():
-    """Stability certificates for linear periodic systems."""
-
-
-@root.command()
-@_source_options
-@click.option("--norm", "-n", "norms", default="one", show_default=True,
-              help="comma separated list drawn from one, two, inf, weighted")
-@click.option("--zero-tol", type=float, default=None,
-              help="treat a one-period drift within this band of zero as zero")
-@click.option("--no-oracle", is_flag=True, help="skip the transition-matrix cross-checks")
-@click.option("--json", "json_out", is_flag=True, help="machine-readable output")
-def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
+def analyze(opt: SimpleNamespace) -> None:
     """Classify the system in each requested norm and cross-check."""
-    sysd = _load_system(file, system_name, params)
-    kinds = _resolve_kinds(sysd, norms)
+    sysd = _load_system(opt)
+    kinds = _resolve_kinds(sysd, opt.norm)
+    zero_tol, no_oracle = opt.zero_tol, opt.no_oracle
     frozen = periodic.frozen_time_check(sysd)
     fce = None if no_oracle else floquet.monodromy_fce(sysd)
     analyses = []
@@ -255,7 +237,7 @@ def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
                 failures.append(f"{name}: transition bound violated by {violation:.3e}")
             entry["oracle"] = oracle_doc
         analyses.append(entry)
-    if json_out:
+    if opt.json:
         doc = {
             "version": __version__,
             "system": _system_doc(sysd),
@@ -266,30 +248,30 @@ def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
         }
         _emit_json(doc)
     else:
-        click.echo(f"tool: lpstab {__version__}")
-        click.echo(f"system: n={sysd.n} period={sysd.period:.6g} t0={sysd.t0:.6g}")
+        print(f"tool: lpstab {__version__}")
+        print(f"system: n={sysd.n} period={sysd.period:.6g} t0={sysd.t0:.6g}")
         ft_state = "applicable" if frozen.applicable else "not applicable (a sampled matrix is not Hurwitz)"
-        click.echo(f"frozen-time route: {ft_state}; alpha={frozen.alpha:.6g} "
-                   f"sup|A|={frozen.m_bound:.6g} sup|A'|={frozen.sup_adot:.6g}; "
-                   f"margin condition {'met' if frozen.c1_satisfied else 'not met'}, "
-                   f"rate condition {'met' if frozen.c2_satisfied else 'not met'}")
+        print(f"frozen-time route: {ft_state}; alpha={frozen.alpha:.6g} "
+              f"sup|A|={frozen.m_bound:.6g} sup|A'|={frozen.sup_adot:.6g}; "
+              f"margin condition {'met' if frozen.c1_satisfied else 'not met'}, "
+              f"rate condition {'met' if frozen.c2_satisfied else 'not met'}")
         for entry in analyses:
             rates = entry["rates"]
-            click.echo(f"--- norm {entry['norm']} ---")
-            click.echo(f"verdict: {entry['classification']}")
+            print(f"--- norm {entry['norm']} ---")
+            print(f"verdict: {entry['classification']}")
             if entry["K"] is not None:
-                click.echo(f"overshoot K: {entry['K']:.6g}")
+                print(f"overshoot K: {entry['K']:.6g}")
             if entry["alpha_tilde"] is not None:
-                click.echo(f"decay rate: {entry['alpha_tilde']:.6g}")
-            click.echo(f"one-period drift: forward {rates['pi_plus_period']:.6g}, "
-                       f"reversed {rates['pi_minus_period']:.6g}")
-            click.echo(f"averages: lambda+ {rates['lambda_plus']:.6g}, "
-                       f"lambda- {rates['lambda_minus']:.6g}")
-            click.echo(f"offsets: dU+ {rates['delta_upper_plus']:.6g}, "
-                       f"dL+ {rates['delta_lower_plus']:.6g}, "
-                       f"dU- {rates['delta_upper_minus']:.6g}, "
-                       f"dL- {rates['delta_lower_minus']:.6g}")
-            click.echo(f"exponent strip: [{entry['strip'][0]:.6g}, {entry['strip'][1]:.6g}]")
+                print(f"decay rate: {entry['alpha_tilde']:.6g}")
+            print(f"one-period drift: forward {rates['pi_plus_period']:.6g}, "
+                  f"reversed {rates['pi_minus_period']:.6g}")
+            print(f"averages: lambda+ {rates['lambda_plus']:.6g}, "
+                  f"lambda- {rates['lambda_minus']:.6g}")
+            print(f"offsets: dU+ {rates['delta_upper_plus']:.6g}, "
+                  f"dL+ {rates['delta_lower_plus']:.6g}, "
+                  f"dU- {rates['delta_upper_minus']:.6g}, "
+                  f"dL- {rates['delta_lower_minus']:.6g}")
+            print(f"exponent strip: [{entry['strip'][0]:.6g}, {entry['strip'][1]:.6g}]")
             if not no_oracle:
                 oracle = entry["oracle"]
                 parts = ", ".join(("<=" if k < fce.unresolved else "") + f"{v:.6g}"
@@ -298,35 +280,28 @@ def analyze(file, system_name, params, norms, zero_tol, no_oracle, json_out):
                 label = ""
                 if entry["classification"] == "inconclusive":
                     label = " (independent route, not a drift-test certificate)"
-                click.echo(f"monodromy exponent real parts: {parts} "
-                           f"(inside strip: {inside}){label}")
+                print(f"monodromy exponent real parts: {parts} "
+                      f"(inside strip: {inside}){label}")
                 if oracle["sandwich_violation"] is not None:
-                    click.echo(f"transition bound worst violation: {oracle['sandwich_violation']:.3e}")
+                    print(f"transition bound worst violation: {oracle['sandwich_violation']:.3e}")
                 if "partially_resolved" in oracle:
-                    click.echo(f"oracle: partially resolved: {'; '.join(oracle['partially_resolved'])}")
-            click.echo(entry["message"])
+                    print(f"oracle: partially resolved: {'; '.join(oracle['partially_resolved'])}")
+            print(entry["message"])
     if failures:
         raise NumericError("cross-checks failed: " + "; ".join(failures))
 
 
-@root.command()
-@_source_options
-@click.option("--norm", "-n", "norm", type=_NORM_CHOICE, default="one", show_default=True)
-@click.option("--t-end", type=float, default=None, help="last sample time [default: t0 + 3 periods]")
-@click.option("--samples", type=int, default=512, show_default=True)
-@click.option("--trajectory", "trajectory", default=None, metavar='"c1,...,cn"',
-              help="emit the unforced trajectory from this initial state instead of drift integrals")
-@click.option("--out", "-o", default="-", help="output path, - for stdout")
-def series(file, system_name, params, norm, t_end, samples, trajectory, out):
+def series(opt: SimpleNamespace) -> None:
     """Write drift-integral or trajectory series as CSV."""
-    sysd = _load_system(file, system_name, params)
-    kind = _resolve_kind(sysd, norm)
+    sysd = _load_system(opt)
+    kind = _resolve_kind(sysd, opt.norm)
+    t_end, samples, trajectory = opt.t_end, opt.samples, opt.trajectory
     if t_end is None:
         t_end = sysd.t0 + 3.0 * sysd.period
     if samples < 2:
         raise InputError("--samples must be at least 2")
     _check_t_end(t_end, sysd.t0)
-    with click.open_file(out, "w") as fh:
+    with _open_out(opt.out) as fh:
         if trajectory is None:
             arr = periodic.barrier_series(sysd, kind, t_end, samples)
             fh.write("t,pi_plus,pi_minus,low_plus,up_plus,low_minus,up_minus\n")
@@ -342,22 +317,12 @@ def series(file, system_name, params, norm, t_end, samples, trajectory, out):
         _write_trajectory(fh, traj, kind)
 
 
-@root.command("perturb")
-@_source_options
-@click.option("--norm", "-n", "norm", type=_NORM_CHOICE, default="two", show_default=True,
-              help="norm for the reported magnitudes")
-@click.option("--d", "dist", default=None, metavar='"e1;...;en"',
-              help="disturbance entries, separated by ; or , [default: zero]")
-@click.option("--x0", default=None, help="initial state, comma separated [default: all ones]")
-@click.option("--t-end", type=float, default=None, help="final time [default: t0 + 5 periods]")
-@click.option("--samples", type=int, default=256, show_default=True)
-@click.option("--out", "-o", "out", default=None, help="write the trajectory CSV here")
-@click.option("--json", "json_out", is_flag=True, help="machine-readable output")
-def perturb_cmd(file, system_name, params, norm, dist, x0, t_end, samples, out, json_out):
+def perturb_cmd(opt: SimpleNamespace) -> None:
     """Simulate x' = A(t) x + d(t) and summarize decay of the response."""
     from . import perturb
-    sysd = _load_system(file, system_name, params)
-    kind = _resolve_kind(sysd, norm)
+    sysd = _load_system(opt)
+    kind = _resolve_kind(sysd, opt.norm)
+    norm, dist, x0, t_end, samples = opt.norm, opt.d, opt.x0, opt.t_end, opt.samples
     if t_end is None:
         t_end = sysd.t0 + 5.0 * sysd.period
     _check_t_end(t_end, sysd.t0)
@@ -390,10 +355,10 @@ def perturb_cmd(file, system_name, params, norm, dist, x0, t_end, samples, out, 
         drift, drift_vanishes, drift_error = None, None, str(exc)
     claimed = (verdict.classification == "UES" and drift_vanishes is True
                and not traj.overflowed)
-    if out is not None:
-        with click.open_file(out, "w") as fh:
+    if opt.out is not None:
+        with _open_out(opt.out) as fh:
             _write_trajectory(fh, traj, kind)
-    if json_out:
+    if opt.json:
         _emit_json({
             "version": __version__,
             "system": _system_doc(sysd),
@@ -419,25 +384,25 @@ def perturb_cmd(file, system_name, params, norm, dist, x0, t_end, samples, out, 
             "cross_check_error": traj.check_error,
         })
         return
-    click.echo(f"system: n={sysd.n} period={sysd.period:.6g} t0={sysd.t0:.6g}")
-    click.echo(f"unforced verdict (norm {norm}): {verdict.classification}")
+    print(f"system: n={sysd.n} period={sysd.period:.6g} t0={sysd.t0:.6g}")
+    print(f"unforced verdict (norm {norm}): {verdict.classification}")
     if traj.overflowed:
-        click.echo(f"state overflowed at t={traj.t_overflow:.6g}: unbounded growth; "
-                   f"trajectory truncated to {len(traj.times)} samples")
+        print(f"state overflowed at t={traj.t_overflow:.6g}: unbounded growth; "
+              f"trajectory truncated to {len(traj.times)} samples")
     else:
-        click.echo(f"simulated to t={t_end:.6g} with {samples} samples "
-                   f"({traj.steps_per_interval} substeps each)")
-        click.echo(f"final state: {np.array2string(traj.states[-1], precision=6)}")
-        click.echo(f"final norm: {vec_norm(traj.states[-1], kind):.6g}")
-        click.echo(f"tail from t={report.tail_start:.6g}: max norm {report.tail_max_norm:.6g}, "
-                   f"{'non-increasing' if report.decreasing_tail else 'not monotone'}")
+        print(f"simulated to t={t_end:.6g} with {samples} samples "
+              f"({traj.steps_per_interval} substeps each)")
+        print(f"final state: {np.array2string(traj.states[-1], precision=6)}")
+        print(f"final norm: {vec_norm(traj.states[-1], kind):.6g}")
+        print(f"tail from t={report.tail_start:.6g}: max norm {report.tail_max_norm:.6g}, "
+              f"{'non-increasing' if report.decreasing_tail else 'not monotone'}")
     if drift is None:
-        click.echo(f"disturbance windowed-integral sup: unavailable ({drift_error})")
+        print(f"disturbance windowed-integral sup: unavailable ({drift_error})")
     else:
-        click.echo(f"disturbance windowed-integral sup: first {drift.sups[0]:.6g}, "
-                   f"last {drift.sups[-1]:.6g}, tail log-slope {drift.tail_log_slope:.6g}")
+        print(f"disturbance windowed-integral sup: first {drift.sups[0]:.6g}, "
+              f"last {drift.sups[-1]:.6g}, tail log-slope {drift.tail_log_slope:.6g}")
     if claimed:
-        click.echo("forced-state decay: claimed (stable unforced system, vanishing drift)")
+        print("forced-state decay: claimed (stable unforced system, vanishing drift)")
     else:
         why = []
         if verdict.classification != "UES":
@@ -448,28 +413,252 @@ def perturb_cmd(file, system_name, params, norm, dist, x0, t_end, samples, out, 
             why.append("disturbance drift does not vanish")
         if traj.overflowed:
             why.append("state overflowed")
-        click.echo(f"forced-state decay: not claimed ({'; '.join(why)})")
+        print(f"forced-state decay: not claimed ({'; '.join(why)})")
     if traj.check_error is not None:
-        click.echo(f"variation-of-constants cross-check error: {traj.check_error:.3g}")
+        print(f"variation-of-constants cross-check error: {traj.check_error:.3g}")
+
+
+# Each command's options, one row each: long name, short alias, kind, default, help, and
+# the value's name in --help (None: named after the kind).  The kind is str, float, int,
+# a tuple of choices, bool for a flag or list for a repeatable str.  A command receives
+# the values as attributes named after the long names (--zero-tol: zero_tol).  --help
+# shows the default of a str, float, int or choice option unless it is None.
+_HELP = ("--help", None, bool, False, "Show this message and exit.", None)
+_SOURCE = (
+    ("--file", "-f", str, None, "system JSON file", "PATH"),
+    ("--system", "-s", str, None, "built-in catalog system name", None),
+    ("--param", None, list, (), "catalog factory parameter key=value (repeatable)", None),
+)
+_COMMANDS = {
+    "analyze": (analyze, (
+        *_SOURCE,
+        ("--norm", "-n", str, "one", "comma separated list drawn from one, two, inf, weighted", None),
+        ("--zero-tol", None, float, None, "treat a one-period drift within this band of zero as zero", None),
+        ("--no-oracle", None, bool, False, "skip the transition-matrix cross-checks", None),
+        ("--json", None, bool, False, "machine-readable output", None),
+        _HELP)),
+    "series": (series, (
+        *_SOURCE,
+        ("--norm", "-n", _NORMS, "one", "", None),
+        ("--t-end", None, float, None, "last sample time [default: t0 + 3 periods]", None),
+        ("--samples", None, int, 512, "", None),
+        ("--trajectory", None, str, None,
+         "emit the unforced trajectory from this initial state instead of drift integrals", '"c1,...,cn"'),
+        ("--out", "-o", str, None, "output path, - for stdout", None),
+        _HELP)),
+    "perturb": (perturb_cmd, (
+        *_SOURCE,
+        ("--norm", "-n", _NORMS, "two", "norm for the reported magnitudes", None),
+        ("--d", None, str, None, "disturbance entries, separated by ; or , [default: zero]", '"e1;...;en"'),
+        ("--x0", None, str, None, "initial state, comma separated [default: all ones]", None),
+        ("--t-end", None, float, None, "final time [default: t0 + 5 periods]", None),
+        ("--samples", None, int, 256, "", None),
+        ("--out", "-o", str, None, "write the trajectory CSV here", None),
+        ("--json", None, bool, False, "machine-readable output", None),
+        _HELP)),
+}
+_ROOT_DOC = "Stability certificates for linear periodic systems."
+_TYPE_NAMES = {str: "text", list: "text", float: "float", int: "integer"}
+
+
+class UsageError(Exception):
+    """A malformed command line.  With usage set, the message follows the usage line of
+    the command being parsed and a pointer to its --help."""
+
+    def __init__(self, message: str, usage: bool = True):
+        super().__init__(message)
+        self.usage = usage
+
+
+def _no_such(what: str, name: str, names) -> UsageError:
+    from difflib import get_close_matches
+    close = sorted(get_close_matches(name, names)) if names else []
+    hint = "" if not close else (f" Did you mean {close[0]!r}?" if len(close) == 1 else
+                                 f" (Did you mean one of: {', '.join(map(repr, close))}?)")
+    return UsageError(f"No such {what} {name!r}.{hint}")
+
+
+def _scan(table, args: list[str], interspersed: bool):
+    """Read the options of table off args: the raw values by long name (a list for a
+    repeatable option, the last value otherwise, True for a flag), the long names in
+    order of first use, and the other tokens.
+
+    An option that takes a value takes the next token whatever it looks like, or what
+    follows = in --opt=value, or the rest of a short option's token (-sVALUE; -abc is
+    -a -b -c while they are flags).  Names are matched whole, never abbreviated.  --
+    ends the options; so does the first other token unless interspersed.
+    """
+    longs = {row[0]: row for row in table}
+    shorts = {row[1]: row for row in table if row[1]}
+    raw, order, rest = {}, [], []
+    args = list(args)
+
+    def take(row, name):
+        if row[2] is bool:
+            value = True
+        elif args:
+            value = args.pop(0)
+        else:
+            raise UsageError(f"Option {name!r} requires an argument.", usage=False)
+        if row[2] is list:
+            raw.setdefault(row[0], []).append(value)
+        else:
+            raw[row[0]] = value
+        if row[0] not in order:
+            order.append(row[0])
+
+    while args:
+        arg = args.pop(0)
+        if arg == "--":
+            break
+        if arg[:1] != "-" or arg == "-":
+            if not interspersed:
+                args.insert(0, arg)
+                break
+            rest.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if name in longs:
+            if eq:
+                if longs[name][2] is bool:
+                    raise UsageError(f"Option {name!r} does not take a value.", usage=False)
+                args.insert(0, value)
+            take(longs[name], name)
+        elif arg[:2] == "--":
+            raise _no_such("option", name, list(longs))
+        else:
+            for k in range(1, len(arg)):
+                name = "-" + arg[k]
+                if name not in shorts:
+                    raise _no_such("option", name, ())
+                if shorts[name][2] is not bool and k + 1 < len(arg):
+                    args.insert(0, arg[k + 1:])
+                    take(shorts[name], name)
+                    break
+                take(shorts[name], name)
+    return raw, order, rest + args
+
+
+def _options(table, raw: dict, order: list[str]) -> SimpleNamespace:
+    """The command's option values, converted in order of first use (the first bad
+    value is the one reported), with the defaults of the options not given."""
+    rows = {row[0]: row for row in table}
+    opt = SimpleNamespace(**{name[2:].replace("-", "_"): row[3] for name, row in rows.items()})
+    for name in order:
+        _, short, kind = rows[name][:3]
+        value = raw[name]
+        if isinstance(kind, tuple):
+            bad = None if value in kind else f"is not one of {', '.join(map(repr, kind))}"
+        elif kind in (float, int):
+            try:
+                value, bad = kind(value), None
+            except ValueError:
+                bad = f"is not a valid {_TYPE_NAMES[kind]}"
+        else:
+            bad = None
+        if bad is not None:
+            hint = " / ".join(f"'{n}'" for n in (name, short) if n)
+            raise UsageError(f"Invalid value for {hint}: {value!r} {bad}.")
+        setattr(opt, name[2:].replace("-", "_"), value)
+    return opt
+
+
+def _columns(rows) -> list[str]:
+    # names in a column at most 30 wide, help wrapped beside them to 78 columns
+    width = min(max(len(names) for names, _ in rows), 30) + 2
+    lines = []
+    for names, text in rows:
+        wrapped = textwrap.wrap(text, max(76 - width, 10)) or [""]
+        if len(names) <= width - 2:
+            lines.append(f"  {names:{width}}{wrapped[0]}".rstrip())
+        else:
+            lines += [f"  {names}", f"{'':{width + 2}}{wrapped[0]}"]
+        lines += [f"{'':{width + 2}}{line}" for line in wrapped[1:]]
+    return lines
+
+
+def _usage(command: str | None) -> str:
+    return f"Usage: lpstab {command} [OPTIONS]" if command else "Usage: lpstab [OPTIONS] COMMAND [ARGS]..."
+
+
+def _doc(command: str) -> str:
+    return _COMMANDS[command][0].__doc__ or ""  # python -OO strips docstrings
+
+
+def _help(command: str | None) -> str:
+    doc, table = (_ROOT_DOC, (_HELP,)) if command is None else (_doc(command), _COMMANDS[command][1])
+    rows = []
+    for name, short, kind, default, text, metavar in table:
+        names = f"{short}, {name}" if short else name
+        if kind is not bool:
+            names += " " + (metavar or (f"[{'|'.join(kind)}]" if isinstance(kind, tuple)
+                                        else _TYPE_NAMES[kind].upper()))
+        if default is not None and kind not in (bool, list):
+            text = f"{text}  [default: {default}]" if text else f"[default: {default}]"
+        rows.append((names, text))
+    lines = [_usage(command), "", textwrap.fill(doc, 76, initial_indent="  ", subsequent_indent="  "),
+             "", "Options:", *_columns(rows)]
+    if command is None:
+        lines += ["", "Commands:", *_columns([(c, _doc(c)) for c in sorted(_COMMANDS)])]
+    return "\n".join(lines)
+
+
+def _fail(message: str, code: int) -> None:
+    sys.stdout.flush()  # what the command printed stays ahead of the message
+    print(message, file=sys.stderr)
+    sys.exit(code)
+
+
+def _main(args: list[str]) -> None:
+    command = None  # once known, usage errors show its usage line
+    try:
+        if not args:
+            _fail(_help(None), 1)
+        raw, _, rest = _scan((_HELP,), args, interspersed=False)
+        if raw:
+            print(_help(None))
+            return
+        if not rest:
+            raise UsageError("Missing command.")
+        if rest[0] not in _COMMANDS:
+            # an option after --, as in `lpstab -- --help`, still counts
+            if rest[0][:1] == "-" and _scan((_HELP,), rest, interspersed=False)[0]:
+                print(_help(None))
+                return
+            raise _no_such("command", rest[0], list(_COMMANDS))
+        command = rest[0]
+        run, table = _COMMANDS[command]
+        raw, order, extra = _scan(table, rest[1:], interspersed=True)
+        if "--help" in raw:
+            print(_help(command))
+            return
+        opt = _options(table, raw, order)
+        if extra:
+            raise UsageError(f"Got unexpected extra argument{'s' if len(extra) > 1 else ''} "
+                             f"({' '.join(extra)})")
+        run(opt)
+    except UsageError as exc:
+        if exc.usage:
+            prog = f"lpstab {command}" if command else "lpstab"
+            print(f"{_usage(command)}\nTry '{prog} --help' for help.\n", file=sys.stderr)
+        _fail(f"Error: {exc}", 1)
+    except InputError as exc:
+        _fail(f"error: {exc}", 1)
+    except NumericError as exc:
+        _fail(f"numeric failure: {exc}", 2)
+    except MemoryError as exc:  # numpy's message names the array's size and shape
+        _fail(f"out of memory: {str(exc) or 'allocation failed'}", 2)
 
 
 def main(argv=None):
     try:
-        root.main(args=argv, prog_name="lpstab", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except click.ClickException as exc:
-        exc.show()
+        _main(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout went away (`| head`): stop quietly, and send what is left
+        # in the buffer nowhere so that the interpreter's last flush raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except NumericError as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
-        sys.exit(2)
-    except MemoryError as exc:  # numpy's message names the array's size and shape
-        click.echo(f"out of memory: {str(exc) or 'allocation failed'}", err=True)
-        sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ later operation would have hidden them (exp(-1/t) at t = 0).  No nan, inf
 or floating-point warning leaves evaluate().
 """
 
+import math
 import re
 from typing import NamedTuple, Union
 
@@ -300,6 +301,8 @@ def to_string(expr: Expression) -> str:
     """
     if isinstance(expr, Num):
         v = expr.value
+        if math.isinf(v):  # a literal past the float range reads as inf
+            return "-1e999" if v < 0 else "1e999"
         if v == int(v) and abs(v) < 1e16:
             return str(int(v))
         return repr(v)

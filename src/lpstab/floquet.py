@@ -393,10 +393,12 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
     exceeds sqrt(TOL.overflow), where the two-norm's Gram product could
     overflow, is checked by the sum of its segments' log norms instead:
     norms are submultiplicative, so that sum bounds the pair's log norm, and
-    it meets the pair's bound whenever every segment meets its own.  A
-    segment whose transition passes the overflow cap cannot be checked in
-    floating point: that BlowupError propagates when some segment's bound
-    allows such growth, and the result is inf (a violation) when none does.
+    it meets the pair's bound whenever every segment meets its own.  Each
+    segment's norm is taken at a power-of-two scale, since a segment can
+    pass sqrt(TOL.overflow) itself.  A segment whose transition passes the
+    overflow cap cannot be checked in floating point: that BlowupError
+    propagates when some segment's bound allows such growth, and the result
+    is inf (a violation) when none does.
     """
     ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, 16)
     pp, pm = (periodic.pi_integral(sys, kind, sign, ts)[0] for sign in (1, -1))
@@ -416,7 +418,10 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
     if exact.all():
         logs = np.log(linalg.mat_norm(P, kind))
     else:
-        seg_logs = np.log(linalg.mat_norm(segs, kind)).reshape(15, 2)
+        # scaled to a largest entry in [0.5, 1), the norm is exact and its Gram product finite
+        e = np.frexp(np.abs(segs).max(axis=(-2, -1)))[1]
+        seg_logs = (np.log(linalg.mat_norm(np.ldexp(segs, -e[:, None, None]), kind))
+                    + e * math.log(2.0)).reshape(15, 2)
         cum = np.concatenate((np.zeros((1, 2)), np.cumsum(seg_logs, axis=0)))
         logs = np.concatenate((cum[j, 0] - cum[i, 0], cum[j, 1] - cum[i, 1]))
         logs[exact] = np.log(linalg.mat_norm(P[exact], kind))

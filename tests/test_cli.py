@@ -44,6 +44,163 @@ def test_help_exits_zero():
         assert sub in out
 
 
+# The help and usage-error texts of the command line, byte for byte as the click
+# front end printed them at 80 columns; the option tables reproduce them.
+ROOT_HELP = """\
+Usage: lpstab [OPTIONS] COMMAND [ARGS]...
+
+  Stability certificates for linear periodic systems.
+
+Options:
+  --help  Show this message and exit.
+
+Commands:
+  analyze  Classify the system in each requested norm and cross-check.
+  perturb  Simulate x' = A(t) x + d(t) and summarize decay of the response.
+  series   Write drift-integral or trajectory series as CSV.
+"""
+COMMAND_HELP = {
+    "analyze": """\
+Usage: lpstab analyze [OPTIONS]
+
+  Classify the system in each requested norm and cross-check.
+
+Options:
+  -f, --file PATH    system JSON file
+  -s, --system TEXT  built-in catalog system name
+  --param TEXT       catalog factory parameter key=value (repeatable)
+  -n, --norm TEXT    comma separated list drawn from one, two, inf, weighted
+                     [default: one]
+  --zero-tol FLOAT   treat a one-period drift within this band of zero as zero
+  --no-oracle        skip the transition-matrix cross-checks
+  --json             machine-readable output
+  --help             Show this message and exit.
+""",
+    "series": """\
+Usage: lpstab series [OPTIONS]
+
+  Write drift-integral or trajectory series as CSV.
+
+Options:
+  -f, --file PATH                 system JSON file
+  -s, --system TEXT               built-in catalog system name
+  --param TEXT                    catalog factory parameter key=value
+                                  (repeatable)
+  -n, --norm [one|two|inf|weighted]
+                                  [default: one]
+  --t-end FLOAT                   last sample time [default: t0 + 3 periods]
+  --samples INTEGER               [default: 512]
+  --trajectory "c1,...,cn"        emit the unforced trajectory from this
+                                  initial state instead of drift integrals
+  -o, --out TEXT                  output path, - for stdout
+  --help                          Show this message and exit.
+""",
+    "perturb": """\
+Usage: lpstab perturb [OPTIONS]
+
+  Simulate x' = A(t) x + d(t) and summarize decay of the response.
+
+Options:
+  -f, --file PATH                 system JSON file
+  -s, --system TEXT               built-in catalog system name
+  --param TEXT                    catalog factory parameter key=value
+                                  (repeatable)
+  -n, --norm [one|two|inf|weighted]
+                                  norm for the reported magnitudes  [default:
+                                  two]
+  --d "e1;...;en"                 disturbance entries, separated by ; or ,
+                                  [default: zero]
+  --x0 TEXT                       initial state, comma separated [default: all
+                                  ones]
+  --t-end FLOAT                   final time [default: t0 + 5 periods]
+  --samples INTEGER               [default: 256]
+  -o, --out TEXT                  write the trajectory CSV here
+  --json                          machine-readable output
+  --help                          Show this message and exit.
+""",
+}
+
+
+def usage_error(command, message):
+    return (f"Usage: lpstab {command} [OPTIONS]\nTry 'lpstab {command} --help' for help.\n\n"
+            f"Error: {message}\n")
+
+
+ROOT_USAGE = "Usage: lpstab [OPTIONS] COMMAND [ARGS]...\nTry 'lpstab --help' for help.\n\n"
+
+
+PINNED = [
+    ((), (1, "", ROOT_HELP)),
+    (("--help",), (0, ROOT_HELP, "")),
+    (("--help", "nosuch"), (0, ROOT_HELP, "")),
+    (("--", "--help"), (0, ROOT_HELP, "")),
+    *(((name, "--help"), (0, text, "")) for name, text in COMMAND_HELP.items()),
+    (("analyze", "-s", "nosuch", "--help", "--samples"),
+     (1, "", usage_error("analyze", "No such option '--samples'."))),
+    (("analyze", "--bogus"), (1, "", usage_error("analyze", "No such option '--bogus'."))),
+    (("analyze", "--sys", "example2"),
+     (1, "", usage_error("analyze", "No such option '--sys'. Did you mean '--system'?"))),
+    (("analyze", "-x"), (1, "", usage_error("analyze", "No such option '-x'."))),
+    (("analyze", "--norm"), (1, "", "Error: Option '--norm' requires an argument.\n")),
+    (("analyze", "-s"), (1, "", "Error: Option '-s' requires an argument.\n")),
+    (("nosuch",), (1, "", ROOT_USAGE + "Error: No such command 'nosuch'.\n")),
+    (("analyse",), (1, "", ROOT_USAGE + "Error: No such command 'analyse'. Did you mean 'analyze'?\n")),
+    (("--",), (1, "", ROOT_USAGE + "Error: Missing command.\n")),
+    (("-h",), (1, "", ROOT_USAGE + "Error: No such option '-h'.\n")),
+    (("series", "--samples", "1.5"),
+     (1, "", usage_error("series", "Invalid value for '--samples': '1.5' is not a valid integer."))),
+    (("series", "--t-end", "x", "--samples", "y"),
+     (1, "", usage_error("series", "Invalid value for '--t-end': 'x' is not a valid float."))),
+    (("series", "--norm", "euclid"),
+     (1, "", usage_error("series", "Invalid value for '--norm' / '-n': 'euclid' is not one of "
+                                   "'one', 'two', 'inf', 'weighted'."))),
+    (("series", "-n=two"),
+     (1, "", usage_error("series", "Invalid value for '--norm' / '-n': '=two' is not one of "
+                                   "'one', 'two', 'inf', 'weighted'."))),
+    (("analyze", "--no-oracle=1"), (1, "", "Error: Option '--no-oracle' does not take a value.\n")),
+    (("analyze", "-s", "example2", "extra", "args"),
+     (1, "", usage_error("analyze", "Got unexpected extra arguments (extra args)"))),
+    (("analyze", "--", "-s", "example2"),
+     (1, "", usage_error("analyze", "Got unexpected extra arguments (-s example2)"))),
+    (("analyze",), (1, "", usage_error("analyze", "provide exactly one of --file or --system"))),
+    (("analyze", "-fs"), (1, "", "error: cannot read s: [Errno 2] No such file or directory: 's'\n")),
+]
+
+
+@pytest.mark.parametrize("args,want", PINNED, ids=[" ".join(args) or "no-arguments" for args, _ in PINNED])
+def test_help_and_usage_errors_are_pinned(args, want):
+    # (exit code, stdout, stderr)
+    assert run_cli(*args) == want
+
+
+@pytest.mark.parametrize("args,same_as", [
+    (["analyze", "--norm=two", "-sexample2", "--no-oracle"],
+     ["analyze", "--norm", "two", "--system", "example2", "--no-oracle"]),
+    (["analyze", "-n", "one", "-s", "example1", "--param", "beta=0.5", "--param=beta=0.9", "--no-oracle"],
+     ["analyze", "-s", "example1", "--param", "beta=0.9", "--no-oracle"]),
+    (["series", "-nfoo", "-n", "inf", "-s", "lti_diag", "--samples=4", "--samples", "3"],
+     ["series", "--norm", "inf", "-s", "lti_diag", "--samples", "3"]),
+])
+def test_option_spellings_agree(args, same_as):
+    # --opt=value, -sVALUE, the last value of a repeated option, repeated --param
+    got = run_cli(*args)
+    assert got[0] == 0 and got == run_cli(*same_as)
+
+
+def test_values_may_start_with_a_dash():
+    code, out, err = run_cli("perturb", "-s", "example2", "--d", "-exp(-t);0", "--x0", "-4,3",
+                             "--t-end", "2", "--samples", "16", "-o-", "--json")
+    assert code == 0, err
+    csv, _, doc = out.partition("\n{")
+    assert csv.startswith("t,x1,x2,norm\n")
+    doc = json.loads("{" + doc)
+    assert doc["disturbance"] == ["-exp(-t)", "0"] and doc["x0"] == [-4.0, 3.0]
+    code, out, err = run_cli("analyze", "-s", "lti_diag", "--param", "a=-3", "--param", "b=-0.5",
+                             "--no-oracle", "--json")
+    assert code == 0, err
+    assert json.loads(out)["system"]["entries"] == [["-3", "0"], ["0", "-0.5"]]
+
+
 def test_analyze_catalog_human():
     code, out, err = run_cli("analyze", "--system", "strong_coupling", "--norm", "one")
     assert code == 0, err

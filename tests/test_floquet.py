@@ -8,6 +8,7 @@ those exist and against frozen high-accuracy values otherwise.
 import math
 import random
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -178,6 +179,24 @@ def test_sandwich_blowup_is_unchecked_only_where_the_bound_allows_it(monkeypatch
         verify_sandwich(_STIFF, ONE)
     monkeypatch.setattr(floquet.periodic, "pi_integral", lambda sys, kind, sign, ts: (np.zeros(len(ts)), 0.0))
     assert verify_sandwich(_STIFF, ONE) == math.inf
+
+
+@pytest.mark.parametrize("kind,norm", [(ONE, 2.0), (TWO, (1.0 + math.sqrt(5.0)) / 2.0)],
+                         ids=["one", "two"])
+def test_sandwich_checks_a_single_segment_past_the_gram_range(monkeypatch, kind, norm):
+    # a stiff peak makes one backward segment 1e200 [[1, 1], [0, 1]]: past
+    # sqrt(TOL.overflow), so its pairs take the segment sum, and past the range where
+    # the two-norm's Gram product of the bare segment is finite.  The drift bound
+    # across it falls 0.5 short of its log norm, so the violation is expm1(0.5)
+    big = 1e200 * np.array([[1.0, 1.0], [0.0, 1.0]])
+    segs = np.stack([np.eye(2)] * 30)
+    segs[2 * 7 + 1] = big
+    ts = np.linspace(0.0, 2.0, 16)
+    step = math.log(1e200 * norm) - 0.5
+    monkeypatch.setattr(floquet, "_transitions_once", lambda sys, t_from, t_to: SimpleNamespace(value=segs))
+    monkeypatch.setattr(floquet.periodic, "pi_integral", lambda sys, kind, sign, ts_:
+                        (np.zeros(16) if sign == 1 else np.where(ts > ts[7], step, 0.0), 0.0))
+    assert verify_sandwich(lti_diag().system, kind) == pytest.approx(math.expm1(0.5), rel=1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

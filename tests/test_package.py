@@ -86,6 +86,19 @@ def test_cli_runs_leave_numpy_random_unloaded(argv, loaded):
     assert got == loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["analyze", "-s", "example2", "--norm", "one,two", "--json"],
+    ["perturb", "-s", "example2", "--json"],
+], ids=["help", "analyze", "perturb"])
+def test_cli_runs_load_no_argument_parser_library(argv):
+    # the command line parses its arguments itself: click cost every process about 13 ms
+    got = run_python("import contextlib, io, json, sys; from lpstab.cli import main\n"
+                     f"with contextlib.redirect_stdout(io.StringIO()): main({argv!r})\n"
+                     "print(json.dumps([m for m in ('click', 'argparse', 'optparse') if m in sys.modules]))")
+    assert got == []
+
+
 def test_old_names_resolve_to_their_submodule_objects():
     got = run_python(f"""
 import importlib, json, lpstab
