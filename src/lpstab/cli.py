@@ -148,7 +148,12 @@ def _emit_json(doc: dict) -> None:
 
 def _open_out(path: str | None):
     """The file to write at path, or stdout, left open, for None or -."""
-    return contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")
+    if path in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -479,18 +484,18 @@ def _no_such(what: str, name: str, names) -> UsageError:
 
 
 def _scan(table, args: list[str], interspersed: bool):
-    """Read the options of table off args: the raw values by long name (a list for a
-    repeatable option, the last value otherwise, True for a flag), the long names in
-    order of first use, and the other tokens.
+    """Read the options of table off args: the raw values by long name in order of
+    first use (a list for a repeatable option, the last value otherwise, True for a
+    flag), and the other tokens.
 
     An option that takes a value takes the next token whatever it looks like, or what
-    follows = in --opt=value, or the rest of a short option's token (-sVALUE; -abc is
-    -a -b -c while they are flags).  Names are matched whole, never abbreviated.  --
-    ends the options; so does the first other token unless interspersed.
+    follows = in --opt=value, or the rest of a short option's token (-sVALUE); no short
+    option is a flag.  Names are matched whole, never abbreviated.  -- ends the
+    options; so does the first other token unless interspersed.
     """
     longs = {row[0]: row for row in table}
     shorts = {row[1]: row for row in table if row[1]}
-    raw, order, rest = {}, [], []
+    raw, rest = {}, []
     args = list(args)
 
     def take(row, name):
@@ -504,8 +509,6 @@ def _scan(table, args: list[str], interspersed: bool):
             raw.setdefault(row[0], []).append(value)
         else:
             raw[row[0]] = value
-        if row[0] not in order:
-            order.append(row[0])
 
     while args:
         arg = args.pop(0)
@@ -526,27 +529,22 @@ def _scan(table, args: list[str], interspersed: bool):
             take(longs[name], name)
         elif arg[:2] == "--":
             raise _no_such("option", name, list(longs))
+        elif arg[:2] in shorts:
+            if arg[2:]:
+                args.insert(0, arg[2:])
+            take(shorts[arg[:2]], arg[:2])
         else:
-            for k in range(1, len(arg)):
-                name = "-" + arg[k]
-                if name not in shorts:
-                    raise _no_such("option", name, ())
-                if shorts[name][2] is not bool and k + 1 < len(arg):
-                    args.insert(0, arg[k + 1:])
-                    take(shorts[name], name)
-                    break
-                take(shorts[name], name)
-    return raw, order, rest + args
+            raise _no_such("option", arg[:2], ())
+    return raw, rest + args
 
 
-def _options(table, raw: dict, order: list[str]) -> SimpleNamespace:
+def _options(table, raw: dict) -> SimpleNamespace:
     """The command's option values, converted in order of first use (the first bad
     value is the one reported), with the defaults of the options not given."""
     rows = {row[0]: row for row in table}
     opt = SimpleNamespace(**{name[2:].replace("-", "_"): row[3] for name, row in rows.items()})
-    for name in order:
+    for name, value in raw.items():
         _, short, kind = rows[name][:3]
-        value = raw[name]
         if isinstance(kind, tuple):
             bad = None if value in kind else f"is not one of {', '.join(map(repr, kind))}"
         elif kind in (float, int):
@@ -614,7 +612,7 @@ def _main(args: list[str]) -> None:
     try:
         if not args:
             _fail(_help(None), 1)
-        raw, _, rest = _scan((_HELP,), args, interspersed=False)
+        raw, rest = _scan((_HELP,), args, interspersed=False)
         if raw:
             print(_help(None))
             return
@@ -628,11 +626,11 @@ def _main(args: list[str]) -> None:
             raise _no_such("command", rest[0], list(_COMMANDS))
         command = rest[0]
         run, table = _COMMANDS[command]
-        raw, order, extra = _scan(table, rest[1:], interspersed=True)
+        raw, extra = _scan(table, rest[1:], interspersed=True)
         if "--help" in raw:
             print(_help(command))
             return
-        opt = _options(table, raw, order)
+        opt = _options(table, raw)
         if extra:
             raise UsageError(f"Got unexpected extra argument{'s' if len(extra) > 1 else ''} "
                              f"({' '.join(extra)})")

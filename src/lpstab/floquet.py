@@ -47,10 +47,19 @@ class TransitionMatrix(NamedTuple):
 # compose and check its step matrices, about _PER_STEP n x n matrices per step.  Large n
 # needs large blocks, since each sys.matrix call walks n^2 expression trees; at small n
 # a block stops at _BLOCK_STEPS steps, past which it saves no time and only adds memory.
-# A block holds at least one chunk, so at n = 64 it may go over.
+# A block holds at least one chunk, so at n = 64 it may go over.  A panel of perturb's
+# audit holds about _PANEL_MATRICES of them: its two transitions with
+# integrate_transitions' working copies of them, its affine map and the prefix scan's
 _BLOCK_BYTES = 4 << 20
 _BLOCK_STEPS = 1024
 _PER_STEP = 9
+_PANEL_MATRICES = 24
+
+
+def _per_block(n: int, matrices: int) -> int:
+    """Items in a block when each holds about `matrices` n x n matrices:
+    _BLOCK_BYTES worth, at most _BLOCK_STEPS and at least one."""
+    return max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (matrices * n * n * 8)))
 
 
 def _chunk(n: int) -> int:
@@ -63,13 +72,32 @@ def _chunk(n: int) -> int:
 _COARSE = 0.5
 
 
-def _too_coarse(sys: SystemDef, h, t) -> np.ndarray:
-    """Whether RK4 steps of length |h| are too coarse for A at the times t,
-    elementwise: |h| |A(t)|_inf >= _COARSE.  RK4 diverges on its own far
-    from its stability interval (about 2.8 on the negative real axis, Hairer
-    and Wanner, Solving ODEs II), so an overflow after such a step is taken
-    as a step to refine, not as the system's growth."""
-    return np.abs(h) * linalg.mat_norm(sys.matrix(t), lognorm.INF) >= _COARSE
+def _node_rates(sys: SystemDef, a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The largest |A(t)|_inf on the 2 q[i] + 1 evenly spaced nodes of each
+    interval [a[i], b[i]]: the ends and midpoints of q[i] equal panels, or
+    the stage grid of q[i] RK4 steps.  The nodes go through sys.matrix in
+    blocks of bounded bytes."""
+    rate = np.zeros(a.size)
+    nodes = 2 * q + 1
+    ends = np.cumsum(nodes)
+    per_block = _per_block(sys.n, _PANEL_MATRICES)
+    for k0 in range(0, int(ends[-1]), per_block):
+        k = np.arange(k0, min(k0 + per_block, int(ends[-1])))
+        i = np.searchsorted(ends, k, side="right")
+        t = a[i] + (b[i] - a[i]) * (k - ends[i] + nodes[i]) / (2 * q[i])
+        norms = linalg.mat_norm(sys.matrix(t), lognorm.INF)
+        first = np.flatnonzero(np.diff(i, prepend=-1))  # each interval's run in the block
+        rate[i[first]] = np.maximum(rate[i[first]], np.maximum.reduceat(norms, first))
+    return rate
+
+
+def _too_coarse(sys: SystemDef, a: np.ndarray, b: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Whether steps[i] RK4 steps over [a[i], b[i]] are too coarse for A:
+    |h| |A(t)|_inf >= _COARSE on their stage grid.  RK4 diverges on its own
+    far from its stability interval (about 2.8 on the negative real axis,
+    Hairer and Wanner, Solving ODEs II), so an overflow after such a step is
+    taken as a step to refine, not as the system's growth."""
+    return np.abs(b - a) / steps * _node_rates(sys, a, b, steps) >= _COARSE
 
 
 def _step_matrices(A: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -103,9 +131,8 @@ def _rk4_matrix(sys: SystemDef, a: np.ndarray, b: np.ndarray, steps: int) -> tup
     On a linear field one RK4 step is a matrix M_k, so no loop runs over the
     steps.  Each segment's steps are cut into chunks of C = _chunk(n), and
     the (segment, chunk) pairs, chunk-major, into blocks sized by
-    _BLOCK_BYTES and _BLOCK_STEPS.  A block reads A(t) on its stage grid
-    t_k, t_k + h/2, t_k + h with one sys.matrix call and builds all its M_k
-    as one stack.  Inside each chunk the prefix products
+    _per_block.  A block reads A(t) on its stage grid t_k, t_k + h/2, t_k + h
+    with one sys.matrix call and builds all its M_k as one stack.  Inside each chunk the prefix products
     Q_k = M_k ... M_first come from _prefix_products; Phi is carried from
     chunk to chunk in order, and every step's Phi_k = Q_k Phi_start, formed
     in one stacked matmul, is checked against TOL.overflow.  The product
@@ -123,7 +150,7 @@ def _rk4_matrix(sys: SystemDef, a: np.ndarray, b: np.ndarray, steps: int) -> tup
     n, segs = sys.n, a.size
     width = min(_chunk(n), steps)
     pairs = segs * -(-steps // width)
-    per_block = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (_PER_STEP * n * n * 8)) // width)
+    per_block = max(1, _per_block(n, _PER_STEP) // width)
     Phi = np.tile(np.eye(n), (segs, 1, 1))
     blow = np.full(segs, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):  # the cap check catches inf and NaN
@@ -164,13 +191,11 @@ def _non_positive_det(M: np.ndarray) -> np.ndarray:
     non-positive beyond round-off.  LU resolves det only to about n eps times
     Hadamard's bound prod_i |row_i|_2, so a smaller one, zero included, has
     no sign to read: a strongly contracting transition matrix has one."""
-    bad = ~(linalg.determinant(M) > 0.0)
-    if bad.any():
-        sign, logdet = np.linalg.slogdet(M[bad])
-        rows = np.hypot.reduce(M[bad], axis=-1)  # row 2-norms without overflow
-        with np.errstate(divide="ignore"):  # a zero row, whose det is exactly 0, gives -inf
-            noise = math.log(M.shape[-1] * np.finfo(float).eps) + np.log(rows).sum(axis=-1)
-        bad[bad] = (sign <= 0.0) & (logdet >= noise)
+    sign, logdet = np.linalg.slogdet(M)
+    bad = sign <= 0.0
+    with np.errstate(divide="ignore"):  # a zero row, whose det is exactly 0, gives -inf
+        noise = math.log(M.shape[-1] * np.finfo(float).eps) + np.log(linalg._two_norm(M[bad])).sum(axis=-1)
+    bad[bad] = logdet[bad] >= noise
     return bad
 
 
@@ -185,10 +210,10 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
     default from a step count proportional to its span (between 8 and
     TOL.ode_start_steps), and doubles until two consecutive answers
     agree to tol relative to the result's magnitude; a pass that overflows
-    after too coarse a step (see _too_coarse) doubles too, and only an
-    overflow at a step that resolves A is a BlowupError; the returned
-    error_estimate is that difference divided by 15, the usual fourth-order
-    extrapolation factor.  Backward spans integrate with a negative step and
+    doubles too if _too_coarse finds the blown step too coarse for A on its
+    stage grid, and is a BlowupError otherwise; the returned error_estimate
+    is that difference divided by 15, the usual fourth-order extrapolation
+    factor.  Backward spans integrate with a negative step and
     zero-length ones give the identity.  A result whose determinant is
     non-positive beyond round-off is rejected (the exact transition matrix
     always has a positive one, but a strongly contracting one may have a
@@ -236,8 +261,8 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
         # NaN matrix agrees with nothing); one with room for no further doubling is final
         retry = np.zeros_like(blown)
         if blown.any():
-            seg = live[blown]
-            retry[blown] = _too_coarse(sys, (b[seg] - a[seg]) / steps[seg], t_blow[blown])
+            seg, t = live[blown], t_blow[blown]
+            retry[blown] = _too_coarse(sys, t - (b[seg] - a[seg]) / steps[seg], t, np.ones(seg.size, np.int64))
             retry &= steps[live] * 2 <= TOL.ode_max_steps
         for i, t in zip(live[blown & ~retry], t_blow[blown & ~retry].tolist()):
             fail[i] = BlowupError(f"transition matrix exceeded {TOL.overflow:.1e} at t={t:.6g}", t_reached=t)

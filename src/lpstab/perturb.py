@@ -33,9 +33,10 @@ import numpy as np
 from .config import TOL
 from .errors import BlowupError, ConvergenceError, InputError, NumericError
 from .expr import EvalError, Expression, Num, ParseError, evaluate, parse, to_string
-from .floquet import _BLOCK_BYTES, _BLOCK_STEPS, _COARSE, _prefix_products, _rk4_matrix, integrate_transitions
-from .linalg import NormKind, _two_norm, mat_norm, vec_norm
-from .lognorm import INF, TWO
+from .floquet import (_PANEL_MATRICES, _node_rates, _per_block, _prefix_products, _rk4_matrix, _too_coarse,
+                      integrate_transitions)
+from .linalg import NormKind, _two_norm, vec_norm
+from .lognorm import TWO
 from .periodic import SystemDef, integrate
 
 
@@ -145,35 +146,6 @@ def _rk4_pass(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
     return states, None
 
 
-# a panel of the audit holds about _PANEL_MATRICES n x n matrices: its two transitions with
-# integrate_transitions' working copies of them, its affine map and the prefix scan's
-_PANEL_MATRICES = 24
-
-
-def _panels_per_block(n: int) -> int:
-    """Panels in a block of the audit, under floquet's bounds for a block of
-    RK4 steps: _BLOCK_BYTES, and _BLOCK_STEPS at small n."""
-    return max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (_PANEL_MATRICES * n * n * 8)))
-
-
-def _node_rates(sys: SystemDef, a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The largest |A(t)|_inf on the 2 q[i] + 1 evenly spaced nodes of each
-    interval [a[i], b[i]]: the ends and midpoints of q[i] equal panels, or
-    the stage grid of q[i] RK4 substeps.  The nodes go through sys.matrix in
-    blocks of bounded bytes."""
-    rate = np.zeros(a.size)
-    nodes = 2 * q + 1
-    ends = np.cumsum(nodes)
-    per_block = _panels_per_block(sys.n)
-    for k0 in range(0, int(ends[-1]), per_block):
-        k = np.arange(k0, min(k0 + per_block, int(ends[-1])))
-        i = np.searchsorted(ends, k, side="right")
-        norms = mat_norm(sys.matrix(a[i] + (b[i] - a[i]) * (k - ends[i] + nodes[i]) / (2 * q[i])), INF)
-        first = np.flatnonzero(np.diff(i, prepend=-1))  # each interval's run in the block
-        rate[i[first]] = np.maximum(rate[i[first]], np.maximum.reduceat(norms, first))
-    return rate
-
-
 def _panel_counts(sys: SystemDef, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Panels for each sample interval [a[i], b[i]], and the rate they were
     sized by: finer than period/128 and than 1/8 over the largest
@@ -216,7 +188,7 @@ def _voc_states(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
     # of 1/16 misses the 1e-9 agreement on a mode that decays at the rate |A|
     start = np.maximum(1, np.ceil(16.0 * (b - a) / q * rate)).astype(np.int64)
     ends = np.cumsum(q)  # the panel index that ends each interval
-    per_block = _panels_per_block(n)
+    per_block = _per_block(n, _PANEL_MATRICES)
     reads = np.array([ends[i - 1] - 1 for i in check_idx])  # the last panel before each audited sample
     x, found = np.append(np.asarray(x0, dtype=float), 1.0), np.empty((len(check_idx), n))
     for p0 in range(0, int(ends[-1]), per_block):
@@ -250,9 +222,10 @@ def simulate_perturbed(sys: SystemDef, d: Disturbance, x0, t_end: float,
     variation-of-constants form, and a relative disagreement above 1e-5
     raises NumericError.  Genuine unbounded
     growth comes back as a truncated trajectory with overflowed=True; a pass
-    whose state leaves the overflow cap counts as growth only once its
-    substeps resolve A (see floquet._too_coarse) on the stage grid of every
-    substep up to that point, and doubles its substeps otherwise.
+    whose state leaves the overflow cap counts as growth only once
+    floquet._too_coarse finds its substeps fine enough for A on every sample
+    interval before the blown sample (a pass knows which sample blew, not
+    which substep), and doubles its substeps otherwise.
     """
     if d.n != sys.n:
         raise ValueError(f"disturbance dimension {d.n} does not match system dimension {sys.n}")
@@ -278,8 +251,7 @@ def simulate_perturbed(sys: SystemDef, d: Disturbance, x0, t_end: float,
             # only believe an overflow once the substeps resolve the system on every stage
             # up to it: a stiff stretch may lie inside a sample interval, and RK4 may have
             # been driven off by one before the interval where the state passed the cap
-            a, b = ts[:blow], ts[1:blow + 1]
-            coarse = ((b - a) / m * _node_rates(sys, a, b, np.full(blow, m))).max() >= _COARSE
+            coarse = _too_coarse(sys, ts[:blow], ts[1:blow + 1], np.full(blow, m)).any()
             if coarse and 2 * m * (samples - 1) <= TOL.ode_max_steps:
                 m *= 2
                 prev = None

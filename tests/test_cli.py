@@ -390,6 +390,15 @@ def test_input_errors_exit_one_without_traceback(tmp_path, args):
         assert err.startswith("error: --param beta "), err
 
 
+@pytest.mark.parametrize("command", ["series", "perturb"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_path_exits_one(tmp_path, command, where):
+    out = str(tmp_path / "missing" / "x.csv") if where == "missing-directory" else str(tmp_path)
+    code, stdout, err = run_cli(command, "-s", "lti_diag", "--samples", "16", "-o", out)
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("args", [
     ["series", "-s", "example2", "--samples", "2", "--t-end", "1e308"],
     ["series", "-s", "example2", "--samples", "16", "--t-end", "1e308", "--trajectory", "1,1"],
@@ -564,6 +573,15 @@ def test_stiff_systems_are_partially_resolved(tmp_path, rate):
     assert code == 0, err
     assert f"monodromy exponent real parts: <={low:.6g}, -1 (inside strip: yes)" in out
     assert "oracle: partially resolved: 1 multiplier(s) below the round-off floor" in out
+
+
+@pytest.mark.xfail(strict=True, reason="the one-period transition underflows a row to 0, so its "
+                                        "determinant has no sign to read (FOUND in CHANGES.md)")
+def test_stable_system_with_an_underflowing_transition_is_analyzed(tmp_path):
+    # exp(-800) is below the smallest float: the fast row of the monodromy matrix is 0
+    path = write_system(tmp_path, {"entries": [["-800", "0"], ["0", "-1"]], "period": 1.0})
+    code, _, err = run_cli("analyze", "-f", path, "--norm", "one")
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("args,code", [
