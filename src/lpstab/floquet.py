@@ -327,25 +327,27 @@ def monodromy_fce(sys: SystemDef, tol: float | None = None) -> FceEstimate:
 # ------------------------------------------------------------- cross-checks
 
 @lru_cache(maxsize=16)
-def _grid_transitions(sys: SystemDef, t_from: tuple[float, ...], t_to: tuple[float, ...],
-                      tol: Tolerances) -> TransitionMatrix | BlowupError:
-    # the checks below ask for the same grid once per norm, and transitions do not depend
-    # on the norm; a blow-up is kept too, without the frames that hold the pass's stacks.
-    # tol is the module's TOL, read by integrate_transitions: a key, so that a changed TOL
-    # never gets stale transitions
+def _period_segments(sys: SystemDef, forward: bool, tol: Tolerances) -> TransitionMatrix | BlowupError:
+    """Transitions over the 15 segments of t0 + k T/15, once per system,
+    direction and TOL (the module's, read by integrate_transitions); a blow-up
+    is kept without its frames, and a backward one never reaches verify_decay."""
+    ts = np.linspace(sys.t0, sys.t0 + sys.period, 16)
     try:
-        return integrate_transitions(sys, t_from, t_to)
+        return integrate_transitions(sys, ts[:-1], ts[1:]) if forward else integrate_transitions(sys, ts[1:], ts[:-1])
     except BlowupError as exc:
         return exc.with_traceback(None)
 
 
-def _transitions_once(sys: SystemDef, t_from: np.ndarray, t_to: np.ndarray) -> TransitionMatrix:
-    """integrate_transitions(sys, t_from, t_to), integrated once per system,
-    grid and TOL."""
-    got = _grid_transitions(sys, tuple(t_from.tolist()), tuple(t_to.tolist()), TOL)
-    if isinstance(got, BlowupError):
-        raise got
-    return got
+def _spans(segs: np.ndarray, forward: bool, span: int) -> np.ndarray:
+    """Transitions over the 15 segments of the grid t0 + k span T/15: as
+    Phi(t + T, s + T) = Phi(t, s), products of `span` consecutive segments of
+    a stack of _period_segments modulo 15, ordered as in _pair_products."""
+    first = span * np.arange(15)
+    out = segs[first % 15]
+    for d in range(1, span):
+        nxt = segs[(first + d) % 15]
+        out = nxt @ out if forward else out @ nxt
+    return out
 
 
 def _pair_products(segs: np.ndarray, forward: bool):
@@ -408,47 +410,46 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
         |Phi(t, s)| <= exp(pi_plus(t) - pi_plus(s))
         |Phi(s, t)| <= exp(pi_minus(t) - pi_minus(s))
 
-    Transitions between pairs are products of per-segment integrations
-    (never inverses of an ill-conditioned product), so the comparison stays
-    sharp even for strongly stable systems.  The return value is positive
-    when some pair violates a bound; for a correct implementation it is pure
-    numerical noise, orders of magnitude below 1e-6.
+    Transitions between pairs are products of grid segments, each two period
+    segments (_spans), never inverses of an ill-conditioned product, so the
+    comparison stays sharp even for strongly stable systems.  The return
+    value is positive when some pair violates a bound; for a correct
+    implementation it is pure numerical noise, orders of magnitude below 1e-6.
 
     The backward flow of a stiff system grows fast.  A pair whose product
     exceeds sqrt(TOL.overflow), where the two-norm's Gram product could
-    overflow, is checked by the sum of its segments' log norms instead:
+    overflow, is checked by the sum of its grid segments' log norms instead:
     norms are submultiplicative, so that sum bounds the pair's log norm, and
     it meets the pair's bound whenever every segment meets its own.  Each
-    segment's norm is taken at a power-of-two scale, since a segment can
-    pass sqrt(TOL.overflow) itself.  A segment whose transition passes the
-    overflow cap cannot be checked in floating point: that BlowupError
-    propagates when some segment's bound allows such growth, and the result
-    is inf (a violation) when none does.
+    grid segment's norm comes from period segments scaled by powers of two,
+    since a segment can pass sqrt(TOL.overflow) itself.  A period segment
+    past the overflow cap cannot be checked in floating point: that
+    BlowupError propagates when some grid segment's bound allows such
+    growth, and the result is inf (a violation) when none does.
     """
     ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, 16)
     pp, pm = (periodic.pi_integral(sys, kind, sign, ts)[0] for sign in (1, -1))
-    # forward and backward transition of each grid segment, interleaved
-    ends = np.stack((ts[:-1], ts[1:]), axis=1)
-    try:
-        segs = _transitions_once(sys, ends.ravel(), ends[:, ::-1].ravel()).value
-    except BlowupError:
+    stacks = [_period_segments(sys, forward, TOL) for forward in (True, False)]
+    if blown := [got for got in stacks if isinstance(got, BlowupError)]:
         if max(np.diff(pp).max(), np.diff(pm).max()) < math.log(TOL.overflow):
             return math.inf
-        raise
+        raise blown[0]
+    segs = np.stack([tm.value for tm in stacks])
     with np.errstate(over="ignore", invalid="ignore"):  # a product past the largest float is not finite
-        F, i, j = _pair_products(segs[0::2], forward=True)
-        B = _pair_products(segs[1::2], forward=False)[0]
+        F, i, j = _pair_products(_spans(segs[0], True, 2), forward=True)
+        B = _pair_products(_spans(segs[1], False, 2), forward=False)[0]
     P = np.concatenate((F, B))
     exact = np.abs(P).max(axis=(-2, -1)) <= math.sqrt(TOL.overflow)  # NaN fails too
     if exact.all():
         logs = np.log(linalg.mat_norm(P, kind))
     else:
-        # scaled to a largest entry in [0.5, 1), the norm is exact and its Gram product finite
+        # grid segments of period segments scaled to a largest entry in [0.5, 1) stay finite
         e = np.frexp(np.abs(segs).max(axis=(-2, -1)))[1]
-        seg_logs = (np.log(linalg.mat_norm(np.ldexp(segs, -e[:, None, None]), kind))
-                    + e * math.log(2.0)).reshape(15, 2)
-        cum = np.concatenate((np.zeros((1, 2)), np.cumsum(seg_logs, axis=0)))
-        logs = np.concatenate((cum[j, 0] - cum[i, 0], cum[j, 1] - cum[i, 1]))
+        scaled = np.ldexp(segs, -e[..., None, None])
+        seg_logs = (np.log(linalg.mat_norm(np.stack((_spans(scaled[0], True, 2), _spans(scaled[1], False, 2))), kind))
+                    + np.tile(e, 2).reshape(2, 15, 2).sum(axis=-1) * math.log(2.0))
+        cum = np.concatenate((np.zeros((2, 1)), np.cumsum(seg_logs, axis=1)), axis=1)
+        logs = (cum[:, j] - cum[:, i]).ravel()
         logs[exact] = np.log(linalg.mat_norm(P[exact], kind))
     return float(np.expm1(logs - np.concatenate((pp[j] - pp[i], pm[j] - pm[i]))).max())
 
@@ -461,13 +462,13 @@ class DecayCheck(NamedTuple):
     state_checks: int
 
 
-def verify_decay(sys: SystemDef, verdict: periodic.Verdict, grid: int = 16) -> DecayCheck:
+def verify_decay(sys: SystemDef, verdict: periodic.Verdict) -> DecayCheck:
     """Spot-check the decay envelope promised by a stable verdict.
 
     For every ordered grid pair (s, t) with t0 <= s <= t <= t0 + 3T the
     envelope |Phi(t, s)| <= K exp(-alpha (t - s)) is tested via products of
-    per-segment transitions.  On top of that, the two-sided solution
-    envelope
+    grid segments, each three forward period segments (_spans).  On top of
+    that, the two-sided solution envelope
 
         |x0| exp(-lambda_minus (t - t0) - delta_upper_minus)
           <= |x(t)| <= |x0| exp(lambda_plus (t - t0) + delta_upper_plus)
@@ -478,14 +479,13 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict, grid: int = 16) -> D
     """
     if verdict.classification not in ("UES", "US"):
         raise ValueError(f"decay envelope only exists for stable verdicts, got {verdict.classification!r}")
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
     kind, rates, t0, log_k = verdict.kind, verdict.rates, sys.t0, math.log(verdict.K)
-    ts = np.linspace(t0, t0 + 3.0 * sys.period, grid)
-    tms = _transitions_once(sys, ts[:-1], ts[1:])
-    # a running sum in segment order; np.sum pairs terms, which moves the printed allowance
-    rel = float(np.cumsum(tms.error_estimate / (1.0 + np.abs(tms.value).max(axis=(1, 2))))[-1])
-    P, i, j = _pair_products(tms.value, forward=True)
+    ts = np.linspace(t0, t0 + 3.0 * sys.period, 16)
+    if isinstance(period := _period_segments(sys, True, TOL), BlowupError):
+        raise period
+    # each period segment's relative error once per use; a running sum, as np.sum pairs terms
+    rel = 3.0 * float(np.cumsum(period.error_estimate / (1.0 + np.abs(period.value).max(axis=(1, 2))))[-1])
+    P, i, j = _pair_products(_spans(period.value, True, 3), forward=True)
     worst = float((log_k - verdict.alpha_tilde * (ts[j] - ts[i]) - np.log(linalg.mat_norm(P, kind))).min())
     # |Phi(t_j, t0) x0| at every grid time, Phi(t0, t0) = I included, for eight seeded x0
     rng = random.Random(20260814)

@@ -148,7 +148,7 @@ def test_criterion_6_decay_soundness():
             v = classify(sysd, kind)
             if v.classification != "UES":
                 continue
-            chk = verify_decay(sysd, v, grid=16)
+            chk = verify_decay(sysd, v)
             assert chk.passed, (name, kind.tag, chk)
             checked += 1
     assert checked >= 6  # both LTI norms and the coupled example must appear

@@ -685,17 +685,17 @@ def test_perturb_validation():
 
 
 def test_oracle_integrates_each_grid_once(monkeypatch):
-    # transitions do not depend on the norm, so three norms share the monodromy, the
-    # sandwich grid (15 segments each way) and the decay grid (15 segments)
+    # transitions do not depend on the norm, so three norms share the monodromy and the
+    # one-period stacks (15 segments each way) that both the sandwich and decay grids read
     calls = []
     integrate = floquet.integrate_transitions
     monkeypatch.setattr(floquet, "integrate_transitions",
                         lambda sys, a, b, tol=None: calls.append((tuple(a), tuple(b))) or integrate(sys, a, b, tol))
-    floquet._grid_transitions.cache_clear()
+    floquet._period_segments.cache_clear()
     code, out, err = run_cli("analyze", "-s", "example2", "--norm", "one,two,inf", "--json")
     assert code == 0, err
     assert [e["classification"] for e in json.loads(out)["analyses"]] == ["UES"] * 3
-    assert sorted(len(a) for a, _ in calls) == [1, 15, 30]
+    assert sorted(len(a) for a, _ in calls) == [1, 15, 15]
     assert len(set(calls)) == 3
 
 

@@ -157,7 +157,7 @@ def test_sandwich_bounds_products_past_the_float_range(kind):
     sysd = system_from_strings([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
     got = verify_sandwich(sysd, kind)
     ts = np.linspace(sysd.t0, sysd.t0 + 2.0 * sysd.period, 16)
-    bsegs = integrate_transitions(sysd, ts[1:], ts[:-1]).value
+    bsegs = _ref_check_segments(sysd, False, 2)
     pm = pi_integral(sysd, kind, -1, ts)[0]
     worst, top = -math.inf, 0.0
     for i in range(15):
@@ -172,6 +172,17 @@ def test_sandwich_bounds_products_past_the_float_range(kind):
     assert math.expm1(worst) <= got + 1e-12 and got <= TOL.sandwich_slack
 
 
+def test_sandwich_checks_grid_segments_past_the_float_range():
+    # the backward flow of -1000 stays below the overflow cap over a T/15 period segment
+    # and passes the largest float over a 2T/15 grid segment, whose norm then comes from
+    # its period segments scaled by powers of two
+    sysd = system_from_strings([["-1000+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(floquet._spans(floquet._period_segments(sysd, False, TOL).value, False, 2)).all()
+    for kind in (ONE, TWO):
+        assert verify_sandwich(sysd, kind) <= TOL.sandwich_slack
+
+
 def test_sandwich_blowup_is_unchecked_only_where_the_bound_allows_it(monkeypatch):
     # the backward flow of -3000 passes the cap within a grid segment, as its drift
     # bound allows; against zero drift the same blow-up is a violation
@@ -184,18 +195,22 @@ def test_sandwich_blowup_is_unchecked_only_where_the_bound_allows_it(monkeypatch
 @pytest.mark.parametrize("kind,norm", [(ONE, 2.0), (TWO, (1.0 + math.sqrt(5.0)) / 2.0)],
                          ids=["one", "two"])
 def test_sandwich_checks_a_single_segment_past_the_gram_range(monkeypatch, kind, norm):
-    # a stiff peak makes one backward segment 1e200 [[1, 1], [0, 1]]: past
+    # a stiff peak makes the last backward period segment 1e200 [[1, 1], [0, 1]]: past
     # sqrt(TOL.overflow), so its pairs take the segment sum, and past the range where
-    # the two-norm's Gram product of the bare segment is finite.  The drift bound
-    # across it falls 0.5 short of its log norm, so the violation is expm1(0.5)
+    # the two-norm's Gram product of the bare segment is finite.  Over 2T it lies in the
+    # grid's segments 7 and 14; the drift bound across the first falls 0.5 short of its
+    # log norm and the one across the second does not, so the violation is expm1(0.5)
     big = 1e200 * np.array([[1.0, 1.0], [0.0, 1.0]])
-    segs = np.stack([np.eye(2)] * 30)
-    segs[2 * 7 + 1] = big
+    fsegs = np.stack([np.eye(2)] * 15)
+    bsegs = fsegs.copy()
+    bsegs[14] = big
     ts = np.linspace(0.0, 2.0, 16)
     step = math.log(1e200 * norm) - 0.5
-    monkeypatch.setattr(floquet, "_transitions_once", lambda sys, t_from, t_to: SimpleNamespace(value=segs))
+    monkeypatch.setattr(floquet, "_period_segments", lambda sys, forward, tol:
+                        SimpleNamespace(value=fsegs if forward else bsegs))
     monkeypatch.setattr(floquet.periodic, "pi_integral", lambda sys, kind, sign, ts_:
-                        (np.zeros(16) if sign == 1 else np.where(ts > ts[7], step, 0.0), 0.0))
+                        (np.zeros(16) if sign == 1 else
+                         np.where(ts > ts[7], step, 0.0) + np.where(ts > ts[14], step + 0.5, 0.0), 0.0))
     assert verify_sandwich(lti_diag().system, kind) == pytest.approx(math.expm1(0.5), rel=1e-9)
 
 
@@ -206,6 +221,21 @@ def test_sandwich_bounds_flow(name):
     sysd = CATALOG[name]().system
     for kind in KINDS:
         assert verify_sandwich(sysd, kind) <= 1e-6, (name, kind.tag)
+
+
+def test_a_backward_blowup_leaves_the_forward_stack(monkeypatch):
+    # the backward period stack of -3000 passes the overflow cap; verify_decay reads the
+    # forward stack alone, which is cached apart from it
+    with pytest.raises(BlowupError):
+        verify_sandwich(_STIFF, ONE)
+    v = classify(_STIFF, INF)
+    assert v.classification == "UES"
+    assert verify_decay(_STIFF, v).passed
+    # a changed TOL gets fresh stacks
+    misses = floquet._period_segments.cache_info().misses
+    monkeypatch.setattr(floquet, "TOL", TOL._replace(ode_tol=1e-9))
+    verify_decay(_STIFF, v)
+    assert floquet._period_segments.cache_info().misses == misses + 1
 
 
 def test_decay_check_on_stable_entries():
@@ -334,6 +364,23 @@ _SYSTEMS = [strong_coupling().system, rotating_frame(1.5).system, lti_diag().sys
             CATALOG["scalar_unstable"]().system,
             system_from_strings([["-1+sin(t)", "1", "0"], ["0", "-2", "cos(2*t)"],
                                  ["0.5", "0", "-1.5+0.5*sin(t)"]], 2.0 * math.pi, t0=0.4)]
+
+
+_PEAKED = system_from_strings([["-1-3000*sin(t)^200", "1"], ["0", "-1"]], 2.0 * math.pi)
+
+
+@pytest.mark.parametrize("sysd", [CATALOG[name]().system for name in sorted(CATALOG)] + [_SYSTEMS[-1], _PEAKED],
+                         ids=sorted(CATALOG) + ["3x3", "peaked"])
+def test_check_segments_match_direct_integration(sysd):
+    # the sandwich's 2T/15 segments both ways and the decay check's 3T/15 ones, built
+    # from one period's segments, against integrating each over its own span
+    for forward, span in ((True, 2), (False, 2), (True, 3)):
+        ts = np.linspace(sysd.t0, sysd.t0 + span * sysd.period, 16)
+        want = (integrate_transitions(sysd, ts[:-1], ts[1:]) if forward
+                else integrate_transitions(sysd, ts[1:], ts[:-1])).value
+        got = floquet._spans(floquet._period_segments(sysd, forward, TOL).value, forward, span)
+        scale = 1.0 + np.abs(want).max(axis=(1, 2))
+        assert (np.abs(got - want).max(axis=(1, 2)) <= TOL.ode_tol * scale).all(), (forward, span)
 
 
 @pytest.mark.parametrize("tol", [None, 1e-9], ids=["default-tol", "tol-1e-9"])
@@ -550,11 +597,25 @@ def test_blowup_retry_reads_the_blown_steps_stage_grid(monkeypatch):
     assert abs(tm.value[0, 0] - math.exp(-1.0 - 4.0 * math.sqrt(math.pi))) <= 1e-7
 
 
+def _ref_check_segments(sys, forward, span):
+    # one transition call per one-period segment; by Phi(t + T, s + T) = Phi(t, s) the
+    # grid t0 + k span T/15 has products of `span` of them, taken modulo 15, as segments
+    ts = np.linspace(sys.t0, sys.t0 + sys.period, 16)
+    ends = [(float(ts[m]), float(ts[m + 1])) for m in range(15)]
+    period = [integrate_transition(sys, *(e if forward else e[::-1])).value for e in ends]
+    segs = []
+    for k in range(15):
+        S = period[span * k % 15]
+        for d in range(1, span):
+            S = period[(span * k + d) % 15] @ S if forward else S @ period[(span * k + d) % 15]
+        segs.append(S)
+    return segs
+
+
 def _ref_sandwich(sys, kind):
-    # one transition call and one norm call per segment and grid pair
+    # one norm call per grid pair
     ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, 16)
-    fsegs = [integrate_transition(sys, float(ts[j - 1]), float(ts[j])).value for j in range(1, 16)]
-    bsegs = [integrate_transition(sys, float(ts[j]), float(ts[j - 1])).value for j in range(1, 16)]
+    fsegs, bsegs = _ref_check_segments(sys, True, 2), _ref_check_segments(sys, False, 2)
     pp, pm = pi_integral(sys, kind, 1, ts)[0], pi_integral(sys, kind, -1, ts)[0]
     worst = -math.inf
     for i in range(15):
@@ -570,7 +631,7 @@ def _ref_sandwich(sys, kind):
 def _ref_decay_margin(sys, verdict):
     # the pair and state margins of verify_decay, one norm call per pair
     ts = np.linspace(sys.t0, sys.t0 + 3.0 * sys.period, 16)
-    segs = [integrate_transition(sys, float(ts[j - 1]), float(ts[j])).value for j in range(1, 16)]
+    segs = _ref_check_segments(sys, True, 3)
     worst = math.inf
     from_start = [np.eye(sys.n)]
     for i in range(15):
