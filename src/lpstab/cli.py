@@ -40,6 +40,7 @@ from .linalg import NormKind, vec_norm
 from .periodic import SystemDef
 
 import contextlib
+import gc
 import json
 import math
 import sys
@@ -133,6 +134,8 @@ def _resolve_kinds(sysd: SystemDef, norms: str) -> list[tuple[str, NormKind]]:
     for name in names:
         if name not in _NORMS:
             raise InputError(f"unknown norm {name!r}; choose from {', '.join(sorted(_NORMS))}")
+        if names.count(name) > 1:
+            raise InputError(f"--norm names {name!r} more than once")
         out.append((name, _resolve_kind(sysd, name)))
     return out
 
@@ -649,6 +652,13 @@ def _main(args: list[str]) -> None:
 
 
 def main(argv=None):
+    """Run the command line on argv, or on sys.argv[1:] as the process's own command.
+
+    With no argv the process ends with the command, by whatever exit, so the objects
+    left are frozen out of the cyclic collector: its passes at interpreter exit would
+    walk every numpy and lpstab object only for the exit to free them.  A caller that
+    passes argv keeps a normal collector.
+    """
     try:
         _main(sys.argv[1:] if argv is None else list(argv))
         sys.stdout.flush()
@@ -657,6 +667,9 @@ def main(argv=None):
         # in the buffer nowhere so that the interpreter's last flush raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

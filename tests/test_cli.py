@@ -5,6 +5,7 @@ Exit code contract: 0 when analysis completed (whatever the verdict),
 """
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -376,9 +377,10 @@ def test_file_validation_exit_one(tmp_path):
     ["analyze", "-s", "example1", "--param", "beta=nan"],
     ["analyze", "-s", "example1", "--param", "beta=inf"],
     ["series", "-s", "example1", "--param", "beta=-1e400"],
+    ["analyze", "-s", "example2", "--norm", "one,two, one"],
 ], ids=["file-superscript", "d-superscript", "series-t-end-nan", "series-t-end-inf",
         "perturb-t-end-nan", "perturb-t-end-inf", "x0-nan", "trajectory-inf", "period-true",
-        "param-nan", "param-inf", "param-overflow"])
+        "param-nan", "param-inf", "param-overflow", "norm-repeated"])
 def test_input_errors_exit_one_without_traceback(tmp_path, args):
     files = {"superscript": write_system(tmp_path, {"entries": [["-1+sin(t)^\u00b2"]],
                                                     "period": 2.0 * math.pi}, "sup.json"),
@@ -388,6 +390,8 @@ def test_input_errors_exit_one_without_traceback(tmp_path, args):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if "--param" in args:
         assert err.startswith("error: --param beta "), err
+    if "--norm" in args:
+        assert err == "error: --norm names 'one' more than once\n"
 
 
 @pytest.mark.parametrize("command", ["series", "perturb"])
@@ -706,3 +710,62 @@ def test_output_is_deterministic():
     c = run_cli("series", "-s", "rotating_frame", "--norm", "two", "--samples", "32")
     d = run_cli("series", "-s", "rotating_frame", "--norm", "two", "--samples", "32")
     assert c == d
+
+
+# how the console script starts the command line: main() with no arguments ends the process
+CONSOLE = "import sys; from lpstab.cli import main; sys.exit(main())"
+
+
+def console_argv(*args):
+    return [sys.executable, "-c", CONSOLE, *args]
+
+
+def console_env():
+    return dict(os.environ, PYTHONPATH=str(Path(lpstab.__file__).resolve().parents[1]))
+
+
+@pytest.mark.parametrize("args,code", [
+    (["analyze", "-s", "example2", "--json"], 0),
+    (["analyze", "--norm", "one"], 1),
+    (["series", "-s", "example2", "--samples", "2", "--t-end", "1e308"], 2),
+], ids=["analyze", "usage-error", "numeric-failure"])
+def test_in_process_runs_leave_the_collector_alone(args, code):
+    # only the process's own command freezes the collector at its end
+    frozen = gc.get_freeze_count()
+    assert run_cli(*args)[0] == code
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+
+
+def test_closed_reader_ends_the_command_quietly():
+    # `lpstab series ... | head -c 100`: the reader goes away while the rows are written
+    proc = subprocess.Popen(console_argv("series", "-s", "example2", "--samples", "200000"),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=console_env())
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head.startswith(b"t,pi_plus,") and len(head) == 100
+    assert (code, err) == (1, b"")
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "-s", "example2", "--norm", "one,two", "--json"],
+    ["series", "-s", "example2", "--samples", "64", "-o", "{out}"],
+    ["series", "-s", "lti_diag", "--trajectory", "1,0", "--samples", "64", "-o", "{out}"],
+    ["perturb", "-s", "example2", "--d", "exp(-t);0", "--samples", "64", "--out", "{out}"],
+], ids=["analyze-json", "series", "series-trajectory", "perturb"])
+def test_console_process_writes_what_an_in_process_run_writes(tmp_path, args):
+    # the process's end skips the exit collections: nothing written may wait for them
+    here, spawned = tmp_path / "in.csv", tmp_path / "spawned.csv"
+    code, out, err = run_cli(*(a.format(out=here) for a in args))
+    proc = subprocess.run(console_argv(*(a.format(out=spawned) for a in args)),
+                          capture_output=True, text=True, timeout=60, env=console_env())
+    assert (code, err) == (0, "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    if "{out}" in args:
+        assert spawned.read_bytes() == here.read_bytes() != b""

@@ -1,5 +1,6 @@
-"""The package namespace, the command line's BLAS thread default and the
-modules a command line run loads.
+"""The package namespace, the command line's BLAS thread default, the
+modules a command line run loads and the collector freeze at the end of
+the console entry.
 
 `import lpstab` must not import numpy, so that lpstab.cli can set
 OPENBLAS_NUM_THREADS before numpy starts OpenBLAS.  Each check runs in a
@@ -97,6 +98,24 @@ def test_cli_runs_load_no_argument_parser_library(argv):
                      f"with contextlib.redirect_stdout(io.StringIO()): main({argv!r})\n"
                      "print(json.dumps([m for m in ('click', 'argparse', 'optparse') if m in sys.modules]))")
     assert got == []
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["analyze", "-s", "example2", "--json"], 0),
+    (["analyze", "--norm", "one"], 1),
+    (["series", "-s", "example2", "--samples", "2", "--t-end", "1e308"], 2),
+], ids=["analyze", "usage-error", "numeric-failure"])
+def test_console_entry_freezes_the_collector_by_every_exit(argv, code):
+    # the console script's form: main() with no arguments ends the process, so the
+    # interpreter's exit collections have no objects left to walk
+    env = dict(os.environ, PYTHONPATH=str(Path(lpstab.__file__).resolve().parents[1]))
+    launcher = ("import atexit, gc, sys\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                "from lpstab.cli import main; sys.exit(main())")
+    proc = subprocess.run([sys.executable, "-c", launcher, *argv], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "frozen True"
 
 
 def test_old_names_resolve_to_their_submodule_objects():
