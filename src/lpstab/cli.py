@@ -206,7 +206,7 @@ def analyze(opt: SimpleNamespace) -> None:
         if no_oracle:
             entry["oracle"] = "skipped: oracle disabled"
         else:
-            strip_check = floquet.verify_strip(sysd, kind, verdict.rates, fce)
+            strip_check = floquet.verify_strip(verdict.rates, fce)
             unresolved = []
             if fce.unresolved:
                 unresolved.append(f"{fce.unresolved} multiplier(s) below the round-off floor {fce.floor:.3e}, "

@@ -1,10 +1,12 @@
-"""All numeric tolerances and size limits in one immutable record.
+"""The shared numeric tolerances and size limits in one immutable record.
 
 Functions take an explicit override only where their contract calls for one
 (classify's zero tolerance, the transition integrator's accuracy target);
-everything else reads the module-level TOL instance so thresholds stay
-auditable in one place.  Tolerances is a named tuple: TOL._replace(...)
-gives a modified copy and TOL._asdict() the fields by name.
+everything else reads the module-level TOL instance.  A constant with one
+user lives in its module: floquet's _COARSE and block budgets, perturb's
+_PANEL_MATRICES, linalg's _SIGN_STEPS and _SIGN_STOP, and the forced-response
+audit's 1e-9 and 1e-5 in perturb.  Tolerances is a named tuple:
+TOL._replace(...) gives a modified copy and TOL._asdict() the fields by name.
 """
 
 from typing import NamedTuple

@@ -47,13 +47,10 @@ class TransitionMatrix(NamedTuple):
 # compose and check its step matrices, about _PER_STEP n x n matrices per step.  Large n
 # needs large blocks, since each sys.matrix call walks n^2 expression trees; at small n
 # a block stops at _BLOCK_STEPS steps, past which it saves no time and only adds memory.
-# A block holds at least one chunk, so at n = 64 it may go over.  A panel of perturb's
-# audit holds about _PANEL_MATRICES of them: its two transitions with
-# integrate_transitions' working copies of them, its affine map and the prefix scan's
+# A block holds at least one chunk, so at n = 64 it may go over
 _BLOCK_BYTES = 4 << 20
 _BLOCK_STEPS = 1024
 _PER_STEP = 9
-_PANEL_MATRICES = 24
 
 
 def _per_block(n: int, matrices: int) -> int:
@@ -80,7 +77,7 @@ def _node_rates(sys: SystemDef, a: np.ndarray, b: np.ndarray, q: np.ndarray) -> 
     rate = np.zeros(a.size)
     nodes = 2 * q + 1
     ends = np.cumsum(nodes)
-    per_block = _per_block(sys.n, _PANEL_MATRICES)
+    per_block = _per_block(sys.n, 3)  # a node holds A(t), its row of evaluate's output and |A(t)|
     for k0 in range(0, int(ends[-1]), per_block):
         k = np.arange(k0, min(k0 + per_block, int(ends[-1])))
         i = np.searchsorted(ends, k, side="right")
@@ -195,7 +192,7 @@ def _non_positive_det(M: np.ndarray) -> np.ndarray:
     bad = sign <= 0.0
     with np.errstate(divide="ignore"):  # a zero row, whose det is exactly 0, gives -inf
         noise = math.log(M.shape[-1] * np.finfo(float).eps) + np.log(linalg._two_norm(M[bad])).sum(axis=-1)
-    bad[bad] = logdet[bad] >= noise
+    bad[bad] = logdet[bad] > noise
     return bad
 
 
@@ -217,7 +214,8 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
     zero-length ones give the identity.  A result whose determinant is
     non-positive beyond round-off is rejected (the exact transition matrix
     always has a positive one, but a strongly contracting one may have a
-    determinant below what LU resolves; see _non_positive_det).
+    determinant below what LU resolves; see _non_positive_det), and so is
+    one that underflowed to zero everywhere, which has no spectrum to read.
 
     The segments advance together: those with the same step count form one
     (P, n, n) stack, converged ones leave it and the rest double.  The result
@@ -270,10 +268,11 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
         if not first:
             diff = np.abs(cur - value[live]).max(axis=(1, 2))
             done = rest & (diff <= tol * (1.0 + np.abs(cur).max(axis=(1, 2))))
-            flipped = _non_positive_det(cur[done])
-            for i in live[done][flipped]:
-                fail[i] = NumericError(f"integrated transition matrix has non-positive determinant "
-                                       f"over [{a[i]:g}, {b[i]:g}]")
+            zero = ~cur[done].any(axis=(1, 2))
+            bad = zero | _non_positive_det(cur[done])
+            for i, z in zip(live[done][bad], zero[bad]):
+                what = "underflowed to zero" if z else "has non-positive determinant"
+                fail[i] = NumericError(f"integrated transition matrix {what} over [{a[i]:g}, {b[i]:g}]")
             err[live[done]] = diff[done] / 15.0
             rest &= ~done
         value[live] = cur
@@ -376,26 +375,21 @@ class StripCheck(NamedTuple):
     allowance: float
 
 
-def verify_strip(sys: SystemDef, kind: NormKind,
-                 rates: periodic.RateSummary | None = None,
-                 fce: FceEstimate | None = None) -> StripCheck:
-    """Check that every characteristic exponent real part lies in the strip
-    [-lambda_minus, lambda_plus] predicted by the drift integrals; an
-    unresolved one (see FceEstimate) is checked against -lambda_minus alone.
+def verify_strip(rates: periodic.RateSummary, fce: FceEstimate) -> StripCheck:
+    """Check that every characteristic exponent real part of the monodromy
+    route (fce) lies in the strip [-lambda_minus, lambda_plus] of the drift
+    route (rates) for one system; an unresolved exponent (see FceEstimate)
+    is checked against -lambda_minus alone.
 
     worst_violation is the largest excursion outside the strip (negative
     when everything is strictly inside); the allowance combines the
     configured slack with both routes' error estimates.
     """
-    if rates is None:
-        rates = periodic.rate_summary(sys, kind)
-    if fce is None:
-        fce = monodromy_fce(sys)
     lower = -rates.lambda_minus
     upper = rates.lambda_plus
     min_mod = min((m for m in map(abs, fce.multipliers) if m >= fce.floor), default=fce.floor)
-    eps_mult = sys.n * fce.monodromy.error_estimate / min_mod
-    allowance = TOL.strip_slack + rates.quadrature_error / sys.period + math.log1p(eps_mult) / sys.period
+    eps_mult = len(fce.multipliers) * fce.monodromy.error_estimate / min_mod
+    allowance = TOL.strip_slack + rates.quadrature_error / rates.period + math.log1p(eps_mult) / rates.period
     # an unresolved exponent is only an upper bound: below the strip it puts the true
     # exponent below it too, above the strip it says nothing
     worst = max(lower - rp if k < fce.unresolved else max(lower - rp, rp - upper)
@@ -439,18 +433,15 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
         F, i, j = _pair_products(_spans(segs[0], True, 2), forward=True)
         B = _pair_products(_spans(segs[1], False, 2), forward=False)[0]
     P = np.concatenate((F, B))
+    # grid segments of period segments scaled to a largest entry in [0.5, 1) stay finite
+    e = np.frexp(np.abs(segs).max(axis=(-2, -1)))[1]
+    scaled = np.ldexp(segs, -e[..., None, None])
+    seg_logs = (np.log(linalg.mat_norm(np.stack((_spans(scaled[0], True, 2), _spans(scaled[1], False, 2))), kind))
+                + np.tile(e, 2).reshape(2, 15, 2).sum(axis=-1) * math.log(2.0))
+    cum = np.concatenate((np.zeros((2, 1)), np.cumsum(seg_logs, axis=1)), axis=1)
+    logs = (cum[:, j] - cum[:, i]).ravel()
     exact = np.abs(P).max(axis=(-2, -1)) <= math.sqrt(TOL.overflow)  # NaN fails too
-    if exact.all():
-        logs = np.log(linalg.mat_norm(P, kind))
-    else:
-        # grid segments of period segments scaled to a largest entry in [0.5, 1) stay finite
-        e = np.frexp(np.abs(segs).max(axis=(-2, -1)))[1]
-        scaled = np.ldexp(segs, -e[..., None, None])
-        seg_logs = (np.log(linalg.mat_norm(np.stack((_spans(scaled[0], True, 2), _spans(scaled[1], False, 2))), kind))
-                    + np.tile(e, 2).reshape(2, 15, 2).sum(axis=-1) * math.log(2.0))
-        cum = np.concatenate((np.zeros((2, 1)), np.cumsum(seg_logs, axis=1)), axis=1)
-        logs = (cum[:, j] - cum[:, i]).ravel()
-        logs[exact] = np.log(linalg.mat_norm(P[exact], kind))
+    logs[exact] = np.log(linalg.mat_norm(P[exact], kind))
     return float(np.expm1(logs - np.concatenate((pp[j] - pp[i], pm[j] - pm[i]))).max())
 
 

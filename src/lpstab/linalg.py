@@ -15,7 +15,7 @@ def _immutable(self, *args):
 class NormKind:
     """Vector norm "one", "two", "inf" or "weighted" (|Px|_2 for a nonsingular
     transform P).  Instances are immutable and compare by identity, so they
-    can key caches."""
+    can key caches.  A weighted transform is checked here, once."""
 
     __slots__ = ("tag", "transform")
     __setattr__ = __delattr__ = _immutable
@@ -23,6 +23,11 @@ class NormKind:
     def __init__(self, tag: str, transform: np.ndarray | None = None):
         if tag not in ("one", "two", "inf", "weighted"):
             raise ValueError(f"unknown norm tag {tag!r}")
+        if (tag == "weighted") != (transform is not None):
+            raise ValueError("the weighted norm needs a transform" if tag == "weighted"
+                             else f"the {tag} norm takes no transform")
+        if transform is not None:
+            transform = check_nonsingular(transform, "P")
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "transform", transform)
 
@@ -101,7 +106,7 @@ def mat_norm(M, kind: NormKind):
     if kind.tag in ("one", "inf"):
         v = np.abs(A).sum(axis=-2 if kind.tag == "one" else -1).max(axis=-1)
     else:
-        B = similarity_transform(kind.transform, A) if kind.tag == "weighted" else A
+        B = _similar(kind.transform, A) if kind.tag == "weighted" else A
         w = _top_sym_eig(np.swapaxes(B, -1, -2) @ B, "Gram product")  # by syrk, exactly symmetric
         v = np.sqrt(np.where(0.0 > w, 0.0, w))  # Python's max(w, 0.0), which keeps a -0.0
     return float(v) if A.ndim == 2 else v
@@ -109,9 +114,12 @@ def mat_norm(M, kind: NormKind):
 
 def similarity_transform(P, A):
     """P A P^{-1} without forming the inverse explicitly; A may be a (..., n, n) stack."""
-    P = check_nonsingular(P, "P")
-    PA = P @ _as_squares(A, "A")
-    return np.swapaxes(np.linalg.solve(P.T, np.swapaxes(PA, -1, -2)), -1, -2)
+    return _similar(check_nonsingular(P, "P"), _as_squares(A, "A"))
+
+
+def _similar(P, A):
+    # similarity_transform of arguments already checked, such as a NormKind's transform
+    return np.swapaxes(np.linalg.solve(P.T, np.swapaxes(P @ A, -1, -2)), -1, -2)
 
 
 def _lapack(error, routine, *args):
@@ -153,12 +161,6 @@ def check_nonsingular(M, name="matrix"):
 def cholesky(S):
     """Lower-triangular L with L L^T = S; S must be positive definite."""
     return _lapack(NotPositiveDefiniteError, np.linalg.cholesky, _symmetrized(_as_square(S, "S"), "S"))
-
-
-def determinant(M):
-    """det M; for a (..., n, n) stack, the array of determinants."""
-    A = _as_squares(M)
-    return float(np.linalg.det(A)) if A.ndim == 2 else np.linalg.det(A)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericError

@@ -32,7 +32,7 @@ NAMED = {"one": ONE, "two": TWO, "inf": INF}
 
 def weighted(P) -> NormKind:
     """Norm kind |x| = |P x|_2 for a nonsingular transform P."""
-    return NormKind("weighted", linalg.check_nonsingular(P, "P"))
+    return NormKind("weighted", P)
 
 
 def lyapunov_weighted(A) -> NormKind:
@@ -57,7 +57,7 @@ def mu(M, kind: NormKind):
         v = (d + (np.abs(A).sum(axis=-2 if kind.tag == "one" else -1) - np.abs(d))).max(axis=-1)
     else:
         if kind.tag == "weighted":
-            A = linalg.similarity_transform(kind.transform, A)
+            A = linalg._similar(kind.transform, A)
         # exactly symmetric, as addition commutes, so it needs no second symmetrization
         v = linalg._top_sym_eig(0.5 * (A + np.swapaxes(A, -1, -2)), "symmetric part")
     return float(v) if A.ndim == 2 else v
@@ -65,7 +65,7 @@ def mu(M, kind: NormKind):
 
 def mu_weighted(M, P) -> float:
     """Logarithmic norm of M under |x| = |P x|_2, as mu_2 of P M P^{-1}."""
-    return mu(M, NormKind("weighted", P))
+    return mu(M, weighted(P))
 
 
 def mu_limit_estimate(M, kind: NormKind, h: float = 1e-7) -> float:

@@ -438,15 +438,15 @@ class FrozenTimeReport(NamedTuple):
     c2_bound_alt: float
 
 
-def frozen_time_check(sys: SystemDef, grid_points: int = 64) -> FrozenTimeReport:
-    """Evaluate the frozen-time conditions for x' = A(t) x on a grid.
+def frozen_time_check(sys: SystemDef) -> FrozenTimeReport:
+    """Evaluate the frozen-time conditions for x' = A(t) x on a grid of 64
+    evenly spaced times over one period.
 
     This route is independent of the drift integrals: it certifies stability
     from pointwise spectra plus a bound on how fast A may move.  It is very
     conservative; the report exists mainly to show when it cannot apply.
     """
-    if grid_points < 16:
-        raise InputError("grid_points must be at least 16")
+    grid_points = 64
     n = sys.n
     T = sys.period
     h = TOL.fd_step * T

@@ -33,11 +33,15 @@ import numpy as np
 from .config import TOL
 from .errors import BlowupError, ConvergenceError, InputError, NumericError
 from .expr import EvalError, Expression, Num, ParseError, evaluate, parse, to_string
-from .floquet import (_PANEL_MATRICES, _node_rates, _per_block, _prefix_products, _rk4_matrix, _too_coarse,
-                      integrate_transitions)
+from .floquet import _node_rates, _per_block, _prefix_products, _rk4_matrix, _too_coarse, integrate_transitions
 from .linalg import NormKind, _two_norm, vec_norm
 from .lognorm import TWO
 from .periodic import SystemDef, integrate
+
+
+# n x n matrices an audit panel holds: its two transitions with integrate_transitions'
+# working copies of them, its affine map and the prefix scan's
+_PANEL_MATRICES = 24
 
 
 class _Entries(NamedTuple):

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import lpstab
-from lpstab import catalog, cli, floquet, periodic
+from lpstab import catalog, cli, floquet, linalg, periodic
 
 
 def run_cli(*args):
@@ -498,14 +498,18 @@ def test_perturb_persistent_disturbance():
 
 
 def test_perturb_overflow_reported():
-    code, out, err = run_cli("perturb", "-s", "scalar_unstable", "--t-end", "2600",
-                             "--samples", "64", "--json")
+    args = ("perturb", "-s", "scalar_unstable", "--t-end", "2600", "--samples", "64")
+    code, out, err = run_cli(*args, "--json")
     assert code == 0, err
     doc = json.loads(out)
     assert doc["overflowed"] is True
     assert doc["t_overflow"] == pytest.approx(math.log(1e300) / 0.3, rel=0.05)
     assert doc["tail_max_norm"] is None
     assert doc["convergence_claimed"] is False
+    code, out, err = run_cli(*args)
+    assert code == 0, err
+    assert "state overflowed at t=2311.11: unbounded growth; trajectory truncated to 56 samples\n" in out
+    assert "forced-state decay: not claimed (unforced verdict is unstable; state overflowed)\n" in out
 
 
 def test_perturb_first_interval_overflow_exits_2(tmp_path):
@@ -579,13 +583,29 @@ def test_stiff_systems_are_partially_resolved(tmp_path, rate):
     assert "oracle: partially resolved: 1 multiplier(s) below the round-off floor" in out
 
 
-@pytest.mark.xfail(strict=True, reason="the one-period transition underflows a row to 0, so its "
-                                        "determinant has no sign to read (FOUND in CHANGES.md)")
-def test_stable_system_with_an_underflowing_transition_is_analyzed(tmp_path):
-    # exp(-800) is below the smallest float: the fast row of the monodromy matrix is 0
+@pytest.mark.parametrize("norm", ["one", "two", "inf", "weighted"])
+def test_stable_system_with_an_underflowing_transition_is_analyzed(tmp_path, norm):
+    # exp(-800) is below the smallest float: the fast row of the monodromy matrix is 0, so
+    # its determinant has no sign to read and its multiplier is below the round-off floor.
+    # A subprocess, so numpy's warnings reach stderr under the default filters
     path = write_system(tmp_path, {"entries": [["-800", "0"], ["0", "-1"]], "period": 1.0})
-    code, _, err = run_cli("analyze", "-f", path, "--norm", "one")
-    assert code == 0, err
+    proc = subprocess.run(console_argv("analyze", "-f", path, "--norm", norm),
+                          capture_output=True, text=True, timeout=60, env=console_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "monodromy exponent real parts: <=-33.2362, -1 (inside strip: yes)" in proc.stdout
+
+
+@pytest.mark.parametrize("entry,period,end", [
+    ("-800", 1.0, "1"),
+    ("2 - 3000*sin(t)^200", 2.0 * math.pi, "6.28319"),
+], ids=["constant", "peaked"])
+def test_transition_underflowing_to_zero_is_a_numeric_failure(tmp_path, entry, period, end):
+    # a 1 x 1 monodromy matrix of exp(-800) or exp(-1050) is 0: no multiplier left to bound
+    path = write_system(tmp_path, {"entries": [[entry]], "period": period})
+    proc = subprocess.run(console_argv("analyze", "-f", path), capture_output=True, text=True,
+                          timeout=60, env=console_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"numeric failure: integrated transition matrix underflowed to zero over [0, {end}]\n")
 
 
 @pytest.mark.parametrize("args,code", [
@@ -701,6 +721,48 @@ def test_oracle_integrates_each_grid_once(monkeypatch):
     assert [e["classification"] for e in json.loads(out)["analyses"]] == ["UES"] * 3
     assert sorted(len(a) for a, _ in calls) == [1, 15, 15]
     assert len(set(calls)) == 3
+
+
+def test_weighted_transform_is_checked_once(monkeypatch):
+    # the kind checks its transform when it is built; no mu or norm call checks it again
+    calls = []
+    check = linalg.check_nonsingular
+    monkeypatch.setattr(linalg, "check_nonsingular", lambda *args: calls.append(args) or check(*args))
+    code, out, err = run_cli("analyze", "-s", "example2", "--norm", "one,two,weighted", "--json")
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("check,fake,line", [
+    ("verify_sandwich", lambda sys, kind: 1.0, "transition bound violated by 1.000e+00"),
+    ("verify_decay", lambda sys, verdict: floquet.DecayCheck(False, -0.5, 1e-6, 120, 120),
+     "decay envelope violated by 5.000e-01"),
+    ("verify_strip", lambda rates, fce: floquet.StripCheck(False, -rates.lambda_minus, rates.lambda_plus,
+                                                          fce.real_parts, 0.25, 1e-6),
+     "exponent strip violated by 2.500e-01"),
+], ids=["sandwich", "decay", "strip"])
+def test_failed_cross_check_exits_two_after_the_whole_document(monkeypatch, check, fake, line):
+    # a disagreement between the routes still prints every result, then fails in one line
+    monkeypatch.setattr(floquet, check, fake)
+    code, out, err = run_cli("analyze", "-s", "example2", "--norm", "one", "--json")
+    assert (code, err) == (2, f"numeric failure: cross-checks failed: one: {line}\n")
+    doc = json.loads(out)
+    assert sorted(doc) == ["analyses", "frozen_time", "system", "tolerances", "version", "zero_tol"]
+    (entry,) = doc["analyses"]
+    assert entry["norm"] == "one" and entry["classification"] == "UES"
+    oracle = entry["oracle"]
+    assert (oracle["sandwich_passed"], oracle["decay"]["passed"], oracle["strip_check"]["passed"]) == (
+        check != "verify_sandwich", check != "verify_decay", check != "verify_strip")
+
+
+def test_audit_disagreement_exits_two(monkeypatch):
+    from lpstab import perturb
+    voc = perturb._voc_states
+    monkeypatch.setattr(perturb, "_voc_states", lambda *args: [x + 1e-3 for x in voc(*args)])
+    code, out, err = run_cli("perturb", "-s", "example2", "--d", "exp(-t);0")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"numeric failure: stepper and variation-of-constants disagree: "
+                        r"relative error \d\.\d{3}e-0[34]\n", err), err
 
 
 def test_output_is_deterministic():

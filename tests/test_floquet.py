@@ -29,7 +29,7 @@ from lpstab.floquet import (
 )
 from lpstab.linalg import mat_norm, vec_norm
 from lpstab.lognorm import INF, ONE, TWO
-from lpstab.periodic import classify, fce_strip, pi_integral, system_from_strings
+from lpstab.periodic import classify, fce_strip, pi_integral, rate_summary, system_from_strings
 
 KINDS = [ONE, TWO, INF]
 
@@ -127,11 +127,12 @@ def test_strip_reads_an_unresolved_exponent_as_an_upper_bound():
     assert fce.unresolved == 1 and fce.floor == TOL.multiplier_floor * np.abs(fce.monodromy.value).max()
     assert fce.real_parts[0] == math.log(fce.floor) / sysd.period
     assert fce.real_parts[1] == pytest.approx(-1.0, abs=1e-9)
-    assert verify_strip(sysd, ONE, fce=fce).passed
+    rates = rate_summary(sysd, ONE)
+    assert verify_strip(rates, fce).passed
     # above the strip a bound says nothing; below it, it puts the exponent there too
     above = fce._replace(real_parts=(5.0, fce.real_parts[1]))
-    assert verify_strip(sysd, ONE, fce=above).passed
-    below = verify_strip(sysd, ONE, fce=fce._replace(real_parts=(-200.0, fce.real_parts[1])))
+    assert verify_strip(rates, above).passed
+    below = verify_strip(rates, fce._replace(real_parts=(-200.0, fce.real_parts[1])))
     assert not below.passed and below.worst_violation == pytest.approx(100.0, abs=1e-6)
 
 
@@ -139,8 +140,9 @@ def test_strip_reads_an_unresolved_exponent_as_an_upper_bound():
 def test_strip_contains_exponents(name):
     # the drift strip must bracket the monodromy exponents in every norm
     sysd = CATALOG[name]().system
+    fce = monodromy_fce(sysd)
     for kind in KINDS:
-        chk = verify_strip(sysd, kind)
+        chk = verify_strip(rate_summary(sysd, kind), fce)
         assert chk.passed, (name, kind.tag, chk)
         assert chk.worst_violation <= chk.allowance
         lo, hi = fce_strip(sysd, kind)
@@ -337,9 +339,11 @@ def _ref_integrate_transition(sys, t_from, t_to, tol=None, start_steps=None):
             continue
         diff = float(np.abs(cur - prev).max())
         if diff <= tol * (1.0 + float(np.abs(cur).max())):
+            if not cur.any():
+                raise NumericError(f"integrated transition matrix underflowed to zero over [{t_from:g}, {t_to:g}]")
             # a sign below LU's round-off, about n eps times Hadamard's bound, is no sign
             det = np.linalg.det(cur)
-            if det <= 0.0 and -det >= sys.n * np.finfo(float).eps * np.prod(np.linalg.norm(cur, axis=1)):
+            if det <= 0.0 and -det > sys.n * np.finfo(float).eps * np.prod(np.linalg.norm(cur, axis=1)):
                 raise NumericError(
                     f"integrated transition matrix has non-positive determinant over [{t_from:g}, {t_to:g}]")
             return cur, steps, diff / 15.0

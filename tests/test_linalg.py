@@ -152,7 +152,7 @@ def test_gen_eigs_det_product():
         prod = complex(1.0)
         for v in z:
             prod *= v
-        det = la.determinant(A)
+        det = np.linalg.det(A)
         assert abs(prod.real - det) <= 1e-8 * (1.0 + abs(det))
         assert abs(prod.imag) <= 1e-8 * (1.0 + abs(det))
 
@@ -181,15 +181,6 @@ def test_check_nonsingular_rejects_singular():
     assert la.check_nonsingular(A) is not None
     with pytest.raises(SingularMatrixError):
         la.check_nonsingular(np.array([[1.0, 2.0], [2.0, 4.0]]))
-
-
-def test_determinant():
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        n = rng.integers(1, 8)
-        A = rng.standard_normal((n, n))
-        assert la.determinant(A) == pytest.approx(np.linalg.det(A), rel=1e-9, abs=1e-12)
-    assert la.determinant(np.array([[1.0, 2.0], [2.0, 4.0]])) == 0.0
 
 
 def test_similarity_transform():
@@ -270,7 +261,7 @@ def test_input_validation():
         la.sym_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not symmetric
     with pytest.raises(Exception):
         la.mat_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]), ONE)
-    # mat_norm, sym_eigs, determinant and lognorm.mu take stacks of square matrices only
+    # mat_norm, sym_eigs and lognorm.mu take stacks of square matrices only
     with pytest.raises(ValueError, match="square"):
         la.mat_norm(np.zeros((2, 2, 3)), ONE)
     with pytest.raises(ValueError, match="square"):
@@ -302,9 +293,26 @@ def test_norm_kind_rejects_unknown_tag():
         la.NormKind("bogus")
 
 
+def test_norm_kind_checks_its_transform_once():
+    # a transform belongs to the weighted norm alone, and is checked when the kind is built
+    with pytest.raises(ValueError, match="the weighted norm needs a transform"):
+        la.NormKind("weighted")
+    with pytest.raises(ValueError, match="the two norm takes no transform"):
+        la.NormKind("two", np.eye(2))
+    with pytest.raises(SingularMatrixError, match="P is singular"):
+        la.NormKind("weighted", np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        la.NormKind("weighted", np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    P = np.array([[2.0, 1.0], [0.0, 1.0]])
+    kind = la.NormKind("weighted", P)
+    assert kind.transform.tobytes() == P.tobytes()
+    A = np.array([[-1.0, 3.0], [0.5, -2.0]])
+    assert la.mat_norm(A, kind) == la.mat_norm(la.similarity_transform(P, A), TWO)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
 def test_stacks_match_per_item_calls(n):
-    # mat_norm, determinant and vec_norm over (4, 5) stacks against one call per item
+    # mat_norm and vec_norm over (4, 5) stacks against one call per item
     rng = np.random.default_rng(77 + n)
     S = rng.standard_normal((4, 5, n, n)) * rng.uniform(0.01, 100.0, (4, 5, 1, 1))
     flat = S.reshape(-1, n, n)
@@ -313,7 +321,6 @@ def test_stacks_match_per_item_calls(n):
         got = la.mat_norm(S, kind)
         assert got.shape == (4, 5)
         assert got.tobytes() == np.array([la.mat_norm(A, kind) for A in flat]).tobytes()
-    assert la.determinant(S).tobytes() == np.array([la.determinant(A) for A in flat]).tobytes()
     # vec_norm over the (4, 5, n) stack of first columns, one entry near the overflow cap
     X = S[..., 0].copy()
     X[1, 2, 0] = 1e300

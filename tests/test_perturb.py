@@ -16,7 +16,7 @@ import pytest
 from lpstab import perturb
 from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
 from lpstab.config import TOL
-from lpstab.errors import BlowupError, ConvergenceError
+from lpstab.errors import BlowupError, ConvergenceError, NumericError
 from lpstab.expr import EvalError, evaluate
 from lpstab.linalg import mat_norm, vec_norm
 from lpstab.lognorm import INF, TWO
@@ -444,6 +444,16 @@ def test_audit_sees_a_stiff_stretch_between_samples():
     traj = simulate_perturbed(sysd, dist, np.array([1.0, -0.5]), ts[-1], samples=2000, cross_check=False)
     got = _voc_states(sysd, dist, np.array([1.0, -0.5]), ts, [1, 2])[1]
     assert np.abs(got - traj.states[-1]).max() <= 1e-8 * (1.0 + np.abs(traj.states[-1]).max())
+
+
+def test_audit_disagreement_raises(monkeypatch):
+    # the audit raises, not reports, once the two routes part by more than 1e-5
+    voc = perturb._voc_states
+    monkeypatch.setattr(perturb, "_voc_states", lambda *args: [x + 1e-3 for x in voc(*args)])
+    dist = disturbance_from_strings(["exp(-t)", "0"])
+    with pytest.raises(NumericError, match=r"^stepper and variation-of-constants disagree: "
+                                           r"relative error \d\.\d{3}e-0[34]$"):
+        simulate_perturbed(strong_coupling().system, dist, np.ones(2), 3.0, samples=32)
 
 
 def test_voc_states_step_budget(monkeypatch):
