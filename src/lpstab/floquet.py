@@ -422,7 +422,7 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
     growth, and the result is inf (a violation) when none does.
     """
     ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, 16)
-    pp, pm = (periodic.pi_integral(sys, kind, sign, ts)[0] for sign in (1, -1))
+    pp, pm = periodic.pi_integral(sys, kind, ts)[0].T
     stacks = [_period_segments(sys, forward, TOL) for forward in (True, False)]
     if blown := [got for got in stacks if isinstance(got, BlowupError)]:
         if max(np.diff(pp).max(), np.diff(pm).max()) < math.log(TOL.overflow):

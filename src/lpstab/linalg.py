@@ -107,7 +107,7 @@ def mat_norm(M, kind: NormKind):
         v = np.abs(A).sum(axis=-2 if kind.tag == "one" else -1).max(axis=-1)
     else:
         B = _similar(kind.transform, A) if kind.tag == "weighted" else A
-        w = _top_sym_eig(np.swapaxes(B, -1, -2) @ B, "Gram product")  # by syrk, exactly symmetric
+        w = _sym_eigvals(np.swapaxes(B, -1, -2) @ B, "Gram product")[..., -1]  # by syrk, exactly symmetric
         v = np.sqrt(np.where(0.0 > w, 0.0, w))  # Python's max(w, 0.0), which keeps a -0.0
     return float(v) if A.ndim == 2 else v
 
@@ -136,11 +136,11 @@ def sym_eigs(S, vectors: bool = False):
     return _lapack(ConvergenceError, routine, _symmetrized(_as_squares(S, "S"), "S"))
 
 
-def _top_sym_eig(S, what):
-    # top eigenvalue of each matrix of an exactly symmetric stack computed from finite arguments
+def _sym_eigvals(S, what):
+    # ascending eigenvalues of each matrix of an exactly symmetric stack computed from finite arguments
     if not np.isfinite(S).all():
         raise NumericError(f"{what} overflowed to a non-finite value")
-    return _lapack(ConvergenceError, np.linalg.eigvalsh, S)[..., -1]
+    return _lapack(ConvergenceError, np.linalg.eigvalsh, S)
 
 
 def gen_eigs(M) -> list[complex]:

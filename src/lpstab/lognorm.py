@@ -48,19 +48,28 @@ def lyapunov_weighted(A) -> NormKind:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow gives inf, or raises NumericError
-def mu(M, kind: NormKind):
-    """Logarithmic norm of M for the given vector norm kind; for a (..., n, n)
-    stack, the array of each matrix's mu over the leading axes."""
+def mu_pair(M, kind: NormKind) -> np.ndarray:
+    """mu[M] and mu[-M] along a last axis of length 2, for one matrix or a
+    (..., n, n) stack, from one pass over M: the one and inf norms share the
+    off-diagonal sums, and the two and weighted norms read the top and the
+    negated bottom eigenvalue of one symmetric part."""
     A = _as_squares(M)
     if kind.tag in ("one", "inf"):
         d = np.diagonal(A, axis1=-2, axis2=-1)
-        v = (d + (np.abs(A).sum(axis=-2 if kind.tag == "one" else -1) - np.abs(d))).max(axis=-1)
-    else:
-        if kind.tag == "weighted":
-            A = linalg._similar(kind.transform, A)
-        # exactly symmetric, as addition commutes, so it needs no second symmetrization
-        v = linalg._top_sym_eig(0.5 * (A + np.swapaxes(A, -1, -2)), "symmetric part")
-    return float(v) if A.ndim == 2 else v
+        off = np.abs(A).sum(axis=-2 if kind.tag == "one" else -1) - np.abs(d)
+        return np.stack((d + off, -d + off), axis=-1).max(axis=-2)
+    if kind.tag == "weighted":
+        A = linalg._similar(kind.transform, A)
+    # exactly symmetric, as addition commutes, so it needs no second symmetrization
+    w = linalg._sym_eigvals(0.5 * (A + np.swapaxes(A, -1, -2)), "symmetric part")
+    return np.stack((w[..., -1], -w[..., 0]), axis=-1)
+
+
+def mu(M, kind: NormKind):
+    """Logarithmic norm of M for the given vector norm kind; for a (..., n, n)
+    stack, the array of each matrix's mu over the leading axes."""
+    v = mu_pair(M, kind)[..., 0]
+    return float(v) if v.ndim == 0 else v
 
 
 def mu_weighted(M, P) -> float:

@@ -25,11 +25,12 @@ Quadrature is adaptive Simpson; the integrands are continuous but can have
 kinks where off-diagonal entries or symmetric-part eigenvalues cross, so
 error estimates are carried through and reported.
 
-Evaluation takes arrays of times throughout: SystemDef.matrix gives matrix
-stacks, lognorm.mu maps stacks to arrays, integrate refines all of its
-intervals level by level with one integrand call per level, and
-rate_summary polishes its extrema by bisection on mu - lambda, one mu call
-per round, and one pi_integral call per direction at the end.
+Evaluation takes arrays of times throughout, and both directions come from
+one A(t) evaluation: SystemDef.matrix gives matrix stacks, lognorm.mu_pair
+maps them to mu[A] and mu[-A], integrate refines all of its intervals and
+columns level by level with one integrand call per level, and rate_summary
+polishes the extrema of both directions by bisection on mu - lambda, one
+mu_pair call per round, and one pi_integral call at the end.
 """
 
 import math
@@ -148,36 +149,43 @@ def validate_periodicity(sys: SystemDef) -> float:
 
 # ---------------------------------------------------------------- quadrature
 
-def _adapt(f, a, b, fa, fm, fb, whole, tol, depth):
-    # every panel of one level at once; the children of all rejected panels form the next
+def _adapt(f, a, b, fa, fm, fb, whole, tol, depth, live):
+    # every panel of one level at once, a row per panel and a column per integrand column; a
+    # column is live on a panel while it refines it, and the children of every panel with a
+    # live column form the next level
     m = 0.5 * (a + b)
     fx = f(np.concatenate((0.5 * (a + m), 0.5 * (m + b))))
     flm, frm = fx[:a.size], fx[a.size:]
-    h12 = (b - a) / 12.0
+    h12 = ((b - a) / 12.0)[:, None]
     left = h12 * (fa + 4.0 * flm + fm)
     right = h12 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
     value, err = left + right + delta / 15.0, np.abs(delta) / 15.0
-    bad = ~np.isfinite(value)  # also where any integrand value is; refining cannot mend it
+    bad = live & ~np.isfinite(value)  # also where any integrand value is; refining cannot mend it
     if bad.any():
-        raise NumericError(f"integrand or its Simpson estimate is not finite from t={a[bad].min():.6g}")
-    split = np.abs(delta) > 15.0 * tol
-    if depth > 0 and split.any():
-        k = int(split.sum())
-        cat = lambda x, y: np.concatenate((x[split], y[split]))  # noqa: E731
+        raise NumericError(f"integrand or its Simpson estimate is not finite from t={a[bad.any(axis=1)].min():.6g}")
+    split = live & (np.abs(delta) > 15.0 * tol)
+    rows = split.any(axis=1)
+    if depth > 0 and rows.any():
+        k = int(rows.sum())
+        cat = lambda x, y: np.concatenate((x[rows], y[rows]))  # noqa: E731
         v, e = _adapt(f, cat(a, m), cat(m, b), cat(fa, fm), cat(flm, frm), cat(fm, fb),
-                      cat(left, right), 0.5 * tol, depth - 1)
-        value[split] = v[:k] + v[k:]
-        err[split] = e[:k] + e[k:]
+                      cat(left, right), 0.5 * tol, depth - 1, cat(split, split))
+        value[split] = (v[:k] + v[k:])[split[rows]]
+        err[split] = (e[:k] + e[k:])[split[rows]]
     return value, err
 
 
 def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
     """Adaptive Simpson quadrature of f over [a, b], or over each interval of
-    the broadcast arrays a and b, with one call of f (a 1-d time array to its
-    values) per refinement level of all of them.
+    the broadcast arrays a and b, with one call of f per refinement level of
+    all of them, the first even when no interval has length.  f maps a 1-d
+    array of times to their values, or to k columns of them, each refined on
+    its own panels as if it were alone.  f must give a time the same values
+    in any array: an end that starts the next interval is evaluated once.
 
-    Returns (value, error_estimate), floats for scalar limits.  The estimate
+    Returns (value, error_estimate) of the limits' shape, plus a last axis of
+    k for k columns; floats for scalar limits and one column.  The estimate
     is the accumulated Richardson correction; when the depth cap is hit it
     simply comes out larger.  A panel whose integrand values or estimate are
     not finite raises NumericError, naming the earliest such panel of its level.
@@ -185,53 +193,59 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("integration limits must be finite")
-    value, err = np.zeros(a.shape), np.zeros(a.shape)
     live = a != b
-    if live.any():
-        lo, hi = np.minimum(a, b)[live], np.maximum(a, b)[live]
-        fa, fm, fb = np.split(f(np.concatenate((lo, 0.5 * (lo + hi), hi))), 3)
-        whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-        v, err[live] = _adapt(f, lo, hi, fa, fm, fb, whole, TOL.quad_abs, TOL.quad_max_depth)
-        value[live] = np.where(b[live] < a[live], -v, v)
+    lo, hi = np.minimum(a, b)[live], np.maximum(a, b)[live]
+    n = lo.size
+    fresh = hi != np.append(lo[1:], np.nan)
+    x = f(np.concatenate((lo, 0.5 * (lo + hi), hi[fresh])))
+    shape, k = a.shape + x.shape[1:], math.prod(x.shape[1:])
+    x = x.reshape(x.shape[0], k)
+    fa, fm = x[:n], x[n:2 * n]
+    fb = x[np.where(fresh, 2 * n + np.cumsum(fresh) - 1, np.arange(1, n + 1))]
+    value, err = np.zeros(a.shape + (k,)), np.zeros(a.shape + (k,))
+    if n:
+        whole = ((hi - lo) / 6.0)[:, None] * (fa + 4.0 * fm + fb)
+        v, err[live] = _adapt(lambda t: f(t).reshape(-1, k), lo, hi, fa, fm, fb, whole,
+                              TOL.quad_abs, TOL.quad_max_depth, np.ones((n, k), bool))
+        value[live] = np.where((b < a)[live][:, None], -v, v)
+    value, err = value.reshape(shape), err.reshape(shape)
     return (float(value), float(err)) if value.ndim == 0 else (value, err)
 
 
 # ------------------------------------------------------------ running rates
 
-def _mu_fn(sys: SystemDef, kind: NormKind, sign: int) -> Callable[[np.ndarray], np.ndarray]:
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return lambda s: lognorm.mu(sign * sys.matrix(s), kind)
+def _mu_fn(sys: SystemDef, kind: NormKind) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda s: lognorm.mu_pair(sys.matrix(s), kind)
 
 
 @lru_cache(maxsize=64)
-def _scan(sys: SystemDef, kind: NormKind, sign: int):
-    # cumulative one-period integral of mu[sign A] at scan grid points, summed in grid order
+def _scan(sys: SystemDef, kind: NormKind):
+    # cumulative one-period integrals of mu[A] and mu[-A], a column each, at scan grid points,
+    # summed in grid order
     ts = np.linspace(sys.t0, sys.t0 + sys.period, TOL.scan_points + 1)
-    vals, errs = integrate(_mu_fn(sys, kind, sign), ts[:-1], ts[1:])
-    cum = np.cumsum(np.concatenate(([0.0], vals)))
-    err = float(np.cumsum(errs)[-1])
-    ts.flags.writeable = False
-    cum.flags.writeable = False
+    vals, errs = integrate(_mu_fn(sys, kind), ts[:-1], ts[1:])
+    cum = np.cumsum(np.concatenate((np.zeros((1, 2)), vals)), axis=0)
+    err = np.cumsum(errs, axis=0)[-1]
+    ts.flags.writeable = cum.flags.writeable = err.flags.writeable = False
     return ts, cum, err
 
 
-def pi_integral(sys: SystemDef, kind: NormKind, sign: int, t):
-    """Integral of mu[sign A(s)] over [t0, t], reduced modulo the period.
+def pi_integral(sys: SystemDef, kind: NormKind, t):
+    """Integrals of mu[A(s)] and mu[-A(s)] over [t0, t], reduced modulo the period.
 
     Whole periods reuse one cached period integral; only the fractional tail
     is integrated fresh.  t may be an array of times, integrated in one
-    quadrature call.  Returns (value, error_estimate), floats for a float t
-    and arrays of t's shape otherwise.
+    quadrature call.  Returns (value, error_estimate), each of t's shape
+    plus a last axis that holds the plus and the minus direction.
     """
-    shape = np.shape(t)
+    shape = np.shape(t) + (2,)
     t = np.asarray(t, dtype=float).ravel()
     early = t < sys.t0 - 1e-12 * (1.0 + abs(sys.t0))
     if early.any():
         raise ValueError(f"t={t[early][0]:g} precedes the initial time {sys.t0:g}")
-    t = np.maximum(t, sys.t0)
+    t = np.maximum(t, sys.t0)[:, None]
     if sys.is_constant:
-        value, err = lognorm.mu(sign * sys.matrix(sys.t0), kind) * (t - sys.t0), np.zeros(t.shape)
+        value, err = lognorm.mu_pair(sys.matrix(sys.t0), kind) * (t - sys.t0), np.zeros(shape)
     else:
         T, N = sys.period, TOL.scan_points
         with np.errstate(over="ignore", invalid="ignore"):
@@ -241,20 +255,18 @@ def pi_integral(sys: SystemDef, kind: NormKind, sign: int, t):
                                f"than a float can count (period {T:g})")
         r = (t - sys.t0) - k * T
         k, r = np.where(r < 0.0, (k - 1.0, r + T), (k, r))
-        ts, cum, scan_err = _scan(sys, kind, sign)
-        per = float(cum[-1])
+        ts, cum, scan_err = _scan(sys, kind)
+        per = cum[-1]
         # whole periods alone: k * per keeps the sign of a zero, so t0 gives -0.0 when per < 0
         value, err = k * per, k * scan_err
-        tail = r != 0.0
-        r, k = r[tail], k[tail]
+        tail = r[:, 0] != 0.0
+        r, k = r[tail, 0], k[tail]
         j = np.minimum((r / T * N).astype(int), N - 1)
         target = sys.t0 + r
         j = j - (target < ts[j])
-        part, perr = integrate(_mu_fn(sys, kind, sign), ts[j], target)
+        part, perr = integrate(_mu_fn(sys, kind), ts[j], target)
         value[tail] = k * per + cum[j] + part
-        err[tail] = k * scan_err + (j / N) * scan_err + perr
-    if shape == ():
-        return float(value[0]), float(err[0])
+        err[tail] = k * scan_err + (j / N)[:, None] * scan_err + perr
     return value.reshape(shape), err.reshape(shape)
 
 
@@ -291,52 +303,40 @@ def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
     grid of per-segment adaptive integrals.  Every grid local maximum and
     minimum within one grid step's change of the grid extreme is then
     polished: phi' = mu - lambda is known pointwise, so each bracket is
-    bisected on its sign, all brackets at once, and phi is read at the
-    converged abscissas by one pi_integral call per direction.  Constant
+    bisected on its sign, all brackets of both directions at once, and phi
+    is read at the converged abscissas by one pi_integral call.  Constant
     systems short-circuit: pi is exactly linear and every delta is zero.
     """
-    T = sys.period
-    t0 = sys.t0
+    T, t0 = sys.period, sys.t0
     if sys.is_constant:
-        A = sys.matrix(t0)
-        mp = lognorm.mu(A, kind)
-        mm = lognorm.mu(-A, kind)
+        mp, mm = map(float, lognorm.mu_pair(sys.matrix(t0), kind))
         return RateSummary(kind, t0, T, mp, mm, 0.0, 0.0, 0.0, 0.0, mp * T, mm * T, 0.0)
-    lams, pers, deltas = [], [], []
-    err_total = 0.0
-    for sign in (1, -1):
-        ts, cum, err = _scan(sys, kind, sign)
-        err_total += err
-        per = float(cum[-1])
-        lam = per / T
-        g = cum - lam * (ts - t0)
-        lams.append(lam)
-        pers.append(per)
-        # grid peaks of g (flip = 1) and of -g (flip = -1) near the extreme; strict on the left,
-        # so a plateau counts once
-        step = float(np.abs(np.diff(g)).max())
-        peaks = []
-        for s in (1.0, -1.0):
-            h = np.concatenate(([-np.inf], s * g, [-np.inf]))
-            mid = h[1:-1]
-            peaks.append(np.flatnonzero((mid > h[:-2]) & (mid >= h[2:]) & (mid >= mid.max() - step)))
-        j = np.concatenate(peaks)
-        flip = np.repeat([1.0, -1.0], [p.size for p in peaks])
-        a, b = ts[np.maximum(j - 1, 0)], ts[np.minimum(j + 1, ts.size - 1)]
-        # a fixed count of halvings, since a bracket cannot narrow below the spacing of floats near t
-        tol = TOL.refine_width * (float(ts[-1]) - float(ts[0]))
-        mu = _mu_fn(sys, kind, sign)
-        for _ in range(math.ceil(math.log2(max(float((b - a).max()) / tol, 1.0)))):
-            m = 0.5 * (a + b)
-            rising = flip * (mu(m) - lam) > 0.0
-            a, b = np.where(rising, m, a), np.where(rising, b, m)
-        x = 0.5 * (a + b)
-        phi = flip * (pi_integral(sys, kind, sign, x)[0] - lam * (x - t0))
-        deltas += (max(float(g.max()), float(phi[flip > 0].max())),
-                   min(float(g.min()), -float(phi[flip < 0].max())))
-    du_p, dl_p, du_m, dl_m = deltas
-    (lam_p, lam_m), (per_p, per_m) = lams, pers
-    return RateSummary(kind, t0, T, lam_p, lam_m, du_p, dl_p, du_m, dl_m, per_p, per_m, err_total)
+    ts, cum, errs = _scan(sys, kind)
+    pers, lams = cum[-1], cum[-1] / T
+    g = cum - (ts - t0)[:, None] * lams
+    # grid peaks near the extreme of each column of g (flip = 1) and of -g (flip = -1); strict
+    # on the left, so a plateau counts once
+    steps = np.tile(np.abs(np.diff(g, axis=0)).max(axis=0), 2)
+    h = np.pad(np.concatenate((g, -g), axis=1), ((1, 1), (0, 0)), constant_values=-np.inf)
+    mid = h[1:-1]
+    j, c = np.nonzero((mid > h[:-2]) & (mid >= h[2:]) & (mid >= mid.max(axis=0) - steps))
+    col, flip, idx = c % 2, np.where(c < 2, 1.0, -1.0), np.arange(j.size)
+    a, b = ts[np.maximum(j - 1, 0)], ts[np.minimum(j + 1, ts.size - 1)]
+    # a fixed count of halvings per direction, since a bracket cannot narrow below the spacing
+    # of floats near t
+    tol = TOL.refine_width * (float(ts[-1]) - float(ts[0]))
+    rounds = np.array([math.ceil(math.log2(max(float((b - a)[col == d].max()) / tol, 1.0))) for d in (0, 1)])[col]
+    mu, lam = _mu_fn(sys, kind), lams[col]
+    for i in range(rounds.max()):
+        m = 0.5 * (a + b)
+        rising = flip * (mu(m)[idx, col] - lam) > 0.0
+        a, b = np.where((rounds > i) & rising, m, a), np.where((rounds > i) & ~rising, m, b)
+    x = 0.5 * (a + b)
+    phi = flip * (pi_integral(sys, kind, x)[0][idx, col] - lam * (x - t0))
+    du_p, du_m = (max(float(g[:, d].max()), float(phi[(col == d) & (flip > 0)].max())) for d in (0, 1))
+    dl_p, dl_m = (min(float(g[:, d].min()), -float(phi[(col == d) & (flip < 0)].max())) for d in (0, 1))
+    return RateSummary(kind, t0, T, *map(float, lams), du_p, dl_p, du_m, dl_m, *map(float, pers),
+                       float(errs[0] + errs[1]))
 
 
 # ------------------------------------------------------------ certification
@@ -488,7 +488,7 @@ def barrier_series(sys: SystemDef, kind: NormKind, t_end: float, samples: int = 
     ts = np.linspace(sys.t0, t_end, samples)
     dt = ts - sys.t0
     return np.column_stack((
-        ts, pi_integral(sys, kind, 1, ts)[0], pi_integral(sys, kind, -1, ts)[0],
+        ts, pi_integral(sys, kind, ts)[0],
         rates.lambda_plus * dt + rates.delta_lower_plus,
         rates.lambda_plus * dt + rates.delta_upper_plus,
         rates.lambda_minus * dt + rates.delta_lower_minus,

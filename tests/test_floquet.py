@@ -160,7 +160,7 @@ def test_sandwich_bounds_products_past_the_float_range(kind):
     got = verify_sandwich(sysd, kind)
     ts = np.linspace(sysd.t0, sysd.t0 + 2.0 * sysd.period, 16)
     bsegs = _ref_check_segments(sysd, False, 2)
-    pm = pi_integral(sysd, kind, -1, ts)[0]
+    pm = pi_integral(sysd, kind, ts)[0][:, 1]
     worst, top = -math.inf, 0.0
     for i in range(15):
         B, log_scale = np.eye(2), 0.0
@@ -190,7 +190,7 @@ def test_sandwich_blowup_is_unchecked_only_where_the_bound_allows_it(monkeypatch
     # bound allows; against zero drift the same blow-up is a violation
     with pytest.raises(BlowupError):
         verify_sandwich(_STIFF, ONE)
-    monkeypatch.setattr(floquet.periodic, "pi_integral", lambda sys, kind, sign, ts: (np.zeros(len(ts)), 0.0))
+    monkeypatch.setattr(floquet.periodic, "pi_integral", lambda sys, kind, ts: (np.zeros((len(ts), 2)), 0.0))
     assert verify_sandwich(_STIFF, ONE) == math.inf
 
 
@@ -210,9 +210,9 @@ def test_sandwich_checks_a_single_segment_past_the_gram_range(monkeypatch, kind,
     step = math.log(1e200 * norm) - 0.5
     monkeypatch.setattr(floquet, "_period_segments", lambda sys, forward, tol:
                         SimpleNamespace(value=fsegs if forward else bsegs))
-    monkeypatch.setattr(floquet.periodic, "pi_integral", lambda sys, kind, sign, ts_:
-                        (np.zeros(16) if sign == 1 else
-                         np.where(ts > ts[7], step, 0.0) + np.where(ts > ts[14], step + 0.5, 0.0), 0.0))
+    monkeypatch.setattr(floquet.periodic, "pi_integral", lambda sys, kind, ts_:
+                        (np.column_stack((np.zeros(16), np.where(ts > ts[7], step, 0.0)
+                                          + np.where(ts > ts[14], step + 0.5, 0.0))), 0.0))
     assert verify_sandwich(lti_diag().system, kind) == pytest.approx(math.expm1(0.5), rel=1e-9)
 
 
@@ -620,7 +620,7 @@ def _ref_sandwich(sys, kind):
     # one norm call per grid pair
     ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, 16)
     fsegs, bsegs = _ref_check_segments(sys, True, 2), _ref_check_segments(sys, False, 2)
-    pp, pm = pi_integral(sys, kind, 1, ts)[0], pi_integral(sys, kind, -1, ts)[0]
+    pp, pm = pi_integral(sys, kind, ts)[0].T
     worst = -math.inf
     for i in range(15):
         F = B = np.eye(sys.n)

@@ -16,6 +16,7 @@ from lpstab.lognorm import (
     lyapunov_weighted,
     mu,
     mu_limit_estimate,
+    mu_pair,
     mu_weighted,
     weighted,
 )
@@ -108,6 +109,21 @@ def test_mu_stack_matches_per_matrix():
             assert got.shape == (4, 3)
             ref = np.array([[mu(M, kind) for M in row] for row in stack])
             assert got.tobytes() == ref.tobytes()
+
+
+def test_mu_pair_equals_mu_of_both_signs():
+    # the two and weighted norms read mu[-M] as the negated bottom eigenvalue of the symmetric
+    # part whose top one is mu[M]: this pins that eigvalsh(-S)[-1] == -eigvalsh(S)[0] exactly
+    rng = np.random.default_rng(108)
+    for n in range(1, 65):
+        stack = rng.standard_normal((6, n, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (6, 1, 1))
+        P = np.eye(n) + np.triu(rng.standard_normal((n, n)), 1) / n
+        for kind in (ONE, TWO, INF, weighted(P)):
+            got = mu_pair(stack, kind)
+            assert got.shape == (6, 2)
+            assert got[:, 0].tobytes() == mu(stack, kind).tobytes(), (n, kind.tag)
+            assert got[:, 1].tobytes() == mu(-stack, kind).tobytes(), (n, kind.tag)
+            assert mu_pair(stack[0], kind).tobytes() == got[0].tobytes()
 
 
 def test_mu_weighted_matches_kind_route():

@@ -10,6 +10,7 @@ import copy
 import json
 import math
 import pickle
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from lpstab.cli import _load_file
 from lpstab.config import TOL
 from lpstab.errors import InputError
 from lpstab.expr import EvalError
-from lpstab.lognorm import INF, ONE, TWO, mu
+from lpstab.lognorm import INF, ONE, TWO, mu, weighted
 import lpstab.periodic as periodic
 from lpstab.periodic import (
     SystemDef,
@@ -117,7 +118,7 @@ def test_rotating_frame_two_norm_is_flat():
         for d in (r.delta_upper_plus, r.delta_lower_plus,
                   r.delta_upper_minus, r.delta_lower_minus):
             assert d == pytest.approx(0.0, abs=1e-9)
-        got, _ = pi_integral(sysd, TWO, 1, sysd.t0 + 2.0 * math.pi)
+        got = pi_integral(sysd, TWO, sysd.t0 + 2.0 * math.pi)[0][0]
         assert got == pytest.approx(2.0 * math.pi * max(beta - 1.0, -1.0), abs=1e-9)
 
 
@@ -232,18 +233,19 @@ def test_pi_integral_period_reduction():
     T = sysd.period
     for kind in (ONE, TWO):
         for t in (sysd.t0 + 2.3 * T, sysd.t0 + 7.04 * T):
-            def f(s, k=kind):
-                return mu(sysd.matrix(s), k)
-            direct, _ = integrate(f, sysd.t0, t)
-            got, err = pi_integral(sysd, kind, 1, t)
-            assert got == pytest.approx(direct, abs=1e-7)
-            assert err >= 0.0
+            got, err = pi_integral(sysd, kind, t)
+            for col, sign in enumerate((1, -1)):
+                def f(s, k=kind, sign=sign):
+                    return mu(sign * sysd.matrix(s), k)
+                direct, _ = integrate(f, sysd.t0, t)
+                assert got[col] == pytest.approx(direct, abs=1e-7)
+                assert err[col] >= 0.0
 
 
 def test_pi_integral_at_t0_is_zero():
     sysd = strong_coupling().system
-    got, err = pi_integral(sysd, ONE, 1, sysd.t0)
-    assert got == 0.0 and err == 0.0
+    got, err = pi_integral(sysd, ONE, sysd.t0)
+    assert got.tolist() == [0.0, 0.0] and err.tolist() == [0.0, 0.0]
 
 
 def test_validate_periodicity_catalog():
@@ -522,15 +524,15 @@ def test_pi_integral_array_matches_scalar_calls():
     ts = np.concatenate(([_SC.t0, _SC.t0 - 1e-14, _SC.t0 + T, _SC.t0 + 3 * T],
                          np.linspace(_SC.t0, _SC.t0 + 4.2 * T, 57)))
     for kind in (ONE, TWO):
-        for sign in (1, -1):
-            value, err = pi_integral(_SC, kind, sign, ts)
-            ref = [pi_integral(_SC, kind, sign, float(t)) for t in ts]
-            assert _bits(value) == _bits([v for v, _ in ref])
-            assert _bits(err) == _bits([e for _, e in ref])
+        value, err = pi_integral(_SC, kind, ts)
+        ref = [pi_integral(_SC, kind, float(t)) for t in ts]
+        assert value.shape == err.shape == (ts.size, 2)
+        assert _bits(value) == _bits([v for v, _ in ref])
+        assert _bits(err) == _bits([e for _, e in ref])
     # whole periods of a UES system keep the sign of zero at t0
-    assert math.copysign(1.0, pi_integral(_SC, ONE, 1, ts)[0][0]) == -1.0
+    assert math.copysign(1.0, pi_integral(_SC, ONE, ts)[0][0, 0]) == -1.0
     with pytest.raises(ValueError, match="precedes"):
-        pi_integral(_SC, ONE, 1, np.array([_SC.t0, _SC.t0 - 0.1]))
+        pi_integral(_SC, ONE, np.array([_SC.t0, _SC.t0 - 0.1]))
 
 
 def test_validate_periodicity_names_first_failing_time():
@@ -539,6 +541,175 @@ def test_validate_periodicity_names_first_failing_time():
     with pytest.raises(EvalError) as info:
         validate_periodicity(sysd)
     assert info.value.t == 2.0
+
+
+def _ref_mu(sys, kind, sign):
+    return lambda s: mu(sign * sys.matrix(s), kind)
+
+
+@lru_cache(maxsize=None)
+def _ref_scan(sys, kind, sign):
+    # the one-direction scan that _scan computes for both directions at once
+    ts = np.linspace(sys.t0, sys.t0 + sys.period, TOL.scan_points + 1)
+    vals, errs = integrate(_ref_mu(sys, kind, sign), ts[:-1], ts[1:])
+    return ts, np.cumsum(np.concatenate(([0.0], vals))), float(np.cumsum(errs)[-1])
+
+
+def _ref_pi_integral(sys, kind, sign, t):
+    # pi_integral of one direction over an array of times, as it was computed per sign
+    t = np.maximum(np.asarray(t, dtype=float).ravel(), sys.t0)
+    if sys.is_constant:
+        return mu(sign * sys.matrix(sys.t0), kind) * (t - sys.t0), np.zeros(t.shape)
+    T, N = sys.period, TOL.scan_points
+    k = (t - sys.t0) // T
+    r = (t - sys.t0) - k * T
+    k, r = np.where(r < 0.0, (k - 1.0, r + T), (k, r))
+    ts, cum, scan_err = _ref_scan(sys, kind, sign)
+    per = float(cum[-1])
+    value, err = k * per, k * scan_err
+    tail = r != 0.0
+    r, k = r[tail], k[tail]
+    j = np.minimum((r / T * N).astype(int), N - 1)
+    target = sys.t0 + r
+    j = j - (target < ts[j])
+    part, perr = integrate(_ref_mu(sys, kind, sign), ts[j], target)
+    value[tail] = k * per + cum[j] + part
+    err[tail] = k * scan_err + (j / N) * scan_err + perr
+    return value, err
+
+
+def _ref_rate_summary(sys, kind):
+    # rate_summary's fields after the kind, each direction scanned, bisected and polished on its own
+    T, t0 = sys.period, sys.t0
+    if sys.is_constant:
+        mp, mm = mu(sys.matrix(t0), kind), mu(-sys.matrix(t0), kind)
+        return (t0, T, mp, mm, 0.0, 0.0, 0.0, 0.0, mp * T, mm * T, 0.0)
+    lams, pers, deltas, err_total = [], [], [], 0.0
+    for sign in (1, -1):
+        ts, cum, err = _ref_scan(sys, kind, sign)
+        err_total += err
+        per = float(cum[-1])
+        lam = per / T
+        g = cum - lam * (ts - t0)
+        lams.append(lam)
+        pers.append(per)
+        step = float(np.abs(np.diff(g)).max())
+        peaks = []
+        for s in (1.0, -1.0):
+            h = np.concatenate(([-np.inf], s * g, [-np.inf]))
+            mid = h[1:-1]
+            peaks.append(np.flatnonzero((mid > h[:-2]) & (mid >= h[2:]) & (mid >= mid.max() - step)))
+        j = np.concatenate(peaks)
+        flip = np.repeat([1.0, -1.0], [p.size for p in peaks])
+        a, b = ts[np.maximum(j - 1, 0)], ts[np.minimum(j + 1, ts.size - 1)]
+        tol = TOL.refine_width * (float(ts[-1]) - float(ts[0]))
+        for _ in range(math.ceil(math.log2(max(float((b - a).max()) / tol, 1.0)))):
+            m = 0.5 * (a + b)
+            rising = flip * (_ref_mu(sys, kind, sign)(m) - lam) > 0.0
+            a, b = np.where(rising, m, a), np.where(rising, b, m)
+        x = 0.5 * (a + b)
+        phi = flip * (_ref_pi_integral(sys, kind, sign, x)[0] - lam * (x - t0))
+        deltas += (max(float(g.max()), float(phi[flip > 0].max())),
+                   min(float(g.min()), -float(phi[flip < 0].max())))
+    return (t0, T, *lams, *deltas, *pers, err_total)
+
+
+def _dense3():
+    rng = np.random.default_rng(33)
+    A0, A1, A2 = (np.round(rng.standard_normal((3, 3)), 3) for _ in range(3))
+    return system_from_strings([[f"{A0[i, j]} + {A1[i, j]}*sin(2*t) + {A2[i, j]}*cos(2*t)" for j in range(3)]
+                                for i in range(3)], math.pi)
+
+
+_SHARED = {**{name: CATALOG[name]().system for name in sorted(CATALOG)},
+           # mu_2[-A] = 1 makes the reversed deviation vanish on the whole grid, so its only
+           # brackets are the end ones, half as wide as the forward brackets and bisected once less
+           "rotating_frame_0.868": rotating_frame(0.868).system,
+           "stiff3000": system_from_strings([["-3000+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi),
+           "peaked": system_from_strings([["-1-3000*sin(t)^200", "1"], ["0", "-1"]], 2.0 * math.pi),
+           "dense3": _dense3(),
+           "scalar": system_from_strings([["-1 + 2*sin(t) + abs(cos(3*t))"]], 2.0 * math.pi)}
+
+
+@pytest.mark.parametrize("name", sorted(_SHARED))
+def test_shared_route_matches_per_direction_references(name):
+    # both directions from one scan, one bisection and one pi_integral call give the bits of
+    # one route per direction
+    sysd = _SHARED[name]
+    P = np.eye(sysd.n) + np.triu(np.random.default_rng(34).standard_normal((sysd.n, sysd.n)), 1)
+    ts = sysd.t0 + sysd.period * np.array([0.0, 1e-3, 0.37, 1.0, 1.5, 2.0, 3.81, 7.25])
+    for kind in (ONE, TWO, INF, weighted(P)):
+        _, cum, err = _scan(sysd, kind)
+        value, verr = pi_integral(sysd, kind, ts)
+        for col, sign in enumerate((1, -1)):
+            _, rcum, rerr = _ref_scan(sysd, kind, sign)
+            assert _bits(cum[:, col]) == _bits(rcum) and _bits(err[col]) == _bits(rerr), (kind.tag, sign)
+            rvalue, rverr = _ref_pi_integral(sysd, kind, sign, ts)
+            assert _bits(value[:, col]) == _bits(rvalue) and _bits(verr[:, col]) == _bits(rverr), (kind.tag, sign)
+        got = tuple(rate_summary(sysd, kind))
+        assert got[0] is kind and _bits(got[1:]) == _bits(_ref_rate_summary(sysd, kind)), kind.tag
+
+
+def test_rate_summary_reads_a_once_per_round(monkeypatch):
+    # one scan, one bisection and one pi_integral call for both directions: the per-direction
+    # route read A(t) at 20,592 times in 54 calls here
+    sysd = get("example1").system
+    sizes = []
+    matrix = SystemDef.matrix
+    monkeypatch.setattr(SystemDef, "matrix", lambda self, t: sizes.append(np.size(t)) or matrix(self, t))
+    periodic._scan.cache_clear()
+    rate_summary(sysd, TWO)
+    assert len(sizes) <= 30 and sum(sizes) <= 8400, (len(sizes), sum(sizes))
+
+
+def test_integrate_refines_each_column_on_its_own():
+    # a smooth column and a kinked one refine to different depths; together they give the
+    # bits of two one-column calls
+    smooth = lambda s: np.exp(0.3 * s) + 1.0  # noqa: E731
+    kinked = lambda s: np.abs(s - 0.3) * (s * s - 1.0) + 2.0  # noqa: E731
+    levels = {}
+
+    def counted(name, f):
+        def g(s):
+            levels[name] = levels.get(name, 0) + 1
+            return f(s)
+        return g
+
+    rng = np.random.default_rng(4243)
+    a = rng.uniform(-1.0, 2.0, 24)
+    b = a + rng.uniform(-0.4, 0.4, 24)
+    b[::7] = a[::7]
+    value, err = integrate(counted("pair", lambda s: np.stack((smooth(s), kinked(s)), axis=-1)), a, b)
+    assert value.shape == err.shape == (24, 2)
+    for col, (name, f) in enumerate((("smooth", smooth), ("kinked", kinked))):
+        one, one_err = integrate(counted(name, f), a, b)
+        assert _bits(value[:, col]) == _bits(one) and _bits(err[:, col]) == _bits(one_err), name
+    assert levels["smooth"] < levels["kinked"] == levels["pair"]
+    scalar = integrate(lambda s: np.stack((smooth(s), kinked(s)), axis=-1), float(a[1]), float(b[1]))
+    assert scalar[0].shape == (2,) and _bits(scalar[0]) == _bits(value[1])
+
+
+def test_tiled_intervals_evaluate_each_shared_end_once():
+    # the end of each interval that starts the next is read once, and the values are those
+    # of integrating every interval on its own
+    seen = []
+
+    def f(s):
+        seen.append(s.copy())
+        return np.abs(s - 0.3) * (s * s - 1.0) + 2.0
+
+    ts = np.linspace(-1.0, 2.0, 65)
+    value, err = integrate(f, ts[:-1], ts[1:])
+    assert seen[0].size == 2 * 64 + 1 and np.unique(seen[0]).size == seen[0].size
+    alone = [integrate(f, float(x), float(y)) for x, y in zip(ts[:-1], ts[1:])]
+    assert _bits(value) == _bits([v for v, _ in alone]) and _bits(err) == _bits([e for _, e in alone])
+    # rows of tiled windows, as windowed_drift integrates them: each row shares its inner ends
+    seen.clear()
+    lo, hi = ts[:4, None] + ts[None, :8] + 1.0, ts[:4, None] + ts[None, 1:9] + 1.0
+    grid, _ = integrate(f, lo, hi)
+    assert seen[0].size == 4 * (2 * 8 + 1)
+    assert _bits(grid) == _bits([[integrate(f, float(x), float(y))[0] for x, y in zip(p, q)]
+                                 for p, q in zip(lo, hi)])
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -568,13 +739,13 @@ def _ref_deltas(sysd, kind):
     # delta_upper/delta_lower per sign, each polished by its own search over scalar pi_integral calls
     out = []
     for sign in (1, -1):
-        ts, cum, _ = _scan(sysd, kind, sign)
+        ts, cum, _ = _ref_scan(sysd, kind, sign)
         lam = float(cum[-1]) / sysd.period
         g = cum - lam * (ts - sysd.t0)
         tol = TOL.refine_width * (float(ts[-1]) - float(ts[0]))
 
         def phi(t, sign=sign, lam=lam):
-            return periodic.pi_integral(sysd, kind, sign, t)[0] - lam * (t - sysd.t0)
+            return float(_ref_pi_integral(sysd, kind, sign, t)[0][0]) - lam * (t - sysd.t0)
 
         for j, want_max in ((int(np.argmax(g)), True), (int(np.argmin(g)), False)):
             a, b = float(ts[max(j - 1, 0)]), float(ts[min(j + 1, len(ts) - 1)])
@@ -597,8 +768,8 @@ def test_bisection_polish_matches_golden_section_reference(monkeypatch, name):
     for kind in KINDS:
         calls.clear()
         r = rate_summary(sysd, kind)
-        # one call per sign, at every converged abscissa of that sign at once
-        assert [c[2] for c in calls] == [1, -1]
+        # one call for both directions, at every converged abscissa at once
+        assert len(calls) == 1
         got = (r.delta_upper_plus, r.delta_lower_plus, r.delta_upper_minus, r.delta_lower_minus)
         # the two searches stop at different points of the same extremum: last-bit differences
         assert np.abs(np.subtract(got, _ref_deltas(sysd, kind))).max() <= 1e-13, (name, kind.tag)
@@ -611,11 +782,12 @@ def test_offsets_bound_dense_samples(name):
     ts = sysd.t0 + sysd.period * np.arange(8 * TOL.scan_points + 1) / (8 * TOL.scan_points)
     for kind in KINDS:
         r = rate_summary(sysd, kind)
-        for sign, lam, upper, lower in ((1, r.lambda_plus, r.delta_upper_plus, r.delta_lower_plus),
-                                        (-1, r.lambda_minus, r.delta_upper_minus, r.delta_lower_minus)):
-            phi = pi_integral(sysd, kind, sign, ts)[0] - lam * (ts - sysd.t0)
-            assert upper >= phi.max() - 1e-12, (name, kind.tag, sign)
-            assert lower <= phi.min() + 1e-12, (name, kind.tag, sign)
+        pi = pi_integral(sysd, kind, ts)[0]
+        for col, lam, upper, lower in ((0, r.lambda_plus, r.delta_upper_plus, r.delta_lower_plus),
+                                       (1, r.lambda_minus, r.delta_upper_minus, r.delta_lower_minus)):
+            phi = pi[:, col] - lam * (ts - sysd.t0)
+            assert upper >= phi.max() - 1e-12, (name, kind.tag, col)
+            assert lower <= phi.min() + 1e-12, (name, kind.tag, col)
 
 
 def test_polish_finds_the_higher_of_two_close_peaks():

@@ -1,0 +1,98 @@
+"""Byte-identity check of the lpstab CLI against another revision.
+
+    python3 tools/identity.py REV
+
+Extracts REV of this repository with `git archive REV | tar -x`, runs one
+fixed list of CLI invocations under the working tree and under REV, each
+with PYTHONPATH set to its own src, and prints every difference in stdout,
+stderr or exit code.  Exits 1 when there is one, 0 when there is none.
+
+The list holds the benchmark's invocations (perfbench/workloads.py prepare,
+both workloads, seeds 7 and 21), `analyze --norm one,two,inf --json` of
+three stiff systems, text `analyze` in all four norms of two systems whose
+one-period transition underflows, `series -s example2 --norm two`, and
+`--help` of every command.
+"""
+
+import difflib
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LAUNCHER = "import sys; from lpstab.cli import main; sys.exit(main())"  # the console script
+STIFF = {
+    "stiff3000": [["-3000+sin(t)", "1"], ["0", "-1"]],
+    "stiff100": [["-100+sin(t)", "1"], ["0", "-1"]],
+    "peaked": [["-1-3000*sin(t)^200", "1"], ["0", "-1"]],
+}
+UNDERFLOW = {"underflow2": [["-800", "0"], ["0", "-1"]], "underflow1": [["-800"]]}
+
+
+def invocations(work: Path) -> list[list[str]]:
+    argvs = []
+    for workload in ("certify-catalog", "timeseries"):
+        for seed in (7, 21):
+            out = work / f"{workload}-{seed}"
+            out.mkdir()
+            listed = subprocess.run([sys.executable, str(ROOT / "perfbench" / "workloads.py"), "prepare",
+                                     workload, str(seed), str(out)], capture_output=True, text=True, check=True)
+            argvs += [inv["argv"] for inv in json.loads(listed.stdout)]
+    for name, entries in {**STIFF, **UNDERFLOW}.items():
+        path = work / f"{name}.json"
+        path.write_text(json.dumps({"entries": entries, "period": 2.0 * math.pi if name in STIFF else 1.0}))
+        argvs.append(["analyze", "-f", str(path), "--norm", "one,two,inf", "--json"] if name in STIFF
+                     else ["analyze", "-f", str(path), "--norm", "one,two,inf,weighted"])
+    argvs.append(["series", "-s", "example2", "--norm", "two"])
+    argvs += [["--help"]] + [[command, "--help"] for command in ("analyze", "perturb", "series")]
+    return argvs
+
+
+def run(tree: Path, argv: list[str], cwd: Path):
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], capture_output=True, env=env, cwd=cwd,
+                          timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def differences(argv, ours, theirs) -> list[str]:
+    lines = []
+    if ours[0] != theirs[0]:
+        lines.append(f"  exit code: {theirs[0]} -> {ours[0]}")
+    for stream, mine, other in (("stdout", ours[1], theirs[1]), ("stderr", ours[2], theirs[2])):
+        if mine != other:
+            diff = difflib.unified_diff(other.decode(errors="replace").splitlines(),
+                                        mine.decode(errors="replace").splitlines(), "REV", "tree", lineterm="", n=0)
+            lines += [f"  {stream}:"] + [f"    {line}" for line in list(diff)[2:22]]
+    return [f"lpstab {' '.join(argv)}"] + lines if lines else []
+
+
+def main() -> int:
+    args = sys.argv[1:]
+    if len(args) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        work, rev = Path(tmp), Path(tmp) / "rev"
+        rev.mkdir()
+        archive = subprocess.run(["git", "archive", args[0]], cwd=ROOT, capture_output=True)
+        if archive.returncode != 0:
+            print(archive.stderr.decode(errors="replace").strip(), file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(rev)], input=archive.stdout, check=True)
+        argvs = invocations(work)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            ours = list(pool.map(lambda a: run(ROOT, a, work), argvs))
+            theirs = list(pool.map(lambda a: run(rev, a, work), argvs))
+    report = [line for a, o, t in zip(argvs, ours, theirs) for line in differences(a, o, t)]
+    print("\n".join(report) if report else f"{len(argvs)} invocations: stdout, stderr and exit codes identical")
+    return 1 if report else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
