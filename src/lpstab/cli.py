@@ -176,13 +176,18 @@ def _check_t_end(t_end: float, t0: float) -> None:
         raise InputError(f"--t-end must exceed t0 = {t0:g}")
 
 
+def _write_csv(fh, header: str, rows: np.ndarray) -> None:
+    """CSV with the given header and one line per row, each value as %.17g."""
+    fh.write(header + "\n")
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    for row in rows.tolist():  # in one write, a run whose reader closed early ended with exit 0
+        fh.write(line % tuple(row))
+
+
 def _write_trajectory(fh, traj: perturb.Trajectory, kind: NormKind) -> None:
     """CSV t,x1,...,xn,norm with one row per trajectory sample."""
     cols = ",".join(f"x{i + 1}" for i in range(traj.states.shape[1]))
-    fh.write(f"t,{cols},norm\n")
-    for t, x, norm in zip(traj.times, traj.states, vec_norm(traj.states, kind).tolist()):
-        vals = [float(t), *(float(v) for v in x), norm]
-        fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+    _write_csv(fh, f"t,{cols},norm", np.column_stack((traj.times, traj.states, vec_norm(traj.states, kind))))
 
 
 def _record_doc(record, *omit: str) -> dict:
@@ -311,10 +316,8 @@ def series(opt: SimpleNamespace) -> None:
     _check_t_end(t_end, sysd.t0)
     with _open_out(opt.out) as fh:
         if trajectory is None:
-            arr = periodic.barrier_series(sysd, kind, t_end, samples)
-            fh.write("t,pi_plus,pi_minus,low_plus,up_plus,low_minus,up_minus\n")
-            for row in arr:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            _write_csv(fh, "t,pi_plus,pi_minus,low_plus,up_plus,low_minus,up_minus",
+                       periodic.barrier_series(sysd, kind, t_end, samples))
             return
         start = np.array(_parse_floats(trajectory, "--trajectory"))
         if start.shape != (sysd.n,):

@@ -16,16 +16,23 @@ rule: the operator table _BINARY gives each binary operator its binding
 power (1 for '+' '-', 2 for '*' '/', 4 for '^'; unary minus is 3) and its
 ufunc, and parse, to_string and evaluate all read it.
 
-evaluate() is the one evaluator.  It walks the tree once per call, and each
-node is one numpy operation over the whole array of times; a list of
-expressions gives one column per expression, which is how a system matrix
-or a disturbance vector is read.  Values follow numpy's ufuncs, which can
-differ from the math module in the last bit.  A float t is evaluated as a
-length-1 array and unwrapped to a float, never as a numpy scalar: numpy's
-scalar power takes other code paths than its array loop and differs from
-it in the last bit on some inputs (e.g. t^-1 at t = -6.4963873904055935),
-while element i of an array call equals the call at its time i alone.
-Leaves are arrays of the full length, not broadcast scalars, for the same
+evaluate() is the one evaluator.  It runs a plan that plan() builds once
+for a list of expressions (a SystemDef plans its entries when it is made),
+one column per expression, which is how a system matrix or a disturbance
+vector is read.  Each step is one numpy operation over the whole array of
+times, in the order a depth-first walk first reaches each subtree.  A call,
+a power, the time, and + - * / or negation of such values are computed once
+and read by every later use; literals are keyed by float.hex, as Num(0.0)
+== Num(-0.0).  Literals joined by + - * / and negation are folded to one
+float, which stays a float as the left operand of these, since IEEE rounds
+them alike on floats and arrays; such a cheap step is repeated at each use
+rather than held.  A value is dropped after its last use.  Values follow
+numpy's ufuncs, which can differ from the math module in the last bit.  A
+float t is evaluated as a length-1 array, never as a numpy scalar: numpy's
+scalar power takes other code paths than its array loop and differs from it
+in the last bit on some inputs (e.g. t^-1 at t = -6.4963873904055935), while
+element i of an array call equals the call at its time i alone.  The
+operands of a function or of '^' are arrays of the full length for the same
 reason: np.power with a scalar exponent of 2 squares instead of calling pow.
 
 Every intermediate value must be finite at every time: division by zero,
@@ -35,6 +42,7 @@ later operation would have hidden them (exp(-1/t) at t = 0).  No nan, inf
 or floating-point warning leaves evaluate().
 """
 
+import itertools
 import math
 import re
 from typing import NamedTuple, Union
@@ -192,77 +200,142 @@ def parse(text: str) -> Expression:
 
 # ---------------------------------------------------------------- evaluation
 
+# the ufuncs that IEEE rounds alike on floats and on arrays
+_EXACT = (np.add, np.subtract, np.multiply, np.divide, np.negative)
+
+
+class Plan(tuple):
+    """(steps, slots, k): f, a, b, dest, columns, check and node of each step in turn (see
+    _run), the number of value slots and the number of columns."""
+
+
+def plan(exprs) -> Plan:
+    """The steps evaluate runs for a sequence of expressions; see the module docstring."""
+    held, ops, cols = {}, [], {}
+    with np.errstate(all="ignore"):  # folding literals may overflow
+        for c, e in enumerate(exprs):
+            j = _array(*_visit(e, held, ops), e, held, ops)
+            cols[j] = cols.get(j, ()) + (c,)
+    # slots from the last step back: a value takes one at its last read and frees it where
+    # it is made, so that a step may write over what it reads
+    slot, free, new, hide, steps = {-1: 0}, [], itertools.count(1), set(), []
+    for j in reversed(range(len(ops))):
+        node, f, c, *ks = ops[j]
+        free.append(slot.pop(j) if j in slot else free.pop() if free else next(new))
+        dest = free[-1]
+        for k in ks:
+            if k not in slot:
+                slot[k] = free.pop() if free else next(new)
+            if f in (np.exp, np.divide, np.power):
+                hide.add(k)
+        steps += node, j in hide, cols.get(j, ()), dest, slot[ks[1]] if ks[1:] else c, slot[ks[0]], f
+    steps.reverse()
+    return Plan((steps, next(new), len(exprs)))
+
+
+def _full(value, t):
+    v = np.empty(t.shape)  # np.full costs twice as much on short arrays
+    v.fill(value)
+    return v
+
+
+def _array(key, ref, node, held, ops):
+    # the step of ref, a folded value being filled in at every time
+    if type(ref) is float and ("fill", key) not in held:
+        held["fill", key] = len(ops)
+        ops.append((node, _full, ref, -1))
+    return held["fill", key] if type(ref) is float else ref
+
+
+def _visit(node, held, ops):
+    # the subtree's key, and its folded value or its step (node, ufunc, constant left
+    # operand, operand steps or -1 for the times), which is added to ops
+    if isinstance(node, (Num, Const)):
+        v = float(node.value) if isinstance(node, Num) else CONSTANTS[node.name]
+        return v.hex(), v if math.isfinite(v) else _array(v.hex(), v, node, held, ops)
+    if isinstance(node, BinOp):
+        f, kids = _BINARY[node.op][1], node[1:]
+    elif isinstance(node, Call):
+        f, kids = _UNARY[node.func], node[1:]
+    elif isinstance(node, (Neg, TimeVar)):
+        f, kids = np.negative if isinstance(node, Neg) else np.asarray, node
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    mark = len(ops)
+    keys, refs = zip(*[_visit(kid, held, ops) for kid in kids]) if kids else ((), ())
+    key = (f, *keys)
+    if key in held:  # computed before: drop the steps its operands added again
+        del ops[mark:]
+        return held[key], held[key]
+    floats = [type(r) is float for r in refs]
+    if f in _EXACT and all(floats) and math.isfinite(v := float(f(*refs))):
+        return key, v
+    # a float left operand of + - * / stays a float, as IEEE rounds these alike on arrays
+    c = refs[0] if len(refs) == 2 and floats[0] and f is not np.power else None
+    args = [_array(k, r, kid, held, ops) for k, r, kid in list(zip(keys, refs, kids))[c is not None:]]
+    ops.append((node, f, c, *(args or [-1])))
+    if f in _EXACT and set(map(type, keys)) != {int}:
+        return key, len(ops) - 1  # cheap: repeated at each use
+    held[key] = len(ops) - 1
+    return held[key], held[key]
+
+
 def evaluate(expr, t):
     """Values of one expression, or of a sequence of k expressions, at time t.
 
     A float t gives a float, or an array of shape (k,) for a sequence; an
-    array of times gives an array of t's shape, or of t.shape + (k,).  Raises
-    EvalError when any intermediate value of any expression is not finite at
-    some time; it names the first such time in row-major order of t, and the
-    node and reason found by walking the trees again at that time alone.
+    array of times gives an array of t's shape, or of t.shape + (k,).  A
+    sequence may come as its plan.  Raises EvalError when any intermediate
+    value of any expression is not finite at some time; it names the first
+    such time in row-major order of t, and the node and reason found by
+    running the plan again at that time alone.
     """
     many = not isinstance(expr, _NODES)  # nodes are tuples too
-    exprs = tuple(expr) if many else (expr,)
+    p = expr if isinstance(expr, Plan) else plan(tuple(expr) if many else (expr,))
     array = isinstance(t, np.ndarray)
     ts = np.ascontiguousarray(t, dtype=float).ravel() if array else np.array([float(t)])
-    out = np.empty(ts.shape + (len(exprs),))
-    hidden = []
+    out = np.empty(ts.shape + (p[2],))
     with np.errstate(all="ignore"):
-        for j, e in enumerate(exprs):
-            out[:, j] = _walk(e, ts, hidden)
-        # one pass over everything first: a per-time reduction costs as much as the walk
-        if not (np.isfinite(out).all() and all(np.isfinite(v).all() for v in hidden)):
+        hidden = _run(p, ts, out)
+        # one pass over everything first: a per-time reduction costs as much as the run
+        if hidden or not np.isfinite(out).all():
             ok = np.isfinite(out).all(axis=-1)
             for v in hidden:
                 ok &= np.isfinite(v)
             i = int(ok.argmin())
-            for e in exprs:
-                _walk(e, ts[i:i + 1], [], float(ts[i]))
+            _run(p, ts[i:i + 1], out[i:i + 1], float(ts[i]))
             raise EvalError("non-finite value", None, float(ts[i]))
     if array:
-        out = out.reshape(t.shape + (len(exprs),))
+        out = out.reshape(t.shape + (p[2],))
         return out if many else out[..., 0]
     return out[0] if many else float(out[0, 0])
 
 
-def _walk(node, t, hidden, at=None):
-    # node's values at the 1-d array of times t, one numpy operation per node.
-    # A non-finite operand gives a non-finite value through every operation
-    # but exp, '/' and '^' (exp(-inf) = 0, 1/inf = 0, 1^nan = 1), so their
-    # operands go to hidden for the caller to check with the final values.
-    # With the time `at` given, the first node whose value is not finite raises.
-    args = ()
-    if isinstance(node, BinOp):
-        args = (_walk(node.left, t, hidden, at), _walk(node.right, t, hidden, at))
-        v = _BINARY[node.op][1](*args)
-        if node.op in "/^":
-            hidden += args
-    elif isinstance(node, Num):
-        v = np.empty(t.shape)  # np.full costs twice as much on short arrays
-        v.fill(node.value)
-    elif isinstance(node, TimeVar):
-        v = t
-    elif isinstance(node, Call):
-        args = (_walk(node.arg, t, hidden, at),)
-        v = _UNARY[node.func](*args)
-        if node.func == "exp":
-            hidden += args
-    elif isinstance(node, Neg):
-        v = np.negative(_walk(node.operand, t, hidden, at))
-    elif isinstance(node, Const):
-        v = np.empty(t.shape)
-        v.fill(CONSTANTS[node.name])
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    if at is not None and not np.isfinite(v).all():
-        raise EvalError(_why(node, args), node, at)
-    return v
+def _run(p, ts, out, at=None):
+    # p's steps over the times ts, each column of out written when it is ready.  A
+    # non-finite operand gives a non-finite value through every operation but exp, '/'
+    # and '^' (exp(-inf) = 0, 1/inf = 0, 1^nan = 1), so values that feed them and are not
+    # finite everywhere are returned for the caller to check with the columns.  With the
+    # time `at` given, the first non-finite value raises.
+    vals, hidden = [ts] * p[1], []
+    for f, a, b, dest, cols, check, node in zip(*[iter(p[0])] * 7):
+        x, y = vals[a], vals[b] if type(b) is int else b
+        v = f(x) if b is None else f(x, y) if type(b) is int else f(y, x)
+        if (check or at is not None) and not np.isfinite(v).all():
+            if at is not None:
+                raise EvalError(_why(node, x, y if type(b) is int else x), node, at)
+            hidden.append(v)
+        vals[dest] = v
+        for c in cols:
+            out[:, c] = v
+    return hidden
 
 
-def _why(node, args):
-    # why node is not finite at one time, its operands (length-1 arrays) being finite
+def _why(node, x, y):
+    # why node is not finite at one time, its array operands x and y (length-1 arrays; y is
+    # the divisor or the exponent) being finite
     if isinstance(node, BinOp):
-        a, b = float(args[0][0]), float(args[1][0])
+        a, b = float(x[0]), float(y[0])
         if node.op == "/" and b == 0.0:
             return "division by zero"
         if node.op == "^" and a == 0.0 and b < 0.0:
@@ -272,7 +345,7 @@ def _why(node, args):
         return f"'{node.op}' overflowed to a non-finite value"
     if isinstance(node, Call):
         if node.func in ("ln", "sqrt"):
-            return f"{node.func} domain violation: argument {float(args[0][0])!r}"
+            return f"{node.func} domain violation: argument {float(x[0])!r}"
         return f"{node.func} overflowed to a non-finite value"
     return "non-finite value"
 

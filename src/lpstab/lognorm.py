@@ -56,13 +56,23 @@ def mu_pair(M, kind: NormKind) -> np.ndarray:
     A = _as_squares(M)
     if kind.tag in ("one", "inf"):
         d = np.diagonal(A, axis1=-2, axis2=-1)
-        off = np.abs(A).sum(axis=-2 if kind.tag == "one" else -1) - np.abs(d)
+        off = _by_blocks(A, lambda B: np.abs(B).sum(axis=-2 if kind.tag == "one" else -1)) - np.abs(d)
         return np.stack((d + off, -d + off), axis=-1).max(axis=-2)
     if kind.tag == "weighted":
         A = linalg._similar(kind.transform, A)
     # exactly symmetric, as addition commutes, so it needs no second symmetrization
-    w = linalg._sym_eigvals(0.5 * (A + np.swapaxes(A, -1, -2)), "symmetric part")
+    w = _by_blocks(A, lambda B: linalg._sym_eigvals(0.5 * (B + np.swapaxes(B, -1, -2)), "symmetric part"))
     return np.stack((w[..., -1], -w[..., 0]), axis=-1)
+
+
+def _by_blocks(A, f):
+    # f of the (..., n, n) stack A, shape (..., n), from blocks of matrices: a temporary as
+    # large as a whole stack would double the peak memory
+    m = max(1, 2 ** 16 // A.shape[-1] ** 2)
+    if A.size <= m * A.shape[-1] ** 2:
+        return f(A)
+    B = A.reshape(-1, *A.shape[-2:])
+    return np.concatenate([f(B[i:i + m]) for i in range(0, len(B), m)]).reshape(A.shape[:-1])
 
 
 def mu(M, kind: NormKind):

@@ -42,7 +42,7 @@ import numpy as np
 from . import linalg, lognorm
 from .config import TOL
 from .errors import ConvergenceError, InputError, NumericError
-from .expr import Expression, ParseError, contains_time, evaluate, parse, to_string
+from .expr import Expression, ParseError, contains_time, evaluate, parse, plan, to_string
 from .linalg import NormKind, _immutable
 
 
@@ -55,7 +55,7 @@ class SystemDef:
     system_from_strings for the common construction from text.
     """
 
-    __slots__ = ("entries", "period", "t0", "_flat", "_hash", "_constant")
+    __slots__ = ("entries", "period", "t0", "_plan", "_hash", "_constant")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, entries: tuple[tuple[Expression, ...], ...], period: float, t0: float = 0.0):
@@ -77,7 +77,8 @@ class SystemDef:
                              f"t0 + T are {spacing:.3g} apart, wider than the scan step {step:.3g}")
         flat = tuple(e for row in entries for e in row)
         # every lru_cache lookup hashes the system, so walk the n^2 trees once
-        values = (entries, period, t0, flat, hash((entries, period, t0)), not any(map(contains_time, flat)))
+        values = (entries, period, t0, plan(flat), hash((entries, period, t0)),
+                  not any(map(contains_time, flat)))
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -106,7 +107,7 @@ class SystemDef:
     def matrix(self, t) -> np.ndarray:
         """A(t), or the stack t.shape + (n, n) for an array of times."""
         n = len(self.entries)
-        v = evaluate(self._flat, t)
+        v = evaluate(self._plan, t)
         return v.reshape(v.shape[:-1] + (n, n))
 
     def as_strings(self) -> tuple[tuple[str, ...], ...]:

@@ -127,7 +127,7 @@ def _rk4_pass(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
     field = SimpleNamespace(n=sys.n + 1, matrix=augmented)
     states = np.empty((len(ts), sys.n))
     states[0] = x0
-    stop, error, maps = len(ts) - 1, None, None
+    stop, error, maps = len(ts) - 1, None, np.empty((0, sys.n + 1, sys.n + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # the cap checks below catch inf and NaN
         while stop:
             try:
@@ -135,11 +135,13 @@ def _rk4_pass(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
                 break
             except EvalError as exc:  # blocks are chunk-major, so an earlier interval may fail too
                 stop, error = min(stop - 1, int(np.searchsorted(ts, exc.t, side="right")) - 1), exc
+        M, c = maps[:stop, :-1, :-1], maps[:stop, :-1, -1]
         for i in range(stop):
-            x = maps[i, :-1, :-1] @ states[i] + maps[i, :-1, -1]
-            if not np.abs(x).max() <= TOL.overflow:  # a blown interval's map is NaN
-                return states, i + 1
-            states[i + 1] = x
+            states[i + 1] = M[i] @ states[i] + c[i]
+        # the first state past the cap, or NaN as from a blown interval's map
+        blown = ~(np.abs(states[1:stop + 1]).max(axis=1) <= TOL.overflow)
+        if blown.any():
+            return states, int(blown.argmax()) + 1
     if error is not None:
         # the failing interval's stages in a per-substep sweep's order, A before d
         h = (ts[stop + 1] - ts[stop]) / m

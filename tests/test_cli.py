@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lpstab
@@ -463,6 +464,19 @@ def test_series_trajectory_csv(tmp_path):
     assert first == [0.0, 1.0, 0.0, 1.0]
     last = [float(v) for v in lines[-1].split(",")]
     assert last[1] == pytest.approx(math.exp(-2.0), rel=1e-6)
+
+
+def test_csv_rows_format_like_the_per_value_format():
+    # one "%.17g,...\n" % row per line gives f"{v:.17g}" of each value, special ones too
+    rng = np.random.default_rng(17)
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 0.1, 1.0 / 3.0, 1e16, 1e308,
+               -1.7976931348623157e308, math.inf, -math.inf, math.nan, 123456789012345680.0]
+    rows = np.concatenate([np.array(special * 3).reshape(-1, 3),
+                           rng.standard_normal((200, 3)) * 10.0 ** rng.integers(-320, 308, (200, 3))])
+    buf = io.StringIO()
+    cli._write_csv(buf, "a,b,c", rows)
+    want = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows.tolist())
+    assert buf.getvalue() == want
 
 
 def test_series_validation():

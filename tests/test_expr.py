@@ -6,21 +6,27 @@ method per grammar rule, and _ref_to_string, the serializer that went with
 it: on generated token strings the two must give the same trees, the same
 serialized strings and the same ParseError messages and offsets.
 
-evaluate() walks the tree over numpy arrays.  Its independent reference is
-_math_evaluate below, a scalar walker on the math module (the evaluator lpstab
-used before): the two must raise at the same inputs and agree within a
-relative 1e-12 elsewhere (numpy's ufuncs and libm differ in the last bits).
+evaluate() runs a plan of numpy operations over arrays.  Its independent
+reference is _math_evaluate below, a scalar walker on the math module (the
+evaluator lpstab used before): the two must raise at the same inputs and agree
+within a relative 1e-12 elsewhere (numpy's ufuncs and libm differ in the last
+bits).  Its bit-level reference is _ref_evaluate, the walk of each tree on its
+own that the plan replaced: values, error texts, times and nodes must be equal.
 Within evaluate() itself, an array call must equal per-time float calls
 bit for bit, including which times raise.
 """
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lpstab.expr import (
+    _BINARY,
+    _UNARY,
+    CONSTANTS,
     BinOp,
     Call,
     Const,
@@ -36,6 +42,7 @@ from lpstab.expr import (
     parse,
     to_string,
 )
+from lpstab.periodic import SystemDef
 
 
 def test_numbers_and_constants():
@@ -592,3 +599,179 @@ def test_contains_time():
         for wrap in path:
             with_t, without_t = wrap(with_t), wrap(without_t)
         assert contains_time(with_t) and not contains_time(without_t)
+
+
+# ------------------------------------- the plan against the per-entry tree walk it replaced
+
+def _ref_evaluate(expr, t):
+    # evaluate as it was before plans: each expression's tree walked on its own
+    many = not isinstance(expr, _NODES)
+    exprs = tuple(expr) if many else (expr,)
+    array = isinstance(t, np.ndarray)
+    ts = np.ascontiguousarray(t, dtype=float).ravel() if array else np.array([float(t)])
+    out = np.empty(ts.shape + (len(exprs),))
+    hidden = []
+    with np.errstate(all="ignore"):
+        for j, e in enumerate(exprs):
+            out[:, j] = _ref_walk(e, ts, hidden)
+        if not (np.isfinite(out).all() and all(np.isfinite(v).all() for v in hidden)):
+            ok = np.isfinite(out).all(axis=-1)
+            for v in hidden:
+                ok &= np.isfinite(v)
+            i = int(ok.argmin())
+            for e in exprs:
+                _ref_walk(e, ts[i:i + 1], [], float(ts[i]))
+            raise EvalError("non-finite value", None, float(ts[i]))
+    if array:
+        out = out.reshape(t.shape + (len(exprs),))
+        return out if many else out[..., 0]
+    return out[0] if many else float(out[0, 0])
+
+
+def _ref_walk(node, t, hidden, at=None):
+    args = ()
+    if isinstance(node, BinOp):
+        args = (_ref_walk(node.left, t, hidden, at), _ref_walk(node.right, t, hidden, at))
+        v = _BINARY[node.op][1](*args)
+        if node.op in "/^":
+            hidden += args
+    elif isinstance(node, Num):
+        v = np.empty(t.shape)
+        v.fill(node.value)
+    elif isinstance(node, TimeVar):
+        v = t
+    elif isinstance(node, Call):
+        args = (_ref_walk(node.arg, t, hidden, at),)
+        v = _UNARY[node.func](*args)
+        if node.func == "exp":
+            hidden += args
+    elif isinstance(node, Neg):
+        v = np.negative(_ref_walk(node.operand, t, hidden, at))
+    else:
+        v = np.empty(t.shape)
+        v.fill(CONSTANTS[node.name])
+    if at is not None and not np.isfinite(v).all():
+        raise EvalError(_ref_why(node, args), node, at)
+    return v
+
+
+def _ref_why(node, args):
+    if isinstance(node, BinOp):
+        a, b = float(args[0][0]), float(args[1][0])
+        if node.op == "/" and b == 0.0:
+            return "division by zero"
+        if node.op == "^" and a == 0.0 and b < 0.0:
+            return "zero raised to a negative power"
+        if node.op == "^" and a < 0.0 and not b.is_integer():
+            return "fractional power of a negative base"
+        return f"'{node.op}' overflowed to a non-finite value"
+    if isinstance(node, Call):
+        if node.func in ("ln", "sqrt"):
+            return f"{node.func} domain violation: argument {float(args[0][0])!r}"
+        return f"{node.func} overflowed to a non-finite value"
+    return "non-finite value"
+
+
+def _outcome(fn, expr, t):
+    # the value's bytes, or the error's text, time and node
+    try:
+        v = fn(expr, t)
+    except EvalError as exc:
+        return str(exc), exc.t, exc.node
+    return type(v), np.asarray(v).shape, np.asarray(v).tobytes()
+
+
+_LEAVES = [0.0, -0.0, 1.0, 2.0, 0.5, 3.0, 1e308, math.inf]
+
+
+def _failing_tree(rng, depth):
+    # trees over every operator and function, and literals that overflow, divide by zero
+    # and leave the domains of ln, sqrt and '^'
+    if depth == 0:
+        return rng.choice([Num(rng.choice(_LEAVES)), Num(round(rng.uniform(-3.0, 3.0), 3)),
+                           TimeVar(), TimeVar(), Const(rng.choice(["pi", "e"]))])
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Neg(_failing_tree(rng, depth - 1))
+    if kind == 1:
+        return Call(rng.choice(sorted(_UNARY)), _failing_tree(rng, depth - 1))
+    return BinOp(rng.choice("+-*/^"), _failing_tree(rng, depth - 1), _failing_tree(rng, depth - 1))
+
+
+def _dense_entries(seed, n):
+    # the benchmark's dense system (perfbench/workloads.py, dense_system): A0 + A1*sin(2*t)
+    # + A2*cos(2*t), each block scaled to spectral norm one and rounded to three decimals,
+    # so that many entries share a coefficient
+    rng = np.random.default_rng([seed, n])
+    A = [np.round(G / np.linalg.norm(G, 2), 3).tolist() for G in rng.standard_normal((3, n, n))]
+    return [parse(f"{A[0][i][j] - 2.0 * (i == j)!r} + {A[1][i][j]!r}*sin(2*t) + {A[2][i][j]!r}*cos(2*t)")
+            for i in range(n) for j in range(n)]
+
+
+_TIMES = [-2.0, -0.3, 0.0, -0.0, 0.7, 3.1, 700.0, 1e200, -6.4963873904055935]
+
+
+def test_plan_matches_tree_walk_bit_for_bit():
+    # one plan over many trees shares their subtrees; each must still give the walk's bits,
+    # and a failing one the walk's error text, time and node
+    rng = random.Random(20260814)
+    trees = [_random_tree(rng, rng.randrange(1, 5)) for _ in range(100)]
+    rng = random.Random(20261019)
+    failing = [_failing_tree(rng, rng.randrange(1, 5)) for _ in range(300)]
+    dense = _dense_entries(7, 8)
+    ts = np.array(_TIMES)
+    raised = 0
+    for group in [trees, dense, dense[:3] + trees[:3]] + [[e] for e in trees + failing] + [
+            failing[i:i + 4] for i in range(0, 300, 4)]:
+        for t in [ts, ts.reshape(3, 3), ts[:0], *_TIMES]:
+            want = _outcome(_ref_evaluate, group, t)
+            assert _outcome(evaluate, group, t) == want, (group, t)
+            if len(group) == 1:
+                assert _outcome(evaluate, group[0], t) == _outcome(_ref_evaluate, group[0], t)
+            raised += isinstance(want[0], str)
+    assert raised > 200  # the failing trees fail at many times
+
+
+def test_signed_zero_literals_keep_their_signs():
+    # Num(0.0) == Num(-0.0), so neither a plan nor a cache may key them through ==
+    pos, neg = SystemDef(((Num(0.0),),), 1.0), SystemDef(((Num(-0.0),),), 1.0)
+    assert pos == neg
+    for sysd, sign in ((pos, 1.0), (neg, -1.0), (pos, 1.0)):
+        assert math.copysign(1.0, float(sysd.matrix(0.5)[0, 0])) == sign
+        assert np.all(np.copysign(1.0, sysd.matrix(np.zeros(3))) == sign)
+    both = evaluate([Num(0.0), Num(-0.0), Neg(Num(0.0)), BinOp("*", Num(-0.0), TimeVar())], 2.0)
+    assert np.copysign(1.0, both).tolist() == [1.0, -1.0, -1.0, -1.0]
+
+
+def test_dense_system_reads_sin_once(monkeypatch):
+    # the n^2 entries share sin(2*t) and cos(2*t): one call each per matrix call
+    calls = []
+
+    def sin(x):
+        calls.append(x.shape)
+        return np.sin(x)
+
+    monkeypatch.setitem(_UNARY, "sin", sin)
+    entries = _dense_entries(7, 3)
+    sysd = SystemDef(tuple(tuple(entries[3 * i:3 * i + 3]) for i in range(3)), math.pi)
+    ts = np.linspace(0.0, math.pi, 7)
+    got = sysd.matrix(ts)
+    assert calls == [(7,)]
+    assert got.tobytes() == _ref_evaluate(entries, ts).reshape(7, 3, 3).tobytes()
+
+
+def test_dense_plan_peak_memory_is_no_higher_than_the_walk():
+    entries = _dense_entries(7, 32)
+    sysd = SystemDef(tuple(tuple(entries[32 * i:32 * i + 32]) for i in range(32)), math.pi)
+    ts = np.linspace(0.0, math.pi, 1024)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for fn in (lambda: _ref_evaluate(entries, ts), lambda: sysd.matrix(ts)):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0]

@@ -7,6 +7,7 @@ estimate (||I + hA|| - 1)/h gives an independent consistency route.
 import numpy as np
 import pytest
 
+from lpstab import linalg
 from lpstab.linalg import mat_norm, solve_lyapunov, cholesky, sym_eigs
 from lpstab.lognorm import (
     INF,
@@ -124,6 +125,31 @@ def test_mu_pair_equals_mu_of_both_signs():
             assert got[:, 0].tobytes() == mu(stack, kind).tobytes(), (n, kind.tag)
             assert got[:, 1].tobytes() == mu(-stack, kind).tobytes(), (n, kind.tag)
             assert mu_pair(stack[0], kind).tobytes() == got[0].tobytes()
+
+
+def _ref_mu_pair(A, kind):
+    # mu_pair on the whole stack at once, as before it went by blocks of matrices
+    if kind.tag in ("one", "inf"):
+        d = np.diagonal(A, axis1=-2, axis2=-1)
+        off = np.abs(A).sum(axis=-2 if kind.tag == "one" else -1) - np.abs(d)
+        return np.stack((d + off, -d + off), axis=-1).max(axis=-2)
+    if kind.tag == "weighted":
+        A = linalg._similar(kind.transform, A)
+    w = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))
+    return np.stack((w[..., -1], -w[..., 0]), axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 64])
+def test_mu_pair_by_blocks_matches_whole_stack(n):
+    # stacks that end short of, on and past a block's end, and stacks with more leading axes
+    rng = np.random.default_rng(n)
+    m = max(1, 2 ** 16 // n ** 2)
+    P = np.eye(n) + np.triu(rng.standard_normal((n, n)), 1) / n
+    for count in sorted({0, 1, m - 1, m, m + 1, 2 * m + 3}):
+        stack = rng.standard_normal((count, n, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (count, 1, 1))
+        for kind in (ONE, TWO, INF, weighted(P)):
+            for A in (stack, stack[:count // 2 * 2].reshape(2, -1, n, n)):
+                assert mu_pair(A, kind).tobytes() == _ref_mu_pair(A, kind).tobytes(), (count, kind.tag)
 
 
 def test_mu_weighted_matches_kind_route():

@@ -18,6 +18,7 @@ from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
 from lpstab.config import TOL
 from lpstab.errors import BlowupError, ConvergenceError, NumericError
 from lpstab.expr import EvalError, evaluate
+from lpstab.floquet import _rk4_matrix
 from lpstab.linalg import mat_norm, vec_norm
 from lpstab.lognorm import INF, TWO
 from lpstab.periodic import integrate, system_from_strings
@@ -381,6 +382,35 @@ def test_rk4_pass_matches_per_call_loop(sysd, d, t_end, m, overflows):
     # states are products of per-interval maps, so they move in the last bits
     err = np.abs(states[:stop] - ref[:stop]).max(axis=1)
     assert (err <= 1e-13 * np.abs(ref[:stop]).max(axis=1)).all()
+
+
+def _ref_sweep(maps, x0, samples):
+    # the state loop _rk4_pass ran before its sweep: the cap checked after each sample
+    states = np.empty((samples, len(x0)))
+    states[0] = x0
+    for i in range(len(maps)):
+        x = maps[i, :-1, :-1] @ states[i] + maps[i, :-1, -1]
+        if not np.abs(x).max() <= TOL.overflow:
+            return states, i + 1
+        states[i + 1] = x
+    return states, None
+
+
+@pytest.mark.parametrize("sysd,d,x0,t_end", [
+    (CATALOG["scalar_unstable"]().system, ["1"], [1.0], 2600.0),
+    (_ONE_D, ["exp(t)"], [1.0], 800.0),                               # before d fails at t > 709.8
+    (system_from_strings([["300"]], 1.0), ["0"], [1.0], 5.0),
+    (system_from_strings([["1e80", "0"], ["1", "-1"]], 1.0), ["0", "0"], [0.0, 1.0], 5.0),  # inf * 0
+], ids=["scalar-unstable", "before-range-error", "fast-growth", "nan-map"])
+def test_rk4_pass_sweep_matches_per_sample_loop(monkeypatch, sysd, d, x0, t_end):
+    maps = []
+    monkeypatch.setattr(perturb, "_rk4_matrix", lambda *a: maps.append(_rk4_matrix(*a)) or maps[-1])
+    ts = np.linspace(sysd.t0, t_end, 65)
+    states, blow = _rk4_pass(sysd, disturbance_from_strings(d), np.array(x0), ts, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref, ref_blow = _ref_sweep(maps[-1][0], x0, len(ts))
+    assert blow == ref_blow is not None
+    assert states[:blow].tobytes() == ref[:blow].tobytes()
 
 
 @pytest.mark.parametrize("sysd,t_end,samples,m", [

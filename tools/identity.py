@@ -4,14 +4,17 @@
 
 Extracts REV of this repository with `git archive REV | tar -x`, runs one
 fixed list of CLI invocations under the working tree and under REV, each
-with PYTHONPATH set to its own src, and prints every difference in stdout,
-stderr or exit code.  Exits 1 when there is one, 0 when there is none.
+with PYTHONPATH set to its own src and in an empty directory of its own,
+and prints every difference in stdout, stderr, exit code or the files an
+invocation wrote there.  Exits 1 when there is one, 0 when there is none.
 
 The list holds the benchmark's invocations (perfbench/workloads.py prepare,
-both workloads, seeds 7 and 21), `analyze --norm one,two,inf --json` of
-three stiff systems, text `analyze` in all four norms of two systems whose
-one-period transition underflows, `series -s example2 --norm two`, and
-`--help` of every command.
+both workloads, seeds 7 and 21), certify-dense's (seed 7: n = 3, 8, 12),
+`analyze --norm one,two,inf --json` of three stiff systems, text `analyze`
+in all four norms of two systems whose one-period transition underflows,
+`series -s example2 --norm two`, three invocations that write files
+(`series -o`, `series --trajectory -o`, `perturb --out`), and `--help` of
+every command.
 """
 
 import difflib
@@ -36,28 +39,33 @@ UNDERFLOW = {"underflow2": [["-800", "0"], ["0", "-1"]], "underflow1": [["-800"]
 
 def invocations(work: Path) -> list[list[str]]:
     argvs = []
-    for workload in ("certify-catalog", "timeseries"):
-        for seed in (7, 21):
-            out = work / f"{workload}-{seed}"
-            out.mkdir()
-            listed = subprocess.run([sys.executable, str(ROOT / "perfbench" / "workloads.py"), "prepare",
-                                     workload, str(seed), str(out)], capture_output=True, text=True, check=True)
-            argvs += [inv["argv"] for inv in json.loads(listed.stdout)]
+    for workload, seed in [("certify-catalog", 7), ("certify-catalog", 21), ("timeseries", 7),
+                           ("timeseries", 21), ("certify-dense", 7)]:
+        out = work / f"{workload}-{seed}"
+        out.mkdir()
+        listed = subprocess.run([sys.executable, str(ROOT / "perfbench" / "workloads.py"), "prepare",
+                                 workload, str(seed), str(out)], capture_output=True, text=True, check=True)
+        argvs += [inv["argv"] for inv in json.loads(listed.stdout)]
     for name, entries in {**STIFF, **UNDERFLOW}.items():
         path = work / f"{name}.json"
         path.write_text(json.dumps({"entries": entries, "period": 2.0 * math.pi if name in STIFF else 1.0}))
         argvs.append(["analyze", "-f", str(path), "--norm", "one,two,inf", "--json"] if name in STIFF
                      else ["analyze", "-f", str(path), "--norm", "one,two,inf,weighted"])
-    argvs.append(["series", "-s", "example2", "--norm", "two"])
+    argvs += [["series", "-s", "example2", "--norm", "two"],
+              ["series", "-s", "example2", "--samples", "300", "-o", "drift.csv"],
+              ["series", "-s", "example1", "--trajectory", "2,-1", "--t-end", "9", "-o", "states.csv"],
+              ["perturb", "-s", "example2", "--d", "exp(-t);sin(3*t)", "--t-end", "6", "--out", "forced.csv"]]
     argvs += [["--help"]] + [[command, "--help"] for command in ("analyze", "perturb", "series")]
     return argvs
 
 
 def run(tree: Path, argv: list[str], cwd: Path):
+    # exit code, stdout, stderr and the files written into the empty directory cwd
+    cwd.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], capture_output=True, env=env, cwd=cwd,
                           timeout=300)
-    return proc.returncode, proc.stdout, proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr, {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
 
 
 def differences(argv, ours, theirs) -> list[str]:
@@ -69,6 +77,9 @@ def differences(argv, ours, theirs) -> list[str]:
             diff = difflib.unified_diff(other.decode(errors="replace").splitlines(),
                                         mine.decode(errors="replace").splitlines(), "REV", "tree", lineterm="", n=0)
             lines += [f"  {stream}:"] + [f"    {line}" for line in list(diff)[2:22]]
+    for name in sorted(ours[3].keys() | theirs[3].keys()):
+        if ours[3].get(name) != theirs[3].get(name):
+            lines.append(f"  written file {name}: differs or is missing")
     return [f"lpstab {' '.join(argv)}"] + lines if lines else []
 
 
@@ -87,10 +98,12 @@ def main() -> int:
         subprocess.run(["tar", "-x", "-C", str(rev)], input=archive.stdout, check=True)
         argvs = invocations(work)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            ours = list(pool.map(lambda a: run(ROOT, a, work), argvs))
-            theirs = list(pool.map(lambda a: run(rev, a, work), argvs))
+            runs = range(len(argvs))
+            ours = list(pool.map(run, [ROOT] * len(argvs), argvs, [work / f"tree-{i}" for i in runs]))
+            theirs = list(pool.map(run, [rev] * len(argvs), argvs, [work / f"rev-{i}" for i in runs]))
     report = [line for a, o, t in zip(argvs, ours, theirs) for line in differences(a, o, t)]
-    print("\n".join(report) if report else f"{len(argvs)} invocations: stdout, stderr and exit codes identical")
+    print("\n".join(report) if report else
+          f"{len(argvs)} invocations: stdout, stderr, exit codes and written files identical")
     return 1 if report else 0
 
 
