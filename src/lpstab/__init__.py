@@ -17,7 +17,7 @@ from importlib import import_module
 from ._version import __version__
 
 _SUBMODULES = ("catalog", "config", "errors", "expr", "floquet", "linalg", "lognorm",
-               "periodic", "perturb")
+               "periodic", "perturb", "transition")
 
 _EXPORTS = {
     "config": ("TOL", "Tolerances"),
@@ -30,9 +30,9 @@ _EXPORTS = {
     "periodic": ("FrozenTimeReport", "RateSummary", "SystemDef", "Verdict", "barrier_series",
                  "classify", "fce_strip", "frozen_time_check", "integrate", "pi_integral",
                  "rate_summary", "system_from_strings", "validate_periodicity"),
-    "floquet": ("DecayCheck", "FceEstimate", "StripCheck", "TransitionMatrix",
-                "integrate_transition", "integrate_transitions", "monodromy_fce",
-                "verify_decay", "verify_sandwich", "verify_strip"),
+    "floquet": ("DecayCheck", "FceEstimate", "StripCheck", "monodromy_fce", "verify_decay",
+                "verify_sandwich", "verify_strip"),
+    "transition": ("TransitionMatrix", "integrate_transition", "integrate_transitions"),
     "perturb": ("ConvergenceReport", "Disturbance", "DriftReport", "Trajectory",
                 "convergence_report", "disturbance_from_strings", "simulate_perturbed",
                 "windowed_drift"),

@@ -297,14 +297,15 @@ def evaluate(expr, t):
     out = np.empty(ts.shape + (p[2],))
     with np.errstate(all="ignore"):
         hidden = _run(p, ts, out)
-        # one pass over everything first: a per-time reduction costs as much as the run
-        if hidden or not np.isfinite(out).all():
+        # the sum allocates nothing; finite values may sum past the float range
+        if hidden or not math.isfinite(out.sum()):
             ok = np.isfinite(out).all(axis=-1)
             for v in hidden:
                 ok &= np.isfinite(v)
-            i = int(ok.argmin())
-            _run(p, ts[i:i + 1], out[i:i + 1], float(ts[i]))
-            raise EvalError("non-finite value", None, float(ts[i]))
+            if not ok.all():
+                i = int(ok.argmin())
+                _run(p, ts[i:i + 1], out[i:i + 1], float(ts[i]))
+                raise EvalError("non-finite value", None, float(ts[i]))
     if array:
         out = out.reshape(t.shape + (p[2],))
         return out if many else out[..., 0]

@@ -47,7 +47,8 @@ def _as_squares(M, name="matrix"):
         raise ValueError(f"{name} must be square and non-empty, got shape {A.shape}")
     if A.shape[-1] > TOL.max_dim:
         raise ValueError(f"{name} exceeds the dimension cap {TOL.max_dim}")
-    if not np.isfinite(A).all():
+    # a sum allocates nothing; finite entries may still sum to inf
+    if not (np.isfinite(A.sum()) or np.isfinite(A).all()):
         raise ValueError(f"{name} has non-finite entries")
     return A
 

@@ -1,30 +1,21 @@
 """Forced trajectories x' = A(t) x + d(t) and disturbance diagnostics.
 
-The simulator is fixed-step RK4 with whole-trajectory step doubling: the
-transition kernel floquet._rk4_matrix on the augmented field
-[[A(t), d(t)], [0, 0]].  By default it audits itself: at a few randomly
-chosen sample times the state is recomputed through the
+The simulator is fixed-step RK4 with whole-trajectory step doubling, the
+transition kernel on an augmented field (_rk4_pass).  By default it audits
+itself: at three seeded sample times the state is recomputed through the
 variation-of-constants form
 
     x(t) = Phi(t, t0) x0 + integral of Phi(t, s) d(s) ds over [t0, t]
 
-by Simpson weights on panels finer than period/128 and than 1/8 over the
-largest |A(t)|_inf on their nodes.  The panel transitions come from
-floquet.integrate_transitions, started from the panel's h |A|, so the
-audit shares the RK4 kernel with the stepper but not how d enters it.
-Panels go in blocks of bounded bytes, each composed as affine maps by
-stacked prefix products, so the audit's memory does not grow with the
-span.  A disagreement beyond the tolerance raises, since it means at
-least one of the two routes cannot be trusted.
-
-windowed_drift summarizes a disturbance by the windowed supremum of its
-running integral, which is the quantity whose decay transfers to the
-perturbed state when the unforced system is uniformly exponentially stable.
+by Simpson panels (_voc_states) whose transitions come from
+transition.integrate_transitions, so the audit shares the RK4 kernel with
+the stepper but not how d enters it.  A disagreement beyond the tolerance
+raises, since it means at least one of the two routes cannot be trusted.
 """
 
 import math
 import random
-from functools import partial
+from functools import cached_property, partial
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
@@ -32,11 +23,11 @@ import numpy as np
 
 from .config import TOL
 from .errors import BlowupError, ConvergenceError, InputError, NumericError
-from .expr import EvalError, Expression, Num, ParseError, evaluate, parse, to_string
-from .floquet import _node_rates, _per_block, _prefix_products, _rk4_matrix, _too_coarse, integrate_transitions
+from .expr import EvalError, Expression, Num, ParseError, evaluate, parse, plan, to_string
 from .linalg import NormKind, _two_norm, vec_norm
 from .lognorm import TWO
 from .periodic import SystemDef, integrate
+from .transition import _node_rates, _per_block, _prefix_products, _rk4_matrix, _too_coarse, integrate_transitions
 
 
 # n x n matrices an audit panel holds: its two transitions with integrate_transitions'
@@ -49,9 +40,8 @@ class _Entries(NamedTuple):
 
 
 class Disturbance(_Entries):
-    """A vector of time expressions added to the right-hand side."""
-
-    __slots__ = ()
+    """A vector of time expressions added to the right-hand side, planned
+    once as a vector and once per entry."""
 
     def __new__(cls, entries: tuple[Expression, ...]):
         if len(entries) == 0:
@@ -66,9 +56,17 @@ class Disturbance(_Entries):
     def zero(cls, n: int) -> "Disturbance":
         return cls(tuple(Num(0.0) for _ in range(n)))
 
+    @cached_property
+    def _plan(self):
+        return plan(self.entries)
+
+    @cached_property
+    def _entry_plans(self):
+        return tuple(plan((e,)) for e in self.entries)
+
     def vector(self, t) -> np.ndarray:
         """d(t) for a float t; for an array of times shape t.shape + (n,)."""
-        return evaluate(self.entries, t)
+        return evaluate(self._plan, t)
 
     def as_strings(self) -> tuple[str, ...]:
         return tuple(to_string(e) for e in self.entries)
@@ -183,7 +181,7 @@ def _voc_states(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
     bounded bytes, in time order.  A panel is the affine map
     x(pa) -> Phi(pb, pa) x(pa) + its Simpson term carried to pb; a block
     composes its maps, as (n + 1) x (n + 1) matrices, by
-    floquet._prefix_products, whose partial products give x at every panel
+    transition._prefix_products, whose partial products give x at every panel
     end: the audited samples read it off, and the block's last carries it
     on."""
     n = sys.n
@@ -229,7 +227,7 @@ def simulate_perturbed(sys: SystemDef, d: Disturbance, x0, t_end: float,
     raises NumericError.  Genuine unbounded
     growth comes back as a truncated trajectory with overflowed=True; a pass
     whose state leaves the overflow cap counts as growth only once
-    floquet._too_coarse finds its substeps fine enough for A on every sample
+    transition._too_coarse finds its substeps fine enough for A on every sample
     interval before the blown sample (a pass knows which sample blew, not
     which substep), and doubles its substeps otherwise.
     """
@@ -351,7 +349,7 @@ def windowed_drift(d: Disturbance, t_grid, window: float = 1.0,
     lo = ts[:, None] + edges[None, :-1]
     hi = ts[:, None] + edges[None, 1:]
     # one quadrature call per component over every (t, eta) cell, summed along eta
-    cells = np.stack([integrate(partial(evaluate, e), lo, hi)[0] for e in d.entries], axis=-1)
+    cells = np.concatenate([integrate(partial(evaluate, p), lo, hi)[0] for p in d._entry_plans], axis=-1)
     cum = np.cumsum(cells, axis=1)
     if not np.isfinite(cum).all():
         raise ValueError("running disturbance integral has non-finite entries")

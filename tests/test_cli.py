@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import lpstab
-from lpstab import catalog, cli, floquet, linalg, periodic
+from lpstab import catalog, cli, floquet, linalg, periodic, transition
 
 
 def run_cli(*args):
@@ -622,6 +622,22 @@ def test_transition_underflowing_to_zero_is_a_numeric_failure(tmp_path, entry, p
         2, "", f"numeric failure: integrated transition matrix underflowed to zero over [0, {end}]\n")
 
 
+@pytest.mark.parametrize("rate,zeros,violation", [("300", 24, "2.627e+00"), ("400", 48, "4.161e+02")])
+def test_zero_norm_is_named_and_prints_no_runtime_warnings(tmp_path, rate, zeros, violation):
+    # exp(-rate t) underflows to zero within the decay check's 3 periods: the states that
+    # did fail the lower envelope, by name; at 400 some of the transition bound's products
+    # are zero too, which meet their bounds.  The exit is 2 through the transition bound
+    # as well, since the oracle's forward segments are off the exact exp(-rate T/15)
+    # under its absolute ODE test.  A subprocess, so numpy's warnings reach stderr
+    path = write_system(tmp_path, {"entries": [[f"-{rate}"]], "period": 1})
+    proc = subprocess.run(console_argv("analyze", "-f", path), capture_output=True, text=True,
+                          timeout=60, env=console_env())
+    assert proc.returncode == 2
+    assert proc.stderr == (f"numeric failure: cross-checks failed: one: decay envelope violated by inf "
+                           f"({zeros} state norms underflowed to zero); one: transition bound violated by "
+                           f"{violation}\n")
+
+
 @pytest.mark.parametrize("args,code", [
     # the stiff system's coarse first pass overflows before the retry succeeds
     (["-f", "{stiff}", "--t-end", "3", "--json"], 0),
@@ -726,8 +742,8 @@ def test_oracle_integrates_each_grid_once(monkeypatch):
     # transitions do not depend on the norm, so three norms share the monodromy and the
     # one-period stacks (15 segments each way) that both the sandwich and decay grids read
     calls = []
-    integrate = floquet.integrate_transitions
-    monkeypatch.setattr(floquet, "integrate_transitions",
+    integrate = transition.integrate_transitions
+    monkeypatch.setattr(transition, "integrate_transitions",
                         lambda sys, a, b, tol=None: calls.append((tuple(a), tuple(b))) or integrate(sys, a, b, tol))
     floquet._period_segments.cache_clear()
     code, out, err = run_cli("analyze", "-s", "example2", "--norm", "one,two,inf", "--json")
@@ -735,6 +751,20 @@ def test_oracle_integrates_each_grid_once(monkeypatch):
     assert [e["classification"] for e in json.loads(out)["analyses"]] == ["UES"] * 3
     assert sorted(len(a) for a, _ in calls) == [1, 15, 15]
     assert len(set(calls)) == 3
+
+
+def test_perturb_plans_each_expression_list_once(monkeypatch):
+    # the system's entries, the disturbance vector and each disturbance entry for the
+    # drift quadrature: four plans, however many times each is evaluated
+    from lpstab import expr, perturb
+    built = []
+    make = expr.plan
+    counted = lambda exprs: built.append(tuple(exprs)) or make(exprs)  # noqa: E731
+    for module in (expr, periodic, perturb):
+        monkeypatch.setattr(module, "plan", counted)
+    code, out, err = run_cli("perturb", "-s", "example2", "--d", "exp(-t);sin(3*t)", "--t-end", "6", "--json")
+    assert (code, err) == (0, "")
+    assert len(built) == 4 and len(set(built)) == 4
 
 
 def test_weighted_transform_is_checked_once(monkeypatch):

@@ -566,6 +566,14 @@ def test_non_finite_leaves_raise():
     assert info.value.node == Num(math.inf)
 
 
+def test_finite_values_whose_sum_overflows_evaluate():
+    # the output is checked by its sum first, which overflows here though every value is finite
+    ts = np.linspace(0.0, 1.0, 1000)
+    out = evaluate([parse("1e308"), parse("1e308")], ts)
+    assert out.shape == (1000, 2) and (out == 1e308).all()
+    assert evaluate([parse("1e308"), parse("1e308*cos(t)")], 0.0).tolist() == [1e308, 1e308]
+
+
 def test_to_string_minimal_parens():
     for text in ["2 + 3*4", "(2 + 3)*4", "-(t + 1)", "2^(3^2)", "sin(2*t)^2"]:
         tree = parse(text)

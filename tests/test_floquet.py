@@ -15,11 +15,11 @@ import pytest
 
 import lpstab.floquet as floquet
 import lpstab.lognorm as lognorm
+import lpstab.transition as transition
 from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
 from lpstab.config import TOL
 from lpstab.errors import BlowupError, ConvergenceError, NumericError
 from lpstab.floquet import (
-    _rk4_matrix,
     integrate_transition,
     integrate_transitions,
     monodromy_fce,
@@ -30,6 +30,7 @@ from lpstab.floquet import (
 from lpstab.linalg import mat_norm, vec_norm
 from lpstab.lognorm import INF, ONE, TWO
 from lpstab.periodic import classify, fce_strip, pi_integral, rate_summary, system_from_strings
+from lpstab.transition import _rk4_matrix
 
 KINDS = [ONE, TWO, INF]
 
@@ -235,7 +236,7 @@ def test_a_backward_blowup_leaves_the_forward_stack(monkeypatch):
     assert verify_decay(_STIFF, v).passed
     # a changed TOL gets fresh stacks
     misses = floquet._period_segments.cache_info().misses
-    monkeypatch.setattr(floquet, "TOL", TOL._replace(ode_tol=1e-9))
+    monkeypatch.setattr(transition, "TOL", TOL._replace(ode_tol=1e-9))
     verify_decay(_STIFF, v)
     assert floquet._period_segments.cache_info().misses == misses + 1
 
@@ -293,7 +294,7 @@ def _ref_rk4_matrix(sys, a, b, steps):
     # stage grid (bit-equal to scalar calls, see test_periodic.py)
     Phi = np.eye(sys.n)
     h = (b - a) / steps
-    cap = floquet.TOL.overflow
+    cap = transition.TOL.overflow
     ts = a + np.arange(steps) * h
     stages = sys.matrix(np.stack((ts, ts + 0.5 * h, ts + h), axis=-1))
     for k in range(steps):
@@ -318,15 +319,15 @@ def _ref_pass(sys, t_from, t_to, steps):
         t = exc.t_reached
         a = t - (t_to - t_from) / steps
         rate = float(mat_norm(sys.matrix(a + (t - a) * np.array([0.0, 0.5, 1.0])), INF).max())
-        if abs(t - a) * rate < 0.5 or steps * 2 > floquet.TOL.ode_max_steps:
+        if abs(t - a) * rate < 0.5 or steps * 2 > transition.TOL.ode_max_steps:
             raise
         return None
 
 
 def _ref_integrate_transition(sys, t_from, t_to, tol=None, start_steps=None):
     # one segment at a time with step doubling, as (value, steps, error_estimate)
-    tol = floquet.TOL.ode_tol if tol is None else tol
-    start, cap = floquet.TOL.ode_start_steps, floquet.TOL.ode_max_steps
+    tol = transition.TOL.ode_tol if tol is None else tol
+    start, cap = transition.TOL.ode_start_steps, transition.TOL.ode_max_steps
     if t_to == t_from:
         return np.eye(sys.n), 0, 0.0
     steps = start_steps or max(8, min(start, int(math.ceil(start * abs(t_to - t_from) / sys.period))))
@@ -472,11 +473,11 @@ def test_rk4_one_field_call_per_block(monkeypatch):
     # 3 chunks of each of 7 segments (2 + 2 + 1 steps) take 6 blocks, some spanning two
     # chunk indices, and each block reads all of its stage times in one matrix call
     field = _CountingField(40)
-    width = floquet._chunk(40)
+    width = transition._chunk(40)
     assert width == 2
     a = np.linspace(0.0, 1.0, 7)
     b = a + 0.5
-    monkeypatch.setattr(floquet, "_BLOCK_BYTES", 4 * floquet._PER_STEP * width * 40 * 40 * 8)
+    monkeypatch.setattr(transition, "_BLOCK_BYTES", 4 * transition._PER_STEP * width * 40 * 40 * 8)
     stack = _rk4_matrix(field, a, b, 5)[0]
     assert field.calls == [(8, 3), (8, 3), (8, 3), (6, 3), (4, 3), (1, 3)]
     for i in range(a.size):
@@ -494,7 +495,7 @@ def test_rk4_kernel_at_chunk_boundaries(monkeypatch, n, count):
     # step counts around the chunk length, forward, backward and zero-length spans,
     # integrated in one stack, in blocks of one pair, and one segment at a time
     sysd = _KERNEL_SYSTEMS[n]
-    C = floquet._chunk(n)
+    C = transition._chunk(n)
     steps = {"C-1": C - 1, "C": C, "C+1": C + 1, "2C+1": 2 * C + 1}.get(count) or int(count)
     rng = np.random.default_rng(steps)
     a = rng.uniform(0.0, 3.0, 12)
@@ -502,7 +503,7 @@ def test_rk4_kernel_at_chunk_boundaries(monkeypatch, n, count):
     b[::4] = a[::4]
     stack, t_blow = _rk4_matrix(sysd, a, b, steps)
     assert np.isnan(t_blow).all()
-    monkeypatch.setattr(floquet, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(transition, "_BLOCK_BYTES", 1)
     assert _rk4_matrix(sysd, a, b, steps)[0].tobytes() == stack.tobytes()
     monkeypatch.undo()
     for i in range(a.size):
@@ -521,7 +522,7 @@ def test_rk4_blowup_step_matches_loop(span, steps, place):
         with pytest.raises(BlowupError) as info:
             _ref_rk4_matrix(_STIFF, 0.0, span, steps)
     want = info.value.t_reached
-    assert (round(want / (span / steps)) - 1) % floquet._chunk(2) == place % floquet._chunk(2)
+    assert (round(want / (span / steps)) - 1) % transition._chunk(2) == place % transition._chunk(2)
     a = np.array([0.0, 0.0, 0.5])
     b = np.array([1e-3, span, 0.5])
     stack, t_blow = _rk4_matrix(_STIFF, a, b, steps)
@@ -536,13 +537,13 @@ def test_rk4_overflow_check_at_the_cap(monkeypatch, count):
     # cap at that entry the check passes; one ulp lower the last step, a chunk's end or
     # the first step of a chunk, blows up
     sysd = system_from_strings([["2"]], 1.0)
-    C = floquet._chunk(1)
+    C = transition._chunk(1)
     steps = {"C": C, "C+1": C + 1, "2C": 2 * C}[count]
     a, b = np.array([0.0, 0.5]), np.array([1.0, 1.0])
     free = _rk4_matrix(sysd, a, b, steps)[0]
     top = float(free[0, 0, 0])
     for cap, blown in ((top, False), (float(np.nextafter(top, 0.0)), True)):
-        monkeypatch.setattr(floquet, "TOL", TOL._replace(overflow=cap))
+        monkeypatch.setattr(transition, "TOL", TOL._replace(overflow=cap))
         got, t_blow = _rk4_matrix(sysd, a, b, steps)
         assert got[1].tobytes() == free[1].tobytes() and np.isnan(t_blow[1])
         if blown:
@@ -560,7 +561,7 @@ def test_rk4_overflow_check_at_the_cap(monkeypatch, count):
 ], ids=["blowup-second", "blowup-first", "convergence-before-blowup"])
 def test_integrate_transitions_raises_first_failure(monkeypatch, sysd, segments, max_steps, kind):
     if max_steps is not None:
-        monkeypatch.setattr(floquet, "TOL", TOL._replace(ode_max_steps=max_steps))
+        monkeypatch.setattr(transition, "TOL", TOL._replace(ode_max_steps=max_steps))
     t_from, t_to = zip(*segments)
     want = _first_failure(sysd, t_from, t_to)
     assert type(want) is kind
@@ -578,7 +579,7 @@ def test_stiff_transition_blowup_without_warnings(monkeypatch):
         warnings.simplefilter("error")
         t_blow = _rk4_one(_STIFF, 0.0, 2.0 * math.pi, 64)[1]
         with monkeypatch.context() as m:
-            m.setattr(floquet, "TOL", TOL._replace(ode_max_steps=64))
+            m.setattr(transition, "TOL", TOL._replace(ode_max_steps=64))
             with pytest.raises(BlowupError) as info:
                 integrate_transition(_STIFF, 0.0, 2.0 * math.pi)
         assert str(info.value) == "transition matrix exceeded 1.0e+300 at t=3.53429"
@@ -595,7 +596,7 @@ def test_stiff_transition_blowup_without_warnings(monkeypatch):
 def test_blowup_retry_reads_the_blown_steps_stage_grid(monkeypatch):
     # a spike of -2000 about 0.002 wide inside the blown step, which A(t) at the step's
     # end cannot see: the step is too coarse there, so the pass doubles and converges
-    monkeypatch.setattr(floquet, "TOL", TOL._replace(overflow=50.0))
+    monkeypatch.setattr(transition, "TOL", TOL._replace(overflow=50.0))
     spike = system_from_strings([["-1 - 2000*exp(-((t - 0.5390625)/0.002)^2)"]], 1.0)
     tm = integrate_transition(spike, 0.0, 1.0)
     assert abs(tm.value[0, 0] - math.exp(-1.0 - 4.0 * math.sqrt(math.pi))) <= 1e-7

@@ -87,6 +87,40 @@ def test_cli_runs_leave_numpy_random_unloaded(argv, loaded):
     assert got == loaded
 
 
+# the modules cli.py imports where they run, and what loads them: floquet for the oracle,
+# transition for any transition matrix, catalog for --system, json for a JSON file or
+# output, and cli_timeseries (with perturb for a trajectory) for series and perturb
+ON_DEMAND = ("json", "lpstab.catalog", "lpstab.cli_timeseries", "lpstab.floquet", "lpstab.perturb",
+             "lpstab.transition")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["--help"], []),
+    (["series", "-s", "example2"], ["lpstab.catalog", "lpstab.cli_timeseries"]),
+    (["series", "-f", "{file}", "--norm", "inf"], ["json", "lpstab.cli_timeseries"]),
+    (["series", "-s", "example2", "--trajectory", "1,0"],
+     ["lpstab.catalog", "lpstab.cli_timeseries", "lpstab.perturb", "lpstab.transition"]),
+    (["perturb", "-s", "example2", "--json"],
+     ["json", "lpstab.catalog", "lpstab.cli_timeseries", "lpstab.perturb", "lpstab.transition"]),
+    (["perturb", "-f", "{file}"], ["json", "lpstab.cli_timeseries", "lpstab.perturb", "lpstab.transition"]),
+    (["analyze", "-s", "example2", "--no-oracle"], ["lpstab.catalog"]),
+    (["analyze", "-s", "example2", "--json"], ["json", "lpstab.catalog", "lpstab.floquet", "lpstab.transition"]),
+    (["analyze", "-f", "{file}"], ["json", "lpstab.floquet", "lpstab.transition"]),
+    (["analyze", "-f", "{file}", "--no-oracle"], ["json"]),
+], ids=["help", "series", "series-file", "series-trajectory", "perturb", "perturb-file", "analyze-no-oracle",
+        "analyze", "analyze-file", "analyze-file-no-oracle"])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, loaded):
+    # with no bytecode cache a process compiles every module it imports
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"entries": [["-1", "1"], ["0", "-2+sin(t)"]], "period": 6.283185307179586}))
+    argv = [a.format(file=path) for a in argv]
+    # the list is printed without json, which is one of the modules looked for
+    got = run_python("import contextlib, io, sys; from lpstab.cli import main\n"
+                     f"with contextlib.redirect_stdout(io.StringIO()): main({argv!r})\n"
+                     f"print('[' + ', '.join(f'\"{{m}}\"' for m in {ON_DEMAND!r} if m in sys.modules) + ']')")
+    assert got == loaded
+
+
 @pytest.mark.parametrize("argv", [
     ["--help"],
     ["analyze", "-s", "example2", "--norm", "one,two", "--json"],

@@ -18,7 +18,6 @@ from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
 from lpstab.config import TOL
 from lpstab.errors import BlowupError, ConvergenceError, NumericError
 from lpstab.expr import EvalError, evaluate
-from lpstab.floquet import _rk4_matrix
 from lpstab.linalg import mat_norm, vec_norm
 from lpstab.lognorm import INF, TWO
 from lpstab.periodic import integrate, system_from_strings
@@ -31,6 +30,7 @@ from lpstab.perturb import (
     simulate_perturbed,
     windowed_drift,
 )
+from lpstab.transition import _rk4_matrix
 
 
 def test_disturbance_parsing():
@@ -488,7 +488,7 @@ def test_audit_disagreement_raises(monkeypatch):
 
 def test_voc_states_step_budget(monkeypatch):
     # the fast system's half panels need 16 steps, past a budget of 8
-    monkeypatch.setattr("lpstab.floquet.TOL", TOL._replace(ode_max_steps=8))
+    monkeypatch.setattr("lpstab.transition.TOL", TOL._replace(ode_max_steps=8))
     dist = disturbance_from_strings(["1", "0"])
     with pytest.raises(ConvergenceError, match="did not settle within 8 steps"):
         _voc_states(_FAST, dist, np.ones(2), np.linspace(0.0, 0.2, 12), [2, 7, 11])

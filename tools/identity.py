@@ -13,8 +13,12 @@ both workloads, seeds 7 and 21), certify-dense's (seed 7: n = 3, 8, 12),
 `analyze --norm one,two,inf --json` of three stiff systems, text `analyze`
 in all four norms of two systems whose one-period transition underflows,
 `series -s example2 --norm two`, three invocations that write files
-(`series -o`, `series --trajectory -o`, `perturb --out`), and `--help` of
-every command.
+(`series -o`, `series --trajectory -o`, `perturb --out`), `--help` of
+every command, and one invocation down each branch where the command line
+imports a module only when it needs it: usage errors (no arguments, an
+unknown command, an unknown option), a missing, a non-JSON and an unknown
+catalog system, text `analyze --no-oracle`, and `series` and `perturb` of
+a file system (certify-dense's n = 3).
 """
 
 import difflib
@@ -56,6 +60,12 @@ def invocations(work: Path) -> list[list[str]]:
               ["series", "-s", "example1", "--trajectory", "2,-1", "--t-end", "9", "-o", "states.csv"],
               ["perturb", "-s", "example2", "--d", "exp(-t);sin(3*t)", "--t-end", "6", "--out", "forced.csv"]]
     argvs += [["--help"]] + [[command, "--help"] for command in ("analyze", "perturb", "series")]
+    (work / "notjson.json").write_text("entries: none\n")
+    dense3 = str(work / "certify-dense-7" / "dense3.json")
+    argvs += [[], ["bogus"], ["analyze", "--nrom", "two"],
+              ["analyze", "-f", str(work / "missing.json")], ["analyze", "-f", str(work / "notjson.json")],
+              ["analyze", "-s", "nosuch"], ["analyze", "-s", "example2", "--no-oracle"],
+              ["series", "-f", dense3, "--norm", "inf"], ["perturb", "-f", dense3, "--json"]]
     return argvs
 
 
