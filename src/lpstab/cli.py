@@ -203,10 +203,9 @@ def analyze(opt: SimpleNamespace) -> None:
                 oracle_doc["partially_resolved"] = unresolved
             if verdict.classification == "UES":
                 decay = floquet.verify_decay(sysd, verdict)
-                oracle_doc["decay"] = _record_doc(decay, *(() if decay.underflowed else ("underflowed",)))
+                oracle_doc["decay"] = _record_doc(decay)
                 if not decay.passed:
-                    zero = f" ({decay.underflowed} state norms underflowed to zero)" if decay.underflowed else ""
-                    failures.append(f"{name}: decay envelope violated by {-decay.worst_margin:.3e}{zero}")
+                    failures.append(f"{name}: decay envelope violated by {-decay.worst_margin:.3e}")
             else:
                 oracle_doc["decay"] = "skipped: verdict not UES"
             if not strip_check.passed:

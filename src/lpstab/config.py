@@ -3,10 +3,11 @@
 Functions take an explicit override only where their contract calls for one
 (classify's zero tolerance, the transition integrator's accuracy target);
 everything else reads the module-level TOL instance.  A constant with one
-user lives in its module: floquet's _COARSE and block budgets, perturb's
+user lives in its module: transition's _COARSE and block budgets, perturb's
 _PANEL_MATRICES, linalg's _SIGN_STEPS and _SIGN_STOP, and the forced-response
-audit's 1e-9 and 1e-5 in perturb.  Tolerances is a named tuple:
-TOL._replace(...) gives a modified copy and TOL._asdict() the fields by name.
+audit's 1e-9 and 1e-5 and windowed_drift's 64 cells in perturb.  Tolerances is
+a named tuple: TOL._replace(...) gives a modified copy and TOL._asdict() the
+fields by name.
 """
 
 from typing import NamedTuple

@@ -7,9 +7,10 @@ public names this module re-exports.  The monodromy spectrum comes from
 LAPACK via numpy.linalg, and the verify_* functions confront the two
 routes: characteristic-exponent strip membership, the exponential sandwich
 on |transition| over time, and the decay envelope promised by a stability
-verdict.  Agreement here is evidence; disagreement beyond the stated
-allowances is a bug in one of the routes and raises no exception, it just
-comes back as a failed check or a positive violation.
+verdict, the last two from period segments scaled by powers of two.
+Agreement here is evidence; disagreement beyond the stated allowances is a
+bug in one of the routes and raises no exception, it just comes back as a
+failed check or a positive violation.
 """
 
 import math
@@ -43,9 +44,9 @@ class FceEstimate(NamedTuple):
     unresolved: int
 
 
-def monodromy_fce(sys: SystemDef, tol: float | None = None) -> FceEstimate:
+def monodromy_fce(sys: SystemDef) -> FceEstimate:
     """Characteristic multipliers and exponent real parts over one period."""
-    tm = transition.integrate_transition(sys, sys.t0, sys.t0 + sys.period, tol)
+    tm = transition.integrate_transition(sys, sys.t0, sys.t0 + sys.period)
     mult = linalg.gen_eigs(tm.value)
     floor = TOL.multiplier_floor * float(np.abs(tm.value).max())
     mods = [abs(z) for z in mult]
@@ -68,25 +69,31 @@ def _period_segments(sys: SystemDef, forward: bool, tol: Tolerances) -> Transiti
         return exc.with_traceback(None)
 
 
-def _spans(segs: np.ndarray, forward: bool, span: int) -> np.ndarray:
-    """Transitions over the 15 segments of the grid t0 + k span T/15: as
-    Phi(t + T, s + T) = Phi(t, s), products of `span` consecutive segments of
-    a stack of _period_segments modulo 15, ordered as in _pair_products."""
-    first = span * np.arange(15)
-    out = segs[first % 15]
+def _grid_segments(period: np.ndarray, forward: bool, span: int):
+    """Transitions over the 15 segments of the grid t0 + k span T/15, each as
+    a product times 2 to an int exponent: as Phi(t + T, s + T) = Phi(t, s),
+    of `span` consecutive segments of a _period_segments stack modulo 15, each
+    divided by the power of two of its largest entry, which is exact.  A
+    product of up to 45 such segments stays below n^45, however far the flow
+    grows or contracts.  Returns the products and the exponents."""
+    e = np.frexp(np.abs(period).max(axis=(1, 2)))[1]
+    scaled = np.ldexp(period, -e[:, None, None])
+    k = span * np.arange(15)
+    out = scaled[k % 15]
     for d in range(1, span):
-        nxt = segs[(first + d) % 15]
+        nxt = scaled[(k + d) % 15]
         out = nxt @ out if forward else out @ nxt
-    return out
+    return out, e[(k[:, None] + np.arange(span)) % 15].sum(axis=1)
 
 
-def _pair_products(segs: np.ndarray, forward: bool):
-    """Products of the (m, n, n) stack of consecutive segment transitions over
-    every grid pair i < j, as a stack ordered by j - i and then by i, with the
-    index arrays i and j.  Forward products multiply on the left, segs[j-1]
-    ... segs[i], backward ones on the right; each starts from the identity and
-    takes one stacked matmul per distance j - i, so it is bit-identical to
-    accumulating it one pair at a time."""
+def _pair_products(segs: np.ndarray, exps: np.ndarray, forward: bool):
+    """Products of the (m, n, n) stack of consecutive grid segments of
+    _grid_segments over every grid pair i < j, as a stack ordered by j - i and
+    then by i, with the log of the power of two that scales each back to its
+    transition, and the index arrays i and j.  Forward products multiply on
+    the left, segs[j-1] ... segs[i], backward ones on the right; each starts
+    from the identity and takes one stacked matmul per distance j - i, so it
+    is bit-identical to accumulating it one pair at a time."""
     m = len(segs)
     P = np.broadcast_to(np.eye(segs.shape[-1]), segs.shape)
     out = []
@@ -94,7 +101,9 @@ def _pair_products(segs: np.ndarray, forward: bool):
         P = segs[d - 1:] @ P[:m - d + 1] if forward else P[:m - d + 1] @ segs[d - 1:]
         out.append(P)
     i = np.concatenate([np.arange(m - d + 1) for d in range(1, m + 1)])
-    return np.concatenate(out), i, i + np.repeat(np.arange(1, m + 1), np.arange(m, 0, -1))
+    j = i + np.repeat(np.arange(1, m + 1), np.arange(m, 0, -1))
+    cum = np.concatenate(([0], np.cumsum(exps)))
+    return np.concatenate(out), (cum[j] - cum[i]) * math.log(2.0), i, j
 
 
 class StripCheck(NamedTuple):
@@ -129,8 +138,8 @@ def verify_strip(rates: periodic.RateSummary, fce: FceEstimate) -> StripCheck:
 
 
 def _log(norms: np.ndarray) -> np.ndarray:
-    """Logs of norms, -inf for a zero one: a transition or state that
-    underflowed to zero meets every upper bound and no lower one."""
+    """Logs of norms, -inf without numpy's warning for an exact zero, which
+    meets every upper bound and no lower one."""
     with np.errstate(divide="ignore"):
         return np.log(norms)
 
@@ -143,21 +152,17 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
         |Phi(s, t)| <= exp(pi_minus(t) - pi_minus(s))
 
     Transitions between pairs are products of grid segments, each two period
-    segments (_spans), never inverses of an ill-conditioned product, so the
-    comparison stays sharp even for strongly stable systems.  The return
-    value is positive when some pair violates a bound; for a correct
+    segments (_grid_segments), never inverses of an ill-conditioned product,
+    so the comparison stays sharp even for strongly stable systems.  The
+    return value is positive when some pair violates a bound; for a correct
     implementation it is pure numerical noise, orders of magnitude below 1e-6.
 
-    The backward flow of a stiff system grows fast.  A pair whose product
-    exceeds sqrt(TOL.overflow), where the two-norm's Gram product could
-    overflow, is checked by the sum of its grid segments' log norms instead:
-    norms are submultiplicative, so that sum bounds the pair's log norm, and
-    it meets the pair's bound whenever every segment meets its own.  Each
-    grid segment's norm comes from period segments scaled by powers of two,
-    since a segment can pass sqrt(TOL.overflow) itself.  A period segment
-    past the overflow cap cannot be checked in floating point: that
-    BlowupError propagates when some grid segment's bound allows such
-    growth, and the result is inf (a violation) when none does.
+    Each pair's log norm is the log of its scaled product's norm plus its
+    power of two, so a transition past the largest float, as a stiff
+    system's backward flow, or below the smallest is checked like any other.
+    A period segment past the overflow cap cannot be checked in floating
+    point: that BlowupError propagates when some grid segment's bound allows
+    such growth, and the result is inf (a violation) when none does.
     """
     ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, 16)
     pp, pm = periodic.pi_integral(sys, kind, ts)[0].T
@@ -166,33 +171,18 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
         if max(np.diff(pp).max(), np.diff(pm).max()) < math.log(TOL.overflow):
             return math.inf
         raise blown[0]
-    segs = np.stack([tm.value for tm in stacks])
-    with np.errstate(over="ignore", invalid="ignore"):  # a product past the largest float is not finite
-        F, i, j = _pair_products(_spans(segs[0], True, 2), forward=True)
-        B = _pair_products(_spans(segs[1], False, 2), forward=False)[0]
-    P = np.concatenate((F, B))
-    # grid segments of period segments scaled to a largest entry in [0.5, 1) stay finite
-    e = np.frexp(np.abs(segs).max(axis=(-2, -1)))[1]
-    scaled = np.ldexp(segs, -e[..., None, None])
-    seg_logs = (np.log(linalg.mat_norm(np.stack((_spans(scaled[0], True, 2), _spans(scaled[1], False, 2))), kind))
-                + np.tile(e, 2).reshape(2, 15, 2).sum(axis=-1) * math.log(2.0))
-    cum = np.concatenate((np.zeros((2, 1)), np.cumsum(seg_logs, axis=1)), axis=1)
-    logs = (cum[:, j] - cum[:, i]).ravel()
-    exact = np.abs(P).max(axis=(-2, -1)) <= math.sqrt(TOL.overflow)  # NaN fails too
-    logs[exact] = _log(linalg.mat_norm(P[exact], kind))
+    F, f_shift, i, j = _pair_products(*_grid_segments(stacks[0].value, True, 2), forward=True)
+    B, b_shift = _pair_products(*_grid_segments(stacks[1].value, False, 2), forward=False)[:2]
+    logs = _log(linalg.mat_norm(np.concatenate((F, B)), kind)) + np.concatenate((f_shift, b_shift))
     return float(np.expm1(logs - np.concatenate((pp[j] - pp[i], pm[j] - pm[i]))).max())
 
 
 class DecayCheck(NamedTuple):
-    """underflowed counts the state checks whose |x(t)| underflowed to zero:
-    each fails the lower envelope by inf."""
-
     passed: bool
     worst_margin: float
     allowance: float
     pairs: int
     state_checks: int
-    underflowed: int = 0
 
 
 def verify_decay(sys: SystemDef, verdict: periodic.Verdict) -> DecayCheck:
@@ -200,8 +190,8 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict) -> DecayCheck:
 
     For every ordered grid pair (s, t) with t0 <= s <= t <= t0 + 3T the
     envelope |Phi(t, s)| <= K exp(-alpha (t - s)) is tested via products of
-    grid segments, each three forward period segments (_spans).  On top of
-    that, the two-sided solution envelope
+    grid segments, each three forward period segments (_grid_segments).  On
+    top of that, the two-sided solution envelope
 
         |x0| exp(-lambda_minus (t - t0) - delta_upper_minus)
           <= |x(t)| <= |x0| exp(lambda_plus (t - t0) + delta_upper_plus)
@@ -218,17 +208,16 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict) -> DecayCheck:
         raise period
     # each period segment's relative error once per use; a running sum, as np.sum pairs terms
     rel = 3.0 * float(np.cumsum(period.error_estimate / (1.0 + np.abs(period.value).max(axis=(1, 2))))[-1])
-    P, i, j = _pair_products(_spans(period.value, True, 3), forward=True)
-    worst = float((log_k - verdict.alpha_tilde * (ts[j] - ts[i]) - _log(linalg.mat_norm(P, kind))).min())
+    P, shift, i, j = _pair_products(*_grid_segments(period.value, True, 3), forward=True)
+    worst = float((log_k - verdict.alpha_tilde * (ts[j] - ts[i]) - (_log(linalg.mat_norm(P, kind)) + shift)).min())
     # |Phi(t_j, t0) x0| at every grid time, Phi(t0, t0) = I included, for eight seeded x0
     rng = random.Random(20260814)
     x0 = np.array([[rng.gauss(0.0, 1.0) for _ in range(sys.n)] for _ in range(8)])[:, None, :, None]
     from_start = np.concatenate((np.eye(sys.n)[None], P[i == 0]))
     norms = linalg.vec_norm((from_start @ x0)[..., 0], kind)
-    log_x = _log(norms[norms[:, 0] >= 1e-6])
+    log_x = _log(norms[norms[:, 0] >= 1e-6]) + np.concatenate(([0.0], shift[i == 0]))
     up = log_x[:, :1] + rates.lambda_plus * (ts - t0) + rates.delta_upper_plus
     lo = log_x[:, :1] - rates.lambda_minus * (ts - t0) - rates.delta_upper_minus
     worst = float(np.minimum(up - log_x, log_x - lo)[:, 1:].min(initial=worst))
     allowance = TOL.decay_slack + math.log1p(rel) + rel
-    return DecayCheck(worst >= -allowance, worst, allowance, len(P), log_x[:, 1:].size,
-                      int(np.isneginf(log_x[:, 1:]).sum()))
+    return DecayCheck(worst >= -allowance, worst, allowance, len(P), log_x[:, 1:].size)

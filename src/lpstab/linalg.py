@@ -102,14 +102,21 @@ def vec_norm(v, kind: NormKind):
 @np.errstate(over="ignore", invalid="ignore")  # an overflow gives inf, or raises NumericError
 def mat_norm(M, kind: NormKind):
     """Induced operator norm of M for the given vector norm; for a (..., n, n)
-    stack, the array of each matrix's norm over the leading axes."""
+    stack, the array of each matrix's norm over the leading axes.  The two and
+    weighted norms divide each matrix by the power of two of its largest entry
+    (exact) before its Gram product; a norm past the largest float raises
+    NumericError."""
     A = _as_squares(M)
     if kind.tag in ("one", "inf"):
         v = np.abs(A).sum(axis=-2 if kind.tag == "one" else -1).max(axis=-1)
     else:
         B = _similar(kind.transform, A) if kind.tag == "weighted" else A
+        e = np.frexp(np.abs(B).max(axis=(-2, -1)))[1]
+        B = np.ldexp(B, -e[..., None, None])
         w = _sym_eigvals(np.swapaxes(B, -1, -2) @ B, "Gram product")[..., -1]  # by syrk, exactly symmetric
-        v = np.sqrt(np.where(0.0 > w, 0.0, w))  # Python's max(w, 0.0), which keeps a -0.0
+        v = np.ldexp(np.sqrt(np.where(0.0 > w, 0.0, w)), e)  # Python's max(w, 0.0), which keeps a -0.0
+        if not np.isfinite(v).all():
+            raise NumericError("matrix norm overflowed to a non-finite value")
     return float(v) if A.ndim == 2 else v
 
 

@@ -177,6 +177,7 @@ def _adapt(f, a, b, fa, fm, fb, whole, tol, depth, live):
     return value, err
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a Simpson sum that is not finite raises NumericError
 def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
     """Adaptive Simpson quadrature of f over [a, b], or over each interval of
     the broadcast arrays a and b, with one call of f per refinement level of
@@ -463,8 +464,11 @@ def frozen_time_check(sys: SystemDef) -> FrozenTimeReport:
     applicable = worst < 0.0
     c1 = applicable and alpha > 4.0 * m_margin
     if applicable and m_margin > 0.0:
-        c2_bound = (2.0 / (2 * n - 1)) * alpha ** (4 * n - 2) / (2.0 * m_margin ** (4 * n - 4))
-        c2_bound_alt = (2.0 / (2 * n - 1)) * alpha ** (4 * n - 2) / ((2.0 * m_margin) ** (4 * n - 4))
+        try:
+            c2_bound = (2.0 / (2 * n - 1)) * alpha ** (4 * n - 2) / (2.0 * m_margin ** (4 * n - 4))
+            c2_bound_alt = (2.0 / (2 * n - 1)) * alpha ** (4 * n - 2) / ((2.0 * m_margin) ** (4 * n - 4))
+        except OverflowError as exc:  # a float power past the largest float
+            raise NumericError("frozen-time rate bound overflowed to a non-finite value") from exc
         c2 = sup_adot < c2_bound
     else:
         c2_bound = 0.0

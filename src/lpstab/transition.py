@@ -274,10 +274,9 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
     return TransitionMatrix(value, a, b, steps, err)
 
 
-def integrate_transition(sys: SystemDef, t_from: float, t_to: float,
-                         tol: float | None = None) -> TransitionMatrix:
+def integrate_transition(sys: SystemDef, t_from: float, t_to: float) -> TransitionMatrix:
     """Phi(t_to, t_from) by RK4 with step doubling: the one-segment case of
     integrate_transitions, with float and int fields."""
-    tm = integrate_transitions(sys, [t_from], [t_to], tol)
+    tm = integrate_transitions(sys, [t_from], [t_to])
     return TransitionMatrix(tm.value[0], float(tm.t_start[0]), float(tm.t_end[0]), int(tm.steps[0]),
                             float(tm.error_estimate[0]))

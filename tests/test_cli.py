@@ -142,6 +142,8 @@ PINNED = [
     (("analyze", "--bogus"), (1, "", usage_error("analyze", "No such option '--bogus'."))),
     (("analyze", "--sys", "example2"),
      (1, "", usage_error("analyze", "No such option '--sys'. Did you mean '--system'?"))),
+    (("analyze", "--nor", "x"),
+     (1, "", usage_error("analyze", "No such option '--nor'. (Did you mean one of: '--no-oracle', '--norm'?)"))),
     (("analyze", "-x"), (1, "", usage_error("analyze", "No such option '-x'."))),
     (("analyze", "--norm"), (1, "", "Error: Option '--norm' requires an argument.\n")),
     (("analyze", "-s"), (1, "", "Error: Option '-s' requires an argument.\n")),
@@ -166,6 +168,8 @@ PINNED = [
      (1, "", usage_error("analyze", "Got unexpected extra arguments (-s example2)"))),
     (("analyze",), (1, "", usage_error("analyze", "provide exactly one of --file or --system"))),
     (("analyze", "-fs"), (1, "", "error: cannot read s: [Errno 2] No such file or directory: 's'\n")),
+    (("perturb", "-s", "example2", "--x0", "1,abc"),
+     (1, "", "error: cannot parse --x0 '1,abc': could not convert string to float: 'abc'\n")),
 ]
 
 
@@ -622,20 +626,21 @@ def test_transition_underflowing_to_zero_is_a_numeric_failure(tmp_path, entry, p
         2, "", f"numeric failure: integrated transition matrix underflowed to zero over [0, {end}]\n")
 
 
-@pytest.mark.parametrize("rate,zeros,violation", [("300", 24, "2.627e+00"), ("400", 48, "4.161e+02")])
-def test_zero_norm_is_named_and_prints_no_runtime_warnings(tmp_path, rate, zeros, violation):
-    # exp(-rate t) underflows to zero within the decay check's 3 periods: the states that
-    # did fail the lower envelope, by name; at 400 some of the transition bound's products
-    # are zero too, which meet their bounds.  The exit is 2 through the transition bound
-    # as well, since the oracle's forward segments are off the exact exp(-rate T/15)
-    # under its absolute ODE test.  A subprocess, so numpy's warnings reach stderr
+@pytest.mark.parametrize("rate,decay,violation", [("300", "1.932e+00", "2.627e+00"),
+                                                  ("400", "9.689e+00", "6.375e+02")])
+def test_one_by_one_cross_checks_agree_in_every_norm(tmp_path, rate, decay, violation):
+    # every norm of a 1 x 1 system is |x|, so each norm fails the same checks by the same
+    # figures, although exp(-rate t) passes the smallest float within the decay check's 3
+    # periods: the oracle's products carry their powers of two.  They fail since its
+    # forward segments are off the exact exp(-rate T/15) under its absolute ODE test.
+    # A subprocess, so numpy's warnings reach stderr
     path = write_system(tmp_path, {"entries": [[f"-{rate}"]], "period": 1})
-    proc = subprocess.run(console_argv("analyze", "-f", path), capture_output=True, text=True,
-                          timeout=60, env=console_env())
+    proc = subprocess.run(console_argv("analyze", "-f", path, "--norm", "one,two,inf"), capture_output=True,
+                          text=True, timeout=60, env=console_env())
     assert proc.returncode == 2
-    assert proc.stderr == (f"numeric failure: cross-checks failed: one: decay envelope violated by inf "
-                           f"({zeros} state norms underflowed to zero); one: transition bound violated by "
-                           f"{violation}\n")
+    assert proc.stderr == "numeric failure: cross-checks failed: " + "; ".join(
+        f"{norm}: decay envelope violated by {decay}; {norm}: transition bound violated by {violation}"
+        for norm in ("one", "two", "inf")) + "\n"
 
 
 @pytest.mark.parametrize("args,code", [
@@ -718,14 +723,17 @@ def test_initial_time_too_large_for_the_period_is_an_input_error(tmp_path, doc):
 
 @pytest.mark.parametrize("norm", ["one", "two", "weighted"])
 def test_overflow_inside_lpstab_is_a_numeric_failure(tmp_path, run_limited, norm):
-    # finite entries whose Gram product overflows in the frozen-time route, and whose
+    # finite entries whose norms stay finite in the frozen-time route, but whose one-norm
+    # Simpson sums and two-norm symmetric part overflow in the drift route, and whose
     # A(t0) + A(t0)^T, the Lyapunov operator at H = I, overflows before the weight's sign iteration
     path = write_system(tmp_path, {"entries": [["1e308*cos(t)", "1e308"], ["1e308", "1e308*sin(t)"]],
                                    "period": 2.0 * math.pi})
     proc = run_limited(["-m", "lpstab.cli", "analyze", "-f", path, "--norm", norm, "--no-oracle"])
     assert proc.returncode == 2, proc.stderr
-    what = "Lyapunov system" if norm == "weighted" else "Gram product"
-    assert proc.stderr == f"numeric failure: {what} overflowed to a non-finite value\n"
+    assert proc.stderr == "numeric failure: " + {
+        "one": "integrand or its Simpson estimate is not finite from t=0",
+        "two": "symmetric part overflowed to a non-finite value",
+        "weighted": "Lyapunov system overflowed to a non-finite value"}[norm] + "\n"
 
 
 def test_perturb_validation():

@@ -115,8 +115,9 @@ def test_monodromy_rotating_frame(beta):
     assert sorted(est.real_parts) == pytest.approx(sorted((beta - 1.0, -1.0)), abs=1e-7)
 
 
-def test_monodromy_strong_coupling_frozen():
-    est = monodromy_fce(strong_coupling().system, tol=1e-11)
+def test_monodromy_strong_coupling_frozen(monkeypatch):
+    monkeypatch.setattr(transition, "TOL", TOL._replace(ode_tol=1e-11))
+    est = monodromy_fce(strong_coupling().system)
     assert sorted(est.real_parts) == pytest.approx(sorted(SC_FCE), abs=1e-9)
     assert sum(est.real_parts) == pytest.approx(-26.0, abs=1e-8)
 
@@ -155,12 +156,12 @@ def test_strip_contains_exponents(name):
 @pytest.mark.parametrize("kind", [ONE, TWO], ids=lambda k: k.tag)  # inf sums rows as one sums columns
 def test_sandwich_bounds_products_past_the_float_range(kind):
     # the backward flow of -100 grows like exp(100 (t - s)), past the largest float over
-    # 2T; pairs past sqrt(TOL.overflow) are checked by the sum of their segments' log
-    # norms, an upper bound on the log norm that power-of-two scaled products give here
+    # 2T; the backward pairs alone, as products scaled by a power of two after every
+    # step in a per-pair loop over the unscaled grid segments, violate no more
     sysd = system_from_strings([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
     got = verify_sandwich(sysd, kind)
     ts = np.linspace(sysd.t0, sysd.t0 + 2.0 * sysd.period, 16)
-    bsegs = _ref_check_segments(sysd, False, 2)
+    bsegs = [np.ldexp(S, e) for S, e in _ref_check_segments(sysd, False, 2)]
     pm = pi_integral(sysd, kind, ts)[0][:, 1]
     worst, top = -math.inf, 0.0
     for i in range(15):
@@ -177,11 +178,12 @@ def test_sandwich_bounds_products_past_the_float_range(kind):
 
 def test_sandwich_checks_grid_segments_past_the_float_range():
     # the backward flow of -1000 stays below the overflow cap over a T/15 period segment
-    # and passes the largest float over a 2T/15 grid segment, whose norm then comes from
-    # its period segments scaled by powers of two
+    # and passes the largest float over a 2T/15 grid segment, which its power of two
+    # scales back into the float range
     sysd = system_from_strings([["-1000+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.isfinite(floquet._spans(floquet._period_segments(sysd, False, TOL).value, False, 2)).all()
+    segs, exps = floquet._grid_segments(floquet._period_segments(sysd, False, TOL).value, False, 2)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.ldexp(segs, exps[:, None, None])).all()
     for kind in (ONE, TWO):
         assert verify_sandwich(sysd, kind) <= TOL.sandwich_slack
 
@@ -198,9 +200,8 @@ def test_sandwich_blowup_is_unchecked_only_where_the_bound_allows_it(monkeypatch
 @pytest.mark.parametrize("kind,norm", [(ONE, 2.0), (TWO, (1.0 + math.sqrt(5.0)) / 2.0)],
                          ids=["one", "two"])
 def test_sandwich_checks_a_single_segment_past_the_gram_range(monkeypatch, kind, norm):
-    # a stiff peak makes the last backward period segment 1e200 [[1, 1], [0, 1]]: past
-    # sqrt(TOL.overflow), so its pairs take the segment sum, and past the range where
-    # the two-norm's Gram product of the bare segment is finite.  Over 2T it lies in the
+    # a stiff peak makes the last backward period segment 1e200 [[1, 1], [0, 1]]: its
+    # bare Gram product and its square pass the largest float.  Over 2T it lies in the
     # grid's segments 7 and 14; the drift bound across the first falls 0.5 short of its
     # log norm and the one across the second does not, so the violation is expm1(0.5)
     big = 1e200 * np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -383,7 +384,8 @@ def test_check_segments_match_direct_integration(sysd):
         ts = np.linspace(sysd.t0, sysd.t0 + span * sysd.period, 16)
         want = (integrate_transitions(sysd, ts[:-1], ts[1:]) if forward
                 else integrate_transitions(sysd, ts[1:], ts[:-1])).value
-        got = floquet._spans(floquet._period_segments(sysd, forward, TOL).value, forward, span)
+        segs, exps = floquet._grid_segments(floquet._period_segments(sysd, forward, TOL).value, forward, span)
+        got = np.ldexp(segs, exps[:, None, None])
         scale = 1.0 + np.abs(want).max(axis=(1, 2))
         assert (np.abs(got - want).max(axis=(1, 2)) <= TOL.ode_tol * scale).all(), (forward, span)
 
@@ -411,7 +413,9 @@ def test_integrate_transitions_matches_scalar_reference(sysd, tol):
     assert len(set(got.steps.tolist())) > 3
     # the caller's times are copied, not frozen
     assert a.flags.writeable and b.flags.writeable
-    one = integrate_transition(sysd, float(a[1]), float(b[1]), tol)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(transition, "TOL", TOL._replace(ode_tol=tol or TOL.ode_tol))
+        one = integrate_transition(sysd, float(a[1]), float(b[1]))
     assert one.value.tobytes() == got.value[1].tobytes() and not one.value.flags.writeable
     assert (one.t_start, one.t_end, one.steps, one.error_estimate) == (
         float(a[1]), float(b[1]), int(got.steps[1]), float(got.error_estimate[1]))
@@ -603,17 +607,24 @@ def test_blowup_retry_reads_the_blown_steps_stage_grid(monkeypatch):
 
 
 def _ref_check_segments(sys, forward, span):
-    # one transition call per one-period segment; by Phi(t + T, s + T) = Phi(t, s) the
-    # grid t0 + k span T/15 has products of `span` of them, taken modulo 15, as segments
+    # one transition call per one-period segment, divided by the power of two of its
+    # largest entry; by Phi(t + T, s + T) = Phi(t, s) the grid t0 + k span T/15 has
+    # products of `span` of them, taken modulo 15, as segments, each as (product, exponent
+    # sum), the segment being the product times 2 to the exponent sum
     ts = np.linspace(sys.t0, sys.t0 + sys.period, 16)
     ends = [(float(ts[m]), float(ts[m + 1])) for m in range(15)]
-    period = [integrate_transition(sys, *(e if forward else e[::-1])).value for e in ends]
+    period = []
+    for e in ends:
+        value = integrate_transition(sys, *(e if forward else e[::-1])).value
+        k = math.frexp(float(np.abs(value).max()))[1]
+        period.append((np.ldexp(value, -k), k))
     segs = []
     for k in range(15):
-        S = period[span * k % 15]
+        S, e = period[span * k % 15]
         for d in range(1, span):
-            S = period[(span * k + d) % 15] @ S if forward else S @ period[(span * k + d) % 15]
-        segs.append(S)
+            R, f = period[(span * k + d) % 15]
+            S, e = (R @ S if forward else S @ R), e + f
+        segs.append((S, e))
     return segs
 
 
@@ -625,11 +636,12 @@ def _ref_sandwich(sys, kind):
     worst = -math.inf
     for i in range(15):
         F = B = np.eye(sys.n)
+        fe = be = 0
         for j in range(i + 1, 16):
-            F = fsegs[j - 1] @ F
-            B = B @ bsegs[j - 1]
-            worst = max(worst, float(np.expm1(np.log(mat_norm(F, kind)) - (pp[j] - pp[i]))),
-                        float(np.expm1(np.log(mat_norm(B, kind)) - (pm[j] - pm[i]))))
+            F, fe = fsegs[j - 1][0] @ F, fe + fsegs[j - 1][1]
+            B, be = B @ bsegs[j - 1][0], be + bsegs[j - 1][1]
+            worst = max(worst, float(np.expm1(np.log(mat_norm(F, kind)) + fe * math.log(2.0) - (pp[j] - pp[i]))),
+                        float(np.expm1(np.log(mat_norm(B, kind)) + be * math.log(2.0) - (pm[j] - pm[i]))))
     return worst
 
 
@@ -638,15 +650,15 @@ def _ref_decay_margin(sys, verdict):
     ts = np.linspace(sys.t0, sys.t0 + 3.0 * sys.period, 16)
     segs = _ref_check_segments(sys, True, 3)
     worst = math.inf
-    from_start = [np.eye(sys.n)]
+    from_start = [(np.eye(sys.n), 0)]
     for i in range(15):
-        P = np.eye(sys.n)
+        P, e = np.eye(sys.n), 0
         for j in range(i + 1, 16):
-            P = segs[j - 1] @ P
+            P, e = segs[j - 1][0] @ P, e + segs[j - 1][1]
             if i == 0:
-                from_start.append(P)
+                from_start.append((P, e))
             worst = min(worst, math.log(verdict.K) - verdict.alpha_tilde * float(ts[j] - ts[i])
-                        - float(np.log(mat_norm(P, verdict.kind))))
+                        - (float(np.log(mat_norm(P, verdict.kind))) + e * math.log(2.0)))
     r = verdict.rates
     rng = random.Random(20260814)
     for _ in range(8):
@@ -656,7 +668,8 @@ def _ref_decay_margin(sys, verdict):
             continue
         for j in range(1, 16):
             dt = float(ts[j] - sys.t0)
-            log_x = float(np.log(vec_norm(from_start[j] @ x0, verdict.kind)))
+            P, e = from_start[j]
+            log_x = float(np.log(vec_norm(P @ x0, verdict.kind))) + e * math.log(2.0)
             log_x0 = float(np.log(nx0))
             worst = min(worst, log_x0 + r.lambda_plus * dt + r.delta_upper_plus - log_x,
                         log_x - (log_x0 - r.lambda_minus * dt - r.delta_upper_minus))
@@ -675,3 +688,37 @@ def test_stacked_oracle_checks_match_per_pair_loops(name):
         v = classify(sysd, kind)
         if v.classification in ("UES", "US"):
             assert verify_decay(sysd, v).worst_margin == _ref_decay_margin(sysd, v)
+
+
+def test_one_by_one_checks_agree_in_every_norm():
+    # every norm of a 1 x 1 system is |x|, so the checks give the same figures in each,
+    # also where exp(-300 t) passes the smallest float within the decay check's 3 periods
+    sysd = system_from_strings([["-300"]], 1.0)
+    got = {(verify_sandwich(sysd, kind), verify_decay(sysd, classify(sysd, kind)).worst_margin) for kind in KINDS}
+    assert len(got) == 1
+
+
+_STIFF100 = system_from_strings([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
+
+
+@pytest.mark.parametrize("sysd", [CATALOG[name]().system for name in sorted(CATALOG)] + [_STIFF100, _PEAKED],
+                         ids=sorted(CATALOG) + ["stiff100", "peaked"])
+def test_scaled_log_norms_match_unscaled_products(sysd):
+    # each pair's log norm, the scaled product's plus its power of two, against the log
+    # norm of its product of unscaled period segments, wherever that is a normal float
+    tiny = np.finfo(float).tiny
+    for forward, span in ((True, 2), (False, 2), (True, 3)):
+        period = floquet._period_segments(sysd, forward, TOL).value
+        P, shift, i, j = floquet._pair_products(*floquet._grid_segments(period, forward, span), forward)
+        want = []
+        with np.errstate(over="ignore", invalid="ignore"):  # past the largest float
+            for a, b in zip(i.tolist(), j.tolist()):
+                U = np.eye(sysd.n)
+                for m in range(span * a, span * b):
+                    U = period[m % 15] @ U if forward else U @ period[m % 15]
+                want.append(U)
+        normal = np.array([np.isfinite(U).all() and np.abs(U).max() >= tiny for U in want])
+        assert normal.sum() >= 15
+        for kind in KINDS:
+            ref = np.log(mat_norm(np.array(want)[normal], kind))
+            assert np.abs(np.log(mat_norm(P, kind))[normal] + shift[normal] - ref).max() <= 1e-12

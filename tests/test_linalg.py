@@ -273,13 +273,27 @@ def test_input_validation():
         la.vec_norm(np.zeros((3, 0)), TWO)
 
 
+@pytest.mark.parametrize("kind", [TWO, weighted(np.array([[2.0, 1.0], [0.0, 1.0]]))], ids=["two", "weighted"])
+def test_two_norm_of_tiny_and_huge_matrices(kind):
+    # each matrix is divided by the power of two of its largest entry before its Gram
+    # product is formed, so scaling a matrix by 2^k scales its norm by exactly 2^k,
+    # from where the Gram product would underflow to where it would overflow
+    A = np.array([[3.0, 0.0], [1.5, 3.0]])
+    for k in (-1000, -540, -200, 0, 200, 540, 1000):
+        assert la.mat_norm(np.ldexp(A, k), kind) == np.ldexp(la.mat_norm(A, kind), k)
+    assert la.mat_norm(np.array([[1e-200]]), TWO) == 1e-200
+    assert la.mat_norm(np.array([[3e-160, 0.0], [1.5e-160, 3e-160]]), TWO) == pytest.approx(
+        1e-160 * np.linalg.norm(A, 2), rel=1e-15)
+    assert la.mat_norm(np.array([[1e308, 1e308], [1e308, -1e308]]), TWO) == pytest.approx(
+        np.sqrt(2.0) * 1e308, rel=1e-15)
+
+
 def test_overflow_inside_is_a_numeric_error():
-    # finite arguments whose Gram product or symmetric part overflows
-    A = np.array([[1e308, 1e308], [1e308, -1e308]])
-    with pytest.raises(NumericError, match="Gram product overflowed"):
-        la.mat_norm(A, TWO)
+    # finite arguments whose norm or symmetric part passes the largest float
+    with pytest.raises(NumericError, match="matrix norm overflowed"):
+        la.mat_norm(np.full((2, 2), 1.5e308), TWO)
     with pytest.raises(NumericError, match="symmetric part overflowed"):
-        mu(A, TWO)
+        mu(np.array([[1e308, 1e308], [1e308, -1e308]]), TWO)
     # non-finite arguments stay input errors
     with pytest.raises(ValueError, match="non-finite"):
         la.mat_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]), TWO)

@@ -19,7 +19,7 @@ from lpstab import linalg
 from lpstab.catalog import CATALOG, get, lti_diag, rotating_frame, strong_coupling
 from lpstab.cli import _load_file
 from lpstab.config import TOL
-from lpstab.errors import InputError
+from lpstab.errors import InputError, NumericError
 from lpstab.expr import EvalError
 from lpstab.lognorm import INF, ONE, TWO, mu, weighted
 import lpstab.periodic as periodic
@@ -303,6 +303,13 @@ def test_frozen_time_constant_system():
     assert rep.alpha == pytest.approx(1.0, abs=1e-12)
     assert rep.sup_adot == 0.0
     assert rep.c2_satisfied  # a constant matrix moves slower than any bound
+
+
+@pytest.mark.parametrize("rows", [[["-1e200"]], [["-1e60", "0"], ["0", "-1e60"]]], ids=["1x1", "2x2"])
+def test_frozen_time_bound_past_the_float_range_is_a_numeric_error(rows):
+    # alpha ** (4 n - 2) passes the largest float, where the norm of A does not
+    with pytest.raises(NumericError, match="frozen-time rate bound overflowed"):
+        frozen_time_check(system_from_strings(rows, 1.0))
 
 
 def _ref_frozen_time_check(sys, grid_points=64):

@@ -214,13 +214,13 @@ def test_windowed_drift_matches_per_cell_loop():
     # reference: one quadrature per (t, eta) cell and component, norms taken one at a time
     d = disturbance_from_strings(["exp(-t)*sin(4*t)", "abs(cos(t)) - 0.5"])
     ts = np.array([0.0, 0.8, 2.5])
-    rep = windowed_drift(d, ts, window=1.5, eta_samples=8)
-    edges = np.linspace(0.0, 1.5, 9)
+    rep = windowed_drift(d, ts, window=1.5)
+    edges = np.linspace(0.0, 1.5, 65)
     fns = [partial(evaluate, e) for e in d.entries]
     for i, t in enumerate(ts):
         cum = np.zeros(2)
         sup = 0.0
-        for j in range(1, 9):
+        for j in range(1, 65):
             for c, fn in enumerate(fns):
                 cum[c] += integrate(fn, t + edges[j - 1], t + edges[j])[0]
             sup = max(sup, vec_norm(cum, TWO))
@@ -248,8 +248,6 @@ def test_windowed_drift_validation():
     d = Disturbance.zero(1)
     with pytest.raises(ValueError):
         windowed_drift(d, np.linspace(0.0, 1.0, 10), window=0.0)
-    with pytest.raises(ValueError):
-        windowed_drift(d, np.linspace(0.0, 1.0, 10), eta_samples=4)
     with pytest.raises(ValueError):
         windowed_drift(d, np.array([0.0, 1.0]))
 

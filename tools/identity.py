@@ -1,12 +1,20 @@
 """Byte-identity check of the lpstab CLI against another revision.
 
-    python3 tools/identity.py REV
+    python3 tools/identity.py REV [--allow PATH]
 
 Extracts REV of this repository with `git archive REV | tar -x`, runs one
 fixed list of CLI invocations under the working tree and under REV, each
 with PYTHONPATH set to its own src and in an empty directory of its own,
 and prints every difference in stdout, stderr, exit code or the files an
 invocation wrote there.  Exits 1 when there is one, 0 when there is none.
+
+With --allow, PATH holds a JSON object that maps key patterns to absolute
+bounds, such as {"analyses.*.oracle.sandwich_violation": 1e-12}: dotted
+keys, with * standing for any list index.  Where both sides' stdout is
+JSON it is then compared key by key: a float under an allowed key may move
+within its bound, and everything else must be equal.  Text stdout,
+stderr, exit codes and written files stay byte-compared.  Each allowed
+key's count of moves and its largest move are printed.
 
 The list holds the benchmark's invocations (perfbench/workloads.py prepare,
 both workloads, seeds 7 and 21), certify-dense's (seed 7: n = 3, 8, 12),
@@ -78,11 +86,45 @@ def run(tree: Path, argv: list[str], cwd: Path):
     return proc.returncode, proc.stdout, proc.stderr, {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
 
 
-def differences(argv, ours, theirs) -> list[str]:
+def json_differences(mine: bytes, other: bytes, allow: dict, moves: dict) -> list[str] | None:
+    # key-by-key differences of two JSON documents, adding each allowed float's move to
+    # moves under its pattern; None when either side is not JSON
+    try:
+        ours, theirs = json.loads(mine), json.loads(other)
+    except ValueError:
+        return None
+    lines = []
+
+    def walk(x, y, path):
+        if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+            for key in x:
+                walk(x[key], y[key], path + (key,))
+        elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+            for index, (u, v) in enumerate(zip(x, y)):
+                walk(u, v, path + (index,))
+        elif type(x) is type(y) and (x == y or x != x and y != y):  # NaN equals NaN
+            pass
+        else:
+            pattern = next((p for p in allow if p.split(".") == ["*" if isinstance(k, int) else k for k in path]),
+                           None)
+            if pattern is not None and type(x) is type(y) is float and abs(x - y) <= allow[pattern]:
+                moves[pattern].append(abs(x - y))
+            else:
+                lines.append(f"    {'.'.join(map(str, path))}: {y!r} -> {x!r}")
+
+    walk(ours, theirs, ())
+    return lines
+
+
+def differences(argv, ours, theirs, allow: dict | None = None, moves: dict | None = None) -> list[str]:
     lines = []
     if ours[0] != theirs[0]:
         lines.append(f"  exit code: {theirs[0]} -> {ours[0]}")
-    for stream, mine, other in (("stdout", ours[1], theirs[1]), ("stderr", ours[2], theirs[2])):
+    streams = [("stdout", ours[1], theirs[1]), ("stderr", ours[2], theirs[2])]
+    if allow is not None and (keyed := json_differences(ours[1], theirs[1], allow, moves)) is not None:
+        lines += ["  stdout:"] + keyed if keyed else []
+        streams = streams[1:]
+    for stream, mine, other in streams:
         if mine != other:
             diff = difflib.unified_diff(other.decode(errors="replace").splitlines(),
                                         mine.decode(errors="replace").splitlines(), "REV", "tree", lineterm="", n=0)
@@ -95,6 +137,16 @@ def differences(argv, ours, theirs) -> list[str]:
 
 def main() -> int:
     args = sys.argv[1:]
+    allow = None
+    if len(args) == 3 and args[1] == "--allow":
+        try:
+            allow = json.loads(Path(args.pop()).read_text())
+        except (OSError, ValueError) as exc:
+            allow = exc
+        args.pop()
+        if not (isinstance(allow, dict) and all(type(b) in (int, float) and b >= 0 for b in allow.values())):
+            print("--allow needs a JSON file holding an object of key patterns to non-negative bounds", file=sys.stderr)
+            return 2
     if len(args) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
@@ -111,9 +163,14 @@ def main() -> int:
             runs = range(len(argvs))
             ours = list(pool.map(run, [ROOT] * len(argvs), argvs, [work / f"tree-{i}" for i in runs]))
             theirs = list(pool.map(run, [rev] * len(argvs), argvs, [work / f"rev-{i}" for i in runs]))
-    report = [line for a, o, t in zip(argvs, ours, theirs) for line in differences(a, o, t)]
+    moves = {pattern: [] for pattern in allow or ()}
+    report = [line for a, o, t in zip(argvs, ours, theirs) for line in differences(a, o, t, allow, moves)]
     print("\n".join(report) if report else
-          f"{len(argvs)} invocations: stdout, stderr, exit codes and written files identical")
+          f"{len(argvs)} invocations: stdout, stderr, exit codes and written files identical"
+          + (" apart from allowed moves" if allow else ""))
+    for pattern, moved in moves.items():
+        print(f"allowed {pattern} (bound {allow[pattern]:g}): {len(moved)} moves, "
+              f"largest {max(moved, default=0.0):.3g}")
     return 1 if report else 0
 
 
