@@ -151,6 +151,13 @@ def _write_csv(fh, header: str, rows: np.ndarray) -> None:
         fh.write(line % tuple(row))
 
 
+def _unscaled(x: float, scale: int) -> float:
+    """x * 2**scale, as the oracle carries its monodromy figures: a float, or
+    inf past the largest one."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(x, scale))
+
+
 def _record_doc(record, *omit: str) -> dict:
     """The fields of a result record as a JSON object, minus those named."""
     return {k: v for k, v in record._asdict().items() if k not in omit}
@@ -178,8 +185,8 @@ def analyze(opt: SimpleNamespace) -> None:
             strip_check = floquet.verify_strip(verdict.rates, fce)
             unresolved = []
             if fce.unresolved:
-                unresolved.append(f"{fce.unresolved} multiplier(s) below the round-off floor {fce.floor:.3e}, "
-                                  f"exponent(s) given as upper bounds")
+                unresolved.append(f"{fce.unresolved} multiplier(s) below the round-off floor "
+                                  f"{_unscaled(fce.floor, fce.scale):.3e}, exponent(s) given as upper bounds")
             try:
                 violation = floquet.verify_sandwich(sysd, kind)
                 sandwich_ok = violation <= TOL.sandwich_slack
@@ -188,17 +195,17 @@ def analyze(opt: SimpleNamespace) -> None:
                 violation = sandwich_ok = None
                 unresolved.append(f"transition bound not checked: {exc}")
             oracle_doc = {
-                "multipliers": [[z.real, z.imag] for z in fce.multipliers],
+                "multipliers": [[_unscaled(z.real, fce.scale), _unscaled(z.imag, fce.scale)] for z in fce.multipliers],
                 "fce_real_parts": list(fce.real_parts),
                 "monodromy_steps": fce.monodromy.steps,
-                "monodromy_error": fce.monodromy.error_estimate,
+                "monodromy_error": _unscaled(fce.monodromy.error_estimate, fce.scale),
                 "strip_check": _record_doc(strip_check, "lower", "upper", "real_parts"),
                 "sandwich_violation": violation,
                 "sandwich_passed": sandwich_ok,
             }
             if fce.unresolved:
                 oracle_doc["unresolved_exponents"] = fce.unresolved
-                oracle_doc["multiplier_floor"] = fce.floor
+                oracle_doc["multiplier_floor"] = _unscaled(fce.floor, fce.scale)
             if unresolved:
                 oracle_doc["partially_resolved"] = unresolved
             if verdict.classification == "UES":

@@ -2,15 +2,18 @@
 
 Everything in this module is deliberately independent of the drift-integral
 certificates in periodic.py: the two routes share only the evaluation of
-A(t).  Transition matrices come from the RK4 kernel in transition.py, whose
-public names this module re-exports.  The monodromy spectrum comes from
-LAPACK via numpy.linalg, and the verify_* functions confront the two
-routes: characteristic-exponent strip membership, the exponential sandwich
-on |transition| over time, and the decay envelope promised by a stability
-verdict, the last two from period segments scaled by powers of two.
-Agreement here is evidence; disagreement beyond the stated allowances is a
-bug in one of the routes and raises no exception, it just comes back as a
-failed check or a positive violation.
+A(t).  Its one RK4 integration is one period of transitions, 15 forward and
+15 backward segments from the kernel in transition.py (_period_segments),
+whose public names this module re-exports.  Each segment is read divided by
+the power of two of its largest entry, and every product keeps the sum of
+those exponents, so nothing under- or overflows however far the flow grows
+or contracts.  The monodromy is the product of the 15 forward segments, and
+its spectrum comes from LAPACK via numpy.linalg.  The verify_* functions
+confront the two routes: characteristic-exponent strip membership, the
+exponential sandwich on |transition| over time, and the decay envelope
+promised by a stability verdict.  Agreement here is evidence; disagreement
+beyond the stated allowances is a bug in one of the routes and raises no
+exception, it just comes back as a failed check or a positive violation.
 """
 
 import math
@@ -24,34 +27,70 @@ from . import linalg, periodic, transition
 from .config import TOL, Tolerances
 from .errors import BlowupError
 from .linalg import NormKind
+from .lognorm import TWO
 from .periodic import SystemDef
 from .transition import TransitionMatrix, integrate_transition, integrate_transitions  # noqa: F401 (re-exported)
 
 
 class FceEstimate(NamedTuple):
-    """Monodromy spectrum: multipliers rho and characteristic exponent real
-    parts log|rho| / T, ascending.
+    """Monodromy spectrum: the monodromy M = Phi(t0 + T, t0) as the product
+    of the 15 forward period segments, each divided by the power of two of
+    its largest entry, and the product too after each segment, so that M =
+    monodromy.value * 2**scale with no entry's loss to under- or overflow
+    beyond its round-off relative to the largest; the multipliers rho of
+    monodromy.value, so each of M's is 2**scale rho; and the characteristic
+    exponent real parts (log|rho| + scale log 2) / T, ascending.
+    monodromy.steps is the segments' step sum and monodromy.error_estimate
+    the first-order bound on the product's error, sum_j err_j / |Phi_j|
+    times the product of the scaled segments' two norms, on the scale of
+    monodromy.value (inf where that passes the largest float).
 
-    A multiplier below floor = TOL.multiplier_floor * max|M| is round-off
-    of the eigensolver, not a resolved value.  Each such one gives the
-    upper bound log(floor) / T in place of its exponent; these are the
-    first `unresolved` entries of real_parts."""
+    A multiplier below floor = TOL.multiplier_floor * max|monodromy.value|
+    is round-off of the eigensolver, not a resolved value.  Each such one
+    gives the upper bound (log(floor) + scale log 2) / T in place of its
+    exponent; these are the first `unresolved` entries of real_parts."""
 
     multipliers: tuple[complex, ...]
     real_parts: tuple[float, ...]
     monodromy: TransitionMatrix
     floor: float
     unresolved: int
+    scale: int
 
 
 def monodromy_fce(sys: SystemDef) -> FceEstimate:
-    """Characteristic multipliers and exponent real parts over one period."""
-    tm = transition.integrate_transition(sys, sys.t0, sys.t0 + sys.period)
-    mult = linalg.gen_eigs(tm.value)
-    floor = TOL.multiplier_floor * float(np.abs(tm.value).max())
+    """Characteristic multipliers and exponent real parts over one period,
+    from the forward stack of _period_segments, whose BlowupError
+    propagates.  A monodromy whose largest multiplier passes TOL.overflow
+    is a BlowupError too, at the first grid time t0 + j T/15 where the
+    running product's inf norm passes it."""
+    period = _period_segments(sys, True, transition.TOL)
+    if isinstance(period, BlowupError):
+        raise period
+    segs, exps = _grid_segments(period.value, True, 1)
+    # the running product, divided by the power of two of its largest entry after each
+    # segment: a flow whose segments' largest entries grow far faster than the product,
+    # as a strongly non-normal one's do, would otherwise underflow to zero
+    M, scale, log2 = np.eye(sys.n), 0, math.log(2.0)
+    log_norms = []
+    for seg, e in zip(segs, exps.tolist()):
+        M = seg @ M
+        k = math.frexp(float(np.abs(M).max()))[1]
+        M, scale = np.ldexp(M, -k), scale + e + k
+        log_norms.append(math.log(float(np.abs(M).sum(axis=-1).max())) + scale * log2)
+    mult = linalg.gen_eigs(M)
+    floor = TOL.multiplier_floor * float(np.abs(M).max())
     mods = [abs(z) for z in mult]
-    parts = sorted(math.log(max(m, floor)) / sys.period for m in mods)
-    return FceEstimate(tuple(mult), tuple(parts), tm, floor, sum(m < floor for m in mods))
+    logs = sorted(math.log(max(m, floor)) + scale * log2 for m in mods)
+    if logs[-1] > math.log(TOL.overflow):
+        t = float(period.t_end[np.argmax(np.greater(log_norms, math.log(TOL.overflow)))])
+        raise BlowupError(f"transition matrix exceeded {TOL.overflow:.1e} at t={t:.6g}", t_reached=t)
+    rel = float(np.sum(period.error_estimate / np.abs(period.value).max(axis=(1, 2))))
+    with np.errstate(over="ignore"):  # a bound past the largest float reads inf
+        err = float(np.ldexp(rel * float(np.prod(linalg.mat_norm(segs, TWO))), int(exps.sum()) - scale))
+    tm = TransitionMatrix(M, float(period.t_start[0]), float(period.t_end[-1]), int(period.steps.sum()), err)
+    return FceEstimate(tuple(mult), tuple(v / sys.period for v in logs), tm, floor,
+                       sum(m < floor for m in mods), scale)
 
 
 # ------------------------------------------------------------- cross-checks
@@ -59,8 +98,9 @@ def monodromy_fce(sys: SystemDef) -> FceEstimate:
 @lru_cache(maxsize=16)
 def _period_segments(sys: SystemDef, forward: bool, tol: Tolerances) -> TransitionMatrix | BlowupError:
     """Transitions over the 15 segments of t0 + k T/15, once per system,
-    direction and tol, which is transition.TOL, the kernel's; a blow-up is
-    kept without its frames, and a backward one never reaches verify_decay."""
+    direction and tol, which is transition.TOL, the kernel's: the oracle's
+    only RK4 integration.  A blow-up is kept without its frames, and a
+    backward one never reaches monodromy_fce or verify_decay."""
     ts = np.linspace(sys.t0, sys.t0 + sys.period, 16)
     a, b = (ts[:-1], ts[1:]) if forward else (ts[1:], ts[:-1])
     try:

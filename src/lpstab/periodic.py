@@ -422,8 +422,9 @@ class FrozenTimeReport(NamedTuple):
     the worst stability margin -max Re eig A(t) and m_bound the sampled sup
     of |A(t)|_2 (m_margin adds 5 percent headroom for the grid gap).  The
     first condition asks alpha > 4 m_margin; the second bounds the sampled
-    sup of |A'(t)|_2 by c2_bound = (2/(2n-1)) alpha^(4n-2) / (2 m^(4n-4)).
-    c2_bound_alt replaces the denominator by (2m)^(4n-4), the tighter
+    sup of |A'(t)|_2 by c2_bound = alpha^2 (alpha/m)^(4n-4) / (2n-1), with
+    m = m_margin.  c2_bound_alt = 2 alpha^2 (alpha/(2m))^(4n-4) / (2n-1)
+    replaces the denominator m^(4n-4) / 2 by (2m)^(4n-4), the tighter
     reading; both are reported.
     """
 
@@ -464,11 +465,12 @@ def frozen_time_check(sys: SystemDef) -> FrozenTimeReport:
     applicable = worst < 0.0
     c1 = applicable and alpha > 4.0 * m_margin
     if applicable and m_margin > 0.0:
-        try:
-            c2_bound = (2.0 / (2 * n - 1)) * alpha ** (4 * n - 2) / (2.0 * m_margin ** (4 * n - 4))
-            c2_bound_alt = (2.0 / (2 * n - 1)) * alpha ** (4 * n - 2) / ((2.0 * m_margin) ** (4 * n - 4))
-        except OverflowError as exc:  # a float power past the largest float
-            raise NumericError("frozen-time rate bound overflowed to a non-finite value") from exc
+        # alpha <= |A|_2 < m_margin, so each power is of a ratio below 1 and only a bound
+        # itself past the largest float overflows
+        c2_bound = alpha * (alpha * (alpha / m_margin) ** (4 * n - 4)) / (2 * n - 1)
+        c2_bound_alt = 2.0 * alpha * (alpha * (alpha / (2.0 * m_margin)) ** (4 * n - 4)) / (2 * n - 1)
+        if not (math.isfinite(c2_bound) and math.isfinite(c2_bound_alt)):
+            raise NumericError("frozen-time rate bound overflowed to a non-finite value")
         c2 = sup_adot < c2_bound
     else:
         c2_bound = 0.0

@@ -100,16 +100,17 @@ def test_transition_scalar_closed_form():
 
 def test_monodromy_lti_diag():
     est = monodromy_fce(lti_diag().system)
-    mags = sorted(abs(z) for z in est.multipliers)
+    mags = sorted(abs(z) * 2.0 ** est.scale for z in est.multipliers)
     assert mags == pytest.approx([math.exp(-2.0), math.exp(-1.0)], rel=1e-8)
     assert sorted(est.real_parts) == pytest.approx([-2.0, -1.0], abs=1e-8)
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 3.0])
 def test_monodromy_rotating_frame(beta):
-    # exact multipliers e^{2 pi (beta - 1)} and e^{-2 pi}
+    # exact multipliers e^{2 pi (beta - 1)} and e^{-2 pi}; est's are those of the
+    # monodromy divided by 2**scale
     est = monodromy_fce(rotating_frame(beta).system)
-    mags = sorted(abs(z) for z in est.multipliers)
+    mags = sorted(abs(z) * 2.0 ** est.scale for z in est.multipliers)
     want = sorted((math.exp(2.0 * math.pi * (beta - 1.0)), math.exp(-2.0 * math.pi)))
     assert mags == pytest.approx(want, rel=1e-6)
     assert sorted(est.real_parts) == pytest.approx(sorted((beta - 1.0, -1.0)), abs=1e-7)
@@ -123,11 +124,12 @@ def test_monodromy_strong_coupling_frozen(monkeypatch):
 
 
 def test_strip_reads_an_unresolved_exponent_as_an_upper_bound():
-    # exp(-100 T) is far below eigvals' round-off on a monodromy of size exp(-T)
+    # exp(-100 T) is far below eigvals' round-off on a monodromy of size exp(-T); the
+    # floor is read on the scaled product, and its bound carries the product's power of two
     sysd = system_from_strings([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
     fce = monodromy_fce(sysd)
     assert fce.unresolved == 1 and fce.floor == TOL.multiplier_floor * np.abs(fce.monodromy.value).max()
-    assert fce.real_parts[0] == math.log(fce.floor) / sysd.period
+    assert fce.real_parts[0] == (math.log(fce.floor) + fce.scale * math.log(2.0)) / sysd.period
     assert fce.real_parts[1] == pytest.approx(-1.0, abs=1e-9)
     rates = rate_summary(sysd, ONE)
     assert verify_strip(rates, fce).passed
@@ -136,6 +138,84 @@ def test_strip_reads_an_unresolved_exponent_as_an_upper_bound():
     assert verify_strip(rates, above).passed
     below = verify_strip(rates, fce._replace(real_parts=(-200.0, fce.real_parts[1])))
     assert not below.passed and below.worst_violation == pytest.approx(100.0, abs=1e-6)
+
+
+_NON_NORMAL = system_from_strings([["-100", "1e60"], ["0", "-100"]], 6.0)
+
+
+@pytest.mark.parametrize("sysd", [strong_coupling().system, _NON_NORMAL], ids=["strong_coupling", "non-normal"])
+def test_monodromy_is_the_scaled_product_of_the_forward_period_segments(sysd):
+    # the 15 forward segments, each divided by the power of two of its largest entry,
+    # multiplied later ones on the left, and the product divided by its own after each;
+    # the steps and exponents add up.  Unscaled after each segment, the non-normal
+    # product, whose segments' largest entries are 1e42, would underflow to zero
+    period = floquet._period_segments(sysd, True, TOL)
+    fce = monodromy_fce(sysd)
+    M, scale = np.eye(sysd.n), 0
+    for seg in period.value:
+        e = math.frexp(float(np.abs(seg).max()))[1]
+        M = np.ldexp(seg, -e) @ M
+        k = math.frexp(float(np.abs(M).max()))[1]
+        M, scale = np.ldexp(M, -k), scale + e + k
+    assert np.array_equal(fce.monodromy.value, M) and fce.scale == scale
+    assert fce.monodromy.steps == period.steps.sum()
+    assert (fce.monodromy.t_start, fce.monodromy.t_end) == (sysd.t0, sysd.t0 + sysd.period)
+
+
+def test_non_normal_monodromy_gives_upper_bounds():
+    # the double multiplier exp(-600) is 1e-61 of the largest entry 6e-201 of M: both
+    # exponents are unresolved, and their bounds lie above the exact -100
+    fce = monodromy_fce(_NON_NORMAL)
+    assert fce.unresolved == 2 and fce.real_parts[0] == fce.real_parts[1]
+    assert -100.0 < fce.real_parts[0] == pytest.approx(-82.048, abs=1e-3)
+
+
+_EXACT_EXPONENTS = {"lti_diag": (-2.0, -1.0), "scalar_unstable": (0.3,), "rotating_frame": (-1.0, 0.5),
+                    **{f"rotating_frame({b})": tuple(sorted((b - 1.0, -1.0))) for b in (0.5, 1.0, 1.5, 3.0)}}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG) + ["stiff100"]
+                         + [f"rotating_frame({b})" for b in (0.5, 1.0, 1.5, 3.0)])
+def test_monodromy_exponents_agree_with_the_whole_period_reference(name):
+    # each resolved exponent against one integrate_transition over [t0, t0 + T], within
+    # the two routes' error estimates read as in verify_strip, and within 1e-8 of exact
+    if name == "stiff100":
+        sysd = system_from_strings([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
+    elif name.startswith("rotating_frame("):
+        sysd = rotating_frame(float(name[15:-1])).system
+    else:
+        sysd = CATALOG[name]().system
+    T, n = sysd.period, sysd.n
+    fce = monodromy_fce(sysd)
+    ref = integrate_transition(sysd, sysd.t0, sysd.t0 + T)
+    ref_mods = np.abs(np.linalg.eigvals(ref.value))
+    ref_mods = np.sort(ref_mods[ref_mods >= TOL.multiplier_floor * np.abs(ref.value).max()])
+    got = fce.real_parts[fce.unresolved:]
+    assert len(got) == len(ref_mods) >= 1
+    mods = sorted(abs(z) for z in fce.multipliers if abs(z) >= fce.floor)
+    allowance = (math.log1p(n * fce.monodromy.error_estimate / mods[0])
+                 + math.log1p(n * ref.error_estimate / ref_mods[0])) / T
+    for g, m in zip(got, ref_mods):
+        assert abs(g - math.log(m) / T) <= allowance, (name, g, math.log(m) / T, allowance)
+    if name in _EXACT_EXPONENTS:
+        assert got == pytest.approx(_EXACT_EXPONENTS[name], abs=1e-8)
+
+
+def test_monodromy_past_the_cap_names_the_first_grid_time_past_it():
+    # exp(250 t) passes 1e300 between t = 6 T/15 and 7 T/15: a running product past the
+    # cap at 7 T/15, the first of the grid times t0 + j T/15 after it
+    with pytest.raises(BlowupError, match=r"^transition matrix exceeded 1\.0e\+300 at t=2\.93215$") as info:
+        monodromy_fce(_GROWING)
+    assert info.value.t_reached == np.linspace(0.0, 2.0 * math.pi, 16)[7]
+
+
+def test_monodromy_of_a_flow_below_the_float_range_is_resolved():
+    # exp(-800) is below the smallest float, each segment's exp(-800/15) is not: the
+    # product carries the difference as its power of two.  The exponent is off the exact
+    # -800 by 0.8% under the kernel's absolute ODE test
+    fce = monodromy_fce(system_from_strings([["-800"]], 1.0))
+    assert fce.unresolved == 0 and fce.scale < -1074
+    assert fce.real_parts[0] == pytest.approx(-800.0, rel=0.05)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

@@ -305,11 +305,20 @@ def test_frozen_time_constant_system():
     assert rep.c2_satisfied  # a constant matrix moves slower than any bound
 
 
-@pytest.mark.parametrize("rows", [[["-1e200"]], [["-1e60", "0"], ["0", "-1e60"]]], ids=["1x1", "2x2"])
+@pytest.mark.parametrize("rows", [[["-1e200"]]], ids=["1x1"])
 def test_frozen_time_bound_past_the_float_range_is_a_numeric_error(rows):
-    # alpha ** (4 n - 2) passes the largest float, where the norm of A does not
+    # the bound alpha^2 passes the largest float, where the norm of A does not
     with pytest.raises(NumericError, match="frozen-time rate bound overflowed"):
         frozen_time_check(system_from_strings(rows, 1.0))
+
+
+def test_frozen_time_bound_is_finite_where_its_powers_are_not():
+    # alpha^6 and m^4 pass the largest float, the bound alpha^2 (alpha/m)^4 / 3 does not
+    rep = frozen_time_check(system_from_strings([["-1e60", "0"], ["0", "-1e60"]], 1.0))
+    assert rep.applicable and rep.alpha == 1e60 and rep.m_margin == 1.05e60
+    assert rep.c2_bound == pytest.approx(1e120 / 1.05 ** 4 / 3.0, rel=1e-15)
+    assert rep.c2_bound_alt == pytest.approx(2e120 / 2.1 ** 4 / 3.0, rel=1e-15)
+    assert rep.c2_satisfied
 
 
 def _ref_frozen_time_check(sys, grid_points=64):
@@ -333,8 +342,8 @@ def _ref_frozen_time_check(sys, grid_points=64):
     applicable = worst < 0.0
     c1 = applicable and alpha > 4.0 * m_margin
     if applicable and m_margin > 0.0:
-        c2_bound = (2.0 / (2 * n - 1)) * alpha ** (4 * n - 2) / (2.0 * m_margin ** (4 * n - 4))
-        c2_bound_alt = (2.0 / (2 * n - 1)) * alpha ** (4 * n - 2) / ((2.0 * m_margin) ** (4 * n - 4))
+        c2_bound = alpha * (alpha * (alpha / m_margin) ** (4 * n - 4)) / (2 * n - 1)
+        c2_bound_alt = 2.0 * alpha * (alpha * (alpha / (2.0 * m_margin)) ** (4 * n - 4)) / (2 * n - 1)
         c2 = sup_adot < c2_bound
     else:
         c2_bound = 0.0

@@ -11,16 +11,19 @@ invocation wrote there.  Exits 1 when there is one, 0 when there is none.
 With --allow, PATH holds a JSON object that maps key patterns to absolute
 bounds, such as {"analyses.*.oracle.sandwich_violation": 1e-12}: dotted
 keys, with * standing for any list index.  Where both sides' stdout is
-JSON it is then compared key by key: a float under an allowed key may move
-within its bound, and everything else must be equal.  Text stdout,
-stderr, exit codes and written files stay byte-compared.  Each allowed
-key's count of moves and its largest move are printed.
+JSON it is then compared key by key: a number (an int or a float, as on both
+sides) under an allowed key may move within its bound, and everything else
+must be equal.  Text stdout, stderr, exit codes and written files stay
+byte-compared.  Each allowed key's count of moves and its largest move are
+printed.
 
 The list holds the benchmark's invocations (perfbench/workloads.py prepare,
 both workloads, seeds 7 and 21), certify-dense's (seed 7: n = 3, 8, 12),
-`analyze --norm one,two,inf --json` of three stiff systems, text `analyze`
-in all four norms of two systems whose one-period transition underflows,
-`series -s example2 --norm two`, three invocations that write files
+`analyze --norm one,two,inf --json` of three stiff systems, of `[["-300"]]`
+(period 1), whose oracle checks fail, and of `[["250+sin(t)", "1"], ["0",
+"-1"]]` (period 2 pi), whose monodromy passes the overflow cap, text
+`analyze` in all four norms of two systems whose one-period transition
+underflows, `series -s example2 --norm two`, three invocations that write files
 (`series -o`, `series --trajectory -o`, `perturb --out`), `--help` of
 every command, and one invocation down each branch where the command line
 imports a module only when it needs it: usage errors (no arguments, an
@@ -41,12 +44,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LAUNCHER = "import sys; from lpstab.cli import main; sys.exit(main())"  # the console script
+# (entries, period): oracle JSON in three norms, and text analyze in all four norms
 STIFF = {
-    "stiff3000": [["-3000+sin(t)", "1"], ["0", "-1"]],
-    "stiff100": [["-100+sin(t)", "1"], ["0", "-1"]],
-    "peaked": [["-1-3000*sin(t)^200", "1"], ["0", "-1"]],
+    "stiff3000": ([["-3000+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi),
+    "stiff100": ([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi),
+    "peaked": ([["-1-3000*sin(t)^200", "1"], ["0", "-1"]], 2.0 * math.pi),
+    "decay300": ([["-300"]], 1.0),
+    "growing250": ([["250+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi),
 }
-UNDERFLOW = {"underflow2": [["-800", "0"], ["0", "-1"]], "underflow1": [["-800"]]}
+UNDERFLOW = {"underflow2": ([["-800", "0"], ["0", "-1"]], 1.0), "underflow1": ([["-800"]], 1.0)}
 
 
 def invocations(work: Path) -> list[list[str]]:
@@ -58,9 +64,9 @@ def invocations(work: Path) -> list[list[str]]:
         listed = subprocess.run([sys.executable, str(ROOT / "perfbench" / "workloads.py"), "prepare",
                                  workload, str(seed), str(out)], capture_output=True, text=True, check=True)
         argvs += [inv["argv"] for inv in json.loads(listed.stdout)]
-    for name, entries in {**STIFF, **UNDERFLOW}.items():
+    for name, (entries, period) in {**STIFF, **UNDERFLOW}.items():
         path = work / f"{name}.json"
-        path.write_text(json.dumps({"entries": entries, "period": 2.0 * math.pi if name in STIFF else 1.0}))
+        path.write_text(json.dumps({"entries": entries, "period": period}))
         argvs.append(["analyze", "-f", str(path), "--norm", "one,two,inf", "--json"] if name in STIFF
                      else ["analyze", "-f", str(path), "--norm", "one,two,inf,weighted"])
     argvs += [["series", "-s", "example2", "--norm", "two"],
@@ -107,7 +113,7 @@ def json_differences(mine: bytes, other: bytes, allow: dict, moves: dict) -> lis
         else:
             pattern = next((p for p in allow if p.split(".") == ["*" if isinstance(k, int) else k for k in path]),
                            None)
-            if pattern is not None and type(x) is type(y) is float and abs(x - y) <= allow[pattern]:
+            if pattern is not None and type(x) is type(y) in (int, float) and abs(x - y) <= allow[pattern]:
                 moves[pattern].append(abs(x - y))
             else:
                 lines.append(f"    {'.'.join(map(str, path))}: {y!r} -> {x!r}")
