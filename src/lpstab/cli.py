@@ -301,7 +301,7 @@ _SOURCE = (
 _COMMANDS = {
     "analyze": (analyze, (
         *_SOURCE,
-        ("--norm", "-n", str, "one", "comma separated list drawn from one, two, inf, weighted", None),
+        ("--norm", "-n", str, "one", f"comma separated list drawn from {', '.join(_NORMS)}", None),
         ("--zero-tol", None, float, None, "treat a one-period drift within this band of zero as zero", None),
         ("--no-oracle", None, bool, False, "skip the transition-matrix cross-checks", None),
         ("--json", None, bool, False, "machine-readable output", None),

@@ -3,12 +3,12 @@
 Everything in this module is deliberately independent of the drift-integral
 certificates in periodic.py: the two routes share only the evaluation of
 A(t).  Its one RK4 integration is one period of transitions, 15 forward and
-15 backward segments from the kernel in transition.py (_period_segments),
-whose public names this module re-exports.  Each segment is read divided by
-the power of two of its largest entry, and every product keeps the sum of
-those exponents, so nothing under- or overflows however far the flow grows
-or contracts.  The monodromy is the product of the 15 forward segments, and
-its spectrum comes from LAPACK via numpy.linalg.  The verify_* functions
+15 backward segments from transition.integrate_transitions
+(_period_segments).  Each segment is read divided by the power of two of
+its largest entry, and every product keeps the sum of those exponents, so
+nothing under- or overflows however far the flow grows or contracts.  The
+monodromy is the product of the 15 forward segments, and its spectrum
+comes from LAPACK via numpy.linalg.  The verify_* functions
 confront the two routes: characteristic-exponent strip membership, the
 exponential sandwich on |transition| over time, and the decay envelope
 promised by a stability verdict.  Agreement here is evidence; disagreement
@@ -29,7 +29,7 @@ from .errors import BlowupError
 from .linalg import NormKind
 from .lognorm import TWO
 from .periodic import SystemDef
-from .transition import TransitionMatrix, integrate_transition, integrate_transitions  # noqa: F401 (re-exported)
+from .transition import TransitionMatrix
 
 
 class FceEstimate(NamedTuple):

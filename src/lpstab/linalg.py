@@ -120,13 +120,9 @@ def mat_norm(M, kind: NormKind):
     return float(v) if A.ndim == 2 else v
 
 
-def similarity_transform(P, A):
-    """P A P^{-1} without forming the inverse explicitly; A may be a (..., n, n) stack."""
-    return _similar(check_nonsingular(P, "P"), _as_squares(A, "A"))
-
-
 def _similar(P, A):
-    # similarity_transform of arguments already checked, such as a NormKind's transform
+    # P A P^{-1} without forming the inverse, for a NormKind's transform P (checked on
+    # construction) and a (..., n, n) stack A
     return np.swapaxes(np.linalg.solve(P.T, np.swapaxes(P @ A, -1, -2)), -1, -2)
 
 
@@ -135,13 +131,6 @@ def _lapack(error, routine, *args):
         return routine(*args)
     except np.linalg.LinAlgError as exc:
         raise error(f"{routine.__name__} failed: {exc}") from exc
-
-
-def sym_eigs(S, vectors: bool = False):
-    """Ascending eigenvalues w of symmetric S, and with vectors=True V with S V = V diag(w).
-    S may be a (..., n, n) stack; w and V then carry its leading axes."""
-    routine = np.linalg.eigh if vectors else np.linalg.eigvalsh
-    return _lapack(ConvergenceError, routine, _symmetrized(_as_squares(S, "S"), "S"))
 
 
 def _sym_eigvals(S, what):

@@ -82,11 +82,6 @@ def mu(M, kind: NormKind):
     return float(v) if v.ndim == 0 else v
 
 
-def mu_weighted(M, P) -> float:
-    """Logarithmic norm of M under |x| = |P x|_2, as mu_2 of P M P^{-1}."""
-    return mu(M, weighted(P))
-
-
 def mu_limit_estimate(M, kind: NormKind, h: float = 1e-7) -> float:
     """Finite-h evaluation of (|I + h M| - 1) / h.
 

@@ -406,13 +406,6 @@ def classify(sys: SystemDef, kind: NormKind, zero_tol: float | None = None) -> V
     return Verdict("inconclusive", kind, rates, strip, None, None, msg)
 
 
-def fce_strip(sys: SystemDef, kind: NormKind) -> tuple[float, float]:
-    """Closed real-part strip [-lambda_minus, lambda_plus] that contains
-    every Floquet characteristic exponent of the system."""
-    rates = rate_summary(sys, kind)
-    return (-rates.lambda_minus, rates.lambda_plus)
-
-
 # ------------------------------------------------------- frozen-time route
 
 class FrozenTimeReport(NamedTuple):

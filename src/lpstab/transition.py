@@ -19,9 +19,9 @@ from .periodic import SystemDef
 
 
 class TransitionMatrix(NamedTuple):
-    """State transition matrix Phi(t_end, t_start) with integration metadata:
-    floats and an int for one segment (integrate_transition), read-only
-    stacks over the segments for many (integrate_transitions)."""
+    """State transition matrices Phi(t_end, t_start) with integration
+    metadata: read-only stacks over the segments of integrate_transitions,
+    or floats and an int for the monodromy (floquet.monodromy_fce)."""
 
     value: np.ndarray
     t_start: float | np.ndarray
@@ -272,11 +272,3 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
     for field in (value, a, b, steps, err):
         field.flags.writeable = False
     return TransitionMatrix(value, a, b, steps, err)
-
-
-def integrate_transition(sys: SystemDef, t_from: float, t_to: float) -> TransitionMatrix:
-    """Phi(t_to, t_from) by RK4 with step doubling: the one-segment case of
-    integrate_transitions, with float and int fields."""
-    tm = integrate_transitions(sys, [t_from], [t_to])
-    return TransitionMatrix(tm.value[0], float(tm.t_start[0]), float(tm.t_end[0]), int(tm.steps[0]),
-                            float(tm.error_estimate[0]))

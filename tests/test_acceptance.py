@@ -20,18 +20,18 @@ import pytest
 
 from lpstab import cli
 from lpstab.catalog import CATALOG, rotating_frame, strong_coupling
-from lpstab.floquet import integrate_transition, monodromy_fce, verify_decay
-from lpstab.linalg import gen_eigs, mat_norm, solve_lyapunov, sym_eigs
-from lpstab.lognorm import INF, ONE, TWO, lyapunov_weighted, mu, mu_weighted
+from lpstab.floquet import monodromy_fce, verify_decay
+from lpstab.linalg import gen_eigs, mat_norm, solve_lyapunov
+from lpstab.lognorm import INF, ONE, TWO, lyapunov_weighted, mu, weighted
 from lpstab.periodic import (
     barrier_series,
     classify,
-    fce_strip,
     frozen_time_check,
     pi_integral,
     rate_summary,
     system_from_strings,
 )
+from lpstab.transition import integrate_transitions
 
 KINDS = [ONE, TWO, INF]
 
@@ -88,8 +88,8 @@ def test_criterion_2_two_norm_constants():
         quote("lambda_minus", r.lambda_minus, 22.5493)
     assert r.delta_upper_minus == pytest.approx(1.0441, abs=1e-3), \
         quote("delta_upper_minus", r.delta_upper_minus, 1.0441)
-    two = fce_strip(sysd, TWO)
-    one = fce_strip(sysd, ONE)
+    two = classify(sysd, TWO).strip
+    one = classify(sysd, ONE).strip
     assert one[0] < two[0] and two[1] < one[1], \
         f"two-norm strip {two} not strictly inside one-norm strip {one}"
     # not reproducible: by symmetry of the matrix the forward and reversed
@@ -133,7 +133,7 @@ def test_criterion_5_oracle_agreement():
     est = monodromy_fce(entry.system)
     assert sorted(est.real_parts) == pytest.approx([-1.0, 0.5], abs=1e-6)
     for t in (math.pi / 4.0, math.pi / 2.0, 2.0 * math.pi):
-        got = integrate_transition(entry.system, 0.0, t).value
+        got = integrate_transitions(entry.system, [0.0], [t]).value[0]
         ref = entry.transition(t, 0.0)
         worst = float(np.abs(got - ref).max())
         assert worst <= 1e-6, f"transition at t={t:.6g} off by {worst:.3e}"
@@ -200,8 +200,8 @@ def test_criterion_8_weighted_norm():
         A = A - (shift + 0.5 + 0.1 * abs(shift)) * np.eye(n)
         kind = lyapunov_weighted(A)
         H = solve_lyapunov(A)
-        want = -1.0 / float(sym_eigs(H)[-1])
-        got = mu_weighted(A, kind.transform)
+        want = -1.0 / float(np.linalg.eigvalsh(H)[-1])
+        got = mu(A, weighted(kind.transform))
         assert got == pytest.approx(want, abs=1e-6), quote("mu_weighted", got, want, 1e-6)
         assert got < 0.0
         rows = [[f"{float(v)!r}" for v in row] for row in A]

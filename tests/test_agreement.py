@@ -1,0 +1,130 @@
+"""Agreement of both routes with exact Floquet exponents on seeded systems.
+
+Two families have exponents known in closed form (period 2 pi, integer
+frequencies, so every sine and cosine term has mean zero over a period):
+
+- scalar a(t) = a0 + a1 sin(w t) + a2 cos(w t): the exponent is a0;
+- upper-triangular 2 x 2 systems with such entries: the monodromy is
+  triangular with diagonal exp(2 pi a0_ii), so the exponents are the
+  diagonal a0s.
+
+Coefficients are Gaussian times the system's scale 10^U(-1, 1.2), rounded
+to 3 decimals, with w from {1, 2, 3}; each diagonal a0 is shifted by
+U(-2, 1) times the scale, as in tools/fuzz.py, so that about half the
+systems are stable.  Seeds and counts are fixed: 20 systems of each family
+from random.Random(29).  Each runs in process as `analyze -f FILE --norm
+one,two,inf --json`, and:
+
+- a system that some norm certifies UES never exits 2;
+- each resolved monodromy exponent lies within its norm's
+  strip_check.allowance of the exact one;
+- an unresolved exponent's upper bound lies at or above the exact one;
+- no Python warning is raised or printed.
+
+A system that fails today is a strict xfail, listed under its failure
+message; none is dropped.
+"""
+
+import contextlib
+import io
+import json
+import math
+import random
+import re
+import warnings
+
+import pytest
+
+from lpstab import cli
+
+SEED, COUNT, LO, HI = 29, 20, -1.0, 1.2
+
+
+def _entry(rng, scale, shift):
+    w = rng.choice((1, 2, 3))
+    a0, a1, a2 = (round(rng.gauss(0.0, 1.0) * scale, 3) for _ in range(3))
+    a0 = round(a0 + shift, 3)
+    return f"({a0!r}) + ({a1!r})*sin({w}*t) + ({a2!r})*cos({w}*t)", a0
+
+
+def _draw(rng, n):
+    # an n x n upper-triangular system and its exact exponents, ascending
+    scale = 10.0 ** rng.uniform(LO, HI)
+    rows, exact = [], []
+    for i in range(n):
+        row = ["0"] * i
+        for j in range(i, n):
+            text, a0 = _entry(rng, scale, rng.uniform(-2.0, 1.0) * scale if i == j else 0.0)
+            row.append(text)
+            if i == j:
+                exact.append(a0)
+        rows.append(row)
+    return rows, sorted(exact)
+
+
+def _systems():
+    rng = random.Random(SEED)
+    return {f"{family}-{k:02d}": _draw(rng, n) for family, n in (("scalar", 1), ("triangular", 2))
+            for k in range(COUNT)}
+
+
+# strict xfails by failure message, numbers written as #.  Each is a stable system whose
+# oracle accepts a contracting transition under an absolute ODE test (diff <= tol (1 +
+# |Phi|)), which leaves it no relative accuracy, so the transition bound check fails
+XFAIL = {
+    "UES system exits 2: numeric failure: cross-checks failed: one: transition bound violated by #":
+        ("scalar-01", "scalar-07", "triangular-06"),
+}
+_REASON = {name: message for message, names in XFAIL.items() for name in names}
+SYSTEMS = _systems()
+NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _run(argv):
+    # exit code, stdout, stderr and the warnings raised, of cli.main(argv) in process
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            cli.main(argv)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), [f"{w.category.__name__}: {w.message}" for w in caught]
+
+
+def _problems(rows, exact, path):
+    # what fails on one system, each as one line
+    path.write_text(json.dumps({"entries": rows, "period": 2.0 * math.pi}))
+    argv = ["analyze", "-f", str(path), "--norm", "one,two,inf", "--json"]
+    code, out, err, caught = _run(argv)
+    problems = [f"Python warning: {text}" for text in caught]
+    if "Warning" in err:
+        problems.append(f"warning text on stderr: {err.strip()}")
+    if code == 2:
+        _, drift, _, _ = _run(argv + ["--no-oracle"])
+        if any(a["classification"] == "UES" for a in json.loads(drift)["analyses"]):
+            problems.append(f"UES system exits 2: {NUMBER.sub('#', err.split(';')[0].strip())}")
+    elif code != 0:
+        problems.append(f"exit {code}: {err.strip()}")
+    else:
+        for analysis in json.loads(out)["analyses"]:
+            oracle = analysis["oracle"]
+            unresolved = oracle.get("unresolved_exponents", 0)
+            allowance = oracle["strip_check"]["allowance"]
+            for k, (got, want) in enumerate(zip(oracle["fce_real_parts"], exact)):
+                if got < want if k < unresolved else abs(got - want) > allowance:
+                    problems.append(f"{analysis['norm']}: exponent {k} {'bound ' * (k < unresolved)}{got!r}, "
+                                    f"exact {want!r}, allowance {allowance!r}")
+    return problems
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=_REASON[name]))
+    if name in _REASON else name for name in SYSTEMS])
+def test_exponents_agree_with_the_exact_ones(tmp_path, name):
+    problems = _problems(*SYSTEMS[name], tmp_path / "system.json")
+    if name in _REASON and problems != [_REASON[name]]:
+        pytest.fail(f"fails otherwise than listed: {problems}")
+    assert problems == []

@@ -783,3 +783,11 @@ def test_dense_plan_peak_memory_is_no_higher_than_the_walk():
     finally:
         tracemalloc.stop()
     assert peaks[1] <= peaks[0]
+
+
+@pytest.mark.parametrize("bad", [42, "t", (1.0,)], ids=["int", "str", "tuple"])
+def test_evaluate_and_to_string_reject_what_is_not_a_node(bad):
+    with pytest.raises(TypeError, match="not an expression node"):
+        evaluate([bad], 0.0)
+    with pytest.raises(TypeError, match="not an expression node"):
+        to_string(bad)

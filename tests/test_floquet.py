@@ -19,18 +19,11 @@ import lpstab.transition as transition
 from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
 from lpstab.config import TOL
 from lpstab.errors import BlowupError, ConvergenceError, NumericError
-from lpstab.floquet import (
-    integrate_transition,
-    integrate_transitions,
-    monodromy_fce,
-    verify_decay,
-    verify_sandwich,
-    verify_strip,
-)
+from lpstab.floquet import monodromy_fce, verify_decay, verify_sandwich, verify_strip
 from lpstab.linalg import mat_norm, vec_norm
 from lpstab.lognorm import INF, ONE, TWO
-from lpstab.periodic import classify, fce_strip, pi_integral, rate_summary, system_from_strings
-from lpstab.transition import _rk4_matrix
+from lpstab.periodic import classify, pi_integral, rate_summary, system_from_strings
+from lpstab.transition import _rk4_matrix, integrate_transitions
 
 KINDS = [ONE, TWO, INF]
 
@@ -43,31 +36,31 @@ SC_FCE = (-21.156228460523, -4.843771539477)
 @pytest.mark.parametrize("t", [math.pi / 4.0, math.pi / 2.0, 2.0 * math.pi])
 def test_transition_matches_closed_form(beta, t):
     entry = rotating_frame(beta)
-    got = integrate_transition(entry.system, 0.0, t).value
+    got = integrate_transitions(entry.system, [0.0], [t]).value[0]
     ref = entry.transition(t, 0.0)
     assert np.abs(got - ref).max() <= 1e-6
 
 
 def test_transition_backward_inverts_forward():
     entry = rotating_frame(0.5)
-    fwd = integrate_transition(entry.system, 0.0, 1.3).value
-    bwd = integrate_transition(entry.system, 1.3, 0.0).value
+    fwd = integrate_transitions(entry.system, [0.0], [1.3]).value[0]
+    bwd = integrate_transitions(entry.system, [1.3], [0.0]).value[0]
     assert np.abs(fwd @ bwd - np.eye(2)).max() <= 1e-6
 
 
 def test_transition_identity_at_zero_span():
-    tm = integrate_transition(lti_diag().system, 0.7, 0.7)
-    assert np.array_equal(tm.value, np.eye(2))
-    assert tm.steps == 0 and tm.error_estimate == 0.0
+    tm = integrate_transitions(lti_diag().system, [0.7], [0.7])
+    assert np.array_equal(tm.value[0], np.eye(2))
+    assert tm.steps[0] == 0 and tm.error_estimate[0] == 0.0
 
 
 def test_cocycle_property():
     # Phi(c, a) = Phi(c, b) Phi(b, a), each factor integrated independently
     sysd = strong_coupling().system
     a, b, c = 0.0, 0.21, 0.47
-    full = integrate_transition(sysd, a, c).value
-    first = integrate_transition(sysd, a, b).value
-    second = integrate_transition(sysd, b, c).value
+    full = integrate_transitions(sysd, [a], [c]).value[0]
+    first = integrate_transitions(sysd, [a], [b]).value[0]
+    second = integrate_transitions(sysd, [b], [c]).value[0]
     scale = max(1.0, float(np.abs(full).max()))
     assert np.abs(second @ first - full).max() <= 1e-7 * scale
 
@@ -76,8 +69,8 @@ def test_flow_periodicity():
     # A(t + T) = A(t) forces Phi(t0 + 2T, t0 + T) = Phi(t0 + T, t0)
     sysd = strong_coupling().system
     T = sysd.period
-    one = integrate_transition(sysd, sysd.t0, sysd.t0 + T).value
-    two = integrate_transition(sysd, sysd.t0 + T, sysd.t0 + 2.0 * T).value
+    one = integrate_transitions(sysd, [sysd.t0], [sysd.t0 + T]).value[0]
+    two = integrate_transitions(sysd, [sysd.t0 + T], [sysd.t0 + 2.0 * T]).value[0]
     assert np.abs(one - two).max() <= 1e-7
 
 
@@ -94,7 +87,7 @@ def test_rk4_is_fourth_order():
 
 def test_transition_scalar_closed_form():
     entry = CATALOG["scalar_unstable"]()
-    got = integrate_transition(entry.system, 0.0, 3.0).value
+    got = integrate_transitions(entry.system, [0.0], [3.0]).value[0]
     assert got[0, 0] == pytest.approx(entry.transition(3.0, 0.0)[0, 0], rel=1e-7)
 
 
@@ -177,7 +170,7 @@ _EXACT_EXPONENTS = {"lti_diag": (-2.0, -1.0), "scalar_unstable": (0.3,), "rotati
 @pytest.mark.parametrize("name", sorted(CATALOG) + ["stiff100"]
                          + [f"rotating_frame({b})" for b in (0.5, 1.0, 1.5, 3.0)])
 def test_monodromy_exponents_agree_with_the_whole_period_reference(name):
-    # each resolved exponent against one integrate_transition over [t0, t0 + T], within
+    # each resolved exponent against one integrate_transitions segment [t0, t0 + T], within
     # the two routes' error estimates read as in verify_strip, and within 1e-8 of exact
     if name == "stiff100":
         sysd = system_from_strings([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
@@ -187,14 +180,14 @@ def test_monodromy_exponents_agree_with_the_whole_period_reference(name):
         sysd = CATALOG[name]().system
     T, n = sysd.period, sysd.n
     fce = monodromy_fce(sysd)
-    ref = integrate_transition(sysd, sysd.t0, sysd.t0 + T)
-    ref_mods = np.abs(np.linalg.eigvals(ref.value))
-    ref_mods = np.sort(ref_mods[ref_mods >= TOL.multiplier_floor * np.abs(ref.value).max()])
+    ref = integrate_transitions(sysd, [sysd.t0], [sysd.t0 + T])
+    ref_mods = np.abs(np.linalg.eigvals(ref.value[0]))
+    ref_mods = np.sort(ref_mods[ref_mods >= TOL.multiplier_floor * np.abs(ref.value[0]).max()])
     got = fce.real_parts[fce.unresolved:]
     assert len(got) == len(ref_mods) >= 1
     mods = sorted(abs(z) for z in fce.multipliers if abs(z) >= fce.floor)
     allowance = (math.log1p(n * fce.monodromy.error_estimate / mods[0])
-                 + math.log1p(n * ref.error_estimate / ref_mods[0])) / T
+                 + math.log1p(n * ref.error_estimate[0] / ref_mods[0])) / T
     for g, m in zip(got, ref_mods):
         assert abs(g - math.log(m) / T) <= allowance, (name, g, math.log(m) / T, allowance)
     if name in _EXACT_EXPONENTS:
@@ -227,7 +220,7 @@ def test_strip_contains_exponents(name):
         chk = verify_strip(rate_summary(sysd, kind), fce)
         assert chk.passed, (name, kind.tag, chk)
         assert chk.worst_violation <= chk.allowance
-        lo, hi = fce_strip(sysd, kind)
+        lo, hi = classify(sysd, kind).strip
         assert (chk.lower, chk.upper) == (lo, hi)
         for r in chk.real_parts:
             assert lo - chk.allowance <= r <= hi + chk.allowance
@@ -493,13 +486,9 @@ def test_integrate_transitions_matches_scalar_reference(sysd, tol):
     assert len(set(got.steps.tolist())) > 3
     # the caller's times are copied, not frozen
     assert a.flags.writeable and b.flags.writeable
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(transition, "TOL", TOL._replace(ode_tol=tol or TOL.ode_tol))
-        one = integrate_transition(sysd, float(a[1]), float(b[1]))
-    assert one.value.tobytes() == got.value[1].tobytes() and not one.value.flags.writeable
-    assert (one.t_start, one.t_end, one.steps, one.error_estimate) == (
-        float(a[1]), float(b[1]), int(got.steps[1]), float(got.error_estimate[1]))
-    assert [type(v) for v in one[1:]] == [float, float, int, float]
+    # a segment integrated alone gives the bits of its row in the stack
+    one = integrate_transitions(sysd, a[1:2], b[1:2], tol)
+    assert [field.tobytes() for field in one] == [field[1:2].tobytes() for field in got]
 
 
 @pytest.mark.parametrize("sysd", _SYSTEMS,
@@ -665,16 +654,16 @@ def test_stiff_transition_blowup_without_warnings(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(transition, "TOL", TOL._replace(ode_max_steps=64))
             with pytest.raises(BlowupError) as info:
-                integrate_transition(_STIFF, 0.0, 2.0 * math.pi)
+                integrate_transitions(_STIFF, [0.0], [2.0 * math.pi])
         assert str(info.value) == "transition matrix exceeded 1.0e+300 at t=3.53429"
         assert info.value.t_reached == t_blow
-        tm = integrate_transition(_STIFF, 0.0, 2.0 * math.pi)
+        tm = integrate_transitions(_STIFF, [0.0], [2.0 * math.pi])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the reference loop overflows
         value, steps, err = _ref_integrate_transition(_STIFF, 0.0, 2.0 * math.pi)
-    assert tm.steps == steps == 16384
-    assert np.abs(tm.value - value).max() <= _VALUE_BOUND * np.abs(value).max()
-    assert abs(tm.error_estimate - err) <= 2.0 * _VALUE_BOUND * np.abs(value).max()
+    assert tm.steps[0] == steps == 16384
+    assert np.abs(tm.value[0] - value).max() <= _VALUE_BOUND * np.abs(value).max()
+    assert abs(tm.error_estimate[0] - err) <= 2.0 * _VALUE_BOUND * np.abs(value).max()
 
 
 def test_blowup_retry_reads_the_blown_steps_stage_grid(monkeypatch):
@@ -682,8 +671,8 @@ def test_blowup_retry_reads_the_blown_steps_stage_grid(monkeypatch):
     # end cannot see: the step is too coarse there, so the pass doubles and converges
     monkeypatch.setattr(transition, "TOL", TOL._replace(overflow=50.0))
     spike = system_from_strings([["-1 - 2000*exp(-((t - 0.5390625)/0.002)^2)"]], 1.0)
-    tm = integrate_transition(spike, 0.0, 1.0)
-    assert abs(tm.value[0, 0] - math.exp(-1.0 - 4.0 * math.sqrt(math.pi))) <= 1e-7
+    tm = integrate_transitions(spike, [0.0], [1.0])
+    assert abs(tm.value[0, 0, 0] - math.exp(-1.0 - 4.0 * math.sqrt(math.pi))) <= 1e-7
 
 
 def _ref_check_segments(sys, forward, span):
@@ -694,8 +683,8 @@ def _ref_check_segments(sys, forward, span):
     ts = np.linspace(sys.t0, sys.t0 + sys.period, 16)
     ends = [(float(ts[m]), float(ts[m + 1])) for m in range(15)]
     period = []
-    for e in ends:
-        value = integrate_transition(sys, *(e if forward else e[::-1])).value
+    for a, b in ends:
+        value = integrate_transitions(sys, [a if forward else b], [b if forward else a]).value[0]
         k = math.frexp(float(np.abs(value).max()))[1]
         period.append((np.ldexp(value, -k), k))
     segs = []
@@ -802,3 +791,31 @@ def test_scaled_log_norms_match_unscaled_products(sysd):
         for kind in KINDS:
             ref = np.log(mat_norm(np.array(want)[normal], kind))
             assert np.abs(np.log(mat_norm(P, kind))[normal] + shift[normal] - ref).max() <= 1e-12
+
+
+def test_transition_limits_must_be_one_dimensional_and_of_one_length():
+    sysd = lti_diag().system
+    for t_from, t_to in (([0.0, 1.0], [1.0]), ([[0.0]], [[1.0]])):
+        with pytest.raises(ValueError, match="t_from and t_to must be 1-d of one length"):
+            integrate_transitions(sysd, t_from, t_to)
+
+
+def test_transition_underflowing_to_zero_is_a_numeric_error():
+    # exp(-45000) is far below the smallest float: the converged matrix has no spectrum
+    sysd = system_from_strings([["-3000"]], 15.0)
+    with pytest.raises(NumericError, match=r"^integrated transition matrix underflowed to zero over \[0, 15\]$"):
+        integrate_transitions(sysd, [0.0], [15.0])
+
+
+def test_monodromy_raises_the_cached_forward_blowup_again():
+    # exp(800 t) passes the cap in the first segment; _period_segments caches the error,
+    # so a second call raises the same one without integrating again
+    sysd = system_from_strings([["800"]], 15.0)
+    floquet._period_segments.cache_clear()
+    raised = []
+    for _ in range(2):
+        with pytest.raises(BlowupError, match=r"^transition matrix exceeded 1\.0e\+300 at t=0\.86377$") as info:
+            monodromy_fce(sysd)
+        raised.append(info.value)
+    assert raised[0] is raised[1]
+    assert floquet._period_segments.cache_info()[:2] == (1, 1)

@@ -1,9 +1,16 @@
-"""The documented-change mode of tools/identity.py: JSON stdout compared key
-by key, with the floats under allowed key patterns free to move within
-their bounds, and everything else compared as before."""
+"""tools/identity.py: the documented-change mode, where JSON stdout is
+compared key by key, with the floats under allowed key patterns free to
+move within their bounds and everything else compared as before; the
+seeded argument vectors of --generate; and the command line's options."""
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
+
+import pytest
+
+from lpstab import cli
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
 _spec = importlib.util.spec_from_file_location("identity", _TOOL)
@@ -48,3 +55,41 @@ def test_text_stdout_and_stderr_stay_byte_compared():
     assert lines[:2] == ["lpstab analyze", "  stdout:"]
     lines, _ = _run(BASE, BASE, stderr=(b"warning\n", b""))
     assert lines[:2] == ["lpstab analyze", "  stderr:"]
+
+
+def test_generated_vectors_are_seeded_and_well_formed():
+    drawn = identity.generate(29, 40)
+    assert drawn == identity.generate(29, 40) and drawn != identity.generate(30, 40)
+    assert identity.generate(29, 12) == drawn[:12]
+    assert {argv[0] for argv in drawn} == {"analyze", "series", "perturb"}
+    for argv in drawn:
+        assert argv[1] == "-s" and argv[2] in identity.CATALOG
+        norms = argv[argv.index("--norm") + 1].split(",")
+        assert len(set(norms)) == len(norms) and set(norms) <= set(identity.NORMS)
+        assert len(norms) == 1 or argv[0] == "analyze"
+    flags = {flag for argv in drawn for flag in argv if flag.startswith("--")}
+    assert {"--param", "--json", "--no-oracle", "--trajectory", "--d", "--x0"} <= flags
+
+
+def test_generated_vectors_parse_and_run_in_process():
+    # a drawn vector may fail as a command (the weighted norm needs a Hurwitz A(t0)), but
+    # never as a command line or with a numeric failure
+    for argv in identity.generate(29, 12):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli.main(argv)
+                code = 0
+            except SystemExit as exc:
+                code = exc.code
+        assert code == 0 or err.getvalue().startswith("error: "), (argv, code, err.getvalue())
+
+
+def test_options_follow_the_usage_line():
+    assert identity.options(["HEAD"]) == ("HEAD", None, None)
+    assert identity.options(["HEAD", "--generate", "29", "40", "--allow", "moves.json"]) == (
+        "HEAD", "moves.json", (29, 40))
+    for args in ([], ["--allow", "moves.json"], ["HEAD", "--generate", "29"], ["HEAD", "extra"],
+                 ["HEAD", "--generate", "29", "-1"], ["HEAD", "--allow", "a", "--allow", "b"]):
+        with pytest.raises(ValueError):
+            identity.options(args)

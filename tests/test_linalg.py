@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import lpstab.linalg as la
+from lpstab.config import TOL
 from lpstab.errors import NotPositiveDefiniteError, NumericError, SingularMatrixError
 from lpstab.lognorm import INF, ONE, TWO, mu, weighted
 
@@ -87,12 +88,13 @@ def test_mat_norm_submultiplicative():
 
 
 def test_sym_eigs_against_numpy():
+    # the symmetric eigensolver under mat_norm's two norm and mu_pair's two and weighted norms
     rng = np.random.default_rng(4)
     for _ in range(60):
         n = rng.integers(1, 9)
         M = rng.standard_normal((n, n))
         S = 0.5 * (M + M.T)
-        w = la.sym_eigs(S)
+        w = la._sym_eigvals(S, "S")
         ref = np.linalg.eigvalsh(S)
         assert np.all(np.diff(w) >= -1e-12)
         assert np.abs(w - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
@@ -100,29 +102,17 @@ def test_sym_eigs_against_numpy():
         assert abs(w.sum() - np.trace(S)) <= 1e-10 * (1.0 + abs(np.trace(S)))
 
 
-def test_sym_eigs_vectors_residual():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        n = rng.integers(2, 9)
-        M = rng.standard_normal((n, n))
-        S = 0.5 * (M + M.T)
-        w, V = la.sym_eigs(S, vectors=True)
-        resid = np.linalg.norm(S @ V - V @ np.diag(w), 2)
-        assert resid <= 1e-10 * (1.0 + np.linalg.norm(S, 2))
-        assert np.linalg.norm(V.T @ V - np.eye(n), 2) <= 1e-10
-
-
 def test_sym_eigs_stack():
     rng = np.random.default_rng(30)
     for n in (1, 2, 4, 7):
         B = rng.standard_normal((3, 4, n, n))
         S = B + np.swapaxes(B, -1, -2)
-        w = la.sym_eigs(S)
+        w = la._sym_eigvals(S, "S")
         assert w.shape == (3, 4, n)
-        assert w.tobytes() == np.array([[la.sym_eigs(M) for M in row] for row in S]).tobytes()
-    S[2, 1, 0, -1] += 1.0   # one asymmetric matrix spoils the stack
-    with pytest.raises(ValueError, match="symmetric"):
-        la.sym_eigs(S)
+        assert w.tobytes() == np.array([[la._sym_eigvals(M, "S") for M in row] for row in S]).tobytes()
+    S[2, 1, 0, -1] = np.inf   # one overflowed matrix spoils the stack
+    with pytest.raises(NumericError, match="S overflowed to a non-finite value"):
+        la._sym_eigvals(S, "S")
 
 
 def test_gram_eigs_nonnegative():
@@ -130,7 +120,7 @@ def test_gram_eigs_nonnegative():
     for _ in range(40):
         n = rng.integers(1, 7)
         A = rng.standard_normal((n, n))
-        w = la.sym_eigs(A.T @ A)
+        w = la._sym_eigvals(A.T @ A, "Gram product")
         assert w.min() >= -1e-12 * max(1.0, w.max())
 
 
@@ -181,16 +171,6 @@ def test_check_nonsingular_rejects_singular():
     assert la.check_nonsingular(A) is not None
     with pytest.raises(SingularMatrixError):
         la.check_nonsingular(np.array([[1.0, 2.0], [2.0, 4.0]]))
-
-
-def test_similarity_transform():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        n = rng.integers(1, 7)
-        P = rng.standard_normal((n, n)) + n * np.eye(n)
-        A = rng.standard_normal((n, n))
-        B = la.similarity_transform(P, A)
-        assert np.abs(B - P @ A @ np.linalg.inv(P)).max() <= 1e-8 * (1.0 + np.abs(A).max())
 
 
 def _random_hurwitz(rng, n):
@@ -258,10 +238,10 @@ def test_input_validation():
     with pytest.raises(Exception):
         la.mat_norm(np.array([1.0, 2.0]), ONE)  # not square
     with pytest.raises(Exception):
-        la.sym_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not symmetric
+        la.cholesky(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not symmetric
     with pytest.raises(Exception):
         la.mat_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]), ONE)
-    # mat_norm, sym_eigs and lognorm.mu take stacks of square matrices only
+    # mat_norm and lognorm.mu take stacks of square matrices only
     with pytest.raises(ValueError, match="square"):
         la.mat_norm(np.zeros((2, 2, 3)), ONE)
     with pytest.raises(ValueError, match="square"):
@@ -321,7 +301,7 @@ def test_norm_kind_checks_its_transform_once():
     kind = la.NormKind("weighted", P)
     assert kind.transform.tobytes() == P.tobytes()
     A = np.array([[-1.0, 3.0], [0.5, -2.0]])
-    assert la.mat_norm(A, kind) == la.mat_norm(la.similarity_transform(P, A), TWO)
+    assert la.mat_norm(A, kind) == la.mat_norm(la._similar(kind.transform, A), TWO)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9])
@@ -342,5 +322,12 @@ def test_stacks_match_per_item_calls(n):
         got = la.vec_norm(X, kind)
         assert got.shape == (4, 5)
         assert got.tobytes() == np.array([la.vec_norm(x, kind) for x in X.reshape(-1, n)]).tobytes()
-    assert la.similarity_transform(P, S).tobytes() == np.array(
-        [la.similarity_transform(P, A) for A in flat]).tobytes()
+    assert la._similar(P, S).tobytes() == np.array([la._similar(P, A) for A in flat]).tobytes()
+
+
+def test_rejects_matrices_past_the_dimension_cap_and_non_finite_vectors():
+    with pytest.raises(ValueError, match=f"matrix exceeds the dimension cap {TOL.max_dim}$"):
+        la.mat_norm(np.eye(TOL.max_dim + 1), ONE)
+    for x in ([1.0, np.nan], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="vector has non-finite entries"):
+            la.vec_norm(x, ONE)

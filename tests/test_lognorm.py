@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lpstab import linalg
-from lpstab.linalg import mat_norm, solve_lyapunov, cholesky, sym_eigs
+from lpstab.linalg import mat_norm, solve_lyapunov, cholesky
 from lpstab.lognorm import (
     INF,
     NAMED,
@@ -18,7 +18,6 @@ from lpstab.lognorm import (
     mu,
     mu_limit_estimate,
     mu_pair,
-    mu_weighted,
     weighted,
 )
 
@@ -158,7 +157,8 @@ def test_mu_weighted_matches_kind_route():
         n = rng.integers(2, 6)
         A = rng.standard_normal((n, n))
         P = rng.standard_normal((n, n)) + n * np.eye(n)
-        assert mu_weighted(A, P) == pytest.approx(mu(A, weighted(P)), abs=1e-10)
+        # the kind route solves with P^T; here the inverse is formed explicitly
+        assert mu(A, weighted(P)) == pytest.approx(mu(P @ A @ np.linalg.inv(P), TWO), abs=1e-10)
 
 
 def _random_hurwitz(rng, n):
@@ -177,8 +177,8 @@ def test_lyapunov_weight_certifies_hurwitz():
         kind = lyapunov_weighted(A)
         H = solve_lyapunov(A)
         assert np.abs(kind.transform - cholesky(H).T).max() <= 1e-12
-        target = -1.0 / sym_eigs(H)[-1]
-        got = mu_weighted(A, kind.transform)
+        target = -1.0 / np.linalg.eigvalsh(H)[-1]
+        got = mu(A, kind)
         assert got == pytest.approx(target, abs=1e-6)
         assert got < 0.0
 
@@ -192,3 +192,9 @@ def test_mu_two_of_skew_is_zero():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert mu(A, TWO) == pytest.approx(0.0, abs=1e-14)
     assert mu(-A, TWO) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-7])
+def test_limit_estimate_needs_a_positive_step(h):
+    with pytest.raises(ValueError, match="h must be positive"):
+        mu_limit_estimate(np.eye(2), ONE, h)

@@ -17,26 +17,6 @@ import pytest
 
 import lpstab
 
-# the namespace the package exported when __init__ imported every submodule
-OLD_NAMESPACE = {
-    "config": ["TOL", "Tolerances"],
-    "errors": ["BlowupError", "ConvergenceError", "InputError", "LpstabError",
-               "NotPositiveDefiniteError", "NumericError", "SingularMatrixError"],
-    "expr": ["EvalError", "ParseError", "evaluate", "parse", "to_string"],
-    "linalg": ["NormKind", "gen_eigs", "mat_norm", "sym_eigs", "vec_norm"],
-    "lognorm": ["INF", "NAMED", "ONE", "TWO", "lyapunov_weighted", "mu", "mu_limit_estimate",
-                "mu_weighted", "weighted"],
-    "periodic": ["FrozenTimeReport", "RateSummary", "SystemDef", "Verdict", "barrier_series",
-                 "classify", "fce_strip", "frozen_time_check", "integrate", "pi_integral",
-                 "rate_summary", "system_from_strings", "validate_periodicity"],
-    "floquet": ["DecayCheck", "FceEstimate", "StripCheck", "TransitionMatrix",
-                "integrate_transition", "integrate_transitions", "monodromy_fce",
-                "verify_decay", "verify_sandwich", "verify_strip"],
-    "perturb": ["ConvergenceReport", "Disturbance", "DriftReport", "Trajectory",
-                "convergence_report", "disturbance_from_strings", "simulate_perturbed",
-                "windowed_drift"],
-    "_version": ["__version__"],
-}
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -152,20 +132,16 @@ def test_console_entry_freezes_the_collector_by_every_exit(argv, code):
     assert proc.stdout.splitlines()[-1] == "frozen True"
 
 
-def test_old_names_resolve_to_their_submodule_objects():
-    got = run_python(f"""
-import importlib, json, lpstab
-listed = dir(lpstab)  # before any name is first used
-same = [n for m, ns in {OLD_NAMESPACE!r}.items() for n in ns
-        if getattr(lpstab, n) is getattr(importlib.import_module("lpstab." + m), n)]
-modules = [m for m in {list(OLD_NAMESPACE)!r} if m != "_version"
-           and getattr(lpstab, m) is importlib.import_module("lpstab." + m)]
-print(json.dumps({{"listed": listed, "same": same, "modules": modules}}))
-""")
-    names = [n for ns in OLD_NAMESPACE.values() for n in ns]
-    assert got["same"] == names
-    assert got["modules"] == [m for m in OLD_NAMESPACE if m != "_version"]
-    assert set(names) | set(got["modules"]) <= set(got["listed"])
+def test_package_binds_only_its_version_until_a_submodule_is_imported():
+    # each public name is imported from its own module; the import system binds a
+    # submodule on the package once it is imported
+    got = run_python("import json, lpstab; listed = [n for n in dir(lpstab) if not n.startswith('__')]; "
+                     "from lpstab import periodic; import lpstab.periodic as same; "
+                     "print(json.dumps([listed, lpstab.__version__, periodic is same, "
+                     "[n for n in ('periodic', 'linalg', 'floquet') if hasattr(lpstab, n)]]))")
+    assert got[0] == ["_version"]
+    assert got[1] == lpstab.__version__ and got[2] is True
+    assert got[3] == ["periodic", "linalg"]
 
 
 def test_no_submodule_imports_scipy():

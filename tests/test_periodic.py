@@ -28,7 +28,6 @@ from lpstab.periodic import (
     _scan,
     barrier_series,
     classify,
-    fce_strip,
     frozen_time_check,
     integrate,
     pi_integral,
@@ -102,7 +101,6 @@ def test_strong_coupling_verdicts():
         alpha = -frozen["pi_plus_period"] / (math.pi / 6.0)
         assert v.alpha_tilde == pytest.approx(alpha, abs=1e-9)
         assert v.strip == pytest.approx((-frozen["lambda_minus"], frozen["lambda_plus"]), abs=1e-9)
-        assert v.strip == pytest.approx(fce_strip(sysd, kind), abs=1e-12)
 
 
 def test_rotating_frame_two_norm_is_flat():
@@ -174,10 +172,10 @@ def test_lti_diag_exact():
 
 def test_jordan_block_norm_dependent_strip():
     sysd = CATALOG["lti_jordan_marginal"]().system
-    assert fce_strip(sysd, ONE) == pytest.approx((-1.0, 1.0), abs=1e-12)
-    assert fce_strip(sysd, INF) == pytest.approx((-1.0, 1.0), abs=1e-12)
+    assert classify(sysd, ONE).strip == pytest.approx((-1.0, 1.0), abs=1e-12)
+    assert classify(sysd, INF).strip == pytest.approx((-1.0, 1.0), abs=1e-12)
     # the two-norm strip is strictly sharper
-    assert fce_strip(sysd, TWO) == pytest.approx((-0.5, 0.5), abs=1e-12)
+    assert classify(sysd, TWO).strip == pytest.approx((-0.5, 0.5), abs=1e-12)
     for kind in KINDS:
         assert classify(sysd, kind).classification == "inconclusive"
 

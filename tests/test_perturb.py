@@ -16,7 +16,7 @@ import pytest
 from lpstab import perturb
 from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
 from lpstab.config import TOL
-from lpstab.errors import BlowupError, ConvergenceError, NumericError
+from lpstab.errors import BlowupError, ConvergenceError, InputError, NumericError
 from lpstab.expr import EvalError, evaluate
 from lpstab.linalg import mat_norm, vec_norm
 from lpstab.lognorm import INF, TWO
@@ -549,3 +549,16 @@ def test_first_interval_overflow_raises(monkeypatch):
     assert str(info.value) == "state exceeded 1.0e+300 on the first sample interval"
     assert info.value.t_reached == 14.0 / 15.0
     assert passes == [(60, 2), (120, 2), (240, 1), (480, 1), (960, 1), (1920, 1)]
+
+
+def test_disturbance_needs_an_entry():
+    with pytest.raises(InputError, match="disturbance has no entries"):
+        disturbance_from_strings([])
+
+
+def test_samples_past_the_step_budget_fail_before_the_grid_is_built():
+    # one substep a sample is already over TOL.ode_max_steps
+    sysd = strong_coupling().system
+    d = disturbance_from_strings(["0", "0"])
+    with pytest.raises(ConvergenceError, match=f"did not settle within {TOL.ode_max_steps} total steps"):
+        simulate_perturbed(sysd, d, [1.0, 0.0], sysd.t0 + 1.0, samples=TOL.ode_max_steps + 2)

@@ -1,6 +1,6 @@
 """Byte-identity check of the lpstab CLI against another revision.
 
-    python3 tools/identity.py REV [--allow PATH]
+    python3 tools/identity.py REV [--allow PATH] [--generate SEED N]
 
 Extracts REV of this repository with `git archive REV | tar -x`, runs one
 fixed list of CLI invocations under the working tree and under REV, each
@@ -30,12 +30,17 @@ imports a module only when it needs it: usage errors (no arguments, an
 unknown command, an unknown option), a missing, a non-JSON and an unknown
 catalog system, text `analyze --no-oracle`, and `series` and `perturb` of
 a file system (certify-dense's n = 3).
+
+With --generate, N argument vectors drawn from random.Random(SEED) follow
+the fixed list (see generate): `analyze`, `series` and `perturb` of a
+catalog system with drawn parameters, norms and output options.
 """
 
 import difflib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -53,6 +58,16 @@ STIFF = {
     "growing250": ([["250+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi),
 }
 UNDERFLOW = {"underflow2": ([["-800", "0"], ["0", "-1"]], 1.0), "underflow1": ([["-800"]], 1.0)}
+# catalog names with their dimension and each factory parameter's range; the tool imports
+# neither tree, and a name that one tree lacks shows up as differing output
+CATALOG = {
+    "example1": (2, {"beta": (0.25, 3.0)}), "rotating_frame": (2, {"beta": (0.25, 3.0)}),
+    "rotating_frame_marginal": (2, {}), "example2": (2, {}), "strong_coupling": (2, {}),
+    "lti_diag": (2, {"a": (-3.0, 1.0), "b": (-3.0, 1.0)}), "lti_jordan_marginal": (2, {}),
+    "scalar_unstable": (1, {}),
+}
+NORMS = ("one", "two", "inf", "weighted")
+DISTURBANCES = ("0", "1", "exp(-t)", "sin(3*t)", "cos(t)/(1+t)")
 
 
 def invocations(work: Path) -> list[list[str]]:
@@ -80,6 +95,38 @@ def invocations(work: Path) -> list[list[str]]:
               ["analyze", "-f", str(work / "missing.json")], ["analyze", "-f", str(work / "notjson.json")],
               ["analyze", "-s", "nosuch"], ["analyze", "-s", "example2", "--no-oracle"],
               ["series", "-f", dense3, "--norm", "inf"], ["perturb", "-f", dense3, "--json"]]
+    return argvs
+
+
+def generate(seed: int, count: int) -> list[list[str]]:
+    """count argument vectors from random.Random(seed), each of one catalog system, its
+    parameters drawn (each given with probability 0.7), and one of: `analyze` with a
+    non-empty subset of the norms in drawn order, text or --json, with or without
+    --no-oracle; `series` in one norm, of drift integrals or of a trajectory; `perturb` in
+    one norm with a drawn disturbance, initial state and end time, text or --json."""
+    rng = random.Random(seed)
+    argvs = []
+    for _ in range(count):
+        name = rng.choice(sorted(CATALOG))
+        n, params = CATALOG[name]
+        source = ["-s", name]
+        for key, (lo, hi) in params.items():
+            if rng.random() < 0.7:
+                source += ["--param", f"{key}={round(rng.uniform(lo, hi), 2)!r}"]
+        command = rng.choice(("analyze", "analyze", "series", "perturb"))
+        if command == "analyze":
+            argv = ["--norm", ",".join(rng.sample(NORMS, rng.randint(1, len(NORMS))))]
+            argv += ["--json"] * (rng.random() < 0.5) + ["--no-oracle"] * (rng.random() < 0.3)
+        else:
+            argv = ["--norm", rng.choice(NORMS), "--t-end", f"{round(rng.uniform(1.0, 8.0), 1)!r}",
+                    "--samples", str(rng.choice((16, 64, 200)))]
+            state = ",".join(f"{round(rng.uniform(-3.0, 3.0), 1)!r}" for _ in range(n))
+            if command == "series" and rng.random() < 0.5:
+                argv += ["--trajectory", state]
+            elif command == "perturb":
+                argv += ["--d", ";".join(rng.choice(DISTURBANCES) for _ in range(n)), "--x0", state]
+                argv += ["--json"] * (rng.random() < 0.5)
+        argvs.append([command, *source, *argv])
     return argvs
 
 
@@ -141,30 +188,46 @@ def differences(argv, ours, theirs, allow: dict | None = None, moves: dict | Non
     return [f"lpstab {' '.join(argv)}"] + lines if lines else []
 
 
+def options(args: list[str]):
+    """REV, the --allow path or None and the --generate (SEED, N) or None; ValueError
+    when args do not follow the usage line."""
+    if not args or args[0].startswith("-"):
+        raise ValueError("no revision given")
+    rev, rest, allow, drawn = args[0], args[1:], None, None
+    while rest:
+        if rest[0] == "--allow" and len(rest) >= 2 and allow is None:
+            allow, rest = rest[1], rest[2:]
+        elif rest[0] == "--generate" and len(rest) >= 3 and drawn is None and int(rest[2]) >= 0:
+            drawn, rest = (int(rest[1]), int(rest[2])), rest[3:]
+        else:
+            raise ValueError(f"unexpected argument {rest[0]!r}")
+    return rev, allow, drawn
+
+
 def main() -> int:
-    args = sys.argv[1:]
+    try:
+        revision, allow_path, drawn = options(sys.argv[1:])
+    except ValueError:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
     allow = None
-    if len(args) == 3 and args[1] == "--allow":
+    if allow_path is not None:
         try:
-            allow = json.loads(Path(args.pop()).read_text())
+            allow = json.loads(Path(allow_path).read_text())
         except (OSError, ValueError) as exc:
             allow = exc
-        args.pop()
         if not (isinstance(allow, dict) and all(type(b) in (int, float) and b >= 0 for b in allow.values())):
             print("--allow needs a JSON file holding an object of key patterns to non-negative bounds", file=sys.stderr)
             return 2
-    if len(args) != 1:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
     with tempfile.TemporaryDirectory() as tmp:
         work, rev = Path(tmp), Path(tmp) / "rev"
         rev.mkdir()
-        archive = subprocess.run(["git", "archive", args[0]], cwd=ROOT, capture_output=True)
+        archive = subprocess.run(["git", "archive", revision], cwd=ROOT, capture_output=True)
         if archive.returncode != 0:
             print(archive.stderr.decode(errors="replace").strip(), file=sys.stderr)
             return 2
         subprocess.run(["tar", "-x", "-C", str(rev)], input=archive.stdout, check=True)
-        argvs = invocations(work)
+        argvs = invocations(work) + (generate(*drawn) if drawn else [])
         with ThreadPoolExecutor(max_workers=2) as pool:
             runs = range(len(argvs))
             ours = list(pool.map(run, [ROOT] * len(argvs), argvs, [work / f"tree-{i}" for i in runs]))
