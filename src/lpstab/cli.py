@@ -178,7 +178,7 @@ def analyze(opt: SimpleNamespace) -> None:
     for name, kind in kinds:
         verdict = periodic.classify(sysd, kind, zero_tol)
         entry = {"norm": name, **_record_doc(verdict, "kind"),
-                 "rates": _record_doc(verdict.rates, "kind", "t0", "period")}
+                 "rates": _record_doc(verdict.rates, "period")}
         if no_oracle:
             entry["oracle"] = "skipped: oracle disabled"
         else:
@@ -197,9 +197,9 @@ def analyze(opt: SimpleNamespace) -> None:
             oracle_doc = {
                 "multipliers": [[_unscaled(z.real, fce.scale), _unscaled(z.imag, fce.scale)] for z in fce.multipliers],
                 "fce_real_parts": list(fce.real_parts),
-                "monodromy_steps": fce.monodromy.steps,
-                "monodromy_error": _unscaled(fce.monodromy.error_estimate, fce.scale),
-                "strip_check": _record_doc(strip_check, "lower", "upper", "real_parts"),
+                "monodromy_steps": fce.steps,
+                "monodromy_error": _unscaled(fce.error_estimate, fce.scale),
+                "strip_check": _record_doc(strip_check),
                 "sandwich_violation": violation,
                 "sandwich_passed": sandwich_ok,
             }

@@ -31,28 +31,33 @@ from .lognorm import TWO
 from .periodic import SystemDef
 from .transition import TransitionMatrix
 
+# segments per period of the oracle's grids, each of _SEGMENTS + 1 evenly spaced times
+_SEGMENTS = 15
+
 
 class FceEstimate(NamedTuple):
     """Monodromy spectrum: the monodromy M = Phi(t0 + T, t0) as the product
     of the 15 forward period segments, each divided by the power of two of
     its largest entry, and the product too after each segment, so that M =
-    monodromy.value * 2**scale with no entry's loss to under- or overflow
-    beyond its round-off relative to the largest; the multipliers rho of
-    monodromy.value, so each of M's is 2**scale rho; and the characteristic
-    exponent real parts (log|rho| + scale log 2) / T, ascending.
-    monodromy.steps is the segments' step sum and monodromy.error_estimate
-    the first-order bound on the product's error, sum_j err_j / |Phi_j|
-    times the product of the scaled segments' two norms, on the scale of
-    monodromy.value (inf where that passes the largest float).
+    monodromy * 2**scale with no entry's loss to under- or overflow beyond
+    its round-off relative to the largest; the multipliers rho of
+    monodromy, so each of M's is 2**scale rho; and the characteristic
+    exponent real parts (log|rho| + scale log 2) / T, ascending.  steps is
+    the segments' step sum and error_estimate the first-order bound on the
+    product's error, sum_j err_j / |Phi_j| times the product of the scaled
+    segments' two norms, on the scale of monodromy (inf where that passes
+    the largest float).
 
-    A multiplier below floor = TOL.multiplier_floor * max|monodromy.value|
-    is round-off of the eigensolver, not a resolved value.  Each such one
+    A multiplier below floor = TOL.multiplier_floor * max|monodromy| is
+    round-off of the eigensolver, not a resolved value.  Each such one
     gives the upper bound (log(floor) + scale log 2) / T in place of its
     exponent; these are the first `unresolved` entries of real_parts."""
 
     multipliers: tuple[complex, ...]
     real_parts: tuple[float, ...]
-    monodromy: TransitionMatrix
+    monodromy: np.ndarray
+    steps: int
+    error_estimate: float
     floor: float
     unresolved: int
     scale: int
@@ -61,9 +66,8 @@ class FceEstimate(NamedTuple):
 def monodromy_fce(sys: SystemDef) -> FceEstimate:
     """Characteristic multipliers and exponent real parts over one period,
     from the forward stack of _period_segments, whose BlowupError
-    propagates.  A monodromy whose largest multiplier passes TOL.overflow
-    is a BlowupError too, at the first grid time t0 + j T/15 where the
-    running product's inf norm passes it."""
+    propagates.  However far the flow grows or contracts, the scaled
+    product keeps its exponents finite."""
     period = _period_segments(sys, True, transition.TOL)
     if isinstance(period, BlowupError):
         raise period
@@ -71,25 +75,19 @@ def monodromy_fce(sys: SystemDef) -> FceEstimate:
     # the running product, divided by the power of two of its largest entry after each
     # segment: a flow whose segments' largest entries grow far faster than the product,
     # as a strongly non-normal one's do, would otherwise underflow to zero
-    M, scale, log2 = np.eye(sys.n), 0, math.log(2.0)
-    log_norms = []
+    M, scale = np.eye(sys.n), 0
     for seg, e in zip(segs, exps.tolist()):
         M = seg @ M
         k = math.frexp(float(np.abs(M).max()))[1]
         M, scale = np.ldexp(M, -k), scale + e + k
-        log_norms.append(math.log(float(np.abs(M).sum(axis=-1).max())) + scale * log2)
     mult = linalg.gen_eigs(M)
     floor = TOL.multiplier_floor * float(np.abs(M).max())
     mods = [abs(z) for z in mult]
-    logs = sorted(math.log(max(m, floor)) + scale * log2 for m in mods)
-    if logs[-1] > math.log(TOL.overflow):
-        t = float(period.t_end[np.argmax(np.greater(log_norms, math.log(TOL.overflow)))])
-        raise BlowupError(f"transition matrix exceeded {TOL.overflow:.1e} at t={t:.6g}", t_reached=t)
+    logs = sorted(math.log(max(m, floor)) + scale * math.log(2.0) for m in mods)
     rel = float(np.sum(period.error_estimate / np.abs(period.value).max(axis=(1, 2))))
     with np.errstate(over="ignore"):  # a bound past the largest float reads inf
         err = float(np.ldexp(rel * float(np.prod(linalg.mat_norm(segs, TWO))), int(exps.sum()) - scale))
-    tm = TransitionMatrix(M, float(period.t_start[0]), float(period.t_end[-1]), int(period.steps.sum()), err)
-    return FceEstimate(tuple(mult), tuple(v / sys.period for v in logs), tm, floor,
+    return FceEstimate(tuple(mult), tuple(v / sys.period for v in logs), M, int(period.steps.sum()), err, floor,
                        sum(m < floor for m in mods), scale)
 
 
@@ -101,7 +99,7 @@ def _period_segments(sys: SystemDef, forward: bool, tol: Tolerances) -> Transiti
     direction and tol, which is transition.TOL, the kernel's: the oracle's
     only RK4 integration.  A blow-up is kept without its frames, and a
     backward one never reaches monodromy_fce or verify_decay."""
-    ts = np.linspace(sys.t0, sys.t0 + sys.period, 16)
+    ts = np.linspace(sys.t0, sys.t0 + sys.period, _SEGMENTS + 1)
     a, b = (ts[:-1], ts[1:]) if forward else (ts[1:], ts[:-1])
     try:
         return transition.integrate_transitions(sys, a, b)
@@ -118,12 +116,12 @@ def _grid_segments(period: np.ndarray, forward: bool, span: int):
     grows or contracts.  Returns the products and the exponents."""
     e = np.frexp(np.abs(period).max(axis=(1, 2)))[1]
     scaled = np.ldexp(period, -e[:, None, None])
-    k = span * np.arange(15)
-    out = scaled[k % 15]
+    k = span * np.arange(_SEGMENTS)
+    out = scaled[k % _SEGMENTS]
     for d in range(1, span):
-        nxt = scaled[(k + d) % 15]
+        nxt = scaled[(k + d) % _SEGMENTS]
         out = nxt @ out if forward else out @ nxt
-    return out, e[(k[:, None] + np.arange(span)) % 15].sum(axis=1)
+    return out, e[(k[:, None] + np.arange(span)) % _SEGMENTS].sum(axis=1)
 
 
 def _pair_products(segs: np.ndarray, exps: np.ndarray, forward: bool):
@@ -148,9 +146,6 @@ def _pair_products(segs: np.ndarray, exps: np.ndarray, forward: bool):
 
 class StripCheck(NamedTuple):
     passed: bool
-    lower: float
-    upper: float
-    real_parts: tuple[float, ...]
     worst_violation: float
     allowance: float
 
@@ -168,13 +163,13 @@ def verify_strip(rates: periodic.RateSummary, fce: FceEstimate) -> StripCheck:
     lower = -rates.lambda_minus
     upper = rates.lambda_plus
     min_mod = min((m for m in map(abs, fce.multipliers) if m >= fce.floor), default=fce.floor)
-    eps_mult = len(fce.multipliers) * fce.monodromy.error_estimate / min_mod
+    eps_mult = len(fce.multipliers) * fce.error_estimate / min_mod
     allowance = TOL.strip_slack + rates.quadrature_error / rates.period + math.log1p(eps_mult) / rates.period
     # an unresolved exponent is only an upper bound: below the strip it puts the true
     # exponent below it too, above the strip it says nothing
     worst = max(lower - rp if k < fce.unresolved else max(lower - rp, rp - upper)
                 for k, rp in enumerate(fce.real_parts))
-    return StripCheck(worst <= allowance, lower, upper, fce.real_parts, worst, allowance)
+    return StripCheck(worst <= allowance, worst, allowance)
 
 
 def _log(norms: np.ndarray) -> np.ndarray:
@@ -204,7 +199,7 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
     point: that BlowupError propagates when some grid segment's bound allows
     such growth, and the result is inf (a violation) when none does.
     """
-    ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, 16)
+    ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, _SEGMENTS + 1)
     pp, pm = periodic.pi_integral(sys, kind, ts)[0].T
     stacks = [_period_segments(sys, forward, transition.TOL) for forward in (True, False)]
     if blown := [got for got in stacks if isinstance(got, BlowupError)]:
@@ -243,7 +238,7 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict) -> DecayCheck:
     if verdict.classification not in ("UES", "US"):
         raise ValueError(f"decay envelope only exists for stable verdicts, got {verdict.classification!r}")
     kind, rates, t0, log_k = verdict.kind, verdict.rates, sys.t0, math.log(verdict.K)
-    ts = np.linspace(t0, t0 + 3.0 * sys.period, 16)
+    ts = np.linspace(t0, t0 + 3.0 * sys.period, _SEGMENTS + 1)
     if isinstance(period := _period_segments(sys, True, transition.TOL), BlowupError):
         raise period
     # each period segment's relative error once per use; a running sum, as np.sum pairs terms

@@ -284,8 +284,6 @@ class RateSummary(NamedTuple):
     quadrature_error is the summed Simpson error estimate behind them.
     """
 
-    kind: NormKind
-    t0: float
     period: float
     lambda_plus: float
     lambda_minus: float
@@ -312,7 +310,7 @@ def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
     T, t0 = sys.period, sys.t0
     if sys.is_constant:
         mp, mm = map(float, lognorm.mu_pair(sys.matrix(t0), kind))
-        return RateSummary(kind, t0, T, mp, mm, 0.0, 0.0, 0.0, 0.0, mp * T, mm * T, 0.0)
+        return RateSummary(T, mp, mm, 0.0, 0.0, 0.0, 0.0, mp * T, mm * T, 0.0)
     ts, cum, errs = _scan(sys, kind)
     pers, lams = cum[-1], cum[-1] / T
     g = cum - (ts - t0)[:, None] * lams
@@ -337,7 +335,7 @@ def rate_summary(sys: SystemDef, kind: NormKind) -> RateSummary:
     phi = flip * (pi_integral(sys, kind, x)[0][idx, col] - lam * (x - t0))
     du_p, du_m = (max(float(g[:, d].max()), float(phi[(col == d) & (flip > 0)].max())) for d in (0, 1))
     dl_p, dl_m = (min(float(g[:, d].min()), -float(phi[(col == d) & (flip < 0)].max())) for d in (0, 1))
-    return RateSummary(kind, t0, T, *map(float, lams), du_p, dl_p, du_m, dl_m, *map(float, pers),
+    return RateSummary(T, *map(float, lams), du_p, dl_p, du_m, dl_m, *map(float, pers),
                        float(errs[0] + errs[1]))
 
 

@@ -321,9 +321,7 @@ class DriftReport(NamedTuple):
     """Windowed suprema of the running disturbance integral and the log
     slope of their tail."""
 
-    times: np.ndarray
     sups: np.ndarray
-    window: float
     tail_log_slope: float
 
 
@@ -358,4 +356,4 @@ def windowed_drift(d: Disturbance, t_grid, window: float = 1.0) -> DriftReport:
     # the least squares slope in closed form; np.polyfit would load LAPACK's solver for it
     dt = ts[-third:] - ts[-third:].mean()
     slope = float(dt @ (logs - logs.mean()) / (dt @ dt))
-    return DriftReport(ts, sups, window, slope)
+    return DriftReport(sups, slope)

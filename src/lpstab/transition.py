@@ -19,15 +19,12 @@ from .periodic import SystemDef
 
 
 class TransitionMatrix(NamedTuple):
-    """State transition matrices Phi(t_end, t_start) with integration
-    metadata: read-only stacks over the segments of integrate_transitions,
-    or floats and an int for the monodromy (floquet.monodromy_fce)."""
+    """State transition matrices over the segments of integrate_transitions
+    with integration metadata, each a read-only stack over the segments."""
 
     value: np.ndarray
-    t_start: float | np.ndarray
-    t_end: float | np.ndarray
-    steps: int | np.ndarray
-    error_estimate: float | np.ndarray
+    steps: np.ndarray
+    error_estimate: np.ndarray
 
 
 # a block's working set in bytes: its stage stack of A(t) and the temporaries that build,
@@ -187,7 +184,7 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
     """Phi(t_to[i], t_from[i]) for every pair of the 1-d sequences t_from and
     t_to, each by RK4 with step doubling, as one TransitionMatrix whose
     fields are read-only stacks over the segments: value (P, n, n) and
-    t_start, t_end, steps, error_estimate (P,).
+    steps, error_estimate (P,).
 
     Each segment starts from start_steps, an int or a (P,) array, or by
     default from a step count proportional to its span (between 8 and
@@ -269,6 +266,6 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
         first = False
     if fail:
         raise fail[min(fail)]
-    for field in (value, a, b, steps, err):
+    for field in (value, steps, err):
         field.flags.writeable = False
-    return TransitionMatrix(value, a, b, steps, err)
+    return TransitionMatrix(value, steps, err)

@@ -560,15 +560,24 @@ def test_perturb_drift_unavailable_past_t_end():
     assert "forced-state decay: not claimed (disturbance drift unavailable)" in out
 
 
-def test_blowup_reads_like_any_numeric_failure(tmp_path):
-    # the oracle's blow-up in analyze has nothing to do with a state or a sample; the
-    # system grows like exp(250 t), past the cap near t = log(1e300) / 250 = 2.763, so
-    # the monodromy's running product passes it at the next grid time 7 T/15 = 2.932
+def test_monodromy_past_the_largest_float_is_reported(tmp_path):
+    # the system grows like exp(250 t), so its monodromy exp(500 pi) is far past the
+    # largest float: its exponents come from the scaled product, and the figures scaled
+    # back to M read Infinity.  The multiplier exp(-2 pi) is round-off beside it
     path = write_system(tmp_path, {"entries": [["250+sin(t)", "1"], ["0", "-1"]],
                                    "period": 2.0 * math.pi})
-    code, _, err = run_cli("analyze", "-f", path, "--norm", "one")
-    assert code == 2
-    assert err == "numeric failure: transition matrix exceeded 1.0e+300 at t=2.93215\n"
+    code, out, err = run_cli("analyze", "-f", path, "--norm", "one", "--json")
+    assert code == 0, err
+    oracle = json.loads(out)["analyses"][0]["oracle"]
+    bound, top = oracle["fce_real_parts"]
+    assert oracle["unresolved_exponents"] == 1 and 244.0 < bound < 250.0
+    assert top == pytest.approx(250.0, abs=1e-8)
+    assert oracle["multipliers"][1] == [math.inf, 0.0]
+    assert oracle["monodromy_error"] == oracle["multiplier_floor"] == math.inf
+    assert oracle["strip_check"]["passed"] and oracle["sandwich_passed"]
+    code, out, err = run_cli("analyze", "-f", path, "--norm", "one")
+    assert (code, err) == (0, "")
+    assert "monodromy exponent real parts: <=244.869, 250 (inside strip: yes)" in out
 
 
 @pytest.mark.parametrize("rate", ["-3000", "-100"])
@@ -806,8 +815,7 @@ def test_weighted_transform_is_checked_once(monkeypatch):
     ("verify_sandwich", lambda sys, kind: 1.0, "transition bound violated by 1.000e+00"),
     ("verify_decay", lambda sys, verdict: floquet.DecayCheck(False, -0.5, 1e-6, 120, 120),
      "decay envelope violated by 5.000e-01"),
-    ("verify_strip", lambda rates, fce: floquet.StripCheck(False, -rates.lambda_minus, rates.lambda_plus,
-                                                          fce.real_parts, 0.25, 1e-6),
+    ("verify_strip", lambda rates, fce: floquet.StripCheck(False, 0.25, 1e-6),
      "exponent strip violated by 2.500e-01"),
 ], ids=["sandwich", "decay", "strip"])
 def test_failed_cross_check_exits_two_after_the_whole_document(monkeypatch, check, fake, line):

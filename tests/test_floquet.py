@@ -121,7 +121,7 @@ def test_strip_reads_an_unresolved_exponent_as_an_upper_bound():
     # floor is read on the scaled product, and its bound carries the product's power of two
     sysd = system_from_strings([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
     fce = monodromy_fce(sysd)
-    assert fce.unresolved == 1 and fce.floor == TOL.multiplier_floor * np.abs(fce.monodromy.value).max()
+    assert fce.unresolved == 1 and fce.floor == TOL.multiplier_floor * np.abs(fce.monodromy).max()
     assert fce.real_parts[0] == (math.log(fce.floor) + fce.scale * math.log(2.0)) / sysd.period
     assert fce.real_parts[1] == pytest.approx(-1.0, abs=1e-9)
     rates = rate_summary(sysd, ONE)
@@ -150,9 +150,8 @@ def test_monodromy_is_the_scaled_product_of_the_forward_period_segments(sysd):
         M = np.ldexp(seg, -e) @ M
         k = math.frexp(float(np.abs(M).max()))[1]
         M, scale = np.ldexp(M, -k), scale + e + k
-    assert np.array_equal(fce.monodromy.value, M) and fce.scale == scale
-    assert fce.monodromy.steps == period.steps.sum()
-    assert (fce.monodromy.t_start, fce.monodromy.t_end) == (sysd.t0, sysd.t0 + sysd.period)
+    assert np.array_equal(fce.monodromy, M) and fce.scale == scale
+    assert fce.steps == period.steps.sum()
 
 
 def test_non_normal_monodromy_gives_upper_bounds():
@@ -186,7 +185,7 @@ def test_monodromy_exponents_agree_with_the_whole_period_reference(name):
     got = fce.real_parts[fce.unresolved:]
     assert len(got) == len(ref_mods) >= 1
     mods = sorted(abs(z) for z in fce.multipliers if abs(z) >= fce.floor)
-    allowance = (math.log1p(n * fce.monodromy.error_estimate / mods[0])
+    allowance = (math.log1p(n * fce.error_estimate / mods[0])
                  + math.log1p(n * ref.error_estimate[0] / ref_mods[0])) / T
     for g, m in zip(got, ref_mods):
         assert abs(g - math.log(m) / T) <= allowance, (name, g, math.log(m) / T, allowance)
@@ -194,12 +193,14 @@ def test_monodromy_exponents_agree_with_the_whole_period_reference(name):
         assert got == pytest.approx(_EXACT_EXPONENTS[name], abs=1e-8)
 
 
-def test_monodromy_past_the_cap_names_the_first_grid_time_past_it():
-    # exp(250 t) passes 1e300 between t = 6 T/15 and 7 T/15: a running product past the
-    # cap at 7 T/15, the first of the grid times t0 + j T/15 after it
-    with pytest.raises(BlowupError, match=r"^transition matrix exceeded 1\.0e\+300 at t=2\.93215$") as info:
-        monodromy_fce(_GROWING)
-    assert info.value.t_reached == np.linspace(0.0, 2.0 * math.pi, 16)[7]
+def test_monodromy_past_the_float_range_is_resolved():
+    # exp(250 T) is far above the largest float, each segment's exp(250 T/15) is not: the
+    # product carries the difference as its power of two.  The multiplier exp(-T) is
+    # round-off beside it, so its exponent is an upper bound
+    fce = monodromy_fce(_GROWING)
+    assert fce.unresolved == 1 and fce.scale > 1024
+    assert fce.real_parts[0] == (math.log(fce.floor) + fce.scale * math.log(2.0)) / _GROWING.period
+    assert fce.real_parts[1] == pytest.approx(250.0, abs=1e-8)
 
 
 def test_monodromy_of_a_flow_below_the_float_range_is_resolved():
@@ -221,8 +222,7 @@ def test_strip_contains_exponents(name):
         assert chk.passed, (name, kind.tag, chk)
         assert chk.worst_violation <= chk.allowance
         lo, hi = classify(sysd, kind).strip
-        assert (chk.lower, chk.upper) == (lo, hi)
-        for r in chk.real_parts:
+        for r in fce.real_parts:
             assert lo - chk.allowance <= r <= hi + chk.allowance
 
 
@@ -482,7 +482,7 @@ def test_integrate_transitions_matches_scalar_reference(sysd, tol):
         scale = float(np.abs(value).max())
         assert np.abs(got.value[i] - value).max() <= _VALUE_BOUND * scale
         assert abs(got.error_estimate[i] - err) <= 2.0 * _VALUE_BOUND * scale
-        assert (got.steps[i], got.t_start[i], got.t_end[i]) == (steps, x, y)
+        assert got.steps[i] == steps
     assert len(set(got.steps.tolist())) > 3
     # the caller's times are copied, not frozen
     assert a.flags.writeable and b.flags.writeable
