@@ -19,7 +19,7 @@ class Tolerances(NamedTuple):
     quad_max_depth: int = 48
 
     # ODE integration (fixed-step RK4 with step doubling)
-    ode_tol: float = 1e-8           # accepted when entry diff <= ode_tol * (1 + |result|_2)
+    ode_tol: float = 1e-8           # pass accepted when max|entry diff| <= ode_tol * max|entry|
     ode_start_steps: int = 64
     ode_max_steps: int = 2 ** 20
     overflow: float = 1e300

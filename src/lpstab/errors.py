@@ -35,9 +35,11 @@ class BlowupError(NumericError):
     """State or transition matrix exceeded the overflow limit.
 
     For strongly unstable systems this is diagnostic rather than fatal;
-    callers that can say something useful catch it.
+    callers that can say something useful catch it.  t_reached is the time
+    a state got to, or None for a transition matrix, which is judged over
+    its whole segment.
     """
 
-    def __init__(self, message, t_reached):
+    def __init__(self, message, t_reached=None):
         super().__init__(message)
         self.t_reached = t_reached

@@ -195,9 +195,10 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
     Each pair's log norm is the log of its scaled product's norm plus its
     power of two, so a transition past the largest float, as a stiff
     system's backward flow, or below the smallest is checked like any other.
-    A period segment past the overflow cap cannot be checked in floating
-    point: that BlowupError propagates when some grid segment's bound allows
-    such growth, and the result is inf (a violation) when none does.
+    A period segment whose pass ends past the overflow cap with steps that
+    resolve A, integrate_transitions' BlowupError, has no floating-point
+    value to check: that error propagates when some grid segment's bound
+    allows such growth, and the result is inf (a violation) when none does.
     """
     ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, _SEGMENTS + 1)
     pp, pm = periodic.pi_integral(sys, kind, ts)[0].T

@@ -129,14 +129,14 @@ def _rk4_pass(sys: SystemDef, d: Disturbance, x0: np.ndarray, ts: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):  # the cap checks below catch inf and NaN
         while stop:
             try:
-                maps = _rk4_matrix(field, ts[:stop], ts[1:stop + 1], m)[0]
+                maps = _rk4_matrix(field, ts[:stop], ts[1:stop + 1], m)
                 break
             except EvalError as exc:  # blocks are chunk-major, so an earlier interval may fail too
                 stop, error = min(stop - 1, int(np.searchsorted(ts, exc.t, side="right")) - 1), exc
         M, c = maps[:stop, :-1, :-1], maps[:stop, :-1, -1]
         for i in range(stop):
             states[i + 1] = M[i] @ states[i] + c[i]
-        # the first state past the cap, or NaN as from a blown interval's map
+        # the first state past the cap, inf and NaN from a diverged interval's map included
         blown = ~(np.abs(states[1:stop + 1]).max(axis=1) <= TOL.overflow)
         if blown.any():
             return states, int(blown.argmax()) + 1

@@ -3,11 +3,12 @@ kernel that the monodromy oracle (floquet) and the forced stepper and its
 audit (perturb) share.  On a linear field an RK4 step is a matrix, so
 A(t) is read in blocks on the stage grid and each block's step matrices
 are composed by log-depth prefix products (Blelloch 1990), never by a
-Python loop over the steps.  Every tolerance is read from this module's
-TOL.
+Python loop over the steps.  The kernel only integrates; each pass is
+judged once, as a whole, by integrate_transitions, against the previous
+pass relative to its own largest entry and against the overflow cap.
+Every tolerance is read from this module's TOL.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -27,8 +28,8 @@ class TransitionMatrix(NamedTuple):
     error_estimate: np.ndarray
 
 
-# a block's working set in bytes: its stage stack of A(t) and the temporaries that build,
-# compose and check its step matrices, about _PER_STEP n x n matrices per step.  Large n
+# a block's working set in bytes: its stage stack of A(t) and the temporaries that build
+# and compose its step matrices, about _PER_STEP n x n matrices per step.  Large n
 # needs large blocks, since each sys.matrix call walks n^2 expression trees; at small n
 # a block stops at _BLOCK_STEPS steps, past which it saves no time and only adds memory.
 # A block holds at least one chunk, so at n = 64 it may go over
@@ -76,8 +77,8 @@ def _too_coarse(sys: SystemDef, a: np.ndarray, b: np.ndarray, steps: np.ndarray)
     """Whether steps[i] RK4 steps over [a[i], b[i]] are too coarse for A:
     |h| |A(t)|_inf >= _COARSE on their stage grid.  RK4 diverges on its own
     far from its stability interval (about 2.8 on the negative real axis,
-    Hairer and Wanner, Solving ODEs II), so an overflow after such a step is
-    taken as a step to refine, not as the system's growth."""
+    Hairer and Wanner, Solving ODEs II), so an overflow with such a step is
+    refined, not taken as the system's growth."""
     return np.abs(b - a) / steps * _node_rates(sys, a, b, steps) >= _COARSE
 
 
@@ -104,27 +105,24 @@ def _prefix_products(Q: np.ndarray) -> None:
         d *= 2
 
 
-def _rk4_matrix(sys: SystemDef, a: np.ndarray, b: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+def _rk4_matrix(sys: SystemDef, a: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
     """Phi(b[i], a[i]) by `steps` fixed RK4 steps for every segment of the
-    1-d arrays a, b at once, as a (P, n, n) stack, with the (P,) array
-    t_blow.
+    1-d arrays a, b at once, as a (P, n, n) stack.
 
     Each segment's steps are cut into chunks of C = _chunk(n), and the
     (segment, chunk) pairs, chunk-major, into blocks sized by _per_block.  A
     block reads A(t) on its stage grid t_k, t_k + h/2, t_k + h with one
     sys.matrix call and builds all its step matrices M_k as one stack.
-    Inside each chunk the prefix products
-    Q_k = M_k ... M_first come from _prefix_products; Phi is carried from
-    chunk to chunk in order, and every step's Phi_k = Q_k Phi_start, formed
-    in one stacked matmul, is checked against TOL.overflow.  The product
-    tree depends only on the step count and n, so a segment comes out
-    bit-identical whatever stack or block layout it is integrated in.
+    Inside each chunk the prefix products Q_k = M_k ... M_first come from
+    _prefix_products, and the chunk's last one carries Phi on, chunk by
+    chunk in order.  The product tree depends only on the step count and n,
+    so a segment comes out bit-identical whatever stack or block layout it
+    is integrated in.
 
-    A segment whose matrix leaves the overflow cap at some step (inf and NaN
-    included) integrates no further and comes back as NaN, with the time it
-    got to in t_blow; t_blow is NaN for the others.  Only sys.n and
-    sys.matrix are read, so the forced stepper in perturb can pass an
-    augmented field (see perturb._rk4_pass).
+    Nothing is checked here: a pass that diverges comes back past the
+    overflow cap, inf or NaN, and integrate_transitions judges it.  Only
+    sys.n and sys.matrix are read, so the forced stepper in perturb can pass
+    an augmented field (see perturb._rk4_pass).
     """
     h = (b - a) / steps
     n, segs = sys.n, a.size
@@ -132,14 +130,9 @@ def _rk4_matrix(sys: SystemDef, a: np.ndarray, b: np.ndarray, steps: int) -> tup
     pairs = segs * -(-steps // width)
     per_block = max(1, _per_block(n, _PER_STEP) // width)
     Phi = np.tile(np.eye(n), (segs, 1, 1))
-    blow = np.full(segs, np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):  # the cap check catches inf and NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging pass may pass the largest float
         for p0 in range(0, pairs, per_block):
             chunk, seg = np.divmod(np.arange(p0, min(pairs, p0 + per_block)), segs)
-            live = np.isnan(blow[seg])  # a blown segment integrates no further
-            if not live.any():
-                continue
-            chunk, seg = chunk[live], seg[live]
             k = chunk[:, None] * width + np.arange(width)
             valid = k < steps  # the last chunk may be short
             hk = np.broadcast_to(h[seg, None], k.shape)[valid]
@@ -152,31 +145,10 @@ def _rk4_matrix(sys: SystemDef, a: np.ndarray, b: np.ndarray, steps: int) -> tup
                 Q[valid] = M
             _prefix_products(Q)
             ends = Q[np.arange(seg.size), valid.sum(axis=1) - 1]
-            start = np.empty((seg.size, n, n))
             cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), seg.size]
             for lo, hi in zip(cuts, cuts[1:]):  # one run of segments per chunk index
-                start[lo:hi] = Phi[seg[lo:hi]]
-                Phi[seg[lo:hi]] = ends[lo:hi] @ start[lo:hi]
-            # NaN and inf fail the comparison too
-            bad = ~(np.abs(Q @ start[:, None]).max(axis=(-2, -1)) <= TOL.overflow) & valid
-            for r in np.flatnonzero(bad.any(axis=1)).tolist():  # in step order for each segment
-                if np.isnan(blow[seg[r]]):
-                    blow[seg[r]] = a[seg[r]] + (k[r, bad[r].argmax()] + 1) * h[seg[r]]
-    Phi[~np.isnan(blow)] = np.nan
-    return Phi, blow
-
-
-def _non_positive_det(M: np.ndarray) -> np.ndarray:
-    """Whether each matrix of the (m, n, n) stack M has a determinant that is
-    non-positive beyond round-off.  LU resolves det only to about n eps times
-    Hadamard's bound prod_i |row_i|_2, so a smaller one, zero included, has
-    no sign to read: a strongly contracting transition matrix has one."""
-    sign, logdet = np.linalg.slogdet(M)
-    bad = sign <= 0.0
-    with np.errstate(divide="ignore"):  # a zero row, whose det is exactly 0, gives -inf
-        noise = math.log(M.shape[-1] * np.finfo(float).eps) + np.log(linalg._two_norm(M[bad])).sum(axis=-1)
-    bad[bad] = logdet[bad] > noise
-    return bad
+                Phi[seg[lo:hi]] = ends[lo:hi] @ Phi[seg[lo:hi]]
+    return Phi
 
 
 def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None,
@@ -188,17 +160,18 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
 
     Each segment starts from start_steps, an int or a (P,) array, or by
     default from a step count proportional to its span (between 8 and
-    TOL.ode_start_steps), and doubles until two consecutive answers
-    agree to tol relative to the result's magnitude; a pass that overflows
-    doubles too if _too_coarse finds the blown step too coarse for A on its
-    stage grid, and is a BlowupError otherwise; the returned error_estimate
-    is that difference divided by 15, the usual fourth-order extrapolation
-    factor.  Backward spans integrate with a negative step and
-    zero-length ones give the identity.  A result whose determinant is
-    non-positive beyond round-off is rejected (the exact transition matrix
-    always has a positive one, but a strongly contracting one may have a
-    determinant below what LU resolves; see _non_positive_det), and so is
-    one that underflowed to zero everywhere, which has no spectrum to read.
+    TOL.ode_start_steps), and doubles until a pass is accepted: one that
+    agrees with the previous pass to tol times its own largest entry
+    (Hairer, Norsett and Wanner, Solving ODEs I, II.4), and whose largest
+    entry is finite, nonzero and at most TOL.overflow.  The returned
+    error_estimate is that difference divided by 15, the usual fourth-order
+    extrapolation factor.  A pass past the cap, inf and NaN included, is
+    never accepted: it doubles while _too_coarse finds its steps too coarse
+    for A somewhere on its stage grid, where RK4 diverges on its own, and is
+    the flow's growth, a BlowupError, otherwise.  An accepted pass that
+    underflowed to zero everywhere has no spectrum to read and is a
+    NumericError.  Backward spans integrate with a negative step and
+    zero-length ones give the identity.
 
     The segments advance together: those with the same step count form one
     (P, n, n) stack, converged ones leave it and the rest double.  The result
@@ -226,36 +199,29 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
     first = True
     while live.size:
         if not first:
-            over = steps[live] * 2 > TOL.ode_max_steps
-            for i in live[over]:
+            spent = steps[live] * 2 > TOL.ode_max_steps
+            for i in live[spent]:
                 fail[i] = ConvergenceError(f"transition matrix over [{a[i]:g}, {b[i]:g}] did not "
                                            f"settle within {TOL.ode_max_steps} steps")
-            live = live[~over]
+            live = live[~spent]
             steps[live] *= 2
         cur = np.empty((live.size, n, n))
-        t_blow = np.empty(live.size)
         for s in set(steps[live].tolist()):  # (np.unique costs 1.5 MB of RSS on first use)
             grp = np.flatnonzero(steps[live] == s)
-            cur[grp], t_blow[grp] = _rk4_matrix(sys, a[live[grp]], b[live[grp]], s)
-        blown = ~np.isnan(t_blow)
-        # a blow-up after too coarse a step doubles as usual, from no previous answer (its
-        # NaN matrix agrees with nothing); one with room for no further doubling is final
-        retry = np.zeros_like(blown)
-        if blown.any():
-            seg, t = live[blown], t_blow[blown]
-            retry[blown] = _too_coarse(sys, t - (b[seg] - a[seg]) / steps[seg], t, np.ones(seg.size, np.int64))
-            retry &= steps[live] * 2 <= TOL.ode_max_steps
-        for i, t in zip(live[blown & ~retry], t_blow[blown & ~retry].tolist()):
-            fail[i] = BlowupError(f"transition matrix exceeded {TOL.overflow:.1e} at t={t:.6g}", t_reached=t)
-        rest = ~blown | retry
+            cur[grp] = _rk4_matrix(sys, a[live[grp]], b[live[grp]], s)
+        top = np.abs(cur).max(axis=(1, 2))
+        over = ~(top <= TOL.overflow)  # NaN fails the comparison too
+        rest = ~over
+        if over.any():
+            rest[over] = _too_coarse(sys, a[live[over]], b[live[over]], steps[live[over]])
+            for i in live[over & ~rest]:
+                fail[i] = BlowupError(f"transition matrix over [{a[i]:g}, {b[i]:g}] exceeded {TOL.overflow:.1e}")
         if not first:
-            diff = np.abs(cur - value[live]).max(axis=(1, 2))
-            done = rest & (diff <= tol * (1.0 + np.abs(cur).max(axis=(1, 2))))
-            zero = ~cur[done].any(axis=(1, 2))
-            bad = zero | _non_positive_det(cur[done])
-            for i, z in zip(live[done][bad], zero[bad]):
-                what = "underflowed to zero" if z else "has non-positive determinant"
-                fail[i] = NumericError(f"integrated transition matrix {what} over [{a[i]:g}, {b[i]:g}]")
+            with np.errstate(invalid="ignore"):  # inf - inf after two passes past the cap
+                diff = np.abs(cur - value[live]).max(axis=(1, 2))
+            done = ~over & (diff <= tol * top)
+            for i in live[done & (top == 0.0)]:
+                fail[i] = NumericError(f"integrated transition matrix underflowed to zero over [{a[i]:g}, {b[i]:g}]")
             err[live[done]] = diff[done] / 15.0
             rest &= ~done
         value[live] = cur

@@ -15,8 +15,10 @@ systems are stable.  Seeds and counts are fixed: 20 systems of each family
 from random.Random(29).  A third family, similar-k, is triangular-k
 conjugated by the fixed P = [[2, 1], [1, 1]]: P^-1 A(t) P, with P^-1 =
 [[1, -1], [-1, 2]], has entries that are integer combinations of A's, is
-no longer triangular and has the same exponents.  Each system runs in
-process as `analyze -f FILE --norm one,two,inf --json`, and:
+no longer triangular and has the same exponents.  Five stable scalar
+systems drawn by `tools/fuzz.py 1 150 -1 2.5` (fuzz-k for its draw k)
+join the scalar family.  Each system runs in process as `analyze -f FILE
+--norm one,two,inf --json`, and:
 
 - a system that some norm certifies UES never exits 2;
 - each resolved monodromy exponent lies within EXACT_TOL of the exact one,
@@ -44,6 +46,14 @@ SEED, COUNT, LO, HI = 29, 20, -1.0, 1.2
 EXACT_TOL = 1e-6
 # the similar family's conjugation P^-1 A P
 P, P_INV = ((2, 1), (1, 1)), ((1, -1), (-1, 2))
+# (draw, a0, the entry) of scalar tools/fuzz.py draws that once exited 2 although UES
+FUZZ = [
+    (42, -42.184, "(-42.184) + (-52.157)*sin(3*t) + (119.389)*cos(3*t)"),
+    (44, -7.732, "(-7.732) + (104.494)*sin(1*t) + (38.411)*cos(1*t)"),
+    (55, -27.783, "(-27.783) + (3.788)*sin(3*t) + (18.43)*cos(3*t)"),
+    (59, -19.645, "(-19.645) + (-8.365)*sin(2*t) + (50.626)*cos(2*t)"),
+    (117, -10.112, "(-10.112) + (-3.168)*sin(3*t) + (11.974)*cos(3*t)"),
+]
 
 
 def _entry(rng, scale, shift):
@@ -82,16 +92,13 @@ def _systems():
     for k in range(COUNT):
         rows, exact = systems[f"triangular-{k:02d}"]
         systems[f"similar-{k:02d}"] = _similar(rows), exact
+    for k, a0, entry in FUZZ:
+        systems[f"fuzz-{k:03d}"] = [[entry]], [a0]
     return systems
 
 
 # strict xfails by failure message, numbers written as #
 XFAIL = {
-    # stable systems whose oracle accepts a contracting transition under an absolute ODE
-    # test (diff <= tol (1 + |Phi|)), which leaves it no relative accuracy, so the
-    # transition bound check fails
-    "UES system exits 2: numeric failure: cross-checks failed: one: transition bound violated by #":
-        ("scalar-01", "scalar-07", "triangular-06"),
     # strongly non-normal monodromies (multipliers near 3e-30 on similar-06, an
     # off-diagonal entry of 5e9 on similar-07) whose eigenvalues are read as resolved:
     # every exponent is far off, yet within an allowance of 5.07 and 2.32

@@ -20,7 +20,8 @@ printed.
 The list holds the benchmark's invocations (perfbench/workloads.py prepare,
 both workloads, seeds 7 and 21), certify-dense's (seed 7: n = 3, 8, 12),
 `analyze --norm one,two,inf --json` of three stiff systems, of `[["-300"]]`
-(period 1), whose oracle checks fail, and of `[["250+sin(t)", "1"], ["0",
+(period 1), whose flow passes the smallest float within the decay check's
+three periods, and of `[["250+sin(t)", "1"], ["0",
 "-1"]]` (period 2 pi), whose monodromy exp(500 pi) is past the largest
 float and still gets its exponents from the scaled product, text
 `analyze` in all four norms of two systems whose one-period transition
