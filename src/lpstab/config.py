@@ -5,9 +5,9 @@ Functions take an explicit override only where their contract calls for one
 everything else reads the module-level TOL instance.  A constant with one
 user lives in its module: transition's _COARSE and block budgets, perturb's
 _PANEL_MATRICES, linalg's _SIGN_STEPS and _SIGN_STOP, and the forced-response
-audit's 1e-9 and 1e-5 and windowed_drift's 64 cells in perturb.  Tolerances is
-a named tuple: TOL._replace(...) gives a modified copy and TOL._asdict() the
-fields by name.
+audit's 1e-9 and 1e-5 and windowed_drift's 64 cells in perturb.  Floats, not
+a set depth, end adaptive Simpson's refinement.  Tolerances is a named tuple:
+TOL._replace(...) gives a modified copy and TOL._asdict() the fields by name.
 """
 
 from typing import NamedTuple
@@ -15,8 +15,7 @@ from typing import NamedTuple
 
 class Tolerances(NamedTuple):
     # quadrature
-    quad_abs: float = 1e-9          # adaptive Simpson budget, absolute, per period
-    quad_max_depth: int = 48
+    quad_abs: float = 1e-9          # absolute Simpson budget of each interval given to integrate (scan_points a period)
 
     # ODE integration (fixed-step RK4 with step doubling)
     ode_tol: float = 1e-8           # pass accepted when max|entry diff| <= ode_tol * max|entry|

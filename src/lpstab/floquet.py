@@ -84,7 +84,7 @@ def monodromy_fce(sys: SystemDef) -> FceEstimate:
     floor = TOL.multiplier_floor * float(np.abs(M).max())
     mods = [abs(z) for z in mult]
     logs = sorted(math.log(max(m, floor)) + scale * math.log(2.0) for m in mods)
-    rel = float(np.sum(period.error_estimate / np.abs(period.value).max(axis=(1, 2))))
+    rel = _relative_error(period)
     with np.errstate(over="ignore"):  # a bound past the largest float reads inf
         err = float(np.ldexp(rel * float(np.prod(linalg.mat_norm(segs, TWO))), int(exps.sum()) - scale))
     return FceEstimate(tuple(mult), tuple(v / sys.period for v in logs), M, int(period.steps.sum()), err, floor,
@@ -105,6 +105,12 @@ def _period_segments(sys: SystemDef, forward: bool, tol: Tolerances) -> Transiti
         return transition.integrate_transitions(sys, a, b)
     except BlowupError as exc:
         return exc.with_traceback(None)
+
+
+def _relative_error(period: TransitionMatrix) -> float:
+    """The period segments' error estimates summed, each relative to its own
+    largest entry, the scale on which integrate_transitions accepts it."""
+    return float(np.sum(period.error_estimate / np.abs(period.value).max(axis=(1, 2))))
 
 
 def _grid_segments(period: np.ndarray, forward: bool, span: int):
@@ -238,12 +244,12 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict) -> DecayCheck:
     """
     if verdict.classification not in ("UES", "US"):
         raise ValueError(f"decay envelope only exists for stable verdicts, got {verdict.classification!r}")
-    kind, rates, t0, log_k = verdict.kind, verdict.rates, sys.t0, math.log(verdict.K)
+    kind, rates, t0 = verdict.kind, verdict.rates, sys.t0
+    log_k = rates.delta_upper_plus - rates.delta_lower_plus  # K itself may be inf
     ts = np.linspace(t0, t0 + 3.0 * sys.period, _SEGMENTS + 1)
     if isinstance(period := _period_segments(sys, True, transition.TOL), BlowupError):
         raise period
-    # each period segment's relative error once per use; a running sum, as np.sum pairs terms
-    rel = 3.0 * float(np.cumsum(period.error_estimate / (1.0 + np.abs(period.value).max(axis=(1, 2))))[-1])
+    rel = 3.0 * _relative_error(period)  # each period segment once per use
     P, shift, i, j = _pair_products(*_grid_segments(period.value, True, 3), forward=True)
     worst = float((log_k - verdict.alpha_tilde * (ts[j] - ts[i]) - (_log(linalg.mat_norm(P, kind)) + shift)).min())
     # |Phi(t_j, t0) x0| at every grid time, Phi(t0, t0) = I included, for eight seeded x0

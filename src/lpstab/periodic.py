@@ -150,13 +150,12 @@ def validate_periodicity(sys: SystemDef) -> float:
 
 # ---------------------------------------------------------------- quadrature
 
-def _adapt(f, a, b, fa, fm, fb, whole, tol, depth, live):
+def _adapt(f, a, b, fa, fm, fb, whole, tol, ulp, live):
     # every panel of one level at once, a row per panel and a column per integrand column; a
     # column is live on a panel while it refines it, and the children of every panel with a
-    # live column form the next level
+    # live column form the next level.  ulp is the spacing of floats at the call's largest limit
     m = 0.5 * (a + b)
-    fx = f(np.concatenate((0.5 * (a + m), 0.5 * (m + b))))
-    flm, frm = fx[:a.size], fx[a.size:]
+    flm, frm = np.split(f(np.concatenate((0.5 * (a + m), 0.5 * (m + b)))), 2)
     h12 = ((b - a) / 12.0)[:, None]
     left = h12 * (fa + 4.0 * flm + fm)
     right = h12 * (fm + 4.0 * frm + fb)
@@ -166,12 +165,14 @@ def _adapt(f, a, b, fa, fm, fb, whole, tol, depth, live):
     if bad.any():
         raise NumericError(f"integrand or its Simpson estimate is not finite from t={a[bad.any(axis=1)].min():.6g}")
     split = live & (np.abs(delta) > 15.0 * tol)
-    rows = split.any(axis=1)
-    if depth > 0 and rows.any():
+    if split.any():  # then also past what rounding the five nodes' values and times can cause
+        noise = 2.0 ** -50 * (np.abs(left) + np.abs(right)) + ulp * (np.abs(fm - fa) + np.abs(fb - fm))
+        split &= (np.abs(delta) > noise) & ((b - a)[:, None] > 4.0 * ulp)
+    if (rows := split.any(axis=1)).any():
         k = int(rows.sum())
         cat = lambda x, y: np.concatenate((x[rows], y[rows]))  # noqa: E731
         v, e = _adapt(f, cat(a, m), cat(m, b), cat(fa, fm), cat(flm, frm), cat(fm, fb),
-                      cat(left, right), 0.5 * tol, depth - 1, cat(split, split))
+                      cat(left, right), 0.5 * tol, ulp, cat(split, split))
         value[split] = (v[:k] + v[k:])[split[rows]]
         err[split] = (e[:k] + e[k:])[split[rows]]
     return value, err
@@ -188,9 +189,9 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
 
     Returns (value, error_estimate) of the limits' shape, plus a last axis of
     k for k columns; floats for scalar limits and one column.  The estimate
-    is the accumulated Richardson correction; when the depth cap is hit it
-    simply comes out larger.  A panel whose integrand values or estimate are
-    not finite raises NumericError, naming the earliest such panel of its level.
+    sums the Richardson corrections of the panels that stopped splitting: at
+    the budget, at float noise, or four ulps of the call's largest limit wide.
+    Non-finite values or estimates raise NumericError from the earliest panel.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -208,7 +209,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a, b):
     if n:
         whole = ((hi - lo) / 6.0)[:, None] * (fa + 4.0 * fm + fb)
         v, err[live] = _adapt(lambda t: f(t).reshape(-1, k), lo, hi, fa, fm, fb, whole,
-                              TOL.quad_abs, TOL.quad_max_depth, np.ones((n, k), bool))
+                              TOL.quad_abs, np.spacing(max(-lo.min(), hi.max())), np.ones((n, k), bool))
         value[live] = np.where((b < a)[live][:, None], -v, v)
     value, err = value.reshape(shape), err.reshape(shape)
     return (float(value), float(err)) if value.ndim == 0 else (value, err)
@@ -345,8 +346,8 @@ class Verdict(NamedTuple):
     """Outcome of the one-period drift test in a fixed norm.
 
     classification is one of "UES", "US", "unstable", "inconclusive".  For
-    the two stable outcomes K bounds the overshoot and alpha_tilde the decay
-    rate (zero for plain uniform stability):
+    the two stable outcomes K bounds the overshoot (inf past the largest
+    float) and alpha_tilde the decay rate (zero for plain uniform stability):
 
         |x(t)| <= K exp(-alpha_tilde (t - s)) |x(s)|   for t >= s >= t0.
 
@@ -383,14 +384,16 @@ def classify(sys: SystemDef, kind: NormKind, zero_tol: float | None = None) -> V
     strip = (-rates.lambda_minus, rates.lambda_plus)
     pi_p = rates.pi_plus_period
     pi_m = rates.pi_minus_period
-    if pi_p < -band:
+    try:
         K = math.exp(rates.delta_upper_plus - rates.delta_lower_plus)
+    except OverflowError:  # an overshoot past the largest float
+        K = math.inf
+    if pi_p < -band:
         alpha = -pi_p / T
         msg = (f"uniformly exponentially stable: one-period drift {pi_p:.6g} < 0; "
                f"|x(t)| <= {K:.6g} exp(-{alpha:.6g} (t-s)) |x(s)|")
         return Verdict("UES", kind, rates, strip, K, alpha, msg)
     if pi_p <= band:
-        K = math.exp(rates.delta_upper_plus - rates.delta_lower_plus)
         msg = (f"uniformly stable: one-period drift {pi_p:.6g} vanishes within the "
                f"resolution band {band:.2g}; |x(t)| <= {K:.6g} |x(s)|")
         return Verdict("US", kind, rates, strip, K, 0.0, msg)

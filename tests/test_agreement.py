@@ -17,7 +17,10 @@ conjugated by the fixed P = [[2, 1], [1, 1]]: P^-1 A(t) P, with P^-1 =
 [[1, -1], [-1, 2]], has entries that are integer combinations of A's, is
 no longer triangular and has the same exponents.  Five stable scalar
 systems drawn by `tools/fuzz.py 1 150 -1 2.5` (fuzz-k for its draw k)
-join the scalar family.  Each system runs in process as `analyze -f FILE
+join the scalar family.  A fourth family of 8, rotating-k, is the catalog's
+rotating_frame(beta) with beta from U(0.25, 3), rounded to 3 decimals and
+drawn from the same generator after the others: its exponents are -1 and
+beta - 1.  Each system runs in process as `analyze -f FILE
 --norm one,two,inf --json`, and:
 
 - a system that some norm certifies UES never exits 2;
@@ -41,8 +44,10 @@ import warnings
 import pytest
 
 from lpstab import cli
+from lpstab.catalog import rotating_frame
 
 SEED, COUNT, LO, HI = 29, 20, -1.0, 1.2
+ROTATING = 8
 EXACT_TOL = 1e-6
 # the similar family's conjugation P^-1 A P
 P, P_INV = ((2, 1), (1, 1)), ((1, -1), (-1, 2))
@@ -94,6 +99,10 @@ def _systems():
         systems[f"similar-{k:02d}"] = _similar(rows), exact
     for k, a0, entry in FUZZ:
         systems[f"fuzz-{k:03d}"] = [[entry]], [a0]
+    for k in range(ROTATING):
+        beta = round(rng.uniform(0.25, 3.0), 3)
+        systems[f"rotating-{k:02d}"] = [list(row) for row in rotating_frame(beta).system.as_strings()], \
+            sorted((-1.0, beta - 1.0))
     return systems
 
 

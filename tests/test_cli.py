@@ -634,6 +634,65 @@ def test_frozen_time_bound_past_the_range_of_its_powers_is_reported(tmp_path):
     assert json.loads(out)["frozen_time"]["c2_bound"] == pytest.approx(2.742e119, rel=1e-3)
 
 
+@pytest.mark.parametrize("entries", [
+    [["-1+400*sin(t)"]],
+    [["-10000+5000*sin(t)", "10000*cos(t)"], ["1000*sin(2*t)", "-20000"]],
+], ids=["one-by-one", "two-by-two"])
+def test_overshoot_past_the_largest_float_reads_inf(tmp_path, entries):
+    # dU+ - dL+ passes log of the largest float (709.78; 800 for the 1 x 1 system), so
+    # K = exp(dU+ - dL+) reads inf in text and Infinity in JSON, as the oracle's figures
+    # past the float range do, in analyze and (on the 1 x 1 system) in perturb's verdict
+    path = write_system(tmp_path, {"entries": entries, "period": 2.0 * math.pi})
+    code, out, err = run_cli("analyze", "-f", path, "--norm", "one,two,inf", "--no-oracle", "--json")
+    assert (code, err) == (0, "") and '"K": Infinity' in out
+    for entry in json.loads(out)["analyses"]:
+        rates = entry["rates"]
+        assert rates["delta_upper_plus"] - rates["delta_lower_plus"] > math.log(sys.float_info.max)
+        assert (entry["classification"], entry["K"]) == ("UES", math.inf)
+    code, out, err = run_cli("analyze", "-f", path, "--norm", "one", "--no-oracle")
+    assert (code, err) == (0, "")
+    assert "overshoot K: inf\n" in out and "|x(t)| <= inf exp(-" in out
+    if len(entries) == 1:  # the 2 x 2 system's forced-response audit is slow
+        code, out, err = run_cli("perturb", "-f", path, "--t-end", "0.5", "--samples", "16", "--json")
+        assert (code, err) == (0, "") and json.loads(out)["unforced_classification"] == "UES"
+
+
+def test_overshoot_past_the_largest_float_is_cross_checked(tmp_path):
+    # K = exp(800) is inf, yet the decay check still tests the envelope, with log K read
+    # from the offsets: every pair's bound is slack by hundreds, and the two-sided state
+    # envelope sets the margin
+    path = write_system(tmp_path, {"entries": [["-1+400*sin(t)"]], "period": 2.0 * math.pi})
+    code, out, err = run_cli("analyze", "-f", path, "--json")
+    assert (code, err) == (0, "")
+    entry = json.loads(out)["analyses"][0]
+    oracle = entry["oracle"]
+    assert (entry["classification"], entry["K"]) == ("UES", math.inf)
+    assert oracle["fce_real_parts"] == [pytest.approx(-1.0, abs=1e-9)]
+    assert oracle["strip_check"]["passed"] and oracle["sandwich_passed"] and oracle["decay"]["passed"]
+    assert 0.0 < oracle["decay"]["worst_margin"] < 1e-9
+
+
+@pytest.mark.parametrize("entries,verdict", [
+    ([["-1e12+5e11*sin(t)", "1e12*cos(t)"], ["1e11*sin(2*t)", "-2e12"]], "UES"),
+    ([["-30", "1e20*cos(t)"], ["1e-20*sin(t)", "-31"]], "inconclusive"),
+], ids=["coefficients-1e12", "scaled-1e20"])
+def test_drift_quadrature_of_large_coefficients_ends_at_float_noise(tmp_path, run_limited, entries, verdict):
+    # mu values of 1e12 and 1e20 carry rounding noise far above the quadrature budget:
+    # refinement ends where a panel's correction is that noise, instead of splitting every
+    # panel at every level until memory runs out
+    path = write_system(tmp_path, {"entries": entries, "period": 2.0 * math.pi})
+    proc = run_limited(["-m", "lpstab.cli", "analyze", "-f", path, "--norm", "one,two,inf", "--no-oracle", "--json"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    analyses = json.loads(proc.stdout)["analyses"]
+    assert [entry["classification"] for entry in analyses] == [verdict] * 3
+    if verdict == "UES":
+        assert all(entry["K"] == math.inf for entry in analyses)
+    else:
+        # lambda+ in the one-norm is (1/T) * 4e20 = 2e20/pi, within its reported error
+        rates = analyses[0]["rates"]
+        assert abs(rates["lambda_plus"] - 2e20 / math.pi) <= rates["quadrature_error"] / (2.0 * math.pi)
+
+
 @pytest.mark.parametrize("entry,period,exact", [
     ("-800", 1.0, -800.0),
     ("2 - 3000*sin(t)^200", 2.0 * math.pi, 2.0 - 3000.0 * math.comb(200, 100) / 2.0 ** 200),

@@ -333,6 +333,23 @@ def test_decay_check_marginal_case():
     assert chk.passed
 
 
+def test_decay_allowance_is_sized_on_the_kernels_relative_scale():
+    # each forward period segment of [["-300"]], exp(-20), is accepted to ode_tol relative
+    # to its own largest entry.  Summed on that scale, the segments' error share of the
+    # decay allowance alone covers the check's worst margin, without the 1e-6 slack; on
+    # the scale 1 + max|Phi_j| it read 1.8e-17
+    sysd = system_from_strings([["-300"]], 1.0)
+    check = verify_decay(sysd, classify(sysd, ONE))
+    share = check.allowance - TOL.decay_slack
+    assert check.passed and check.worst_margin == pytest.approx(-4.29e-9, rel=1e-2)
+    assert share == pytest.approx(8.6e-9, rel=1e-2) and -check.worst_margin < share
+    # one relative figure for the decay allowance and the monodromy's error bound
+    rel = floquet._relative_error(floquet._period_segments(sysd, True, transition.TOL))
+    assert check.allowance == TOL.decay_slack + math.log1p(3.0 * rel) + 3.0 * rel
+    fce = monodromy_fce(sysd)
+    assert fce.error_estimate == pytest.approx(rel * abs(fce.monodromy[0, 0]), rel=1e-12)
+
+
 def test_decay_check_rejects_unstable_verdict():
     sysd = CATALOG["scalar_unstable"]().system
     v = classify(sysd, ONE)
@@ -716,7 +733,8 @@ def _ref_decay_margin(sys, verdict):
             P, e = segs[j - 1][0] @ P, e + segs[j - 1][1]
             if i == 0:
                 from_start.append((P, e))
-            worst = min(worst, math.log(verdict.K) - verdict.alpha_tilde * float(ts[j] - ts[i])
+            log_k = verdict.rates.delta_upper_plus - verdict.rates.delta_lower_plus  # K may be inf
+            worst = min(worst, log_k - verdict.alpha_tilde * float(ts[j] - ts[i])
                         - (float(np.log(mat_norm(P, verdict.kind))) + e * math.log(2.0)))
     r = verdict.rates
     rng = random.Random(20260814)

@@ -1,6 +1,8 @@
 """tools/fuzz.py as a command: four small seeded systems, whose report has
-both exit-code tables, the warnings line and one exit code per system."""
+both exit-code tables, the warnings line and one exit code per system; and
+the leading draws of `tools/fuzz.py 1 150 -1 2.5`, run in process, pinned."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -9,6 +11,9 @@ from collections import Counter
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("fuzz", _ROOT / "tools" / "fuzz.py")
+fuzz = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fuzz)
 _ROW = re.compile(r"^  (\S+) +(\d+)  (.+)$")
 
 
@@ -34,3 +39,15 @@ def test_fuzz_reports_every_system_in_both_tables():
     codes = re.fullmatch(r"oracle exit codes: ([0-9X]{4})", rest[-1])
     assert codes is not None, rest[-1]
     assert Counter(codes[1]) == oracle
+
+
+def test_leading_draws_of_seed_one_pass_both_routes(monkeypatch, capsys):
+    # the first 12 of the 150 draws of `tools/fuzz.py 1 150 -1 2.5`; the next ones are
+    # far slower (draw 19 alone takes seconds).  Every one exits 0 with the oracle, so
+    # no system certified UES without it exits 2
+    monkeypatch.setattr(sys, "argv", ["fuzz.py", "1", "12", "-1", "2.5"])
+    assert fuzz.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "certified UES without the oracle, exit 2 with it: 0" in lines
+    assert "Python warnings: 0" in lines
+    assert lines[-1] == "oracle exit codes: 000000000000"

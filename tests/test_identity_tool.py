@@ -93,3 +93,10 @@ def test_options_follow_the_usage_line():
                  ["HEAD", "--generate", "29", "-1"], ["HEAD", "--allow", "a", "--allow", "b"]):
         with pytest.raises(ValueError):
             identity.options(args)
+
+
+def test_each_run_is_under_the_memory_cap(tmp_path, monkeypatch):
+    # a run that would exhaust the machine's memory ends as "out of memory" instead
+    monkeypatch.setattr(identity, "LAUNCHER", "import resource; print(resource.getrlimit(resource.RLIMIT_AS))")
+    code, out, err, written = identity.run(identity.ROOT, [], tmp_path / "run")
+    assert (code, out, err, written) == (0, f"({2 << 30}, {2 << 30})\n".encode(), b"", {})

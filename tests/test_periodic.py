@@ -436,8 +436,10 @@ def test_catalog_get():
 
 # ------------------------------------------- array routes against scalar references
 
-def _ref_adapt(f, a, b, fa, fm, fb, whole, tol, depth):
-    # the one-panel-at-a-time recursion that integrate() batches by level
+def _ref_adapt(f, a, b, fa, fm, fb, whole, tol, ulp):
+    # the one-panel-at-a-time recursion that integrate() batches by level: a panel splits
+    # while its correction passes the budget and the noise of rounding its five nodes'
+    # values and times, and while it is wider than four ulps of the call's largest limit
     m = 0.5 * (a + b)
     flm = f(0.5 * (a + m))
     frm = f(0.5 * (m + b))
@@ -445,15 +447,17 @@ def _ref_adapt(f, a, b, fa, fm, fb, whole, tol, depth):
     left = h12 * (fa + 4.0 * flm + fm)
     right = h12 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
+    noise = 2.0 ** -50 * (abs(left) + abs(right)) + ulp * (abs(fm - fa) + abs(fb - fm))
+    if abs(delta) <= 15.0 * tol or abs(delta) <= noise or b - a <= 4.0 * ulp:
         return left + right + delta / 15.0, abs(delta) / 15.0
-    lv, le = _ref_adapt(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-    rv, re = _ref_adapt(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
+    lv, le = _ref_adapt(f, a, m, fa, flm, fm, left, 0.5 * tol, ulp)
+    rv, re = _ref_adapt(f, m, b, fm, frm, fb, right, 0.5 * tol, ulp)
     return lv + rv, le + re
 
 
-def _ref_integrate(f, a, b):
-    # scalar adaptive Simpson over [a, b], f mapping a float to a float
+def _ref_integrate(f, a, b, limit=None):
+    # scalar adaptive Simpson over [a, b], f mapping a float to a float; limit is the
+    # largest |limit| of the call that [a, b] is part of, by default max(|a|, |b|)
     if a == b:
         return 0.0, 0.0
     sign = 1.0
@@ -462,7 +466,8 @@ def _ref_integrate(f, a, b):
         sign = -1.0
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    value, err = _ref_adapt(f, a, b, fa, fm, fb, whole, TOL.quad_abs, TOL.quad_max_depth)
+    ulp = math.ulp(max(abs(a), abs(b)) if limit is None else limit)
+    value, err = _ref_adapt(f, a, b, fa, fm, fb, whole, TOL.quad_abs, ulp)
     return sign * value, err
 
 
@@ -485,14 +490,36 @@ def test_integrate_matches_scalar_reference(f):
     b[::7] = a[::7]                          # and some of zero length
     value, err = integrate(f, a, b)
     scalar = lambda s: float(f(np.array([s]))[0])  # noqa: E731
-    ref = [_ref_integrate(scalar, float(x), float(y)) for x, y in zip(a, b)]
+    live = a != b
+    limit = float(np.abs(np.concatenate((a[live], b[live]))).max())
+    ref = [_ref_integrate(scalar, float(x), float(y), limit) for x, y in zip(a, b)]
     assert _bits(value) == _bits([v for v, _ in ref])
     assert _bits(err) == _bits([e for _, e in ref])
     # scalar limits give floats; a 2-d grid of limits keeps its shape
     one = integrate(f, float(a[1]), float(b[1]))
-    assert type(one[0]) is float and _bits(one) == _bits(ref[1])
+    assert type(one[0]) is float and _bits(one) == _bits(_ref_integrate(scalar, float(a[1]), float(b[1])))
     grid, _ = integrate(f, a.reshape(4, 6), b.reshape(4, 6))
     assert _bits(grid) == _bits(value)
+
+
+def test_float_noise_ends_the_refinement_as_in_the_scalar_reference():
+    # values near 1e12 that cancel to about 1e10 carry rounding noise of about 1e-4, so
+    # below some width every panel's correction is noise that splitting cannot shrink and
+    # the budget alone would split them all down to the spacing of floats.  The noise stop
+    # ends them far above the budget, each interval as in the scalar reference
+    calls = []
+
+    def f(s):
+        calls.append(s.size)
+        return -1e12 + 5e11 * np.sin(s) + 1e12 * np.abs(np.cos(s))
+
+    a, b = np.array([0.0, 0.1, 1.5]), np.array([0.003, 0.103, 1.6])
+    value, err = integrate(f, a, b)
+    assert sum(calls) < 20000 and err.max() > 1e3 * TOL.quad_abs
+    scalar = lambda s: float(f(np.array([s]))[0])  # noqa: E731
+    ref = [_ref_integrate(scalar, float(x), float(y), 1.6) for x, y in zip(a, b)]
+    assert _bits(value) == _bits([v for v, _ in ref])
+    assert _bits(err) == _bits([e for _, e in ref])
 
 
 def test_integrate_stops_on_non_finite_values(run_limited):

@@ -4,9 +4,11 @@
 
 Extracts REV of this repository with `git archive REV | tar -x`, runs one
 fixed list of CLI invocations under the working tree and under REV, each
-with PYTHONPATH set to its own src and in an empty directory of its own,
-and prints every difference in stdout, stderr, exit code or the files an
-invocation wrote there.  Exits 1 when there is one, 0 when there is none.
+with PYTHONPATH set to its own src, in an empty directory of its own and
+under a 2 GiB address-space cap, so that a run which would exhaust the
+machine's memory ends with "out of memory".  Prints every difference in
+stdout, stderr, exit code or the files an invocation wrote there.  Exits 1
+when there is one, 0 when there is none.
 
 With --allow, PATH holds a JSON object that maps key patterns to absolute
 bounds, such as {"analyses.*.oracle.sandwich_violation": 1e-12}: dotted
@@ -25,8 +27,12 @@ three periods, and of `[["250+sin(t)", "1"], ["0",
 "-1"]]` (period 2 pi), whose monodromy exp(500 pi) is past the largest
 float and still gets its exponents from the scaled product, text
 `analyze` in all four norms of two systems whose one-period transition
-underflows, `series -s example2 --norm two`, three invocations that write files
-(`series -o`, `series --trajectory -o`, `perturb --out`), `--help` of
+underflows, `analyze --norm one,two,inf --no-oracle --json` of two systems
+with coefficients of 1e12 and 1e20 and of one whose overshoot K is past the
+largest float, text `analyze --norm one` of `[["-1+400*sin(t)"]]` (K past
+the largest float, with the oracle), `series -s example2 --norm two`,
+three invocations that write files (`series -o`, `series --trajectory -o`,
+`perturb --out`), `--help` of
 every command, and one invocation down each branch where the command line
 imports a module only when it needs it: usage errors (no arguments, an
 unknown command, an unknown option), a missing, a non-JSON and an unknown
@@ -43,6 +49,7 @@ import json
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -60,6 +67,16 @@ STIFF = {
     "growing250": ([["250+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi),
 }
 UNDERFLOW = {"underflow2": ([["-800", "0"], ["0", "-1"]], 1.0), "underflow1": ([["-800"]], 1.0)}
+# drift-route JSON in three norms: coefficients whose mu values carry rounding noise far
+# above the quadrature budget, and an overshoot K past the largest float
+LARGE = {
+    "large1e12": ([["-1e12+5e11*sin(t)", "1e12*cos(t)"], ["1e11*sin(2*t)", "-2e12"]], 2.0 * math.pi),
+    "scaled1e20": ([["-30", "1e20*cos(t)"], ["1e-20*sin(t)", "-31"]], 2.0 * math.pi),
+    "overshoot2": ([["-10000+5000*sin(t)", "10000*cos(t)"], ["1000*sin(2*t)", "-20000"]], 2.0 * math.pi),
+}
+# text analyze in the one-norm with the oracle: an overshoot K past the largest float
+OVERSHOOT = {"overshoot1": ([["-1+400*sin(t)"]], 2.0 * math.pi)}
+MEMORY = 2 << 30  # each run's address-space cap, as tests/conftest.py's run_limited
 # catalog names with their dimension and each factory parameter's range; the tool imports
 # neither tree, and a name that one tree lacks shows up as differing output
 CATALOG = {
@@ -81,11 +98,14 @@ def invocations(work: Path) -> list[list[str]]:
         listed = subprocess.run([sys.executable, str(ROOT / "perfbench" / "workloads.py"), "prepare",
                                  workload, str(seed), str(out)], capture_output=True, text=True, check=True)
         argvs += [inv["argv"] for inv in json.loads(listed.stdout)]
-    for name, (entries, period) in {**STIFF, **UNDERFLOW}.items():
-        path = work / f"{name}.json"
-        path.write_text(json.dumps({"entries": entries, "period": period}))
-        argvs.append(["analyze", "-f", str(path), "--norm", "one,two,inf", "--json"] if name in STIFF
-                     else ["analyze", "-f", str(path), "--norm", "one,two,inf,weighted"])
+    for systems, options in [(STIFF, ["--norm", "one,two,inf", "--json"]),
+                             (UNDERFLOW, ["--norm", "one,two,inf,weighted"]),
+                             (LARGE, ["--norm", "one,two,inf", "--no-oracle", "--json"]),
+                             (OVERSHOOT, ["--norm", "one"])]:
+        for name, (entries, period) in systems.items():
+            path = work / f"{name}.json"
+            path.write_text(json.dumps({"entries": entries, "period": period}))
+            argvs.append(["analyze", "-f", str(path), *options])
     argvs += [["series", "-s", "example2", "--norm", "two"],
               ["series", "-s", "example2", "--samples", "300", "-o", "drift.csv"],
               ["series", "-s", "example1", "--trajectory", "2,-1", "--t-end", "9", "-o", "states.csv"],
@@ -132,12 +152,19 @@ def generate(seed: int, count: int) -> list[list[str]]:
     return argvs
 
 
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+
+
 def run(tree: Path, argv: list[str], cwd: Path):
-    # exit code, stdout, stderr and the files written into the empty directory cwd
+    # exit code, stdout, stderr and the files written into the empty directory cwd, under
+    # the MEMORY cap and one BLAS thread, so a run that would exhaust the machine's memory
+    # ends as "out of memory"
     cwd.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], capture_output=True, env=env, cwd=cwd,
-                          timeout=300)
+                          timeout=300, preexec_fn=_limit_memory)
     return proc.returncode, proc.stdout, proc.stderr, {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
 
 
