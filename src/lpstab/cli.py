@@ -191,7 +191,7 @@ def analyze(opt: SimpleNamespace) -> None:
                 violation = floquet.verify_sandwich(sysd, kind)
                 sandwich_ok = violation <= TOL.sandwich_slack
             except BlowupError as exc:
-                # a transition past the overflow cap, where the drift bound allows it
+                # a period segment past the largest float, where its drift bound allows it
                 violation = sandwich_ok = None
                 unresolved.append(f"transition bound not checked: {exc}")
             oracle_doc = {

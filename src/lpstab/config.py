@@ -5,8 +5,11 @@ Functions take an explicit override only where their contract calls for one
 everything else reads the module-level TOL instance.  A constant with one
 user lives in its module: transition's _COARSE and block budgets, perturb's
 _PANEL_MATRICES, linalg's _SIGN_STEPS and _SIGN_STOP, and the forced-response
-audit's 1e-9 and 1e-5 and windowed_drift's 64 cells in perturb.  Floats, not
-a set depth, end adaptive Simpson's refinement.  Tolerances is a named tuple:
+audit's 1e-9 and 1e-5, windowed_drift's 64 cells and _STATE_CAP in perturb.
+Floats, not a set depth, end adaptive Simpson's refinement, and the float
+range caps a transition pass.  ode_tol is read on two scales: the forced
+stepper compares whole trajectories on the 1 + max|x| scale, the transition
+kernel each pass on its own largest entry.  Tolerances is a named tuple:
 TOL._replace(...) gives a modified copy and TOL._asdict() the fields by name.
 """
 
@@ -18,10 +21,9 @@ class Tolerances(NamedTuple):
     quad_abs: float = 1e-9          # absolute Simpson budget of each interval given to integrate (scan_points a period)
 
     # ODE integration (fixed-step RK4 with step doubling)
-    ode_tol: float = 1e-8           # pass accepted when max|entry diff| <= ode_tol * max|entry|
+    ode_tol: float = 1e-8           # pass accepted when max|diff| <= ode_tol * scale (see above)
     ode_start_steps: int = 64
     ode_max_steps: int = 2 ** 20
-    overflow: float = 1e300
 
     # classification and rate extraction
     zero_band: float = 1e-8         # |per-period integral| below this counts as zero

@@ -32,14 +32,9 @@ class NotPositiveDefiniteError(NumericError):
 
 
 class BlowupError(NumericError):
-    """State or transition matrix exceeded the overflow limit.
+    """A transition matrix passed the largest float with RK4 steps that
+    resolve A: the flow's own growth, not the integrator's divergence.
 
     For strongly unstable systems this is diagnostic rather than fatal;
-    callers that can say something useful catch it.  t_reached is the time
-    a state got to, or None for a transition matrix, which is judged over
-    its whole segment.
+    callers that can say something useful catch it.
     """
-
-    def __init__(self, message, t_reached=None):
-        super().__init__(message)
-        self.t_reached = t_reached

@@ -201,18 +201,22 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
     Each pair's log norm is the log of its scaled product's norm plus its
     power of two, so a transition past the largest float, as a stiff
     system's backward flow, or below the smallest is checked like any other.
-    A period segment whose pass ends past the overflow cap with steps that
-    resolve A, integrate_transitions' BlowupError, has no floating-point
-    value to check: that error propagates when some grid segment's bound
-    allows such growth, and the result is inf (a violation) when none does.
+    A period segment that passes the largest float with steps that resolve
+    A, integrate_transitions' BlowupError, has no floating-point value to
+    check.  Its own direction's bound over the period segments (pi_plus
+    forward, pi_minus backward) decides: the result is inf (a violation)
+    when no segment's bound reaches the log of the largest float, and the
+    error propagates when some segment's bound allows such growth.
     """
     ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, _SEGMENTS + 1)
     pp, pm = periodic.pi_integral(sys, kind, ts)[0].T
     stacks = [_period_segments(sys, forward, transition.TOL) for forward in (True, False)]
-    if blown := [got for got in stacks if isinstance(got, BlowupError)]:
-        if max(np.diff(pp).max(), np.diff(pm).max()) < math.log(TOL.overflow):
+    if blown := [k for k, got in enumerate(stacks) if isinstance(got, BlowupError)]:
+        grid = np.linspace(sys.t0, sys.t0 + sys.period, _SEGMENTS + 1)
+        rises = np.diff(periodic.pi_integral(sys, kind, grid)[0], axis=0).max(axis=0)
+        if any(rises[k] < math.log(np.finfo(float).max) for k in blown):
             return math.inf
-        raise blown[0]
+        raise stacks[blown[0]]
     F, f_shift, i, j = _pair_products(*_grid_segments(stacks[0].value, True, 2), forward=True)
     B, b_shift = _pair_products(*_grid_segments(stacks[1].value, False, 2), forward=False)[:2]
     logs = _log(linalg.mat_norm(np.concatenate((F, B)), kind)) + np.concatenate((f_shift, b_shift))

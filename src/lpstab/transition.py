@@ -5,7 +5,7 @@ A(t) is read in blocks on the stage grid and each block's step matrices
 are composed by log-depth prefix products (Blelloch 1990), never by a
 Python loop over the steps.  The kernel only integrates; each pass is
 judged once, as a whole, by integrate_transitions, against the previous
-pass relative to its own largest entry and against the overflow cap.
+pass relative to its own largest entry and against the float range.
 Every tolerance is read from this module's TOL.
 """
 
@@ -119,10 +119,10 @@ def _rk4_matrix(sys: SystemDef, a: np.ndarray, b: np.ndarray, steps: int) -> np.
     so a segment comes out bit-identical whatever stack or block layout it
     is integrated in.
 
-    Nothing is checked here: a pass that diverges comes back past the
-    overflow cap, inf or NaN, and integrate_transitions judges it.  Only
-    sys.n and sys.matrix are read, so the forced stepper in perturb can pass
-    an augmented field (see perturb._rk4_pass).
+    Nothing is checked here: a pass that diverges comes back inf or NaN,
+    and integrate_transitions judges it.  Only sys.n and sys.matrix are
+    read, so the forced stepper in perturb can pass an augmented field (see
+    perturb._rk4_pass).
     """
     h = (b - a) / steps
     n, segs = sys.n, a.size
@@ -163,12 +163,13 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
     TOL.ode_start_steps), and doubles until a pass is accepted: one that
     agrees with the previous pass to tol times its own largest entry
     (Hairer, Norsett and Wanner, Solving ODEs I, II.4), and whose largest
-    entry is finite, nonzero and at most TOL.overflow.  The returned
-    error_estimate is that difference divided by 15, the usual fourth-order
-    extrapolation factor.  A pass past the cap, inf and NaN included, is
-    never accepted: it doubles while _too_coarse finds its steps too coarse
-    for A somewhere on its stage grid, where RK4 diverges on its own, and is
-    the flow's growth, a BlowupError, otherwise.  An accepted pass that
+    entry is finite and nonzero.  The returned error_estimate is that
+    difference divided by 15, the usual fourth-order extrapolation factor.
+    A pass that leaves the float range, inf or NaN, is never accepted: it
+    doubles while _too_coarse finds its steps too coarse for A somewhere on
+    its stage grid, where RK4 diverges on its own, until the step budget
+    ends that as a ConvergenceError, and is the flow's growth, a
+    BlowupError, once its steps resolve A.  An accepted pass that
     underflowed to zero everywhere has no spectrum to read and is a
     NumericError.  Backward spans integrate with a negative step and
     zero-length ones give the identity.
@@ -210,14 +211,14 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
             grp = np.flatnonzero(steps[live] == s)
             cur[grp] = _rk4_matrix(sys, a[live[grp]], b[live[grp]], s)
         top = np.abs(cur).max(axis=(1, 2))
-        over = ~(top <= TOL.overflow)  # NaN fails the comparison too
+        over = ~np.isfinite(top)
         rest = ~over
         if over.any():
             rest[over] = _too_coarse(sys, a[live[over]], b[live[over]], steps[live[over]])
             for i in live[over & ~rest]:
-                fail[i] = BlowupError(f"transition matrix over [{a[i]:g}, {b[i]:g}] exceeded {TOL.overflow:.1e}")
+                fail[i] = BlowupError(f"transition matrix over [{a[i]:g}, {b[i]:g}] passed the largest float")
         if not first:
-            with np.errstate(invalid="ignore"):  # inf - inf after two passes past the cap
+            with np.errstate(invalid="ignore"):  # inf - inf after two blown passes
                 diff = np.abs(cur - value[live]).max(axis=(1, 2))
             done = ~over & (diff <= tol * top)
             for i in live[done & (top == 0.0)]:

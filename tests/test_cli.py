@@ -530,12 +530,18 @@ def test_perturb_overflow_reported():
     assert "forced-state decay: not claimed (unforced verdict is unstable; state overflowed)\n" in out
 
 
-def test_perturb_first_interval_overflow_exits_2(tmp_path):
-    # a truncated trajectory needs two samples; x' = 800 x passes the cap before the second
+def test_perturb_first_interval_overflow_is_reported(tmp_path):
+    # x' = 800 x passes the cap before the second sample: the trajectory is x0 alone
     path = write_system(tmp_path, {"entries": [["800"]], "period": 1.0})
-    code, out, err = run_cli("perturb", "-f", path, "--t-end", "14", "--samples", "16")
-    assert (code, out) == (2, "")
-    assert err == "numeric failure: state exceeded 1.0e+300 on the first sample interval\n"
+    args = ("perturb", "-f", path, "--t-end", "14", "--samples", "16")
+    code, out, err = run_cli(*args, "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["overflowed"] is True and doc["t_overflow"] == 14.0 / 15.0
+    assert doc["x0"] == doc["final_state"] == [1.0] and doc["tail_max_norm"] is None
+    code, out, err = run_cli(*args)
+    assert code == 0, err
+    assert "state overflowed at t=0.933333: unbounded growth; trajectory truncated to 1 samples\n" in out
 
 
 def test_perturb_drift_unavailable_past_overflow():
@@ -585,7 +591,7 @@ def test_stiff_systems_are_partially_resolved(tmp_path, rate):
     # RK4 at the start step is unstable for -3000, and for both systems the fast
     # multiplier exp(rate T) is far below eigvals' round-off: the oracle reports an
     # upper bound for its exponent instead of failing.  The backward flow of -3000
-    # passes the overflow cap over its first period segment, at steps that resolve A,
+    # passes the largest float over its first period segment, at steps that resolve A,
     # where the sandwich's bound allows it
     period = 2.0 * math.pi
     path = write_system(tmp_path, {"entries": [[f"{rate}+sin(t)", "1"], ["0", "-1"]], "period": period})
@@ -607,7 +613,8 @@ def test_stiff_systems_are_partially_resolved(tmp_path, rate):
             assert oracle["sandwich_passed"] is True and len(notes) == 1
         else:
             assert oracle["sandwich_passed"] is None and oracle["sandwich_violation"] is None
-            assert notes[1] == "transition bound not checked: transition matrix over [0.418879, 0] exceeded 1.0e+300"
+            assert notes[1] == ("transition bound not checked: transition matrix over [0.418879, 0] "
+                                "passed the largest float")
     code, out, err = run_cli("analyze", "-f", path, "--norm", "one")
     assert code == 0, err
     assert f"monodromy exponent real parts: <={low:.6g}, -1 (inside strip: yes)" in out

@@ -245,12 +245,12 @@ def test_sandwich_bounds_products_past_the_float_range(kind):
             B, log_scale = B * 2.0 ** -e, log_scale + e * math.log(2.0)
             top = max(top, log_scale)
             worst = max(worst, math.log(mat_norm(B, kind)) + log_scale - (pm[j] - pm[i]))
-    assert top > math.log(TOL.overflow)
+    assert top > math.log(np.finfo(float).max)
     assert math.expm1(worst) <= got + 1e-12 and got <= TOL.sandwich_slack
 
 
 def test_sandwich_checks_grid_segments_past_the_float_range():
-    # the backward flow of -1000 stays below the overflow cap over a T/15 period segment
+    # the backward flow of -1000 stays in the float range over a T/15 period segment
     # and passes the largest float over a 2T/15 grid segment, which its power of two
     # scales back into the float range
     sysd = system_from_strings([["-1000+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
@@ -268,6 +268,22 @@ def test_sandwich_blowup_is_unchecked_only_where_the_bound_allows_it(monkeypatch
         verify_sandwich(_STIFF, ONE)
     monkeypatch.setattr(floquet.periodic, "pi_integral", lambda sys, kind, ts: (np.zeros((len(ts), 2)), 0.0))
     assert verify_sandwich(_STIFF, ONE) == math.inf
+
+
+def test_sandwich_blowup_is_judged_by_its_own_period_segments(monkeypatch):
+    # 1 x 1, so the drift bound is exact: the backward period segment [1/15, 0] grows by
+    # e^719.6, past the largest float, while no 2T/15 grid segment's bound reaches e^673.5
+    # either way, since each spans a contracting half too.  The forward bounds reach
+    # e^67.5 at most.  Faked blown stacks leave only the drift route to run: a backward
+    # blow-up is allowed by its own bound and propagates, a forward one is a violation
+    lopsided = system_from_strings([["-8750*sin(14*pi*t)-7250*abs(sin(14*pi*t))"]], 1.0)
+    blown = BlowupError("transition matrix over [0.0666667, 0] passed the largest float")
+    monkeypatch.setattr(floquet, "_period_segments", lambda sys, forward, tol: None if forward else blown)
+    with pytest.raises(BlowupError) as info:
+        verify_sandwich(lopsided, ONE)
+    assert info.value is blown
+    monkeypatch.setattr(floquet, "_period_segments", lambda sys, forward, tol: blown if forward else None)
+    assert verify_sandwich(lopsided, ONE) == math.inf
 
 
 @pytest.mark.parametrize("kind,norm", [(ONE, 2.0), (TWO, (1.0 + math.sqrt(5.0)) / 2.0)],
@@ -301,7 +317,7 @@ def test_sandwich_bounds_flow(name):
 
 
 def test_a_backward_blowup_leaves_the_forward_stack(monkeypatch):
-    # the backward period stack of -3000 passes the overflow cap; verify_decay reads the
+    # the backward period stack of -3000 passes the largest float; verify_decay reads the
     # forward stack alone, which is cached apart from it
     with pytest.raises(BlowupError):
         verify_sandwich(_STIFF, ONE)
@@ -403,10 +419,10 @@ def _ref_rk4_matrix(sys, a, b, steps, tops=None):
 def _ref_integrate_transition(sys, t_from, t_to, tol=None, start_steps=None):
     # one segment at a time with step doubling, as (value, steps, error_estimate): a pass
     # is accepted when it agrees with the previous one to tol times its largest entry and
-    # that entry is finite, nonzero and at most the cap.  A pass past the cap doubles while
+    # that entry is finite and nonzero.  A pass with an inf or NaN entry doubles while
     # |h| |A|_inf >= 1/2 on some node of its stage grid, and blows up otherwise
     tol = transition.TOL.ode_tol if tol is None else tol
-    start, budget, cap = transition.TOL.ode_start_steps, transition.TOL.ode_max_steps, transition.TOL.overflow
+    start, budget = transition.TOL.ode_start_steps, transition.TOL.ode_max_steps
     if t_to == t_from:
         return np.eye(sys.n), 0, 0.0
     steps = start_steps or max(8, min(start, int(math.ceil(start * abs(t_to - t_from) / sys.period))))
@@ -414,10 +430,10 @@ def _ref_integrate_transition(sys, t_from, t_to, tol=None, start_steps=None):
     while True:
         cur = _ref_rk4_matrix(sys, t_from, t_to, steps)
         top = float(np.abs(cur).max())
-        if not top <= cap:
+        if not np.isfinite(cur).all():
             nodes = t_from + (t_to - t_from) * np.arange(2 * steps + 1) / (2 * steps)
             if abs(t_to - t_from) / steps * float(mat_norm(sys.matrix(nodes), INF).max()) < 0.5:
-                raise BlowupError(f"transition matrix over [{t_from:g}, {t_to:g}] exceeded {cap:.1e}")
+                raise BlowupError(f"transition matrix over [{t_from:g}, {t_to:g}] passed the largest float")
         elif prev is not None:
             diff = float(np.abs(cur - prev).max())
             if diff <= tol * top:
@@ -441,7 +457,7 @@ def _first_failure(sys, t_from, t_to):
 
 
 _STIFF = system_from_strings([["-3000+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
-# grows like exp(250 t), past the overflow cap after t = 2.77 however fine the step
+# grows like exp(250 t), past the largest float after t = 2.84 however fine the step
 _GROWING = system_from_strings([["250+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
 _SYSTEMS = [strong_coupling().system, rotating_frame(1.5).system, lti_diag().system,
             CATALOG["scalar_unstable"]().system,
@@ -514,8 +530,8 @@ def test_integrate_transitions_from_given_start_steps(sysd):
 
 
 def test_rk4_stack_matches_per_segment_loop():
-    # at 64 steps RK4 diverges on -3000 over the two long segments: their passes end past
-    # the cap as the loop's do, and each segment has the bits it has alone
+    # at 64 steps RK4 diverges on -3000 over the two long segments: their passes end inf
+    # or NaN as the loop's do, and each segment has the bits it has alone
     sysd = _STIFF
     a = np.array([0.0, 0.3, 0.0, 2.0])
     b = np.array([1e-3, 0.25, math.pi, 2.0 + 2.0 * math.pi])
@@ -524,11 +540,11 @@ def test_rk4_stack_matches_per_segment_loop():
     for i in range(4):
         assert _rk4_one(sysd, float(a[i]), float(b[i]), 64).tobytes() == stack[i].tobytes()
         ref = _ref_rk4_matrix(sysd, float(a[i]), float(b[i]), 64)
-        if np.abs(ref).max() <= TOL.overflow:
+        if np.isfinite(ref).all():
             assert np.abs(stack[i] - ref).max() <= _VALUE_BOUND * np.abs(ref).max()
         else:
             past.append(i)
-            assert not np.abs(stack[i]).max() <= TOL.overflow
+            assert not np.isfinite(stack[i]).all()
     assert past == [2, 3]
 
 
@@ -590,22 +606,22 @@ def test_rk4_kernel_at_chunk_boundaries(monkeypatch, n, count):
     assert (stack[::4] == np.eye(sysd.n)).all()
 
 
-@pytest.mark.parametrize("span,steps,place", [(1.06, 96, 0), (1.1, 96, -1), (2.0 * math.pi, 64, 3)],
+@pytest.mark.parametrize("span,steps,place", [(1.12, 96, 0), (1.16, 96, -1), (2.0 * math.pi, 64, 4)],
                          ids=["chunk-start", "chunk-end", "mid-chunk"])
 def test_rk4_blowup_step_matches_loop(span, steps, place):
-    # the sequential loop first passes the cap at a chunk's start, at its end or inside it.
-    # The kernel checks no step: its pass ends past the cap as the loop's does, the
+    # the sequential loop first passes the largest float at a chunk's start, at its end or
+    # inside it.  The kernel checks no step: its pass ends inf or NaN as the loop's does, the
     # segments stacked with it keep their bits, and integrate_transitions refines the pass
     # (far too coarse for -3000) rather than reading it as growth
     tops = []
     _ref_rk4_matrix(_STIFF, 0.0, span, steps, tops)
-    first = next(k for k, top in enumerate(tops) if not top <= TOL.overflow)
+    first = next(k for k, top in enumerate(tops) if not np.isfinite(top))
     assert first % transition._chunk(2) == place % transition._chunk(2)
-    assert not tops[-1] <= TOL.overflow
+    assert not np.isfinite(tops[-1])
     a = np.array([0.0, 0.0, 0.5])
     b = np.array([1e-3, span, 0.5])
     stack = _rk4_matrix(_STIFF, a, b, steps)
-    assert not np.abs(stack[1]).max() <= TOL.overflow
+    assert not np.isfinite(stack[1]).all()
     assert np.isfinite(stack[[0, 2]]).all() and (stack[2] == np.eye(2)).all()
     for i in range(3):
         assert _rk4_one(_STIFF, float(a[i]), float(b[i]), steps).tobytes() == stack[i].tobytes()
@@ -614,24 +630,18 @@ def test_rk4_blowup_step_matches_loop(span, steps, place):
 
 
 @pytest.mark.parametrize("count", ["C", "C+1", "2C"])
-def test_rk4_overflow_check_at_the_cap(monkeypatch, count):
-    # x' = 2x grows, and RK4 approaches e^2 from below as the steps double, so the
-    # accepted pass holds the largest entry of every pass.  With the cap at that entry the
-    # pass is accepted with the same bits; one ulp lower it is past the cap with steps
-    # fine enough for A, a BlowupError naming its segment
-    sysd = system_from_strings([["2"]], 1.0)
+def test_rk4_overflow_check_at_the_cap(count):
+    # the cap is the largest float, about e^709.78.  RK4 approaches e^(rate) from below as
+    # the steps double from a start around the chunk length: for x' = 700 x every pass is
+    # finite and one is accepted near e^700 = 1.0e304 at a loose tol; x' = 710 x passes
+    # the largest float once its steps resolve A, a BlowupError naming its segment
     C = transition._chunk(1)
     steps = {"C": C, "C+1": C + 1, "2C": 2 * C}[count]
     a, b = [0.0, 0.5], [1.0, 1.0]
-    free = integrate_transitions(sysd, a, b, start_steps=steps)
-    top = float(free.value[0, 0, 0])
-    assert top == np.abs(free.value).max()
-    monkeypatch.setattr(transition, "TOL", TOL._replace(overflow=top))
-    assert [f.tobytes() for f in integrate_transitions(sysd, a, b, start_steps=steps)] == [f.tobytes() for f in free]
-    monkeypatch.setattr(transition, "TOL", TOL._replace(overflow=float(np.nextafter(top, 0.0))))
-    with pytest.raises(BlowupError, match=r"^transition matrix over \[0, 1\] exceeded 7\.4e\+00$") as info:
-        integrate_transitions(sysd, a, b, start_steps=steps)
-    assert info.value.t_reached is None
+    got = integrate_transitions(system_from_strings([["700"]], 1.0), a, b, tol=1e-2, start_steps=steps)
+    assert abs(got.value[:, 0, 0] / np.exp([700.0, 350.0]) - 1.0).max() <= 1e-2
+    with pytest.raises(BlowupError, match=r"^transition matrix over \[0, 1\] passed the largest float$"):
+        integrate_transitions(system_from_strings([["710"]], 1.0), a, b, tol=1e-2, start_steps=steps)
 
 
 @pytest.mark.parametrize("sysd,segments,max_steps,kind", [
@@ -650,7 +660,6 @@ def test_integrate_transitions_raises_first_failure(monkeypatch, sysd, segments,
     with pytest.raises(kind) as info:
         integrate_transitions(sysd, t_from, t_to)
     assert str(info.value) == str(want)
-    assert getattr(info.value, "t_reached", None) == getattr(want, "t_reached", None)
 
 
 def test_stiff_transition_blowup_without_warnings(monkeypatch):
@@ -672,14 +681,16 @@ def test_stiff_transition_blowup_without_warnings(monkeypatch):
     assert abs(tm.error_estimate[0] - err) <= 2.0 * _VALUE_BOUND * np.abs(value).max()
 
 
-def test_blowup_retry_reads_the_blown_steps_stage_grid(monkeypatch):
-    # a spike of -2000 about 0.002 wide, which A(t) at the segment's ends cannot see: a
-    # pass past the cap reads |A| on its whole stage grid, finds its steps too coarse
-    # there, doubles and converges
-    monkeypatch.setattr(transition, "TOL", TOL._replace(overflow=50.0))
-    spike = system_from_strings([["-1 - 2000*exp(-((t - 0.5390625)/0.002)^2)"]], 1.0)
-    tm = integrate_transitions(spike, [0.0], [1.0])
-    assert abs(tm.value[0, 0, 0] - math.exp(-1.0 - 4.0 * math.sqrt(math.pi))) <= 1e-7
+def test_blowup_retry_reads_the_blown_steps_stage_grid():
+    # a pulse of -30000 about 0.1 wide, which A(t) at the segment's ends cannot see: the
+    # 256-step pass passes the largest float, reads |A| on its whole stage grid, finds its
+    # steps too coarse there, doubles and converges to diag(exp(-1 - 3000 sqrt(pi)),
+    # exp(-1)), whose first entry is below the smallest float
+    pulse = system_from_strings([["-1 - 30000*exp(-((t - 0.5390625)/0.1)^2)", "0"], ["0", "-1"]], 1.0)
+    assert mat_norm(pulse.matrix(np.array([0.0, 1.0])), INF).max() < 1.0 + 1e-4
+    assert not np.isfinite(_rk4_one(pulse, 0.0, 1.0, 256)).all()
+    tm = integrate_transitions(pulse, [0.0], [1.0])
+    assert np.abs(tm.value[0] - np.diag([0.0, math.exp(-1.0)])).max() <= 1e-9
 
 
 def _ref_check_segments(sys, forward, span):
@@ -822,7 +833,7 @@ def test_monodromy_raises_the_cached_forward_blowup_again():
     floquet._period_segments.cache_clear()
     raised = []
     for _ in range(2):
-        with pytest.raises(BlowupError, match=r"^transition matrix over \[0, 1\] exceeded 1\.0e\+300$") as info:
+        with pytest.raises(BlowupError, match=r"^transition matrix over \[0, 1\] passed the largest float$") as info:
             monodromy_fce(sysd)
         raised.append(info.value)
     assert raised[0] is raised[1]

@@ -16,7 +16,7 @@ import pytest
 from lpstab import perturb
 from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
 from lpstab.config import TOL
-from lpstab.errors import BlowupError, ConvergenceError, InputError, NumericError
+from lpstab.errors import ConvergenceError, InputError, NumericError
 from lpstab.expr import EvalError, evaluate
 from lpstab.linalg import mat_norm, vec_norm
 from lpstab.lognorm import INF, TWO
@@ -258,7 +258,7 @@ def test_trajectory_is_deterministic():
     a = simulate_perturbed(sysd, d, np.ones(2), 3.0, samples=64)
     b = simulate_perturbed(sysd, d, np.ones(2), 3.0, samples=64)
     assert np.array_equal(a.states, b.states)
-    assert a.check_times == b.check_times
+    assert a.check_error is not None and a.check_error == b.check_error
 
 
 # ------------------------- pre-evaluated stage grids against per-call references
@@ -388,7 +388,7 @@ def _ref_sweep(maps, x0, samples):
     states[0] = x0
     for i in range(len(maps)):
         x = maps[i, :-1, :-1] @ states[i] + maps[i, :-1, -1]
-        if not np.abs(x).max() <= TOL.overflow:
+        if not np.abs(x).max() <= perturb._STATE_CAP:
             return states, i + 1
         states[i + 1] = x
     return states, None
@@ -541,16 +541,33 @@ def test_coarse_step_overflow_is_refined(monkeypatch):
     assert traj.states.tobytes() == _rk4_pass(_STIFF_3000, d, np.ones(2), traj.times, 64)[0].tobytes()
 
 
-def test_first_interval_overflow_raises(monkeypatch):
+def test_first_interval_overflow_truncates_to_x0(monkeypatch):
     # x' = 800 x passes the cap inside the first sample interval once the substep
-    # resolves it; coarser passes blow up too, and are refined first
+    # resolves it; coarser passes blow up too, and are refined first.  Growth on the
+    # first interval is growth like any other: the trajectory keeps x0 alone
     passes = _recording_passes(monkeypatch)
-    with pytest.raises(BlowupError) as info:
-        simulate_perturbed(system_from_strings([["800"]], 1.0), Disturbance.zero(1), np.ones(1), 14.0,
-                           samples=16)
-    assert str(info.value) == "state exceeded 1.0e+300 on the first sample interval"
-    assert info.value.t_reached == 14.0 / 15.0
+    traj = simulate_perturbed(system_from_strings([["800"]], 1.0), Disturbance.zero(1), np.ones(1), 14.0,
+                              samples=16)
+    assert traj.overflowed and traj.t_overflow == 14.0 / 15.0
+    assert traj.times.tolist() == [0.0] and traj.states.tolist() == [[1.0]]
+    assert (traj.steps_per_interval, traj.error_estimate, traj.check_error) == (1920, math.inf, None)
     assert passes == [(60, 2), (120, 2), (240, 1), (480, 1), (960, 1), (1920, 1)]
+
+
+@pytest.mark.parametrize("entries,period,t_end", [
+    ([["-1000000"]], 1.0, 10.0),
+    ([["-1-1000000*sin(t/2)^20"]], 4.0 * math.pi, 12.0),   # a stiff stretch about t = pi
+], ids=["stiff", "stiff-stretch"])
+def test_coarse_step_overflow_refines_until_the_budget(monkeypatch, entries, period, t_end):
+    # RK4 diverges on its own at every substep count the budget allows: each pass blows
+    # up with substeps too coarse for A, and the budget ends the refinement as "did not
+    # settle", never as the stable system's growth
+    monkeypatch.setattr(perturb, "TOL", TOL._replace(ode_max_steps=2 ** 14))
+    passes = _recording_passes(monkeypatch)
+    with pytest.raises(ConvergenceError, match=r"^trajectory did not settle within 16384 total steps$"):
+        simulate_perturbed(system_from_strings(entries, period), Disturbance.zero(1), np.ones(1), t_end)
+    assert passes and all(blow is not None for _, blow in passes)
+    assert 2 * passes[-1][0] * 255 > 2 ** 14
 
 
 def test_disturbance_needs_an_entry():

@@ -30,7 +30,13 @@ float and still gets its exponents from the scaled product, text
 underflows, `analyze --norm one,two,inf --no-oracle --json` of two systems
 with coefficients of 1e12 and 1e20 and of one whose overshoot K is past the
 largest float, text `analyze --norm one` of `[["-1+400*sin(t)"]]` (K past
-the largest float, with the oracle), `series -s example2 --norm two`,
+the largest float, with the oracle), of `[["-15563*sin(14*pi*t)"]]` (period
+1, uniformly stable, a period segment's transition about 1e304) and of
+`[["-8750*sin(14*pi*t)-7250*abs(sin(14*pi*t))"]]` (period 1, a backward
+period segment past the largest float, as its own drift bound allows),
+`perturb --json` of `[["-1000000"]]` (period 1, `--t-end 10`) and of
+`[["-1-1000000*sin(t/2)^20"]]` (period 4 pi, `--t-end 12`), stable systems
+whose forced stepper runs out of step budget, `series -s example2 --norm two`,
 three invocations that write files (`series -o`, `series --trajectory -o`,
 `perturb --out`), `--help` of
 every command, and one invocation down each branch where the command line
@@ -74,8 +80,19 @@ LARGE = {
     "scaled1e20": ([["-30", "1e20*cos(t)"], ["1e-20*sin(t)", "-31"]], 2.0 * math.pi),
     "overshoot2": ([["-10000+5000*sin(t)", "10000*cos(t)"], ["1000*sin(2*t)", "-20000"]], 2.0 * math.pi),
 }
-# text analyze in the one-norm with the oracle: an overshoot K past the largest float
-OVERSHOOT = {"overshoot1": ([["-1+400*sin(t)"]], 2.0 * math.pi)}
+# text analyze in the one-norm with the oracle: an overshoot K past the largest float, a
+# transition near the largest float, and a backward period segment past it
+ONE_NORM = {
+    "overshoot1": ([["-1+400*sin(t)"]], 2.0 * math.pi),
+    "uniform14": ([["-15563*sin(14*pi*t)"]], 1.0),
+    "lopsided14": ([["-8750*sin(14*pi*t)-7250*abs(sin(14*pi*t))"]], 1.0),
+}
+# (entries, period, t_end): perturb --json of stable systems whose RK4 diverges at every
+# substep count the budget allows
+FORCED = {
+    "stiff1e6": ([["-1000000"]], 1.0, "10"),
+    "stretch20": ([["-1-1000000*sin(t/2)^20"]], 4.0 * math.pi, "12"),
+}
 MEMORY = 2 << 30  # each run's address-space cap, as tests/conftest.py's run_limited
 # catalog names with their dimension and each factory parameter's range; the tool imports
 # neither tree, and a name that one tree lacks shows up as differing output
@@ -101,11 +118,15 @@ def invocations(work: Path) -> list[list[str]]:
     for systems, options in [(STIFF, ["--norm", "one,two,inf", "--json"]),
                              (UNDERFLOW, ["--norm", "one,two,inf,weighted"]),
                              (LARGE, ["--norm", "one,two,inf", "--no-oracle", "--json"]),
-                             (OVERSHOOT, ["--norm", "one"])]:
+                             (ONE_NORM, ["--norm", "one"])]:
         for name, (entries, period) in systems.items():
             path = work / f"{name}.json"
             path.write_text(json.dumps({"entries": entries, "period": period}))
             argvs.append(["analyze", "-f", str(path), *options])
+    for name, (entries, period, t_end) in FORCED.items():
+        path = work / f"{name}.json"
+        path.write_text(json.dumps({"entries": entries, "period": period}))
+        argvs.append(["perturb", "-f", str(path), "--t-end", t_end, "--json"])
     argvs += [["series", "-s", "example2", "--norm", "two"],
               ["series", "-s", "example2", "--samples", "300", "-o", "drift.csv"],
               ["series", "-s", "example1", "--trajectory", "2,-1", "--t-end", "9", "-o", "states.csv"],
