@@ -266,8 +266,7 @@ def simulate_perturbed(sys: SystemDef, d: Disturbance, x0, t_end: float,
             s_cut = cur[:blow].copy()
             t_cut.flags.writeable = False
             s_cut.flags.writeable = False
-            return Trajectory(t_cut, s_cut, m, float("inf"), None,
-                              overflowed=True, t_overflow=float(ts[blow]))
+            return Trajectory(t_cut, s_cut, m, float("inf"), None, True, float(ts[blow]))
         if prev is not None:
             diff = float(np.abs(cur - prev).max())
             if diff <= TOL.ode_tol * (1.0 + float(np.abs(cur).max())):
