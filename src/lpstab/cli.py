@@ -32,7 +32,7 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
 from . import lognorm, periodic
 from ._version import __version__
 from .config import TOL
-from .errors import BlowupError, InputError, NotPositiveDefiniteError, NumericError, SingularMatrixError
+from .errors import InputError, NotPositiveDefiniteError, NumericError, SingularMatrixError
 from .linalg import NormKind
 from .periodic import SystemDef
 
@@ -151,13 +151,6 @@ def _write_csv(fh, header: str, rows: np.ndarray) -> None:
         fh.write(line % tuple(row))
 
 
-def _unscaled(x: float, scale: int) -> float:
-    """x * 2**scale, as the oracle carries its monodromy figures: a float, or
-    inf past the largest one."""
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(x, scale))
-
-
 def _record_doc(record, *omit: str) -> dict:
     """The fields of a result record as a JSON object, minus those named."""
     return {k: v for k, v in record._asdict().items() if k not in omit}
@@ -169,58 +162,15 @@ def analyze(opt: SimpleNamespace) -> None:
     kinds = _resolve_kinds(sysd, opt.norm)
     zero_tol, no_oracle = opt.zero_tol, opt.no_oracle
     frozen = periodic.frozen_time_check(sysd)
-    fce = None
-    if not no_oracle:
+    verdicts = [periodic.classify(sysd, kind, zero_tol) for _, kind in kinds]
+    if no_oracle:
+        checks = [("skipped: oracle disabled", [])] * len(verdicts)
+    else:
         from . import floquet
-        fce = floquet.monodromy_fce(sysd)
-    analyses = []
-    failures = []
-    for name, kind in kinds:
-        verdict = periodic.classify(sysd, kind, zero_tol)
-        entry = {"norm": name, **_record_doc(verdict, "kind"),
-                 "rates": _record_doc(verdict.rates, "period")}
-        if no_oracle:
-            entry["oracle"] = "skipped: oracle disabled"
-        else:
-            strip_check = floquet.verify_strip(verdict.rates, fce)
-            unresolved = []
-            if fce.unresolved:
-                unresolved.append(f"{fce.unresolved} multiplier(s) below the round-off floor "
-                                  f"{_unscaled(fce.floor, fce.scale):.3e}, exponent(s) given as upper bounds")
-            try:
-                violation = floquet.verify_sandwich(sysd, kind)
-                sandwich_ok = violation <= TOL.sandwich_slack
-            except BlowupError as exc:
-                # a period segment past the largest float, where its drift bound allows it
-                violation = sandwich_ok = None
-                unresolved.append(f"transition bound not checked: {exc}")
-            oracle_doc = {
-                "multipliers": [[_unscaled(z.real, fce.scale), _unscaled(z.imag, fce.scale)] for z in fce.multipliers],
-                "fce_real_parts": list(fce.real_parts),
-                "monodromy_steps": fce.steps,
-                "monodromy_error": _unscaled(fce.error_estimate, fce.scale),
-                "strip_check": _record_doc(strip_check),
-                "sandwich_violation": violation,
-                "sandwich_passed": sandwich_ok,
-            }
-            if fce.unresolved:
-                oracle_doc["unresolved_exponents"] = fce.unresolved
-                oracle_doc["multiplier_floor"] = _unscaled(fce.floor, fce.scale)
-            if unresolved:
-                oracle_doc["partially_resolved"] = unresolved
-            if verdict.classification == "UES":
-                decay = floquet.verify_decay(sysd, verdict)
-                oracle_doc["decay"] = _record_doc(decay)
-                if not decay.passed:
-                    failures.append(f"{name}: decay envelope violated by {-decay.worst_margin:.3e}")
-            else:
-                oracle_doc["decay"] = "skipped: verdict not UES"
-            if not strip_check.passed:
-                failures.append(f"{name}: exponent strip violated by {strip_check.worst_violation:.3e}")
-            if sandwich_ok is False:
-                failures.append(f"{name}: transition bound violated by {violation:.3e}")
-            entry["oracle"] = oracle_doc
-        analyses.append(entry)
+        checks = floquet.cross_checks(sysd, verdicts)
+    analyses = [{"norm": name, **_record_doc(verdict, "kind"), "rates": _record_doc(verdict.rates, "period"),
+                 "oracle": oracle} for (name, _), verdict, (oracle, _) in zip(kinds, verdicts, checks)]
+    failures = [line for _, lines in checks for line in lines]
     if opt.json:
         doc = {
             "version": __version__,
@@ -258,14 +208,15 @@ def analyze(opt: SimpleNamespace) -> None:
             print(f"exponent strip: [{entry['strip'][0]:.6g}, {entry['strip'][1]:.6g}]")
             if not no_oracle:
                 oracle = entry["oracle"]
-                parts = ", ".join(("<=" if k < fce.unresolved else "") + f"{v:.6g}"
-                                  for k, v in enumerate(fce.real_parts))
-                inside = "yes" if oracle["strip_check"]["passed"] else "NO"
-                label = ""
-                if entry["classification"] == "inconclusive":
-                    label = " (independent route, not a drift-test certificate)"
-                print(f"monodromy exponent real parts: {parts} "
-                      f"(inside strip: {inside}){label}")
+                if "fce_real_parts" in oracle:
+                    parts = ", ".join(("<=" if k < oracle.get("unresolved_exponents", 0) else "") + f"{v:.6g}"
+                                      for k, v in enumerate(oracle["fce_real_parts"]))
+                    inside = "yes" if oracle["strip_check"]["passed"] else "NO"
+                    label = ""
+                    if entry["classification"] == "inconclusive":
+                        label = " (independent route, not a drift-test certificate)"
+                    print(f"monodromy exponent real parts: {parts} "
+                          f"(inside strip: {inside}){label}")
                 if oracle["sandwich_violation"] is not None:
                     print(f"transition bound worst violation: {oracle['sandwich_violation']:.3e}")
                 if "partially_resolved" in oracle:

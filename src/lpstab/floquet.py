@@ -8,12 +8,14 @@ A(t).  Its one RK4 integration is one period of transitions, 15 forward and
 its largest entry, and every product keeps the sum of those exponents, so
 nothing under- or overflows however far the flow grows or contracts.  The
 monodromy is the product of the 15 forward segments, and its spectrum
-comes from LAPACK via numpy.linalg.  The verify_* functions
-confront the two routes: characteristic-exponent strip membership, the
-exponential sandwich on |transition| over time, and the decay envelope
-promised by a stability verdict.  Agreement here is evidence; disagreement
-beyond the stated allowances is a bug in one of the routes and raises no
-exception, it just comes back as a failed check or a positive violation.
+comes from LAPACK via numpy.linalg.  The verify_* functions confront the
+two routes: characteristic-exponent strip membership, the exponential
+sandwich on |transition| over time, and the decay envelope promised by a
+stable verdict, UES or US.  cross_checks makes every decision of the
+oracle for analyze: which checks run, what passes, what is not checked,
+and each verdict's record and failure messages.  Agreement here is
+evidence; disagreement beyond the stated allowances is a bug in one of
+the routes and raises no exception, it just comes back as a failed check.
 """
 
 import math
@@ -33,6 +35,7 @@ from .transition import TransitionMatrix
 
 # segments per period of the oracle's grids, each of _SEGMENTS + 1 evenly spaced times
 _SEGMENTS = 15
+_STABLE = ("UES", "US")  # the verdicts that promise a decay envelope
 
 
 class FceEstimate(NamedTuple):
@@ -246,7 +249,7 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict) -> DecayCheck:
     a fixed seed.  worst_margin is the smallest log-scale slack seen
     anywhere; the check passes when it stays above -allowance.
     """
-    if verdict.classification not in ("UES", "US"):
+    if verdict.classification not in _STABLE:
         raise ValueError(f"decay envelope only exists for stable verdicts, got {verdict.classification!r}")
     kind, rates, t0 = verdict.kind, verdict.rates, sys.t0
     log_k = rates.delta_upper_plus - rates.delta_lower_plus  # K itself may be inf
@@ -267,3 +270,63 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict) -> DecayCheck:
     worst = float(np.minimum(up - log_x, log_x - lo)[:, 1:].min(initial=worst))
     allowance = TOL.decay_slack + math.log1p(rel) + rel
     return DecayCheck(worst >= -allowance, worst, allowance, len(P), log_x[:, 1:].size)
+
+
+def _unscaled(x, scale: int):
+    """x * 2**scale as floats, as the oracle reports its monodromy figures: inf past the largest one."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, scale).tolist()
+
+
+def cross_checks(sys: SystemDef, verdicts) -> list[tuple[dict, list[str]]]:
+    """The oracle's record of each verdict of sys, as `analyze --json` prints
+    it, with the verdict's failure messages, each led by its norm's tag.
+
+    One monodromy serves every verdict, its figures scaled back to M.  A
+    forward period segment past the largest float leaves none: its keys are
+    left out, and the strip and decay checks read null, each with a "not
+    checked" note in partially_resolved.  The sandwich passes at
+    TOL.sandwich_slack, and reads null with such a note where
+    verify_sandwich's BlowupError propagates.  Every stable verdict, UES or
+    US, gets the decay check.  partially_resolved appears only with a note."""
+    try:
+        fce, blown = monodromy_fce(sys), None
+    except BlowupError as exc:
+        fce, blown = None, exc
+    shared, notes = {}, []
+    if blown:
+        notes.append(f"exponent strip not checked: {blown}")
+    else:
+        shared = {"multipliers": _unscaled([[z.real, z.imag] for z in fce.multipliers], fce.scale),
+                  "fce_real_parts": list(fce.real_parts), "monodromy_steps": fce.steps,
+                  "monodromy_error": _unscaled(fce.error_estimate, fce.scale)}
+        if fce.unresolved:
+            shared.update(unresolved_exponents=fce.unresolved, multiplier_floor=_unscaled(fce.floor, fce.scale))
+            notes.append(f"{fce.unresolved} multiplier(s) below the round-off floor "
+                         f"{shared['multiplier_floor']:.3e}, exponent(s) given as upper bounds")
+    out = []
+    for verdict in verdicts:
+        name, stable, unresolved, failures = verdict.kind.tag, verdict.classification in _STABLE, list(notes), []
+        strip = None if blown else verify_strip(verdict.rates, fce)
+        try:
+            violation = verify_sandwich(sys, verdict.kind)
+            passed = violation <= TOL.sandwich_slack
+        except BlowupError as exc:  # a period segment past the largest float, as its drift bound allows
+            violation = passed = None
+            unresolved.append(f"transition bound not checked: {exc}")
+        decay = verify_decay(sys, verdict) if stable and not blown else None
+        if stable and blown:
+            unresolved.append(f"decay envelope not checked: {blown}")
+        if decay and not decay.passed:
+            failures.append(f"{name}: decay envelope violated by {-decay.worst_margin:.3e}")
+        if strip and not strip.passed:
+            failures.append(f"{name}: exponent strip violated by {strip.worst_violation:.3e}")
+        if passed is False:
+            failures.append(f"{name}: transition bound violated by {violation:.3e}")
+        doc = {**shared, "strip_check": strip._asdict() if strip else None,
+               "sandwich_violation": violation, "sandwich_passed": passed,
+               "decay": decay._asdict() if decay else None if stable else "skipped: verdict not stable"}
+        if unresolved:
+            doc["partially_resolved"] = unresolved
+        out.append((doc, failures))
+    return out

@@ -607,7 +607,11 @@ def test_stiff_systems_are_partially_resolved(tmp_path, rate):
         assert slow == pytest.approx(-1.0, abs=1e-9)
         assert oracle["strip_check"]["passed"] is True
         assert entry["classification"] == {"one": "US", "two": "UES"}[entry["norm"]]
-        assert oracle["decay"] == "skipped: verdict not UES" if entry["norm"] == "one" else oracle["decay"]["passed"]
+        # the one-norm verdict is US, whose envelope |x(t)| <= K |x(s)| is checked as well
+        decay = oracle["decay"]
+        assert decay["passed"] is True and decay["pairs"] == 120
+        if (rate, entry["norm"]) == ("-3000", "one"):
+            assert decay["worst_margin"] == pytest.approx(1.26, abs=5e-3)
         notes = oracle["partially_resolved"]
         if rate == "-100":
             assert oracle["sandwich_passed"] is True and len(notes) == 1
@@ -619,6 +623,45 @@ def test_stiff_systems_are_partially_resolved(tmp_path, rate):
     assert code == 0, err
     assert f"monodromy exponent real parts: <={low:.6g}, -1 (inside strip: yes)" in out
     assert "oracle: partially resolved: 1 multiplier(s) below the round-off floor" in out
+
+
+def test_uniformly_stable_verdict_gets_the_decay_check():
+    # a US verdict promises |x(t)| <= K |x(s)|, the envelope with alpha = 0
+    code, out, err = run_cli("analyze", "-s", "example1", "--param", "beta=1.0", "--norm", "two", "--json")
+    assert (code, err) == (0, "")
+    (entry,) = json.loads(out)["analyses"]
+    decay = entry["oracle"]["decay"]
+    assert entry["classification"] == "US"
+    assert decay["passed"] is True and decay["pairs"] == 120 and decay["worst_margin"] >= 0.0
+
+
+def test_uniformly_stable_verdict_of_a_growing_system_fails_its_decay_check():
+    # --zero-tol 10 takes scalar_unstable's one-period drift 0.3 T as zero, so the drift
+    # route says US; the flow grows like exp(0.3 t), and the envelope fails
+    code, out, err = run_cli("analyze", "-s", "scalar_unstable", "--zero-tol", "10", "--norm", "one", "--json")
+    assert (code, err) == (2, "numeric failure: cross-checks failed: one: decay envelope violated by 4.710e+00\n")
+    (entry,) = json.loads(out)["analyses"]
+    assert entry["classification"] == "US" and entry["oracle"]["decay"]["passed"] is False
+
+
+def test_forward_segment_past_the_largest_float_leaves_the_oracle_unchecked(tmp_path):
+    # the first forward period segment grows by about exp(1000), as its drift bound
+    # allows: no monodromy, so neither the strip nor the transition bound is checked, and
+    # the analysis completes
+    path = write_system(tmp_path, {"entries": [["15000 + 100*sin(2*pi*t)", "1"], ["0", "-1"]], "period": 1.0})
+    blown = "not checked: transition matrix over [0, 0.0666667] passed the largest float"
+    notes = [f"exponent strip {blown}", f"transition bound {blown}"]
+    code, out, err = run_cli("analyze", "-f", path, "--norm", "one,two", "--json")
+    assert (code, err) == (0, "")
+    analyses = json.loads(out)["analyses"]
+    assert [entry["classification"] for entry in analyses] == ["inconclusive"] * 2
+    for entry in analyses:
+        assert entry["oracle"] == {"strip_check": None, "sandwich_violation": None, "sandwich_passed": None,
+                                   "decay": "skipped: verdict not stable", "partially_resolved": notes}
+    code, out, err = run_cli("analyze", "-f", path, "--norm", "one,two")
+    assert (code, err) == (0, "")
+    assert "monodromy exponent" not in out
+    assert out.count(f"oracle: partially resolved: {'; '.join(notes)}\n") == 2
 
 
 @pytest.mark.parametrize("norm", ["one", "two", "inf", "weighted"])

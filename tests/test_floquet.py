@@ -331,6 +331,55 @@ def test_a_backward_blowup_leaves_the_forward_stack(monkeypatch):
     assert floquet._period_segments.cache_info().misses == misses + 1
 
 
+def test_decay_check_reraises_a_forward_blowup(monkeypatch):
+    # the forward period stack feeds every decay product: a stack past the largest float,
+    # faked here, leaves the check nothing to read, and its cached error propagates
+    sysd = strong_coupling().system
+    v = classify(sysd, TWO)
+    blown = BlowupError("transition matrix over [0, 0.0666667] passed the largest float")
+    monkeypatch.setattr(floquet, "_period_segments", lambda sys, forward, tol: blown if forward else None)
+    with pytest.raises(BlowupError) as info:
+        verify_decay(sysd, v)
+    assert info.value is blown
+
+
+def test_cross_checks_read_one_monodromy_for_every_verdict(monkeypatch):
+    # three norms, one monodromy; each record is the one verify_* gives on its own
+    sysd = strong_coupling().system
+    verdicts = [classify(sysd, kind) for kind in KINDS]
+    calls = []
+    fce = monodromy_fce
+    monkeypatch.setattr(floquet, "monodromy_fce", lambda sys: calls.append(sys) or fce(sys))
+    records = floquet.cross_checks(sysd, verdicts)
+    assert calls == [sysd]
+    for (doc, failures), v in zip(records, verdicts):
+        assert failures == []
+        assert doc["strip_check"] == verify_strip(v.rates, fce(sysd))._asdict()
+        assert doc["sandwich_violation"] == verify_sandwich(sysd, v.kind) and doc["sandwich_passed"] is True
+        assert doc["decay"] == verify_decay(sysd, v)._asdict()
+        assert "partially_resolved" not in doc
+
+
+def test_cross_checks_without_a_monodromy(monkeypatch):
+    # a forward period segment past the largest float, faked at the monodromy: its keys
+    # are left out, and a stable verdict's strip and decay checks read null, each with a
+    # note; the sandwich keeps its own rule, on the real stacks here
+    sysd = strong_coupling().system
+    verdicts = [classify(sysd, kind) for kind in (ONE, TWO)]
+    blown = BlowupError("transition matrix over [0, 0.0666667] passed the largest float")
+
+    def fake(sys):
+        raise blown
+
+    monkeypatch.setattr(floquet, "monodromy_fce", fake)
+    for (doc, failures), v in zip(floquet.cross_checks(sysd, verdicts), verdicts):
+        assert v.classification == "UES" and failures == []
+        assert doc == {"strip_check": None, "sandwich_violation": verify_sandwich(sysd, v.kind),
+                       "sandwich_passed": True, "decay": None,
+                       "partially_resolved": [f"exponent strip not checked: {blown}",
+                                              f"decay envelope not checked: {blown}"]}
+
+
 def test_decay_check_on_stable_entries():
     for name in ("strong_coupling", "lti_diag"):
         sysd = CATALOG[name]().system

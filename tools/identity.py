@@ -34,6 +34,12 @@ the largest float, with the oracle), of `[["-15563*sin(14*pi*t)"]]` (period
 1, uniformly stable, a period segment's transition about 1e304) and of
 `[["-8750*sin(14*pi*t)-7250*abs(sin(14*pi*t))"]]` (period 1, a backward
 period segment past the largest float, as its own drift bound allows),
+`analyze --norm one,two` in JSON and in text of `[["15000 + 100*sin(2*pi*t)",
+"1"], ["0", "-1"]]` (period 1), whose forward period segment passes the
+largest float, so the oracle has no monodromy, `analyze --json` of example1
+at beta = 1 in all four norms (uniformly stable in the two-norm, so its
+decay envelope is checked) and of `scalar_unstable --zero-tol 10` in three
+norms (uniformly stable by the drift route, a decay envelope that fails),
 `perturb --json` of `[["-1000000"]]` (period 1, `--t-end 10`) and of
 `[["-1-1000000*sin(t/2)^20"]]` (period 4 pi, `--t-end 12`), stable systems
 whose forced stepper runs out of step budget, `series -s example2 --norm two`,
@@ -87,6 +93,9 @@ ONE_NORM = {
     "uniform14": ([["-15563*sin(14*pi*t)"]], 1.0),
     "lopsided14": ([["-8750*sin(14*pi*t)-7250*abs(sin(14*pi*t))"]], 1.0),
 }
+# analyze --norm one,two, in JSON and in text: a forward period segment past the largest
+# float, so the oracle has no monodromy
+FORWARD_BLOWN = {"blown15000": ([["15000 + 100*sin(2*pi*t)", "1"], ["0", "-1"]], 1.0)}
 # (entries, period, t_end): perturb --json of stable systems whose RK4 diverges at every
 # substep count the budget allows
 FORCED = {
@@ -118,7 +127,9 @@ def invocations(work: Path) -> list[list[str]]:
     for systems, options in [(STIFF, ["--norm", "one,two,inf", "--json"]),
                              (UNDERFLOW, ["--norm", "one,two,inf,weighted"]),
                              (LARGE, ["--norm", "one,two,inf", "--no-oracle", "--json"]),
-                             (ONE_NORM, ["--norm", "one"])]:
+                             (ONE_NORM, ["--norm", "one"]),
+                             (FORWARD_BLOWN, ["--norm", "one,two", "--json"]),
+                             (FORWARD_BLOWN, ["--norm", "one,two"])]:
         for name, (entries, period) in systems.items():
             path = work / f"{name}.json"
             path.write_text(json.dumps({"entries": entries, "period": period}))
@@ -127,6 +138,8 @@ def invocations(work: Path) -> list[list[str]]:
         path = work / f"{name}.json"
         path.write_text(json.dumps({"entries": entries, "period": period}))
         argvs.append(["perturb", "-f", str(path), "--t-end", t_end, "--json"])
+    argvs += [["analyze", "-s", "example1", "--param", "beta=1.0", "--norm", "one,two,inf,weighted", "--json"],
+              ["analyze", "-s", "scalar_unstable", "--zero-tol", "10", "--norm", "one,two,inf", "--json"]]
     argvs += [["series", "-s", "example2", "--norm", "two"],
               ["series", "-s", "example2", "--samples", "300", "-o", "drift.csv"],
               ["series", "-s", "example1", "--trajectory", "2,-1", "--t-end", "9", "-o", "states.csv"],
