@@ -32,9 +32,13 @@ class NotPositiveDefiniteError(NumericError):
 
 
 class BlowupError(NumericError):
-    """A transition matrix passed the largest float with RK4 steps that
-    resolve A: the flow's own growth, not the integrator's divergence.
-
-    For strongly unstable systems this is diagnostic rather than fatal;
-    callers that can say something useful catch it.
+    """A transition matrix outside the float range with RK4 steps that
+    resolve A: past the largest float, the flow's own growth and not the
+    integrator's divergence, or underflowed to zero everywhere
+    (UnderflowError).  The oracle judges it against the drift bounds
+    (floquet.cross_checks); elsewhere it is a numerical failure.
     """
+
+
+class UnderflowError(BlowupError):
+    """A transition matrix accepted by step doubling whose every entry is zero."""

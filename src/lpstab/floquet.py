@@ -3,31 +3,31 @@
 Everything in this module is deliberately independent of the drift-integral
 certificates in periodic.py: the two routes share only the evaluation of
 A(t).  Its one RK4 integration is one period of transitions, 15 forward and
-15 backward segments from transition.integrate_transitions
-(_period_segments).  Each segment is read divided by the power of two of
-its largest entry, and every product keeps the sum of those exponents, so
-nothing under- or overflows however far the flow grows or contracts.  The
-monodromy is the product of the 15 forward segments, and its spectrum
-comes from LAPACK via numpy.linalg.  The verify_* functions confront the
-two routes: characteristic-exponent strip membership, the exponential
-sandwich on |transition| over time, and the decay envelope promised by a
-stable verdict, UES or US.  cross_checks makes every decision of the
-oracle for analyze: which checks run, what passes, what is not checked,
-and each verdict's record and failure messages.  Agreement here is
-evidence; disagreement beyond the stated allowances is a bug in one of
-the routes and raises no exception, it just comes back as a failed check.
+15 backward segments (period_segments), which cross_checks integrates once
+and hands to every check.  Each segment is read divided by the power of
+two of its largest entry, and every product keeps the sum of those
+exponents, so nothing under- or overflows however far the flow grows or
+contracts.  The monodromy is the product of the 15 forward segments, and
+its spectrum comes from LAPACK.  The verify_* functions, pure functions of
+the stacks they are given, confront the two routes: characteristic-exponent
+strip membership, the exponential sandwich on |transition| over time, and
+the decay envelope promised by a stable verdict, UES or US.  cross_checks
+makes every decision of the oracle for analyze, a stack outside the float
+range included, and builds each verdict's record and failure messages.
+Agreement here is evidence; disagreement beyond the stated allowances is a
+bug in one of the routes and raises no exception, it just comes back as a
+failed check.
 """
 
 import math
 import random
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg, periodic, transition
-from .config import TOL, Tolerances
-from .errors import BlowupError
+from .config import TOL
+from .errors import BlowupError, UnderflowError
 from .linalg import NormKind
 from .lognorm import TWO
 from .periodic import SystemDef
@@ -66,14 +66,10 @@ class FceEstimate(NamedTuple):
     scale: int
 
 
-def monodromy_fce(sys: SystemDef) -> FceEstimate:
+def monodromy_fce(sys: SystemDef, period: TransitionMatrix) -> FceEstimate:
     """Characteristic multipliers and exponent real parts over one period,
-    from the forward stack of _period_segments, whose BlowupError
-    propagates.  However far the flow grows or contracts, the scaled
-    product keeps its exponents finite."""
-    period = _period_segments(sys, True, transition.TOL)
-    if isinstance(period, BlowupError):
-        raise period
+    from period, the forward stack of period_segments.  However far the flow
+    grows or contracts, the scaled product keeps its exponents finite."""
     segs, exps = _grid_segments(period.value, True, 1)
     # the running product, divided by the power of two of its largest entry after each
     # segment: a flow whose segments' largest entries grow far faster than the product,
@@ -96,18 +92,13 @@ def monodromy_fce(sys: SystemDef) -> FceEstimate:
 
 # ------------------------------------------------------------- cross-checks
 
-@lru_cache(maxsize=16)
-def _period_segments(sys: SystemDef, forward: bool, tol: Tolerances) -> TransitionMatrix | BlowupError:
-    """Transitions over the 15 segments of t0 + k T/15, once per system,
-    direction and tol, which is transition.TOL, the kernel's: the oracle's
-    only RK4 integration.  A blow-up is kept without its frames, and a
-    backward one never reaches monodromy_fce or verify_decay."""
+def period_segments(sys: SystemDef, forward: bool) -> TransitionMatrix:
+    """Transitions over the 15 segments of t0 + k T/15, forward or backward:
+    the oracle's only RK4 integration.  integrate_transitions' errors
+    propagate, a BlowupError for a segment outside the float range too."""
     ts = np.linspace(sys.t0, sys.t0 + sys.period, _SEGMENTS + 1)
     a, b = (ts[:-1], ts[1:]) if forward else (ts[1:], ts[:-1])
-    try:
-        return transition.integrate_transitions(sys, a, b)
-    except BlowupError as exc:
-        return exc.with_traceback(None)
+    return transition.integrate_transitions(sys, a, b)
 
 
 def _relative_error(period: TransitionMatrix) -> float:
@@ -119,7 +110,7 @@ def _relative_error(period: TransitionMatrix) -> float:
 def _grid_segments(period: np.ndarray, forward: bool, span: int):
     """Transitions over the 15 segments of the grid t0 + k span T/15, each as
     a product times 2 to an int exponent: as Phi(t + T, s + T) = Phi(t, s),
-    of `span` consecutive segments of a _period_segments stack modulo 15, each
+    of `span` consecutive segments of a period_segments stack modulo 15, each
     divided by the power of two of its largest entry, which is exact.  A
     product of up to 45 such segments stays below n^45, however far the flow
     grows or contracts.  Returns the products and the exponents."""
@@ -188,7 +179,7 @@ def _log(norms: np.ndarray) -> np.ndarray:
         return np.log(norms)
 
 
-def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
+def verify_sandwich(sys: SystemDef, kind: NormKind, forward: TransitionMatrix, backward: TransitionMatrix) -> float:
     """Largest relative violation of the two-sided transition bound on the
     pairs t0 <= s <= t <= t0 + 2T of a grid of 16 times:
 
@@ -196,32 +187,20 @@ def verify_sandwich(sys: SystemDef, kind: NormKind) -> float:
         |Phi(s, t)| <= exp(pi_minus(t) - pi_minus(s))
 
     Transitions between pairs are products of grid segments, each two period
-    segments (_grid_segments), never inverses of an ill-conditioned product,
-    so the comparison stays sharp even for strongly stable systems.  The
-    return value is positive when some pair violates a bound; for a correct
+    segments of the forward or backward stack of period_segments
+    (_grid_segments), never inverses of an ill-conditioned product, so the
+    comparison stays sharp even for strongly stable systems.  The return
+    value is positive when some pair violates a bound; for a correct
     implementation it is pure numerical noise, orders of magnitude below 1e-6.
 
     Each pair's log norm is the log of its scaled product's norm plus its
     power of two, so a transition past the largest float, as a stiff
     system's backward flow, or below the smallest is checked like any other.
-    A period segment that passes the largest float with steps that resolve
-    A, integrate_transitions' BlowupError, has no floating-point value to
-    check.  Its own direction's bound over the period segments (pi_plus
-    forward, pi_minus backward) decides: the result is inf (a violation)
-    when no segment's bound reaches the log of the largest float, and the
-    error propagates when some segment's bound allows such growth.
     """
     ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, _SEGMENTS + 1)
     pp, pm = periodic.pi_integral(sys, kind, ts)[0].T
-    stacks = [_period_segments(sys, forward, transition.TOL) for forward in (True, False)]
-    if blown := [k for k, got in enumerate(stacks) if isinstance(got, BlowupError)]:
-        grid = np.linspace(sys.t0, sys.t0 + sys.period, _SEGMENTS + 1)
-        rises = np.diff(periodic.pi_integral(sys, kind, grid)[0], axis=0).max(axis=0)
-        if any(rises[k] < math.log(np.finfo(float).max) for k in blown):
-            return math.inf
-        raise stacks[blown[0]]
-    F, f_shift, i, j = _pair_products(*_grid_segments(stacks[0].value, True, 2), forward=True)
-    B, b_shift = _pair_products(*_grid_segments(stacks[1].value, False, 2), forward=False)[:2]
+    F, f_shift, i, j = _pair_products(*_grid_segments(forward.value, True, 2), forward=True)
+    B, b_shift = _pair_products(*_grid_segments(backward.value, False, 2), forward=False)[:2]
     logs = _log(linalg.mat_norm(np.concatenate((F, B)), kind)) + np.concatenate((f_shift, b_shift))
     return float(np.expm1(logs - np.concatenate((pp[j] - pp[i], pm[j] - pm[i]))).max())
 
@@ -234,13 +213,14 @@ class DecayCheck(NamedTuple):
     state_checks: int
 
 
-def verify_decay(sys: SystemDef, verdict: periodic.Verdict) -> DecayCheck:
+def verify_decay(sys: SystemDef, verdict: periodic.Verdict, period: TransitionMatrix) -> DecayCheck:
     """Spot-check the decay envelope promised by a stable verdict.
 
     For every ordered grid pair (s, t) with t0 <= s <= t <= t0 + 3T the
     envelope |Phi(t, s)| <= K exp(-alpha (t - s)) is tested via products of
-    grid segments, each three forward period segments (_grid_segments).  On
-    top of that, the two-sided solution envelope
+    grid segments, each three segments of period, the forward stack of
+    period_segments (_grid_segments).  On top of that, the two-sided
+    solution envelope
 
         |x0| exp(-lambda_minus (t - t0) - delta_upper_minus)
           <= |x(t)| <= |x0| exp(lambda_plus (t - t0) + delta_upper_plus)
@@ -254,8 +234,6 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict) -> DecayCheck:
     kind, rates, t0 = verdict.kind, verdict.rates, sys.t0
     log_k = rates.delta_upper_plus - rates.delta_lower_plus  # K itself may be inf
     ts = np.linspace(t0, t0 + 3.0 * sys.period, _SEGMENTS + 1)
-    if isinstance(period := _period_segments(sys, True, transition.TOL), BlowupError):
-        raise period
     rel = 3.0 * _relative_error(period)  # each period segment once per use
     P, shift, i, j = _pair_products(*_grid_segments(period.value, True, 3), forward=True)
     worst = float((log_k - verdict.alpha_tilde * (ts[j] - ts[i]) - (_log(linalg.mat_norm(P, kind)) + shift)).min())
@@ -278,24 +256,35 @@ def _unscaled(x, scale: int):
         return np.ldexp(x, scale).tolist()
 
 
+# logs of the largest float and of 1 over the smallest normal one: how far a stack may go
+_LOG_RANGE = {BlowupError: math.log(np.finfo(float).max), UnderflowError: -math.log(np.finfo(float).tiny)}
+
+
 def cross_checks(sys: SystemDef, verdicts) -> list[tuple[dict, list[str]]]:
     """The oracle's record of each verdict of sys, as `analyze --json` prints
     it, with the verdict's failure messages, each led by its norm's tag.
 
-    One monodromy serves every verdict, its figures scaled back to M.  A
-    forward period segment past the largest float leaves none: its keys are
-    left out, and the strip and decay checks read null, each with a "not
-    checked" note in partially_resolved.  The sandwich passes at
-    TOL.sandwich_slack, and reads null with such a note where
-    verify_sandwich's BlowupError propagates.  Every stable verdict, UES or
-    US, gets the decay check.  partially_resolved appears only with a note."""
-    try:
-        fce, blown = monodromy_fce(sys), None
-    except BlowupError as exc:
-        fce, blown = None, exc
+    The two period stacks and one monodromy, its figures scaled back to M,
+    serve every verdict.  A stack outside the float range, a BlowupError, is
+    not checked.  A forward one leaves no monodromy: its keys are left out,
+    and the strip and decay checks read null, each with a "not checked" note
+    in partially_resolved.  The sandwich then reads null with such a note
+    where the stack's own drift bound over some period segment reaches
+    _LOG_RANGE, on growth (pi_plus forward, pi_minus backward) past the
+    largest float and on decay (pi_minus forward, pi_plus backward) to zero
+    (UnderflowError), and inf, a violation, where none does; otherwise it
+    passes at TOL.sandwich_slack.  Every stable verdict, UES or US, gets the
+    decay check.  partially_resolved appears only with a note."""
+    stacks, blown = {}, {}
+    for forward in (True, False):
+        try:
+            stacks[forward] = period_segments(sys, forward)
+        except BlowupError as exc:  # outside the float range: judged against its drift bound below
+            blown[forward] = exc
+    fce = monodromy_fce(sys, stacks[True]) if True in stacks else None
     shared, notes = {}, []
-    if blown:
-        notes.append(f"exponent strip not checked: {blown}")
+    if fce is None:
+        notes.append(f"exponent strip not checked: {blown[True]}")
     else:
         shared = {"multipliers": _unscaled([[z.real, z.imag] for z in fce.multipliers], fce.scale),
                   "fce_real_parts": list(fce.real_parts), "monodromy_steps": fce.steps,
@@ -304,19 +293,22 @@ def cross_checks(sys: SystemDef, verdicts) -> list[tuple[dict, list[str]]]:
             shared.update(unresolved_exponents=fce.unresolved, multiplier_floor=_unscaled(fce.floor, fce.scale))
             notes.append(f"{fce.unresolved} multiplier(s) below the round-off floor "
                          f"{shared['multiplier_floor']:.3e}, exponent(s) given as upper bounds")
+    grid = np.linspace(sys.t0, sys.t0 + sys.period, _SEGMENTS + 1)
     out = []
     for verdict in verdicts:
         name, stable, unresolved, failures = verdict.kind.tag, verdict.classification in _STABLE, list(notes), []
-        strip = None if blown else verify_strip(verdict.rates, fce)
-        try:
-            violation = verify_sandwich(sys, verdict.kind)
-            passed = violation <= TOL.sandwich_slack
-        except BlowupError as exc:  # a period segment past the largest float, as its drift bound allows
-            violation = passed = None
-            unresolved.append(f"transition bound not checked: {exc}")
-        decay = verify_decay(sys, verdict) if stable and not blown else None
-        if stable and blown:
-            unresolved.append(f"decay envelope not checked: {blown}")
+        strip = verify_strip(verdict.rates, fce) if fce else None
+        violation = math.inf if blown else verify_sandwich(sys, verdict.kind, stacks[True], stacks[False])
+        if blown:  # pi_plus bounds growth forward and decay backward, pi_minus the other two
+            rises = np.diff(periodic.pi_integral(sys, verdict.kind, grid)[0], axis=0).max(axis=0)
+            if all(rises[int(forward == isinstance(exc, UnderflowError))] >= _LOG_RANGE[type(exc)]
+                   for forward, exc in blown.items()):
+                violation = None
+                unresolved.append(f"transition bound not checked: {next(iter(blown.values()))}")
+        passed = None if violation is None else violation <= TOL.sandwich_slack
+        decay = verify_decay(sys, verdict, stacks[True]) if stable and fce else None
+        if stable and not fce:
+            unresolved.append(f"decay envelope not checked: {blown[True]}")
         if decay and not decay.passed:
             failures.append(f"{name}: decay envelope violated by {-decay.worst_margin:.3e}")
         if strip and not strip.passed:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg, lognorm
 from .config import TOL
-from .errors import BlowupError, ConvergenceError, NumericError
+from .errors import BlowupError, ConvergenceError, NumericError, UnderflowError
 from .periodic import SystemDef
 
 
@@ -170,15 +170,16 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
     its stage grid, where RK4 diverges on its own, until the step budget
     ends that as a ConvergenceError, and is the flow's growth, a
     BlowupError, once its steps resolve A.  An accepted pass that
-    underflowed to zero everywhere has no spectrum to read and is a
-    NumericError.  Backward spans integrate with a negative step and
-    zero-length ones give the identity.
+    underflowed to zero everywhere has no spectrum to read: it is outside
+    the float range too, an UnderflowError, a kind of BlowupError.  Backward
+    spans integrate with a negative step and zero-length ones give the
+    identity.
 
     The segments advance together: those with the same step count form one
     (P, n, n) stack, converged ones leave it and the rest double.  The result
     of each segment is bit-identical to integrating it alone.  When segments
     fail, the error raised is the first failing segment's in argument order
-    (BlowupError, ConvergenceError or NumericError).
+    (BlowupError, UnderflowError or ConvergenceError).
     """
     if tol is None:
         tol = TOL.ode_tol
@@ -222,7 +223,7 @@ def integrate_transitions(sys: SystemDef, t_from, t_to, tol: float | None = None
                 diff = np.abs(cur - value[live]).max(axis=(1, 2))
             done = ~over & (diff <= tol * top)
             for i in live[done & (top == 0.0)]:
-                fail[i] = NumericError(f"integrated transition matrix underflowed to zero over [{a[i]:g}, {b[i]:g}]")
+                fail[i] = UnderflowError(f"integrated transition matrix underflowed to zero over [{a[i]:g}, {b[i]:g}]")
             err[live[done]] = diff[done] / 15.0
             rest &= ~done
         value[live] = cur

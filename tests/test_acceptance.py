@@ -20,7 +20,7 @@ import pytest
 
 from lpstab import cli
 from lpstab.catalog import CATALOG, rotating_frame, strong_coupling
-from lpstab.floquet import monodromy_fce, verify_decay
+from lpstab.floquet import monodromy_fce, period_segments, verify_decay
 from lpstab.linalg import gen_eigs, mat_norm, solve_lyapunov
 from lpstab.lognorm import INF, ONE, TWO, lyapunov_weighted, mu, weighted
 from lpstab.periodic import (
@@ -120,7 +120,7 @@ def test_criterion_4_sweep(beta, expected):
     want = 2.0 * math.pi * max(-1.0, beta - 1.0)
     assert drift == pytest.approx(want, abs=1e-6), quote("pi_plus(2pi)", drift, want, 1e-6)
     if expected == "inconclusive":
-        est = monodromy_fce(sysd)
+        est = monodromy_fce(sysd, period_segments(sysd, True))
         top = max(est.real_parts)
         assert top == pytest.approx(beta - 1.0, abs=1e-6), \
             quote("max FCE real part", top, beta - 1.0, 1e-6)
@@ -130,7 +130,7 @@ def test_criterion_4_sweep(beta, expected):
 @pytest.mark.criterion(5, "monodromy exponents {-1, 0.5} and transition oracle agreement")
 def test_criterion_5_oracle_agreement():
     entry = rotating_frame(1.5)
-    est = monodromy_fce(entry.system)
+    est = monodromy_fce(entry.system, period_segments(entry.system, True))
     assert sorted(est.real_parts) == pytest.approx([-1.0, 0.5], abs=1e-6)
     for t in (math.pi / 4.0, math.pi / 2.0, 2.0 * math.pi):
         got = integrate_transitions(entry.system, [0.0], [t]).value[0]
@@ -148,7 +148,7 @@ def test_criterion_6_decay_soundness():
             v = classify(sysd, kind)
             if v.classification != "UES":
                 continue
-            chk = verify_decay(sysd, v)
+            chk = verify_decay(sysd, v, period_segments(sysd, True))
             assert chk.passed, (name, kind.tag, chk)
             checked += 1
     assert checked >= 6  # both LTI norms and the coupled example must appear

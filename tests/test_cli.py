@@ -664,6 +664,33 @@ def test_forward_segment_past_the_largest_float_leaves_the_oracle_unchecked(tmp_
     assert out.count(f"oracle: partially resolved: {'; '.join(notes)}\n") == 2
 
 
+@pytest.mark.parametrize("entries,period,verdict,blown", [
+    ([["15000"]], 1.0, "unstable", "transition matrix over [0, 0.0666667] passed the largest float"),
+    ([["-10000+5000*sin(t)", "10000*cos(t)"], ["1000*sin(2*t)", "-20000"]], 2.0 * math.pi, "UES",
+     "integrated transition matrix underflowed to zero over [0, 0.418879]"),
+], ids=["growing-15000", "decaying-20000"])
+def test_period_stack_underflowing_to_zero_leaves_the_oracle_unchecked(tmp_path, entries, period, verdict, blown):
+    # exp(-1000), the backward period segments of x' = 15000 x, and at most about
+    # exp(-4200), the forward ones of the 2 x 2 system, are below the smallest float, and
+    # so are their drift route's lower bounds; the other direction passes the largest
+    # float, as its bound allows.  Neither stack can be checked, and the analysis completes
+    path = write_system(tmp_path, {"entries": entries, "period": period})
+    notes = [f"exponent strip not checked: {blown}", f"transition bound not checked: {blown}"]
+    notes += [f"decay envelope not checked: {blown}"] * (verdict == "UES")
+    code, out, err = run_cli("analyze", "-f", path, "--norm", "one,two", "--json")
+    assert (code, err) == (0, "")
+    analyses = json.loads(out)["analyses"]
+    assert [entry["classification"] for entry in analyses] == [verdict] * 2
+    for entry in analyses:
+        assert entry["oracle"] == {"strip_check": None, "sandwich_violation": None, "sandwich_passed": None,
+                                   "decay": None if verdict == "UES" else "skipped: verdict not stable",
+                                   "partially_resolved": notes}
+    code, out, err = run_cli("analyze", "-f", path, "--norm", "one,two")
+    assert (code, err) == (0, "")
+    assert out.count(f"verdict: {verdict}\n") == 2 and "monodromy exponent" not in out
+    assert out.count(f"oracle: partially resolved: {'; '.join(notes)}\n") == 2
+
+
 @pytest.mark.parametrize("norm", ["one", "two", "inf", "weighted"])
 def test_stable_system_with_an_underflowing_transition_is_analyzed(tmp_path, norm):
     # exp(-800) is below the smallest float: the fast row of the monodromy matrix is 0, so
@@ -871,6 +898,15 @@ def test_overflow_inside_lpstab_is_a_numeric_failure(tmp_path, run_limited, norm
         "weighted": "Lyapunov system overflowed to a non-finite value"}[norm] + "\n"
 
 
+def test_non_finite_simpson_estimate_is_a_numeric_failure(tmp_path):
+    # 1e308 on the diagonal is finite, but the one-norm mu of A(t), 1e308 + 1e308 |cos t|,
+    # is not: the drift quadrature stops at its first panel, in process
+    path = write_system(tmp_path, {"entries": [["1e308", "0"], ["1e308*cos(t)", "-1"]], "period": 2.0 * math.pi})
+    code, out, err = run_cli("analyze", "-f", path, "--norm", "one", "--no-oracle")
+    assert (code, out) == (2, "")
+    assert err == "numeric failure: integrand or its Simpson estimate is not finite from t=0\n"
+
+
 def test_perturb_validation():
     code, _, _ = run_cli("perturb", "-s", "lti_diag", "--samples", "8")
     assert code == 1
@@ -889,7 +925,6 @@ def test_oracle_integrates_each_grid_once(monkeypatch):
     integrate = transition.integrate_transitions
     monkeypatch.setattr(transition, "integrate_transitions",
                         lambda sys, a, b, tol=None: calls.append((tuple(a), tuple(b))) or integrate(sys, a, b, tol))
-    floquet._period_segments.cache_clear()
     code, out, err = run_cli("analyze", "-s", "example2", "--norm", "one,two,inf", "--json")
     assert code == 0, err
     assert [e["classification"] for e in json.loads(out)["analyses"]] == ["UES"] * 3
@@ -922,8 +957,8 @@ def test_weighted_transform_is_checked_once(monkeypatch):
 
 
 @pytest.mark.parametrize("check,fake,line", [
-    ("verify_sandwich", lambda sys, kind: 1.0, "transition bound violated by 1.000e+00"),
-    ("verify_decay", lambda sys, verdict: floquet.DecayCheck(False, -0.5, 1e-6, 120, 120),
+    ("verify_sandwich", lambda sys, kind, forward, backward: 1.0, "transition bound violated by 1.000e+00"),
+    ("verify_decay", lambda sys, verdict, period: floquet.DecayCheck(False, -0.5, 1e-6, 120, 120),
      "decay envelope violated by 5.000e-01"),
     ("verify_strip", lambda rates, fce: floquet.StripCheck(False, 0.25, 1e-6),
      "exponent strip violated by 2.500e-01"),

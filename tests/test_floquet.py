@@ -5,6 +5,7 @@ route; the monodromy spectra are compared against exact multipliers where
 those exist and against frozen high-accuracy values otherwise.
 """
 
+import functools
 import math
 import random
 import warnings
@@ -18,18 +19,38 @@ import lpstab.lognorm as lognorm
 import lpstab.transition as transition
 from lpstab.catalog import CATALOG, lti_diag, rotating_frame, strong_coupling
 from lpstab.config import TOL
-from lpstab.errors import BlowupError, ConvergenceError, NumericError
-from lpstab.floquet import monodromy_fce, verify_decay, verify_sandwich, verify_strip
+from lpstab.errors import BlowupError, ConvergenceError, NumericError, UnderflowError
+from lpstab.floquet import monodromy_fce, period_segments, verify_decay, verify_sandwich, verify_strip
 from lpstab.linalg import mat_norm, vec_norm
 from lpstab.lognorm import INF, ONE, TWO
 from lpstab.periodic import classify, pi_integral, rate_summary, system_from_strings
-from lpstab.transition import _rk4_matrix, integrate_transitions
+from lpstab.transition import TransitionMatrix, _rk4_matrix, integrate_transitions
 
 KINDS = [ONE, TWO, INF]
 
 # strong_coupling characteristic exponent real parts, integrated once at
 # tol = 1e-11 and frozen; they must sum to the constant trace -26
 SC_FCE = (-21.156228460523, -4.843771539477)
+
+
+@functools.cache
+def _period(sysd, forward):
+    # a system's period stack in one direction, integrated once per module, as
+    # floquet.cross_checks integrates it once per analysis: the peaked system's backward
+    # stack alone takes seconds
+    return period_segments(sysd, forward)
+
+
+def _fce(sysd):
+    return monodromy_fce(sysd, _period(sysd, True))
+
+
+def _sandwich(sysd, kind):
+    return verify_sandwich(sysd, kind, _period(sysd, True), _period(sysd, False))
+
+
+def _decay(sysd, verdict):
+    return verify_decay(sysd, verdict, _period(sysd, True))
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.5])
@@ -92,7 +113,7 @@ def test_transition_scalar_closed_form():
 
 
 def test_monodromy_lti_diag():
-    est = monodromy_fce(lti_diag().system)
+    est = _fce(lti_diag().system)
     mags = sorted(abs(z) * 2.0 ** est.scale for z in est.multipliers)
     assert mags == pytest.approx([math.exp(-2.0), math.exp(-1.0)], rel=1e-8)
     assert sorted(est.real_parts) == pytest.approx([-2.0, -1.0], abs=1e-8)
@@ -102,7 +123,7 @@ def test_monodromy_lti_diag():
 def test_monodromy_rotating_frame(beta):
     # exact multipliers e^{2 pi (beta - 1)} and e^{-2 pi}; est's are those of the
     # monodromy divided by 2**scale
-    est = monodromy_fce(rotating_frame(beta).system)
+    est = _fce(rotating_frame(beta).system)
     mags = sorted(abs(z) * 2.0 ** est.scale for z in est.multipliers)
     want = sorted((math.exp(2.0 * math.pi * (beta - 1.0)), math.exp(-2.0 * math.pi)))
     assert mags == pytest.approx(want, rel=1e-6)
@@ -111,7 +132,8 @@ def test_monodromy_rotating_frame(beta):
 
 def test_monodromy_strong_coupling_frozen(monkeypatch):
     monkeypatch.setattr(transition, "TOL", TOL._replace(ode_tol=1e-11))
-    est = monodromy_fce(strong_coupling().system)
+    sysd = strong_coupling().system
+    est = monodromy_fce(sysd, period_segments(sysd, True))
     assert sorted(est.real_parts) == pytest.approx(sorted(SC_FCE), abs=1e-9)
     assert sum(est.real_parts) == pytest.approx(-26.0, abs=1e-8)
 
@@ -120,7 +142,7 @@ def test_strip_reads_an_unresolved_exponent_as_an_upper_bound():
     # exp(-100 T) is far below eigvals' round-off on a monodromy of size exp(-T); the
     # floor is read on the scaled product, and its bound carries the product's power of two
     sysd = system_from_strings([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
-    fce = monodromy_fce(sysd)
+    fce = _fce(sysd)
     assert fce.unresolved == 1 and fce.floor == TOL.multiplier_floor * np.abs(fce.monodromy).max()
     assert fce.real_parts[0] == (math.log(fce.floor) + fce.scale * math.log(2.0)) / sysd.period
     assert fce.real_parts[1] == pytest.approx(-1.0, abs=1e-9)
@@ -142,8 +164,8 @@ def test_monodromy_is_the_scaled_product_of_the_forward_period_segments(sysd):
     # multiplied later ones on the left, and the product divided by its own after each;
     # the steps and exponents add up.  Unscaled after each segment, the non-normal
     # product, whose segments' largest entries are 1e42, would underflow to zero
-    period = floquet._period_segments(sysd, True, TOL)
-    fce = monodromy_fce(sysd)
+    period = _period(sysd, True)
+    fce = monodromy_fce(sysd, period)
     M, scale = np.eye(sysd.n), 0
     for seg in period.value:
         e = math.frexp(float(np.abs(seg).max()))[1]
@@ -157,7 +179,7 @@ def test_monodromy_is_the_scaled_product_of_the_forward_period_segments(sysd):
 def test_non_normal_monodromy_gives_upper_bounds():
     # the double multiplier exp(-600) is 1e-61 of the largest entry 6e-201 of M: both
     # exponents are unresolved, and their bounds lie above the exact -100
-    fce = monodromy_fce(_NON_NORMAL)
+    fce = _fce(_NON_NORMAL)
     assert fce.unresolved == 2 and fce.real_parts[0] == fce.real_parts[1]
     assert -100.0 < fce.real_parts[0] == pytest.approx(-82.048, abs=1e-3)
 
@@ -178,7 +200,7 @@ def test_monodromy_exponents_agree_with_the_whole_period_reference(name):
     else:
         sysd = CATALOG[name]().system
     T, n = sysd.period, sysd.n
-    fce = monodromy_fce(sysd)
+    fce = _fce(sysd)
     ref = integrate_transitions(sysd, [sysd.t0], [sysd.t0 + T])
     ref_mods = np.abs(np.linalg.eigvals(ref.value[0]))
     ref_mods = np.sort(ref_mods[ref_mods >= TOL.multiplier_floor * np.abs(ref.value[0]).max()])
@@ -197,7 +219,7 @@ def test_monodromy_past_the_float_range_is_resolved():
     # exp(250 T) is far above the largest float, each segment's exp(250 T/15) is not: the
     # product carries the difference as its power of two.  The multiplier exp(-T) is
     # round-off beside it, so its exponent is an upper bound
-    fce = monodromy_fce(_GROWING)
+    fce = _fce(_GROWING)
     assert fce.unresolved == 1 and fce.scale > 1024
     assert fce.real_parts[0] == (math.log(fce.floor) + fce.scale * math.log(2.0)) / _GROWING.period
     assert fce.real_parts[1] == pytest.approx(250.0, abs=1e-8)
@@ -207,7 +229,7 @@ def test_monodromy_of_a_flow_below_the_float_range_is_resolved():
     # exp(-800) is below the smallest float, each segment's exp(-800/15) is not: the
     # product carries the difference as its power of two.  The exponent is off the exact
     # -800 by 0.8% under the kernel's absolute ODE test
-    fce = monodromy_fce(system_from_strings([["-800"]], 1.0))
+    fce = _fce(system_from_strings([["-800"]], 1.0))
     assert fce.unresolved == 0 and fce.scale < -1074
     assert fce.real_parts[0] == pytest.approx(-800.0, rel=0.05)
 
@@ -216,7 +238,7 @@ def test_monodromy_of_a_flow_below_the_float_range_is_resolved():
 def test_strip_contains_exponents(name):
     # the drift strip must bracket the monodromy exponents in every norm
     sysd = CATALOG[name]().system
-    fce = monodromy_fce(sysd)
+    fce = _fce(sysd)
     for kind in KINDS:
         chk = verify_strip(rate_summary(sysd, kind), fce)
         assert chk.passed, (name, kind.tag, chk)
@@ -232,7 +254,7 @@ def test_sandwich_bounds_products_past_the_float_range(kind):
     # 2T; the backward pairs alone, as products scaled by a power of two after every
     # step in a per-pair loop over the unscaled grid segments, violate no more
     sysd = system_from_strings([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
-    got = verify_sandwich(sysd, kind)
+    got = _sandwich(sysd, kind)
     ts = np.linspace(sysd.t0, sysd.t0 + 2.0 * sysd.period, 16)
     bsegs = [np.ldexp(S, e) for S, e in _ref_check_segments(sysd, False, 2)]
     pm = pi_integral(sysd, kind, ts)[0][:, 1]
@@ -254,36 +276,77 @@ def test_sandwich_checks_grid_segments_past_the_float_range():
     # and passes the largest float over a 2T/15 grid segment, which its power of two
     # scales back into the float range
     sysd = system_from_strings([["-1000+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
-    segs, exps = floquet._grid_segments(floquet._period_segments(sysd, False, TOL).value, False, 2)
+    segs, exps = floquet._grid_segments(_period(sysd, False).value, False, 2)
     with np.errstate(over="ignore"):
         assert not np.isfinite(np.ldexp(segs, exps[:, None, None])).all()
     for kind in (ONE, TWO):
-        assert verify_sandwich(sysd, kind) <= TOL.sandwich_slack
+        assert _sandwich(sysd, kind) <= TOL.sandwich_slack
 
 
 def test_sandwich_blowup_is_unchecked_only_where_the_bound_allows_it(monkeypatch):
-    # the backward flow of -3000 passes the cap within a grid segment, as its drift
-    # bound allows; against zero drift the same blow-up is a violation
-    with pytest.raises(BlowupError):
-        verify_sandwich(_STIFF, ONE)
+    # the backward flow of -3000 passes the largest float within a period segment, as its
+    # drift bound allows; against zero drift the same blow-up is a violation
+    v = classify(_STIFF, ONE)
+    [(doc, failures)] = floquet.cross_checks(_STIFF, [v])
+    assert (doc["sandwich_violation"], doc["sandwich_passed"], failures) == (None, None, [])
+    assert doc["partially_resolved"][-1] == ("transition bound not checked: "
+                                            "transition matrix over [0.418879, 0] passed the largest float")
     monkeypatch.setattr(floquet.periodic, "pi_integral", lambda sys, kind, ts: (np.zeros((len(ts), 2)), 0.0))
-    assert verify_sandwich(_STIFF, ONE) == math.inf
+    [(doc, failures)] = floquet.cross_checks(_STIFF, [v])
+    assert (doc["sandwich_violation"], doc["sandwich_passed"]) == (math.inf, False)
+    assert failures == ["one: transition bound violated by inf"]
 
 
-def test_sandwich_blowup_is_judged_by_its_own_period_segments(monkeypatch):
-    # 1 x 1, so the drift bound is exact: the backward period segment [1/15, 0] grows by
-    # e^719.6, past the largest float, while no 2T/15 grid segment's bound reaches e^673.5
-    # either way, since each spans a contracting half too.  The forward bounds reach
-    # e^67.5 at most.  Faked blown stacks leave only the drift route to run: a backward
-    # blow-up is allowed by its own bound and propagates, a forward one is a violation
-    lopsided = system_from_strings([["-8750*sin(14*pi*t)-7250*abs(sin(14*pi*t))"]], 1.0)
-    blown = BlowupError("transition matrix over [0.0666667, 0] passed the largest float")
-    monkeypatch.setattr(floquet, "_period_segments", lambda sys, forward, tol: None if forward else blown)
-    with pytest.raises(BlowupError) as info:
-        verify_sandwich(lopsided, ONE)
-    assert info.value is blown
-    monkeypatch.setattr(floquet, "_period_segments", lambda sys, forward, tol: blown if forward else None)
-    assert verify_sandwich(lopsided, ONE) == math.inf
+@pytest.mark.parametrize("forward,error,unchecked", [
+    (True, BlowupError, 15000), (True, UnderflowError, -15000),
+    (False, BlowupError, -15000), (False, UnderflowError, 15000),
+], ids=["forward-past-the-largest-float", "forward-zero", "backward-past-the-largest-float", "backward-zero"])
+def test_stack_outside_the_float_range_is_judged_by_its_own_drift_bound(monkeypatch, forward, error, unchecked):
+    # x' = c x with c = +-15000 grows or decays by exp(1000) over a period segment, and its
+    # drift bounds are exact.  A faked stack outside the float range is not checked where
+    # its own bound allows it: growth past the largest float by pi_plus forward and
+    # pi_minus backward, decay to zero by pi_minus forward and pi_plus backward.  At the
+    # other rate that bound keeps every segment in the normal range: a violation.  At
+    # 10,640 a segment's bound, 709.3, lies between minus the log of the smallest normal
+    # float (708.4) and the log of the largest (709.8): it allows an underflow, not an
+    # overflow.  The other direction's stack is the identity
+    blown = error(f"{'forward' if forward else 'backward'} stack outside the float range")
+    identity = TransitionMatrix(np.ones((15, 1, 1)), np.ones(15, dtype=np.int64), np.zeros(15))
+
+    def fake(sys, direction):
+        if direction == forward:
+            raise blown
+        return identity
+
+    monkeypatch.setattr(floquet, "period_segments", fake)
+    edge = math.copysign(10640, unchecked)
+    for rate, allowed in ((unchecked, True), (-unchecked, False), (edge, error is UnderflowError)):
+        sysd = system_from_strings([[str(rate)]], 1.0)
+        [(doc, failures)] = floquet.cross_checks(sysd, [classify(sysd, ONE)])
+        sandwich = [line for line in failures if "transition bound" in line]
+        if allowed:
+            assert (doc["sandwich_violation"], doc["sandwich_passed"], sandwich) == (None, None, [])
+            assert f"transition bound not checked: {blown}" in doc["partially_resolved"]
+        else:
+            assert (doc["sandwich_violation"], doc["sandwich_passed"]) == (math.inf, False)
+            assert sandwich == ["one: transition bound violated by inf"]
+            assert f"transition bound not checked: {blown}" not in doc.get("partially_resolved", [])
+        assert ("fce_real_parts" in doc) is not forward
+
+
+def test_checks_given_their_stacks_integrate_nothing(monkeypatch):
+    # the monodromy, sandwich and decay checks are functions of the stacks they are given
+    sysd = strong_coupling().system
+    forward, backward = period_segments(sysd, True), period_segments(sysd, False)
+    v = classify(sysd, TWO)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate_transitions called")
+
+    monkeypatch.setattr(transition, "integrate_transitions", refuse)
+    assert monodromy_fce(sysd, forward).steps == forward.steps.sum()
+    assert verify_sandwich(sysd, TWO, forward, backward) <= TOL.sandwich_slack
+    assert verify_decay(sysd, v, forward).passed
 
 
 @pytest.mark.parametrize("kind,norm", [(ONE, 2.0), (TWO, (1.0 + math.sqrt(5.0)) / 2.0)],
@@ -299,12 +362,11 @@ def test_sandwich_checks_a_single_segment_past_the_gram_range(monkeypatch, kind,
     bsegs[14] = big
     ts = np.linspace(0.0, 2.0, 16)
     step = math.log(1e200 * norm) - 0.5
-    monkeypatch.setattr(floquet, "_period_segments", lambda sys, forward, tol:
-                        SimpleNamespace(value=fsegs if forward else bsegs))
     monkeypatch.setattr(floquet.periodic, "pi_integral", lambda sys, kind, ts_:
                         (np.column_stack((np.zeros(16), np.where(ts > ts[7], step, 0.0)
                                           + np.where(ts > ts[14], step + 0.5, 0.0))), 0.0))
-    assert verify_sandwich(lti_diag().system, kind) == pytest.approx(math.expm1(0.5), rel=1e-9)
+    got = verify_sandwich(lti_diag().system, kind, SimpleNamespace(value=fsegs), SimpleNamespace(value=bsegs))
+    assert got == pytest.approx(math.expm1(0.5), rel=1e-9)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -313,69 +375,61 @@ def test_sandwich_bounds_flow(name):
     # the returned figure is the largest relative violation over grid pairs
     sysd = CATALOG[name]().system
     for kind in KINDS:
-        assert verify_sandwich(sysd, kind) <= 1e-6, (name, kind.tag)
+        assert _sandwich(sysd, kind) <= 1e-6, (name, kind.tag)
 
 
-def test_a_backward_blowup_leaves_the_forward_stack(monkeypatch):
-    # the backward period stack of -3000 passes the largest float; verify_decay reads the
-    # forward stack alone, which is cached apart from it
+def test_a_backward_blowup_leaves_the_forward_stack():
+    # the backward period stack of -3000 passes the largest float; the decay check reads
+    # the forward stack alone, on its own and in cross_checks
     with pytest.raises(BlowupError):
-        verify_sandwich(_STIFF, ONE)
+        period_segments(_STIFF, False)
     v = classify(_STIFF, INF)
     assert v.classification == "UES"
-    assert verify_decay(_STIFF, v).passed
-    # a changed TOL gets fresh stacks
-    misses = floquet._period_segments.cache_info().misses
-    monkeypatch.setattr(transition, "TOL", TOL._replace(ode_tol=1e-9))
-    verify_decay(_STIFF, v)
-    assert floquet._period_segments.cache_info().misses == misses + 1
-
-
-def test_decay_check_reraises_a_forward_blowup(monkeypatch):
-    # the forward period stack feeds every decay product: a stack past the largest float,
-    # faked here, leaves the check nothing to read, and its cached error propagates
-    sysd = strong_coupling().system
-    v = classify(sysd, TWO)
-    blown = BlowupError("transition matrix over [0, 0.0666667] passed the largest float")
-    monkeypatch.setattr(floquet, "_period_segments", lambda sys, forward, tol: blown if forward else None)
-    with pytest.raises(BlowupError) as info:
-        verify_decay(sysd, v)
-    assert info.value is blown
+    check = verify_decay(_STIFF, v, period_segments(_STIFF, True))
+    assert check.passed
+    [(doc, failures)] = floquet.cross_checks(_STIFF, [v])
+    assert doc["decay"] == check._asdict() and failures == []
 
 
 def test_cross_checks_read_one_monodromy_for_every_verdict(monkeypatch):
-    # three norms, one monodromy; each record is the one verify_* gives on its own
+    # three norms, two period stacks, one monodromy; each record is the one verify_* gives
+    # on its own
     sysd = strong_coupling().system
     verdicts = [classify(sysd, kind) for kind in KINDS]
-    calls = []
-    fce = monodromy_fce
-    monkeypatch.setattr(floquet, "monodromy_fce", lambda sys: calls.append(sys) or fce(sys))
+    stacks, calls = [], []
+    integrate, fce = period_segments, monodromy_fce
+    monkeypatch.setattr(floquet, "period_segments",
+                        lambda sys, forward: stacks.append(forward) or integrate(sys, forward))
+    monkeypatch.setattr(floquet, "monodromy_fce", lambda sys, period: calls.append(sys) or fce(sys, period))
     records = floquet.cross_checks(sysd, verdicts)
-    assert calls == [sysd]
+    assert stacks == [True, False] and calls == [sysd]
     for (doc, failures), v in zip(records, verdicts):
         assert failures == []
-        assert doc["strip_check"] == verify_strip(v.rates, fce(sysd))._asdict()
-        assert doc["sandwich_violation"] == verify_sandwich(sysd, v.kind) and doc["sandwich_passed"] is True
-        assert doc["decay"] == verify_decay(sysd, v)._asdict()
+        assert doc["strip_check"] == verify_strip(v.rates, _fce(sysd))._asdict()
+        assert doc["sandwich_violation"] == _sandwich(sysd, v.kind) and doc["sandwich_passed"] is True
+        assert doc["decay"] == _decay(sysd, v)._asdict()
         assert "partially_resolved" not in doc
 
 
 def test_cross_checks_without_a_monodromy(monkeypatch):
-    # a forward period segment past the largest float, faked at the monodromy: its keys
-    # are left out, and a stable verdict's strip and decay checks read null, each with a
-    # note; the sandwich keeps its own rule, on the real stacks here
+    # a forward period stack past the largest float, faked: the monodromy's keys are left
+    # out, and a stable verdict's strip and decay checks read null, each with a note.  The
+    # drift bound of this stable system keeps its forward segments far below the largest
+    # float, so the sandwich reads the blow-up as a violation
     sysd = strong_coupling().system
     verdicts = [classify(sysd, kind) for kind in (ONE, TWO)]
     blown = BlowupError("transition matrix over [0, 0.0666667] passed the largest float")
 
-    def fake(sys):
-        raise blown
+    def fake(sys, forward):
+        if forward:
+            raise blown
+        return _period(sys, forward)
 
-    monkeypatch.setattr(floquet, "monodromy_fce", fake)
+    monkeypatch.setattr(floquet, "period_segments", fake)
     for (doc, failures), v in zip(floquet.cross_checks(sysd, verdicts), verdicts):
-        assert v.classification == "UES" and failures == []
-        assert doc == {"strip_check": None, "sandwich_violation": verify_sandwich(sysd, v.kind),
-                       "sandwich_passed": True, "decay": None,
+        assert v.classification == "UES"
+        assert failures == [f"{v.kind.tag}: transition bound violated by inf"]
+        assert doc == {"strip_check": None, "sandwich_violation": math.inf, "sandwich_passed": False, "decay": None,
                        "partially_resolved": [f"exponent strip not checked: {blown}",
                                               f"decay envelope not checked: {blown}"]}
 
@@ -385,7 +439,7 @@ def test_decay_check_on_stable_entries():
         sysd = CATALOG[name]().system
         for kind in (ONE, TWO):
             v = classify(sysd, kind)
-            chk = verify_decay(sysd, v)
+            chk = _decay(sysd, v)
             assert chk.passed, (name, kind.tag, chk)
             assert chk.worst_margin >= -chk.allowance
             assert chk.pairs > 0 and chk.state_checks > 0
@@ -394,7 +448,7 @@ def test_decay_check_on_stable_entries():
 def test_decay_check_marginal_case():
     v = classify(rotating_frame(1.0).system, TWO)
     assert v.classification == "US"
-    chk = verify_decay(rotating_frame(1.0).system, v)
+    chk = _decay(rotating_frame(1.0).system, v)
     assert chk.passed
 
 
@@ -404,14 +458,14 @@ def test_decay_allowance_is_sized_on_the_kernels_relative_scale():
     # decay allowance alone covers the check's worst margin, without the 1e-6 slack; on
     # the scale 1 + max|Phi_j| it read 1.8e-17
     sysd = system_from_strings([["-300"]], 1.0)
-    check = verify_decay(sysd, classify(sysd, ONE))
+    check = _decay(sysd, classify(sysd, ONE))
     share = check.allowance - TOL.decay_slack
     assert check.passed and check.worst_margin == pytest.approx(-4.29e-9, rel=1e-2)
     assert share == pytest.approx(8.6e-9, rel=1e-2) and -check.worst_margin < share
     # one relative figure for the decay allowance and the monodromy's error bound
-    rel = floquet._relative_error(floquet._period_segments(sysd, True, transition.TOL))
+    rel = floquet._relative_error(_period(sysd, True))
     assert check.allowance == TOL.decay_slack + math.log1p(3.0 * rel) + 3.0 * rel
-    fce = monodromy_fce(sysd)
+    fce = _fce(sysd)
     assert fce.error_estimate == pytest.approx(rel * abs(fce.monodromy[0, 0]), rel=1e-12)
 
 
@@ -419,14 +473,14 @@ def test_decay_check_rejects_unstable_verdict():
     sysd = CATALOG["scalar_unstable"]().system
     v = classify(sysd, ONE)
     with pytest.raises(ValueError):
-        verify_decay(sysd, v)
+        _decay(sysd, v)
 
 
 def test_decay_check_is_deterministic():
     sysd = strong_coupling().system
     v = classify(sysd, TWO)
-    a = verify_decay(sysd, v)
-    b = verify_decay(sysd, v)
+    a = verify_decay(sysd, v, period_segments(sysd, True))
+    b = verify_decay(sysd, v, period_segments(sysd, True))
     assert a == b
 
 
@@ -487,7 +541,8 @@ def _ref_integrate_transition(sys, t_from, t_to, tol=None, start_steps=None):
             diff = float(np.abs(cur - prev).max())
             if diff <= tol * top:
                 if top == 0.0:
-                    raise NumericError(f"integrated transition matrix underflowed to zero over [{t_from:g}, {t_to:g}]")
+                    raise UnderflowError(
+                        f"integrated transition matrix underflowed to zero over [{t_from:g}, {t_to:g}]")
                 return cur, steps, diff / 15.0
         if steps * 2 > budget:
             raise ConvergenceError(f"transition matrix over [{t_from:g}, {t_to:g}] did not settle within {budget} steps")
@@ -526,7 +581,7 @@ def test_check_segments_match_direct_integration(sysd):
         ts = np.linspace(sysd.t0, sysd.t0 + span * sysd.period, 16)
         want = (integrate_transitions(sysd, ts[:-1], ts[1:]) if forward
                 else integrate_transitions(sysd, ts[1:], ts[:-1])).value
-        segs, exps = floquet._grid_segments(floquet._period_segments(sysd, forward, TOL).value, forward, span)
+        segs, exps = floquet._grid_segments(_period(sysd, forward).value, forward, span)
         got = np.ldexp(segs, exps[:, None, None])
         scale = 1.0 + np.abs(want).max(axis=(1, 2))
         assert (np.abs(got - want).max(axis=(1, 2)) <= TOL.ode_tol * scale).all(), (forward, span)
@@ -821,17 +876,17 @@ def test_stacked_oracle_checks_match_per_pair_loops(name):
     hurwitz = np.linalg.eigvals(A0).real.max() < 0.0
     kinds = KINDS + ([lognorm.lyapunov_weighted(A0)] if hurwitz else [])
     for kind in kinds:
-        assert verify_sandwich(sysd, kind) == _ref_sandwich(sysd, kind)
+        assert _sandwich(sysd, kind) == _ref_sandwich(sysd, kind)
         v = classify(sysd, kind)
         if v.classification in ("UES", "US"):
-            assert verify_decay(sysd, v).worst_margin == _ref_decay_margin(sysd, v)
+            assert _decay(sysd, v).worst_margin == _ref_decay_margin(sysd, v)
 
 
 def test_one_by_one_checks_agree_in_every_norm():
     # every norm of a 1 x 1 system is |x|, so the checks give the same figures in each,
     # also where exp(-300 t) passes the smallest float within the decay check's 3 periods
     sysd = system_from_strings([["-300"]], 1.0)
-    got = {(verify_sandwich(sysd, kind), verify_decay(sysd, classify(sysd, kind)).worst_margin) for kind in KINDS}
+    got = {(_sandwich(sysd, kind), _decay(sysd, classify(sysd, kind)).worst_margin) for kind in KINDS}
     assert len(got) == 1
 
 
@@ -845,7 +900,7 @@ def test_scaled_log_norms_match_unscaled_products(sysd):
     # norm of its product of unscaled period segments, wherever that is a normal float
     tiny = np.finfo(float).tiny
     for forward, span in ((True, 2), (False, 2), (True, 3)):
-        period = floquet._period_segments(sysd, forward, TOL).value
+        period = _period(sysd, forward).value
         P, shift, i, j = floquet._pair_products(*floquet._grid_segments(period, forward, span), forward)
         want = []
         with np.errstate(over="ignore", invalid="ignore"):  # past the largest float
@@ -869,21 +924,10 @@ def test_transition_limits_must_be_one_dimensional_and_of_one_length():
 
 
 def test_transition_underflowing_to_zero_is_a_numeric_error():
-    # exp(-45000) is far below the smallest float: the converged matrix has no spectrum
+    # exp(-45000) is far below the smallest float: the converged matrix has no spectrum.
+    # It is outside the float range, as a transition past the largest float is
     sysd = system_from_strings([["-3000"]], 15.0)
-    with pytest.raises(NumericError, match=r"^integrated transition matrix underflowed to zero over \[0, 15\]$"):
+    message = r"^integrated transition matrix underflowed to zero over \[0, 15\]$"
+    with pytest.raises(UnderflowError, match=message) as info:
         integrate_transitions(sysd, [0.0], [15.0])
-
-
-def test_monodromy_raises_the_cached_forward_blowup_again():
-    # exp(800 t) passes the cap over the first segment; _period_segments caches the error,
-    # so a second call raises the same one without integrating again
-    sysd = system_from_strings([["800"]], 15.0)
-    floquet._period_segments.cache_clear()
-    raised = []
-    for _ in range(2):
-        with pytest.raises(BlowupError, match=r"^transition matrix over \[0, 1\] passed the largest float$") as info:
-            monodromy_fce(sysd)
-        raised.append(info.value)
-    assert raised[0] is raised[1]
-    assert floquet._period_segments.cache_info()[:2] == (1, 1)
+    assert isinstance(info.value, BlowupError) and isinstance(info.value, NumericError)

@@ -36,7 +36,10 @@ the largest float, with the oracle), of `[["-15563*sin(14*pi*t)"]]` (period
 period segment past the largest float, as its own drift bound allows),
 `analyze --norm one,two` in JSON and in text of `[["15000 + 100*sin(2*pi*t)",
 "1"], ["0", "-1"]]` (period 1), whose forward period segment passes the
-largest float, so the oracle has no monodromy, `analyze --json` of example1
+largest float, so the oracle has no monodromy, of `[["15000"]]` (period 1),
+whose backward period segments underflow to zero, and of
+`[["-10000+5000*sin(t)", "10000*cos(t)"], ["1000*sin(2*t)", "-20000"]]`
+(period 2 pi), whose forward ones do, `analyze --json` of example1
 at beta = 1 in all four norms (uniformly stable in the two-norm, so its
 decay envelope is checked) and of `scalar_unstable --zero-tol 10` in three
 norms (uniformly stable by the drift route, a decay envelope that fails),
@@ -93,9 +96,14 @@ ONE_NORM = {
     "uniform14": ([["-15563*sin(14*pi*t)"]], 1.0),
     "lopsided14": ([["-8750*sin(14*pi*t)-7250*abs(sin(14*pi*t))"]], 1.0),
 }
-# analyze --norm one,two, in JSON and in text: a forward period segment past the largest
-# float, so the oracle has no monodromy
-FORWARD_BLOWN = {"blown15000": ([["15000 + 100*sin(2*pi*t)", "1"], ["0", "-1"]], 1.0)}
+# analyze --norm one,two, in JSON and in text: period stacks outside the float range, a
+# forward segment past the largest float, so the oracle has no monodromy, and segments that
+# underflow to zero, backward (x' = 15000 x) and forward (a stable 2 x 2 system)
+OUT_OF_RANGE = {
+    "blown15000": ([["15000 + 100*sin(2*pi*t)", "1"], ["0", "-1"]], 1.0),
+    "growing15000": ([["15000"]], 1.0),
+    "underflow20000": ([["-10000+5000*sin(t)", "10000*cos(t)"], ["1000*sin(2*t)", "-20000"]], 2.0 * math.pi),
+}
 # (entries, period, t_end): perturb --json of stable systems whose RK4 diverges at every
 # substep count the budget allows
 FORCED = {
@@ -128,8 +136,8 @@ def invocations(work: Path) -> list[list[str]]:
                              (UNDERFLOW, ["--norm", "one,two,inf,weighted"]),
                              (LARGE, ["--norm", "one,two,inf", "--no-oracle", "--json"]),
                              (ONE_NORM, ["--norm", "one"]),
-                             (FORWARD_BLOWN, ["--norm", "one,two", "--json"]),
-                             (FORWARD_BLOWN, ["--norm", "one,two"])]:
+                             (OUT_OF_RANGE, ["--norm", "one,two", "--json"]),
+                             (OUT_OF_RANGE, ["--norm", "one,two"])]:
         for name, (entries, period) in systems.items():
             path = work / f"{name}.json"
             path.write_text(json.dumps({"entries": entries, "period": period}))
