@@ -391,6 +391,29 @@ def test_a_backward_blowup_leaves_the_forward_stack():
     assert doc["decay"] == check._asdict() and failures == []
 
 
+def test_decay_check_reraises_a_forward_blowup(monkeypatch):
+    # the forward period stack feeds every decay product: a forward pass past the largest
+    # float, faked here at the integrator, leaves the check nothing to read.  The
+    # integrator's own error reaches the caller of period_segments, and cross_checks
+    # reads the decay as not checked with that error's message
+    sysd = strong_coupling().system
+    v = classify(sysd, TWO)
+    blown = BlowupError("transition matrix over [0, 0.0666667] passed the largest float")
+    integrate = transition.integrate_transitions
+
+    def fake(sys, a, b):
+        if a[0] < b[0]:
+            raise blown
+        return integrate(sys, a, b)
+
+    monkeypatch.setattr(transition, "integrate_transitions", fake)
+    with pytest.raises(BlowupError) as info:
+        verify_decay(sysd, v, period_segments(sysd, True))
+    assert info.value is blown
+    [(doc, failures)] = floquet.cross_checks(sysd, [v])
+    assert doc["decay"] is None and f"decay envelope not checked: {blown}" in doc["partially_resolved"]
+
+
 def test_cross_checks_read_one_monodromy_for_every_verdict(monkeypatch):
     # three norms, two period stacks, one monodromy; each record is the one verify_* gives
     # on its own
