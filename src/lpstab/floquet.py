@@ -11,9 +11,12 @@ contracts.  The monodromy is the product of the 15 forward segments, and
 its spectrum comes from LAPACK.  The verify_* functions, pure functions of
 the stacks they are given, confront the two routes: characteristic-exponent
 strip membership, the exponential sandwich on |transition| over time, and
-the decay envelope promised by a stable verdict, UES or US.  cross_checks
-makes every decision of the oracle for analyze, a stack outside the float
-range included, and builds each verdict's record and failure messages.
+the decay envelope promised by a stable verdict, UES or US.  As Phi(t + T,
+s + T) = Phi(t, s), they read one grid, t0 + k T/15, its segments the
+period stacks tiled: the sandwich over 2T, 465 pairs each way, and the
+decay check over 3T, 1,035 pairs.  cross_checks makes every decision of
+the oracle for analyze, a stack outside the float range included, and
+builds each verdict's record and failure messages.
 Agreement here is evidence; disagreement beyond the stated allowances is a
 bug in one of the routes and raises no exception, it just comes back as a
 failed check.
@@ -33,7 +36,7 @@ from .lognorm import TWO
 from .periodic import SystemDef
 from .transition import TransitionMatrix
 
-# segments per period of the oracle's grids, each of _SEGMENTS + 1 evenly spaced times
+# segments per period of the oracle's grid t0 + k T/15
 _SEGMENTS = 15
 _STABLE = ("UES", "US")  # the verdicts that promise a decay envelope
 
@@ -70,7 +73,7 @@ def monodromy_fce(sys: SystemDef, period: TransitionMatrix) -> FceEstimate:
     """Characteristic multipliers and exponent real parts over one period,
     from period, the forward stack of period_segments.  However far the flow
     grows or contracts, the scaled product keeps its exponents finite."""
-    segs, exps = _grid_segments(period.value, True, 1)
+    segs, exps = _grid_segments(period.value, 1)
     # the running product, divided by the power of two of its largest entry after each
     # segment: a flow whose segments' largest entries grow far faster than the product,
     # as a strongly non-normal one's do, would otherwise underflow to zero
@@ -107,21 +110,15 @@ def _relative_error(period: TransitionMatrix) -> float:
     return float(np.sum(period.error_estimate / np.abs(period.value).max(axis=(1, 2))))
 
 
-def _grid_segments(period: np.ndarray, forward: bool, span: int):
-    """Transitions over the 15 segments of the grid t0 + k span T/15, each as
-    a product times 2 to an int exponent: as Phi(t + T, s + T) = Phi(t, s),
-    of `span` consecutive segments of a period_segments stack modulo 15, each
-    divided by the power of two of its largest entry, which is exact.  A
-    product of up to 45 such segments stays below n^45, however far the flow
-    grows or contracts.  Returns the products and the exponents."""
+def _grid_segments(period: np.ndarray, tiles: int):
+    """Transitions over the segments of the grid t0 + k T/15 across `tiles`
+    periods, each as a matrix times 2 to an int exponent: as Phi(t + T, s +
+    T) = Phi(t, s), a period_segments stack tiled, each segment divided by
+    the power of two of its largest entry, which is exact.  A product of up
+    to 45 such segments stays below n^45, however far the flow grows or
+    contracts.  Returns the segments and the exponents."""
     e = np.frexp(np.abs(period).max(axis=(1, 2)))[1]
-    scaled = np.ldexp(period, -e[:, None, None])
-    k = span * np.arange(_SEGMENTS)
-    out = scaled[k % _SEGMENTS]
-    for d in range(1, span):
-        nxt = scaled[(k + d) % _SEGMENTS]
-        out = nxt @ out if forward else out @ nxt
-    return out, e[(k[:, None] + np.arange(span)) % _SEGMENTS].sum(axis=1)
+    return np.tile(np.ldexp(period, -e[:, None, None]), (tiles, 1, 1)), np.tile(e, tiles)
 
 
 def _pair_products(segs: np.ndarray, exps: np.ndarray, forward: bool):
@@ -181,26 +178,26 @@ def _log(norms: np.ndarray) -> np.ndarray:
 
 def verify_sandwich(sys: SystemDef, kind: NormKind, forward: TransitionMatrix, backward: TransitionMatrix) -> float:
     """Largest relative violation of the two-sided transition bound on the
-    pairs t0 <= s <= t <= t0 + 2T of a grid of 16 times:
+    465 pairs t0 <= s < t <= t0 + 2T of the grid t0 + k T/15, 31 times:
 
         |Phi(t, s)| <= exp(pi_plus(t) - pi_plus(s))
         |Phi(s, t)| <= exp(pi_minus(t) - pi_minus(s))
 
-    Transitions between pairs are products of grid segments, each two period
-    segments of the forward or backward stack of period_segments
-    (_grid_segments), never inverses of an ill-conditioned product, so the
-    comparison stays sharp even for strongly stable systems.  The return
-    value is positive when some pair violates a bound; for a correct
-    implementation it is pure numerical noise, orders of magnitude below 1e-6.
+    Transitions between pairs are products of grid segments, the forward or
+    backward stack of period_segments tiled twice (_grid_segments), never
+    inverses of an ill-conditioned product, so the comparison stays sharp
+    even for strongly stable systems.  The return value is positive when
+    some pair violates a bound; for a correct implementation it is pure
+    numerical noise, orders of magnitude below 1e-6.
 
     Each pair's log norm is the log of its scaled product's norm plus its
     power of two, so a transition past the largest float, as a stiff
     system's backward flow, or below the smallest is checked like any other.
     """
-    ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, _SEGMENTS + 1)
+    ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, 2 * _SEGMENTS + 1)
     pp, pm = periodic.pi_integral(sys, kind, ts)[0].T
-    F, f_shift, i, j = _pair_products(*_grid_segments(forward.value, True, 2), forward=True)
-    B, b_shift = _pair_products(*_grid_segments(backward.value, False, 2), forward=False)[:2]
+    F, f_shift, i, j = _pair_products(*_grid_segments(forward.value, 2), forward=True)
+    B, b_shift = _pair_products(*_grid_segments(backward.value, 2), forward=False)[:2]
     logs = _log(linalg.mat_norm(np.concatenate((F, B)), kind)) + np.concatenate((f_shift, b_shift))
     return float(np.expm1(logs - np.concatenate((pp[j] - pp[i], pm[j] - pm[i]))).max())
 
@@ -216,10 +213,10 @@ class DecayCheck(NamedTuple):
 def verify_decay(sys: SystemDef, verdict: periodic.Verdict, period: TransitionMatrix) -> DecayCheck:
     """Spot-check the decay envelope promised by a stable verdict.
 
-    For every ordered grid pair (s, t) with t0 <= s <= t <= t0 + 3T the
-    envelope |Phi(t, s)| <= K exp(-alpha (t - s)) is tested via products of
-    grid segments, each three segments of period, the forward stack of
-    period_segments (_grid_segments).  On top of that, the two-sided
+    For the 1,035 pairs t0 <= s < t <= t0 + 3T of the grid t0 + k T/15, 46
+    times, the envelope |Phi(t, s)| <= K exp(-alpha (t - s)) is tested via
+    products of grid segments, period, the forward stack of period_segments,
+    tiled three times (_grid_segments).  On top of that, the two-sided
     solution envelope
 
         |x0| exp(-lambda_minus (t - t0) - delta_upper_minus)
@@ -233,9 +230,9 @@ def verify_decay(sys: SystemDef, verdict: periodic.Verdict, period: TransitionMa
         raise ValueError(f"decay envelope only exists for stable verdicts, got {verdict.classification!r}")
     kind, rates, t0 = verdict.kind, verdict.rates, sys.t0
     log_k = rates.delta_upper_plus - rates.delta_lower_plus  # K itself may be inf
-    ts = np.linspace(t0, t0 + 3.0 * sys.period, _SEGMENTS + 1)
+    ts = np.linspace(t0, t0 + 3.0 * sys.period, 3 * _SEGMENTS + 1)
     rel = 3.0 * _relative_error(period)  # each period segment once per use
-    P, shift, i, j = _pair_products(*_grid_segments(period.value, True, 3), forward=True)
+    P, shift, i, j = _pair_products(*_grid_segments(period.value, 3), forward=True)
     worst = float((log_k - verdict.alpha_tilde * (ts[j] - ts[i]) - (_log(linalg.mat_norm(P, kind)) + shift)).min())
     # |Phi(t_j, t0) x0| at every grid time, Phi(t0, t0) = I included, for eight seeded x0
     rng = random.Random(20260814)
@@ -293,13 +290,13 @@ def cross_checks(sys: SystemDef, verdicts) -> list[tuple[dict, list[str]]]:
             shared.update(unresolved_exponents=fce.unresolved, multiplier_floor=_unscaled(fce.floor, fce.scale))
             notes.append(f"{fce.unresolved} multiplier(s) below the round-off floor "
                          f"{shared['multiplier_floor']:.3e}, exponent(s) given as upper bounds")
-    grid = np.linspace(sys.t0, sys.t0 + sys.period, _SEGMENTS + 1)
     out = []
     for verdict in verdicts:
         name, stable, unresolved, failures = verdict.kind.tag, verdict.classification in _STABLE, list(notes), []
         strip = verify_strip(verdict.rates, fce) if fce else None
         violation = math.inf if blown else verify_sandwich(sys, verdict.kind, stacks[True], stacks[False])
         if blown:  # pi_plus bounds growth forward and decay backward, pi_minus the other two
+            grid = np.linspace(sys.t0, sys.t0 + sys.period, _SEGMENTS + 1)
             rises = np.diff(periodic.pi_integral(sys, verdict.kind, grid)[0], axis=0).max(axis=0)
             if all(rises[int(forward == isinstance(exc, UnderflowError))] >= _LOG_RANGE[type(exc)]
                    for forward, exc in blown.items()):

@@ -609,9 +609,9 @@ def test_stiff_systems_are_partially_resolved(tmp_path, rate):
         assert entry["classification"] == {"one": "US", "two": "UES"}[entry["norm"]]
         # the one-norm verdict is US, whose envelope |x(t)| <= K |x(s)| is checked as well
         decay = oracle["decay"]
-        assert decay["passed"] is True and decay["pairs"] == 120
+        assert decay["passed"] is True and decay["pairs"] == 1035
         if (rate, entry["norm"]) == ("-3000", "one"):
-            assert decay["worst_margin"] == pytest.approx(1.26, abs=5e-3)
+            assert decay["worst_margin"] == pytest.approx(0.419, abs=5e-3)
         notes = oracle["partially_resolved"]
         if rate == "-100":
             assert oracle["sandwich_passed"] is True and len(notes) == 1
@@ -632,14 +632,14 @@ def test_uniformly_stable_verdict_gets_the_decay_check():
     (entry,) = json.loads(out)["analyses"]
     decay = entry["oracle"]["decay"]
     assert entry["classification"] == "US"
-    assert decay["passed"] is True and decay["pairs"] == 120 and decay["worst_margin"] >= 0.0
+    assert decay["passed"] is True and decay["pairs"] == 1035 and decay["worst_margin"] >= 0.0
 
 
 def test_uniformly_stable_verdict_of_a_growing_system_fails_its_decay_check():
     # --zero-tol 10 takes scalar_unstable's one-period drift 0.3 T as zero, so the drift
     # route says US; the flow grows like exp(0.3 t), and the envelope fails
     code, out, err = run_cli("analyze", "-s", "scalar_unstable", "--zero-tol", "10", "--norm", "one", "--json")
-    assert (code, err) == (2, "numeric failure: cross-checks failed: one: decay envelope violated by 4.710e+00\n")
+    assert (code, err) == (2, "numeric failure: cross-checks failed: one: decay envelope violated by 4.753e+00\n")
     (entry,) = json.loads(out)["analyses"]
     assert entry["classification"] == "US" and entry["oracle"]["decay"]["passed"] is False
 
@@ -958,7 +958,7 @@ def test_weighted_transform_is_checked_once(monkeypatch):
 
 @pytest.mark.parametrize("check,fake,line", [
     ("verify_sandwich", lambda sys, kind, forward, backward: 1.0, "transition bound violated by 1.000e+00"),
-    ("verify_decay", lambda sys, verdict, period: floquet.DecayCheck(False, -0.5, 1e-6, 120, 120),
+    ("verify_decay", lambda sys, verdict, period: floquet.DecayCheck(False, -0.5, 1e-6, 1035, 360),
      "decay envelope violated by 5.000e-01"),
     ("verify_strip", lambda rates, fce: floquet.StripCheck(False, 0.25, 1e-6),
      "exponent strip violated by 2.500e-01"),

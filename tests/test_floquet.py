@@ -255,13 +255,13 @@ def test_sandwich_bounds_products_past_the_float_range(kind):
     # step in a per-pair loop over the unscaled grid segments, violate no more
     sysd = system_from_strings([["-100+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
     got = _sandwich(sysd, kind)
-    ts = np.linspace(sysd.t0, sysd.t0 + 2.0 * sysd.period, 16)
-    bsegs = [np.ldexp(S, e) for S, e in _ref_check_segments(sysd, False, 2)]
+    ts = np.linspace(sysd.t0, sysd.t0 + 2.0 * sysd.period, 31)
+    bsegs = [np.ldexp(S, e) for S, e in _ref_check_segments(sysd, False, 1, 2)]
     pm = pi_integral(sysd, kind, ts)[0][:, 1]
     worst, top = -math.inf, 0.0
-    for i in range(15):
+    for i in range(30):
         B, log_scale = np.eye(2), 0.0
-        for j in range(i + 1, 16):
+        for j in range(i + 1, 31):
             B = B @ bsegs[j - 1]
             e = math.frexp(float(np.abs(B).max()))[1]
             B, log_scale = B * 2.0 ** -e, log_scale + e * math.log(2.0)
@@ -269,18 +269,6 @@ def test_sandwich_bounds_products_past_the_float_range(kind):
             worst = max(worst, math.log(mat_norm(B, kind)) + log_scale - (pm[j] - pm[i]))
     assert top > math.log(np.finfo(float).max)
     assert math.expm1(worst) <= got + 1e-12 and got <= TOL.sandwich_slack
-
-
-def test_sandwich_checks_grid_segments_past_the_float_range():
-    # the backward flow of -1000 stays in the float range over a T/15 period segment
-    # and passes the largest float over a 2T/15 grid segment, which its power of two
-    # scales back into the float range
-    sysd = system_from_strings([["-1000+sin(t)", "1"], ["0", "-1"]], 2.0 * math.pi)
-    segs, exps = floquet._grid_segments(_period(sysd, False).value, False, 2)
-    with np.errstate(over="ignore"):
-        assert not np.isfinite(np.ldexp(segs, exps[:, None, None])).all()
-    for kind in (ONE, TWO):
-        assert _sandwich(sysd, kind) <= TOL.sandwich_slack
 
 
 def test_sandwich_blowup_is_unchecked_only_where_the_bound_allows_it(monkeypatch):
@@ -354,17 +342,17 @@ def test_checks_given_their_stacks_integrate_nothing(monkeypatch):
 def test_sandwich_checks_a_single_segment_past_the_gram_range(monkeypatch, kind, norm):
     # a stiff peak makes the last backward period segment 1e200 [[1, 1], [0, 1]]: its
     # bare Gram product and its square pass the largest float.  Over 2T it lies in the
-    # grid's segments 7 and 14; the drift bound across the first falls 0.5 short of its
+    # grid's segments 14 and 29; the drift bound across the first falls 0.5 short of its
     # log norm and the one across the second does not, so the violation is expm1(0.5)
     big = 1e200 * np.array([[1.0, 1.0], [0.0, 1.0]])
     fsegs = np.stack([np.eye(2)] * 15)
     bsegs = fsegs.copy()
     bsegs[14] = big
-    ts = np.linspace(0.0, 2.0, 16)
+    ts = np.linspace(0.0, 2.0, 31)
     step = math.log(1e200 * norm) - 0.5
     monkeypatch.setattr(floquet.periodic, "pi_integral", lambda sys, kind, ts_:
-                        (np.column_stack((np.zeros(16), np.where(ts > ts[7], step, 0.0)
-                                          + np.where(ts > ts[14], step + 0.5, 0.0))), 0.0))
+                        (np.column_stack((np.zeros(31), np.where(ts > ts[14], step, 0.0)
+                                          + np.where(ts > ts[29], step + 0.5, 0.0))), 0.0))
     got = verify_sandwich(lti_diag().system, kind, SimpleNamespace(value=fsegs), SimpleNamespace(value=bsegs))
     assert got == pytest.approx(math.expm1(0.5), rel=1e-9)
 
@@ -598,16 +586,16 @@ _PEAKED = system_from_strings([["-1-3000*sin(t)^200", "1"], ["0", "-1"]], 2.0 * 
 @pytest.mark.parametrize("sysd", [CATALOG[name]().system for name in sorted(CATALOG)] + [_SYSTEMS[-1], _PEAKED],
                          ids=sorted(CATALOG) + ["3x3", "peaked"])
 def test_check_segments_match_direct_integration(sysd):
-    # the sandwich's 2T/15 segments both ways and the decay check's 3T/15 ones, built
-    # from one period's segments, against integrating each over its own span
-    for forward, span in ((True, 2), (False, 2), (True, 3)):
-        ts = np.linspace(sysd.t0, sysd.t0 + span * sysd.period, 16)
+    # the checks' grid segments are the period stack tiled: the second period's 15,
+    # integrated over their own times both ways, against the tiled stack's
+    ts = np.linspace(sysd.t0 + sysd.period, sysd.t0 + 2.0 * sysd.period, 16)
+    for forward in (True, False):
         want = (integrate_transitions(sysd, ts[:-1], ts[1:]) if forward
                 else integrate_transitions(sysd, ts[1:], ts[:-1])).value
-        segs, exps = floquet._grid_segments(_period(sysd, forward).value, forward, span)
-        got = np.ldexp(segs, exps[:, None, None])
+        segs, exps = floquet._grid_segments(_period(sysd, forward).value, 2)
+        got = np.ldexp(segs, exps[:, None, None])[15:]
         scale = 1.0 + np.abs(want).max(axis=(1, 2))
-        assert (np.abs(got - want).max(axis=(1, 2)) <= TOL.ode_tol * scale).all(), (forward, span)
+        assert (np.abs(got - want).max(axis=(1, 2)) <= TOL.ode_tol * scale).all(), forward
 
 
 @pytest.mark.parametrize("tol", [None, 1e-9], ids=["default-tol", "tol-1e-9"])
@@ -820,11 +808,12 @@ def test_blowup_retry_reads_the_blown_steps_stage_grid():
     assert np.abs(tm.value[0] - np.diag([0.0, math.exp(-1.0)])).max() <= 1e-9
 
 
-def _ref_check_segments(sys, forward, span):
+def _ref_check_segments(sys, forward, span, periods):
     # one transition call per one-period segment, divided by the power of two of its
-    # largest entry; by Phi(t + T, s + T) = Phi(t, s) the grid t0 + k span T/15 has
-    # products of `span` of them, taken modulo 15, as segments, each as (product, exponent
-    # sum), the segment being the product times 2 to the exponent sum
+    # largest entry; by Phi(t + T, s + T) = Phi(t, s) the grid t0 + k span T/15 over
+    # `periods` periods has products of `span` of them, taken modulo 15, as segments,
+    # each as (product, exponent sum), the segment being the product times 2 to the
+    # exponent sum.  span 1 is the checks' tiled grid
     ts = np.linspace(sys.t0, sys.t0 + sys.period, 16)
     ends = [(float(ts[m]), float(ts[m + 1])) for m in range(15)]
     period = []
@@ -833,7 +822,7 @@ def _ref_check_segments(sys, forward, span):
         k = math.frexp(float(np.abs(value).max()))[1]
         period.append((np.ldexp(value, -k), k))
     segs = []
-    for k in range(15):
+    for k in range(15 * periods // span):
         S, e = period[span * k % 15]
         for d in range(1, span):
             R, f = period[(span * k + d) % 15]
@@ -842,16 +831,17 @@ def _ref_check_segments(sys, forward, span):
     return segs
 
 
-def _ref_sandwich(sys, kind):
-    # one norm call per grid pair
-    ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, 16)
-    fsegs, bsegs = _ref_check_segments(sys, True, 2), _ref_check_segments(sys, False, 2)
+def _ref_sandwich(sys, kind, span=1):
+    # one norm call per pair of the grid t0 + k span T/15 over 2T
+    fsegs, bsegs = _ref_check_segments(sys, True, span, 2), _ref_check_segments(sys, False, span, 2)
+    m = len(fsegs)
+    ts = np.linspace(sys.t0, sys.t0 + 2.0 * sys.period, m + 1)
     pp, pm = pi_integral(sys, kind, ts)[0].T
     worst = -math.inf
-    for i in range(15):
+    for i in range(m):
         F = B = np.eye(sys.n)
         fe = be = 0
-        for j in range(i + 1, 16):
+        for j in range(i + 1, m + 1):
             F, fe = fsegs[j - 1][0] @ F, fe + fsegs[j - 1][1]
             B, be = B @ bsegs[j - 1][0], be + bsegs[j - 1][1]
             worst = max(worst, float(np.expm1(np.log(mat_norm(F, kind)) + fe * math.log(2.0) - (pp[j] - pp[i]))),
@@ -859,15 +849,17 @@ def _ref_sandwich(sys, kind):
     return worst
 
 
-def _ref_decay_margin(sys, verdict):
-    # the pair and state margins of verify_decay, one norm call per pair
-    ts = np.linspace(sys.t0, sys.t0 + 3.0 * sys.period, 16)
-    segs = _ref_check_segments(sys, True, 3)
+def _ref_decay_margin(sys, verdict, span=1):
+    # the pair and state margins of verify_decay, one norm call per pair of the grid
+    # t0 + k span T/15 over 3T
+    segs = _ref_check_segments(sys, True, span, 3)
+    m = len(segs)
+    ts = np.linspace(sys.t0, sys.t0 + 3.0 * sys.period, m + 1)
     worst = math.inf
     from_start = [(np.eye(sys.n), 0)]
-    for i in range(15):
+    for i in range(m):
         P, e = np.eye(sys.n), 0
-        for j in range(i + 1, 16):
+        for j in range(i + 1, m + 1):
             P, e = segs[j - 1][0] @ P, e + segs[j - 1][1]
             if i == 0:
                 from_start.append((P, e))
@@ -881,7 +873,7 @@ def _ref_decay_margin(sys, verdict):
         nx0 = vec_norm(x0, verdict.kind)
         if nx0 < 1e-6:
             continue
-        for j in range(1, 16):
+        for j in range(1, m + 1):
             dt = float(ts[j] - sys.t0)
             P, e = from_start[j]
             log_x = float(np.log(vec_norm(P @ x0, verdict.kind))) + e * math.log(2.0)
@@ -905,6 +897,21 @@ def test_stacked_oracle_checks_match_per_pair_loops(name):
             assert _decay(sysd, v).worst_margin == _ref_decay_margin(sysd, v)
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_tiled_grid_checks_at_least_the_span_grids(name):
+    # the T/15 grid holds every time of the sandwich's 2T/15 grid and of the decay
+    # check's 3T/15 one, built from products of 2 and 3 period segments: its worst
+    # figures are no better than theirs, up to the products' rounding
+    sysd = CATALOG[name]().system
+    A0 = sysd.matrix(sysd.t0)
+    hurwitz = np.linalg.eigvals(A0).real.max() < 0.0
+    for kind in KINDS + ([lognorm.lyapunov_weighted(A0)] if hurwitz else []):
+        assert _sandwich(sysd, kind) >= _ref_sandwich(sysd, kind, span=2) - 1e-12, kind.tag
+        v = classify(sysd, kind)
+        if v.classification in ("UES", "US"):
+            assert _decay(sysd, v).worst_margin <= _ref_decay_margin(sysd, v, span=3) + 1e-12, kind.tag
+
+
 def test_one_by_one_checks_agree_in_every_norm():
     # every norm of a 1 x 1 system is |x|, so the checks give the same figures in each,
     # also where exp(-300 t) passes the smallest float within the decay check's 3 periods
@@ -922,14 +929,14 @@ def test_scaled_log_norms_match_unscaled_products(sysd):
     # each pair's log norm, the scaled product's plus its power of two, against the log
     # norm of its product of unscaled period segments, wherever that is a normal float
     tiny = np.finfo(float).tiny
-    for forward, span in ((True, 2), (False, 2), (True, 3)):
+    for forward, periods in ((True, 2), (False, 2), (True, 3)):
         period = _period(sysd, forward).value
-        P, shift, i, j = floquet._pair_products(*floquet._grid_segments(period, forward, span), forward)
+        P, shift, i, j = floquet._pair_products(*floquet._grid_segments(period, periods), forward)
         want = []
         with np.errstate(over="ignore", invalid="ignore"):  # past the largest float
             for a, b in zip(i.tolist(), j.tolist()):
                 U = np.eye(sysd.n)
-                for m in range(span * a, span * b):
+                for m in range(a, b):
                     U = period[m % 15] @ U if forward else U @ period[m % 15]
                 want.append(U)
         normal = np.array([np.isfinite(U).all() and np.abs(U).max() >= tiny for U in want])
